@@ -13,12 +13,10 @@ test accuracy and convergence time.
 from .dataio import Dataset, SyntheticSpec, load_idx_pair, make_synthetic, split_holdout
 from .harness import (
     AggregateResult,
-    Comparison,
     ProbePlan,
     RunRecord,
     SweepResult,
     TrainConfig,
-    compare_ne_vs_small_batch,
     probe_run,
     repeat_runs,
     sweep_alpha,
@@ -41,13 +39,12 @@ from .noiselab import (
     sample_ne_noise,
     sample_sgd_noise,
 )
-from .optim import NEConfig, OptimizerState, ne_combine, naive_ne_combine, training_step
+from .optim import NEConfig, OptimizerState, ne_combine, training_step
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AggregateResult",
-    "Comparison",
     "Dataset",
     "MlpSpec",
     "NEConfig",
@@ -60,7 +57,6 @@ __all__ = [
     "SweepResult",
     "SyntheticSpec",
     "TrainConfig",
-    "compare_ne_vs_small_batch",
     "effective_batch",
     "enhancement_factor",
     "enumerate_ne_noise_covariance",
@@ -74,7 +70,6 @@ __all__ = [
     "make_synthetic",
     "measure_stats",
     "ne_combine",
-    "naive_ne_combine",
     "probe_noise",
     "probe_run",
     "repeat_runs",

@@ -108,7 +108,11 @@ def _check_type(key: str, value: object) -> object:
             raise ConfigError(f"config key {key} expects a boolean, got {value!r}")
         return value
     if isinstance(default, int) and not isinstance(default, bool):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())  # also rejects inf and nan
+        ):
             raise ConfigError(f"config key {key} expects an integer, got {value!r}")
         return int(value)
     if isinstance(default, float):
@@ -275,25 +279,26 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _best_value(sweep: harness.SweepResult) -> float | None:
+    """Grid value of the report's best cell; None when no cell has a finite accuracy."""
+    key = "B" if sweep.axis == "batch_size" else "alpha"
+    best = report.best_row(sweep.rows(), key)
+    return None if best is None else float(best[key])
+
+
 def _write_sweep_outputs(out: Path, sweep: harness.SweepResult, tc: harness.TrainConfig) -> None:
     run_entries = []
-    agg_entries = []
-    for value, cell in zip(sweep.values, sweep.cells):
-        if sweep.axis == "batch_size":
-            b, a = int(value), sweep.fixed_value
-        else:
-            b, a = int(sweep.fixed_value), value
+    for b, a, cell in sweep.entries():
         cell_cfg = replace(tc, ne=replace(tc.ne, batch_size=b, alpha=a))
         h = harness.config_hash(cell_cfg)
         run_entries.extend((h, b, a, r) for r in cell.records)
-        agg_entries.append((b, a, cell))
     harness.write_runs_csv(out / "runs.csv", run_entries)
-    harness.write_aggregate_csv(out / "aggregate.csv", agg_entries)
+    harness.write_aggregate_csv(out / "aggregate.csv", sweep.entries())
     meta = {
         "axis": sweep.axis,
         "values": list(sweep.values),
         "fixed_value": sweep.fixed_value,
-        "best_value": sweep.best_value(),
+        "best_value": _best_value(sweep),
     }
     (out / "sweep.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
@@ -306,12 +311,12 @@ def _print_sweep(sweep: harness.SweepResult) -> None:
             f"steps {cell.mean_convergence:.1f} +- {cell.std_convergence:.1f} "
             f"({cell.n_converged}/{len(cell.records)} converged)"
         )
-    best = sweep.best_value()
+    best = _best_value(sweep)
     print(f"best {label}: {best:g}" if best is not None else f"best {label}: none (no finite cell)")
 
 
 def _sweep_exit(sweep: harness.SweepResult) -> int:
-    if sweep.best_value() is None:
+    if _best_value(sweep) is None:
         print("error: no sweep cell produced a finite accuracy", file=sys.stderr)
         return 2
     return 0
@@ -338,8 +343,8 @@ def _cmd_sweep_alpha(args) -> int:
     grid = [float(a) for a in cfg["sweep.alpha_grid"]]
     sweep = harness.sweep_alpha(tc, grid, b_fixed=int(cfg["sweep.b_fixed"]), jobs=args.jobs)
     _write_sweep_outputs(out, sweep, tc)
-    scatter = [("increase-alpha", v, conv, acc) for v, conv, acc in sweep.tradeoff_points()]
-    harness.write_scatter_csv(out / "scatter.csv", scatter)
+    scatter = report.tradeoff_rows("increase-alpha", sweep.rows())
+    report.write_tradeoff_csv(out / "scatter.csv", scatter)
     _print_sweep(sweep)
     print(f"results written to {out}")
     return _sweep_exit(sweep)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataio import Dataset
 from .model import MlpSpec, glorot_init, evaluate_accuracy, mean_loss
-from .noiselab import ProbeRow, effective_batch, probe_noise
+from .noiselab import ProbeRow, probe_noise
 from .optim import BatchStreams, NEConfig, OptimizerState, StepLog, training_step
 
 STATUS_CONVERGED = "converged"
@@ -251,6 +251,19 @@ def aggregate(records: Iterable[RunRecord]) -> AggregateResult:
     )
 
 
+AGGREGATE_COLUMNS = ("B", "alpha", "mean_acc", "std_acc", "mean_steps", "std_steps", "n_converged")
+
+
+def aggregate_row(b: int, alpha: float, agg: AggregateResult) -> dict:
+    """One aggregate.csv row keyed by column: the dict report.load_unit reads back."""
+    return dict(
+        zip(
+            AGGREGATE_COLUMNS,
+            (b, alpha, agg.mean_accuracy, agg.std_accuracy, agg.mean_convergence, agg.std_convergence, agg.n_converged),
+        )
+    )
+
+
 def _train_one(args: tuple[TrainConfig, int]) -> RunRecord:
     cfg, seed = args
     return train_run(cfg, seed)
@@ -286,23 +299,15 @@ class SweepResult:
     fixed_value: float
     cells: tuple[AggregateResult, ...]
 
-    def best_value(self) -> float | None:
-        """Grid value with the highest mean accuracy; ties go to the smaller
-        value; cells without a finite accuracy are skipped."""
-        best = None
-        best_acc = -np.inf
-        for value, cell in sorted(zip(self.values, self.cells), key=lambda t: t[0]):
-            if np.isfinite(cell.mean_accuracy) and cell.mean_accuracy > best_acc:
-                best = value
-                best_acc = cell.mean_accuracy
-        return best
+    def entries(self) -> list[tuple[int, float, AggregateResult]]:
+        """(B, alpha, cell) per cell, in grid order."""
+        if self.axis == "batch_size":
+            return [(int(v), self.fixed_value, c) for v, c in zip(self.values, self.cells)]
+        return [(int(self.fixed_value), v, c) for v, c in zip(self.values, self.cells)]
 
-    def tradeoff_points(self) -> list[tuple[float, float, float]]:
-        """(value, mean_convergence, mean_accuracy) per cell, grid order."""
-        return [
-            (v, c.mean_convergence, c.mean_accuracy)
-            for v, c in zip(self.values, self.cells)
-        ]
+    def rows(self) -> list[dict]:
+        """One aggregate row per cell, in grid order (see aggregate_row)."""
+        return [aggregate_row(b, a, cell) for b, a, cell in self.entries()]
 
 
 def sweep_batch(
@@ -340,79 +345,6 @@ def sweep_alpha(
         values=tuple(values),
         fixed_value=float(b_fixed),
         cells=tuple(cells),
-    )
-
-
-@dataclass(frozen=True)
-class Comparison:
-    """Noise enhancement at fixed B versus shrinking B, side by side."""
-
-    best_batch: tuple[float, AggregateResult]
-    best_alpha: tuple[float, AggregateResult]
-    accuracy_gap: float
-    b_eff_rows: tuple[tuple[float, float], ...]
-    scatter_rows: tuple[tuple[str, float, float, float], ...]  # series, value, conv, acc
-    flags: dict[str, bool | None]
-
-
-def directional_flags(alpha_sweep: SweepResult) -> dict[str, bool | None]:
-    """Directional expectations along the alpha axis.
-
-    "accuracy-best-enhanced-not-worse": the best alpha > 1 cell reaches at
-    least the alpha = 1 accuracy. "time-nondecreasing-in-alpha": mean
-    convergence steps do not decrease as alpha grows. None when the needed
-    cells are missing or have no statistics.
-    """
-    pairs = sorted(zip(alpha_sweep.values, alpha_sweep.cells), key=lambda t: t[0])
-    flags: dict[str, bool | None] = {}
-    base = [c for v, c in pairs if v == 1.0]
-    enhanced = [c for v, c in pairs if v > 1.0]
-    if base and enhanced and np.isfinite(base[0].mean_accuracy):
-        best_enh = max(c.mean_accuracy for c in enhanced)
-        flags["accuracy-best-enhanced-not-worse"] = bool(
-            np.isfinite(best_enh) and best_enh >= base[0].mean_accuracy
-        )
-    else:
-        flags["accuracy-best-enhanced-not-worse"] = None
-    times = [c.mean_convergence for _, c in pairs]
-    if len(times) >= 2 and all(np.isfinite(t) for t in times):
-        flags["time-nondecreasing-in-alpha"] = bool(
-            all(t2 >= t1 for t1, t2 in zip(times, times[1:]))
-        )
-    else:
-        flags["time-nondecreasing-in-alpha"] = None
-    return flags
-
-
-def compare_ne_vs_small_batch(
-    batch_sweep: SweepResult, alpha_sweep: SweepResult
-) -> Comparison:
-    """Tabulate both strategies and annotate each alpha with its effective batch."""
-    if batch_sweep.axis != "batch_size" or alpha_sweep.axis != "alpha":
-        raise ValueError("expected a batch_size sweep and an alpha sweep")
-
-    def best(sweep: SweepResult) -> tuple[float, AggregateResult]:
-        value = sweep.best_value()
-        if value is None:
-            raise ValueError(f"{sweep.axis} sweep has no cell with finite accuracy")
-        return value, sweep.cells[sweep.values.index(value)]
-
-    best_b = best(batch_sweep)
-    best_a = best(alpha_sweep)
-    b_fixed = int(alpha_sweep.fixed_value)
-    b_eff_rows = tuple((a, effective_batch(b_fixed, a)) for a in alpha_sweep.values)
-    scatter = []
-    for v, conv, acc in batch_sweep.tradeoff_points():
-        scatter.append(("reduce-batch", v, conv, acc))
-    for v, conv, acc in alpha_sweep.tradeoff_points():
-        scatter.append(("increase-alpha", v, conv, acc))
-    return Comparison(
-        best_batch=best_b,
-        best_alpha=best_a,
-        accuracy_gap=float(best_a[1].mean_accuracy - best_b[1].mean_accuracy),
-        b_eff_rows=b_eff_rows,
-        scatter_rows=tuple(scatter),
-        flags=directional_flags(alpha_sweep),
     )
 
 
@@ -498,24 +430,6 @@ def write_aggregate_csv(
     path: str | Path, entries: Iterable[tuple[int, float, AggregateResult]]
 ) -> None:
     """Per-cell rows: (B, alpha, aggregate)."""
-    _write_csv(
-        path,
-        ["B", "alpha", "mean_acc", "std_acc", "mean_steps", "std_steps", "n_converged"],
-        (
-            (b, a, agg.mean_accuracy, agg.std_accuracy, agg.mean_convergence, agg.std_convergence, agg.n_converged)
-            for b, a, agg in entries
-        ),
-    )
+    rows = (aggregate_row(b, a, agg) for b, a, agg in entries)
+    _write_csv(path, list(AGGREGATE_COLUMNS), ([row[c] for c in AGGREGATE_COLUMNS] for row in rows))
 
-
-def write_scatter_csv(
-    path: str | Path, rows: Iterable[tuple[str, float, float, float]]
-) -> None:
-    """Trade-off points: internal rows are (series, value, conv, acc); the
-    value column is for humans reading the report, the CSV carries the
-    (series, convergence_steps, accuracy) schema."""
-    _write_csv(
-        path,
-        ["series", "convergence_steps", "accuracy"],
-        ((series, conv, acc) for series, _value, conv, acc in rows),
-    )

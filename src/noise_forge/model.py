@@ -260,14 +260,6 @@ def per_sample_grad_matrix(
     return out
 
 
-def per_sample_grads(
-    w: ParamVector, ds: Dataset, idx: np.ndarray | None = None
-) -> list[ParamVector]:
-    """Per-sample gradients as ParamVectors (thin wrapper over the matrix form)."""
-    mat = per_sample_grad_matrix(w, ds, idx)
-    return [ParamVector(row, w.dims) for row in mat]
-
-
 def per_sample_grad_norms(
     w: ParamVector, ds: Dataset, idx: np.ndarray | None = None, chunk_size: int = 1024
 ) -> tuple[np.ndarray, ParamVector]:

@@ -22,18 +22,6 @@ class DivergenceError(FloatingPointError):
     """A gradient or update became non-finite; the run cannot continue."""
 
 
-def validate_minibatch(idx: np.ndarray, n_total: int) -> np.ndarray:
-    """Check a minibatch index set: non-empty, distinct, within [0, n_total)."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim != 1 or idx.shape[0] == 0:
-        raise ValueError("minibatch must be a non-empty 1-D index array")
-    if idx.min() < 0 or idx.max() >= n_total:
-        raise ValueError("minibatch index out of range")
-    if np.unique(idx).shape[0] != idx.shape[0]:
-        raise ValueError("minibatch indices must be distinct")
-    return idx
-
-
 @dataclass(frozen=True)
 class NEConfig:
     """Noise-enhancement settings for a training run.
@@ -160,11 +148,6 @@ def ne_combine(grad_b: ParamVector, grad_bprime: ParamVector, alpha: float) -> P
     return ParamVector(alpha * grad_b.values + (1.0 - alpha) * grad_bprime.values, grad_b.dims)
 
 
-def naive_ne_combine(grad_b: ParamVector, grad_full: ParamVector, alpha: float) -> ParamVector:
-    """alpha * grad_b + (1 - alpha) * grad_full (full-gradient oracle variant)."""
-    return ne_combine(grad_b, grad_full, alpha)
-
-
 def _require_finite(g: ParamVector) -> None:
     if not np.isfinite(g.values).all():
         raise DivergenceError("non-finite gradient")
@@ -234,7 +217,7 @@ def training_step(
     elif config.mode == "naive-full":
         _, grad_other = loss_and_grad(w, ds, None)
         grad_norm_bprime = float(np.linalg.norm(grad_other.values))
-        combined = naive_ne_combine(grad_b, grad_other, config.alpha)
+        combined = ne_combine(grad_b, grad_other, config.alpha)
     else:
         combined = grad_b.copy()
     _require_finite(combined)

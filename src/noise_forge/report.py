@@ -6,6 +6,11 @@ one summary table per directory, and, when the tree holds both a batch-size
 sweep and an alpha sweep, adds a comparison section with effective-batch
 annotations and directional flags. Output is a pure function of the input
 CSVs: units are visited in sorted order and no timestamps are embedded.
+
+This module also holds the sweep verdict, as pure functions over aggregate
+rows (the dicts ``load_unit`` builds, or ``SweepResult.rows`` in memory):
+the best cell, the directional flags and the trade-off scatter rows. The
+command line tool and the report both call them.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .harness import _write_csv
 from .noiselab import effective_batch
 
 
@@ -69,7 +75,7 @@ def load_unit(directory: Path, root: Path) -> ResultsUnit:
     return ResultsUnit(name="." if name == "." else name, rows=tuple(rows), totals=totals, axis=axis)
 
 
-def _best_row(rows: tuple[dict, ...], key: str) -> dict | None:
+def best_row(rows: tuple[dict, ...], key: str) -> dict | None:
     """Row with the highest finite mean accuracy; ties go to the smaller key."""
     best = None
     for row in sorted(rows, key=lambda r: r[key]):
@@ -98,7 +104,7 @@ def render_unit(unit: ResultsUnit) -> str:
         "single": "single configuration",
     }[unit.axis]
     key = "alpha" if unit.axis == "alpha" else "B"
-    best = _best_row(unit.rows, key) if unit.axis != "single" else None
+    best = best_row(unit.rows, key) if unit.axis != "single" else None
     lines = [f"## {unit.name}", "", f"{axis_note}.", ""]
     lines.append("| B | alpha | test accuracy | steps to stop | converged |")
     lines.append("|---|-------|---------------|---------------|-----------|")
@@ -117,15 +123,23 @@ def render_unit(unit: ResultsUnit) -> str:
     return "\n".join(lines)
 
 
-def _alpha_flags(rows: tuple[dict, ...]) -> dict[str, bool | None]:
+def alpha_flags(rows: tuple[dict, ...]) -> dict[str, bool | None]:
+    """Directional expectations along the alpha axis.
+
+    "accuracy-best-enhanced-not-worse": the best finite alpha > 1 accuracy
+    reaches at least the alpha = 1 accuracy (False when no alpha > 1 cell
+    is finite). "time-nondecreasing-in-alpha": mean steps do not decrease
+    as alpha grows. None when the needed cells are missing or have no
+    statistics.
+    """
     by_alpha = sorted(rows, key=lambda r: r["alpha"])
     base = [r for r in by_alpha if r["alpha"] == 1.0]
     enhanced = [r for r in by_alpha if r["alpha"] > 1.0]
     flags: dict[str, bool | None] = {}
     if base and enhanced and math.isfinite(base[0]["mean_acc"]):
-        best_enh = max(r["mean_acc"] for r in enhanced)
+        finite_enh = [r["mean_acc"] for r in enhanced if math.isfinite(r["mean_acc"])]
         flags["accuracy-best-enhanced-not-worse"] = bool(
-            math.isfinite(best_enh) and best_enh >= base[0]["mean_acc"]
+            finite_enh and max(finite_enh) >= base[0]["mean_acc"]
         )
     else:
         flags["accuracy-best-enhanced-not-worse"] = None
@@ -139,6 +153,15 @@ def _alpha_flags(rows: tuple[dict, ...]) -> dict[str, bool | None]:
     return flags
 
 
+def tradeoff_rows(series: str, rows: tuple[dict, ...]) -> list[tuple[str, float, float]]:
+    """(series, mean_steps, mean_acc) per row, in the order given."""
+    return [(series, row["mean_steps"], row["mean_acc"]) for row in rows]
+
+
+def write_tradeoff_csv(path: Path, scatter: list[tuple[str, float, float]]) -> None:
+    _write_csv(path, ["series", "convergence_steps", "accuracy"], scatter)
+
+
 def _flag_text(value: bool | None) -> str:
     if value is None:
         return "NA (insufficient data)"
@@ -146,8 +169,8 @@ def _flag_text(value: bool | None) -> str:
 
 
 def render_comparison(batch_unit: ResultsUnit, alpha_unit: ResultsUnit) -> tuple[str, list[tuple]]:
-    best_b = _best_row(batch_unit.rows, "B")
-    best_a = _best_row(alpha_unit.rows, "alpha")
+    best_b = best_row(batch_unit.rows, "B")
+    best_a = best_row(alpha_unit.rows, "alpha")
     b_fixed = alpha_unit.rows[0]["B"]
     lines = ["## Enhancement at fixed B vs reducing B", ""]
     if best_b is None or best_a is None:
@@ -167,7 +190,7 @@ def render_comparison(batch_unit: ResultsUnit, alpha_unit: ResultsUnit) -> tuple
         f"steps {_fmt_mean_std(best_a['mean_steps'], best_a['std_steps'], 1)}"
     )
     lines.append(f"- accuracy gap (enhanced - reduced): {gap:+.4f}")
-    for name, value in sorted(_alpha_flags(alpha_unit.rows).items()):
+    for name, value in sorted(alpha_flags(alpha_unit.rows).items()):
         lines.append(f"- flag {name}: {_flag_text(value)}")
     lines.append("")
     lines.append("| alpha | B_eff | test accuracy | steps to stop |")
@@ -182,21 +205,9 @@ def render_comparison(batch_unit: ResultsUnit, alpha_unit: ResultsUnit) -> tuple
             )
         )
     lines.append("")
-    scatter = []
-    for row in sorted(batch_unit.rows, key=lambda r: r["B"]):
-        scatter.append(("reduce-batch", row["mean_steps"], row["mean_acc"]))
-    for row in sorted(alpha_unit.rows, key=lambda r: r["alpha"]):
-        scatter.append(("increase-alpha", row["mean_steps"], row["mean_acc"]))
+    scatter = tradeoff_rows("reduce-batch", sorted(batch_unit.rows, key=lambda r: r["B"]))
+    scatter += tradeoff_rows("increase-alpha", sorted(alpha_unit.rows, key=lambda r: r["alpha"]))
     return "\n".join(lines), scatter
-
-
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v}" if not isinstance(v, float) else repr(v) for v in row])
 
 
 def emit_report(results_dir: str | Path, out_dir: str | Path | None = None) -> Path:
@@ -236,11 +247,7 @@ def emit_report(results_dir: str | Path, out_dir: str | Path | None = None) -> P
         section, scatter = render_comparison(batch_units[0], alpha_units[0])
         sections.append(section)
         if scatter:
-            _write_csv(
-                fig_dir / "fig_tradeoff_scatter.csv",
-                ["series", "convergence_steps", "accuracy"],
-                scatter,
-            )
+            write_tradeoff_csv(fig_dir / "fig_tradeoff_scatter.csv", scatter)
     report_path = out_dir / "report.md"
     report_path.write_text("\n".join(sections), encoding="utf-8")
     return report_path

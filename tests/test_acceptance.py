@@ -53,7 +53,7 @@ from noise_forge.noiselab import (
     sample_ne_noise,
 )
 from noise_forge.optim import BatchStreams, NEConfig, OptimizerState, StepLog, training_step
-from noise_forge.report import emit_report
+from noise_forge.report import alpha_flags, emit_report
 
 
 def blob_dataset(seed, n_per_class, classes, dim, noise=0.3):
@@ -289,22 +289,16 @@ def test_c7_protocol_halves_once_and_stops_at_threshold(monkeypatch):
     assert single_halving
 
 
-def _write_sweep_unit(directory, tc, sweep, fixed_batch=None, fixed_alpha=None):
+def _write_sweep_unit(directory, tc, sweep):
     """Persist one sweep the way the command line tool lays it out."""
     run_rows = []
-    agg_rows = []
-    for value, cell in zip(sweep.values, sweep.cells):
-        if fixed_batch is not None:
-            b, alpha = fixed_batch, value
-        else:
-            b, alpha = int(value), fixed_alpha
+    for b, alpha, cell in sweep.entries():
         ne = dataclasses.replace(tc.ne, alpha=alpha, batch_size=b)
         digest = config_hash(dataclasses.replace(tc, ne=ne))
         run_rows.extend((digest, b, alpha, record) for record in cell.records)
-        agg_rows.append((b, alpha, cell))
     directory.mkdir(parents=True, exist_ok=True)
     write_runs_csv(directory / "runs.csv", run_rows)
-    write_aggregate_csv(directory / "aggregate.csv", agg_rows)
+    write_aggregate_csv(directory / "aggregate.csv", sweep.entries())
 
 
 def test_c8_desk_scale_directional_run_synthetic(tmp_path):
@@ -320,11 +314,11 @@ def test_c8_desk_scale_directional_run_synthetic(tmp_path):
     all_converged = all(
         cell.n_converged == n_seeds for cell in alpha_sweep.cells + batch_sweep.cells
     )
-    flags = harness.directional_flags(alpha_sweep)
+    flags = alpha_flags(alpha_sweep.rows())
 
     results = tmp_path / "results"
-    _write_sweep_unit(results / "sweep-alpha", tc, alpha_sweep, fixed_batch=100)
-    _write_sweep_unit(results / "sweep-b", tc, batch_sweep, fixed_alpha=1.0)
+    _write_sweep_unit(results / "sweep-alpha", tc, alpha_sweep)
+    _write_sweep_unit(results / "sweep-b", tc, batch_sweep)
     report_path = emit_report(results)
     text = report_path.read_text(encoding="utf-8")
     flags_in_report = (
@@ -397,8 +391,8 @@ def test_c8_desk_scale_directional_run_real_data(tmp_path):
     t0 = time.perf_counter()
     sweep = harness.sweep_alpha(tc, [1.0, 1.5, 2.0], b_fixed=2000)
     elapsed = time.perf_counter() - t0
-    flags = harness.directional_flags(sweep)
-    _write_sweep_unit(tmp_path / "results" / "sweep-alpha", tc, sweep, fixed_batch=2000)
+    flags = alpha_flags(sweep.rows())
+    _write_sweep_unit(tmp_path / "results" / "sweep-alpha", tc, sweep)
     report_path = emit_report(tmp_path / "results")
     accs = [cell.mean_accuracy for cell in sweep.cells]
     detail = (

@@ -12,15 +12,13 @@ from noise_forge.harness import (
     STATUS_DID_NOT_CONVERGE,
     STATUS_DIVERGED,
     AggregateResult,
-    Comparison,
     ProbePlan,
     RunRecord,
     SweepResult,
     TrainConfig,
     aggregate,
-    compare_ne_vs_small_batch,
+    aggregate_row,
     config_hash,
-    directional_flags,
     probe_run,
     repeat_runs,
     sweep_alpha,
@@ -29,8 +27,15 @@ from noise_forge.harness import (
     write_aggregate_csv,
     write_probe_csv,
     write_runs_csv,
-    write_scatter_csv,
     write_step_log,
+)
+from noise_forge.report import (
+    ResultsUnit,
+    alpha_flags,
+    best_row,
+    render_comparison,
+    tradeoff_rows,
+    write_tradeoff_csv,
 )
 
 
@@ -342,7 +347,7 @@ class TestSweeps:
         assert sweep.values == (4.0, 8.0, 16.0)
         assert [c.mean_accuracy for c in sweep.cells] == [0.80, 0.90, 0.90]
         # tie on accuracy goes to the smaller grid value
-        assert sweep.best_value() == 8.0
+        assert best_row(sweep.rows(), "B")["B"] == 8
 
     def test_alpha_sweep_fixes_batch(self, monkeypatch):
         table = {(16, 1.0): (0.85, 100), (16, 1.5): (0.87, 150), (16, 2.0): (0.86, 250)}
@@ -350,9 +355,9 @@ class TestSweeps:
         sweep = sweep_alpha(small_config(), [1.0, 1.5, 2.0], b_fixed=16)
         assert sweep.axis == "alpha"
         assert sweep.fixed_value == 16.0
-        assert sweep.best_value() == 1.5
-        points = sweep.tradeoff_points()
-        assert points[0] == (1.0, 100.0, 0.85)
+        assert best_row(sweep.rows(), "alpha")["alpha"] == 1.5
+        points = tradeoff_rows("increase-alpha", sweep.rows())
+        assert points[0] == ("increase-alpha", 100.0, 0.85)
 
     def test_best_value_skips_cells_without_accuracy(self, monkeypatch):
         table = {(16, 1.0): (float("nan"), 100), (16, 2.0): (0.7, 100)}
@@ -366,7 +371,7 @@ class TestSweeps:
 
         monkeypatch.setattr(harness, "train_run", diverged_or_ok)
         sweep = sweep_alpha(small_config(), [1.0, 2.0], b_fixed=16)
-        assert sweep.best_value() == 2.0
+        assert best_row(sweep.rows(), "alpha")["alpha"] == 2.0
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -383,69 +388,62 @@ def cell(acc, conv, status=STATUS_CONVERGED):
     return aggregate([rec(0, status=status, acc=acc, conv=conv)])
 
 
+def flags_of(values, cells):
+    return alpha_flags(sweep_from_cells("alpha", values, cells).rows())
+
+
 class TestDirectionalFlags:
     def test_both_expectations_met(self):
-        sweep = sweep_from_cells(
-            "alpha", [1.0, 1.5, 2.0], [cell(0.85, 100), cell(0.86, 120), cell(0.84, 150)]
-        )
-        flags = directional_flags(sweep)
+        flags = flags_of([1.0, 1.5, 2.0], [cell(0.85, 100), cell(0.86, 120), cell(0.84, 150)])
         assert flags["accuracy-best-enhanced-not-worse"] is True
         assert flags["time-nondecreasing-in-alpha"] is True
 
     def test_accuracy_regression_detected(self):
-        sweep = sweep_from_cells(
-            "alpha", [1.0, 2.0], [cell(0.90, 100), cell(0.85, 150)]
-        )
-        assert directional_flags(sweep)["accuracy-best-enhanced-not-worse"] is False
+        flags = flags_of([1.0, 2.0], [cell(0.90, 100), cell(0.85, 150)])
+        assert flags["accuracy-best-enhanced-not-worse"] is False
 
     def test_time_regression_detected(self):
-        sweep = sweep_from_cells(
-            "alpha", [1.0, 1.5, 2.0], [cell(0.85, 100), cell(0.86, 90), cell(0.87, 150)]
-        )
-        assert directional_flags(sweep)["time-nondecreasing-in-alpha"] is False
+        flags = flags_of([1.0, 1.5, 2.0], [cell(0.85, 100), cell(0.86, 90), cell(0.87, 150)])
+        assert flags["time-nondecreasing-in-alpha"] is False
 
     def test_missing_baseline_gives_none(self):
-        sweep = sweep_from_cells("alpha", [1.5, 2.0], [cell(0.86, 120), cell(0.84, 150)])
-        assert directional_flags(sweep)["accuracy-best-enhanced-not-worse"] is None
+        flags = flags_of([1.5, 2.0], [cell(0.86, 120), cell(0.84, 150)])
+        assert flags["accuracy-best-enhanced-not-worse"] is None
 
     def test_missing_times_give_none(self):
         no_conv = cell(0.8, None, status=STATUS_DID_NOT_CONVERGE)
-        sweep = sweep_from_cells("alpha", [1.0, 2.0], [cell(0.85, 100), no_conv])
-        assert directional_flags(sweep)["time-nondecreasing-in-alpha"] is None
+        flags = flags_of([1.0, 2.0], [cell(0.85, 100), no_conv])
+        assert flags["time-nondecreasing-in-alpha"] is None
 
 
 class TestComparison:
-    def make_sweeps(self):
+    """Harness sweep results, compared by report.render_comparison."""
+
+    def render(self):
         batch = sweep_from_cells(
             "batch_size", [32.0, 64.0], [cell(0.88, 300), cell(0.84, 150)], fixed=1.0
         )
         alpha = sweep_from_cells(
             "alpha", [1.0, 2.0], [cell(0.84, 150), cell(0.88, 280)], fixed=64.0
         )
-        return batch, alpha
+        units = [ResultsUnit(s.axis, tuple(s.rows()), {}, s.axis) for s in (batch, alpha)]
+        return render_comparison(*units)
 
     def test_best_cells_and_gap(self):
-        batch, alpha = self.make_sweeps()
-        cmp = compare_ne_vs_small_batch(batch, alpha)
-        assert cmp.best_batch[0] == 32.0
-        assert cmp.best_alpha[0] == 2.0
-        assert cmp.accuracy_gap == pytest.approx(0.0)
+        text, _ = self.render()
+        assert "- best reduced batch: B = 32 at alpha = 1:" in text
+        assert "- best enhanced: alpha = 2 at B = 64 " in text
+        assert "- accuracy gap (enhanced - reduced): +0.0000" in text
 
     def test_effective_batch_annotations(self):
-        batch, alpha = self.make_sweeps()
-        cmp = compare_ne_vs_small_batch(batch, alpha)
-        assert cmp.b_eff_rows == ((1.0, 64.0), (2.0, pytest.approx(12.8)))
+        text, _ = self.render()
+        assert "| 1 | 64.0 | 0.8400 +- 0.0000 | 150.0 +- 0.0 |" in text
+        assert "| 2 | 12.8 | 0.8800 +- 0.0000 | 280.0 +- 0.0 |" in text
 
     def test_scatter_rows_carry_both_series(self):
-        batch, alpha = self.make_sweeps()
-        cmp = compare_ne_vs_small_batch(batch, alpha)
-        series = [row[0] for row in cmp.scatter_rows]
+        _, scatter = self.render()
+        series = [row[0] for row in scatter]
         assert series == ["reduce-batch", "reduce-batch", "increase-alpha", "increase-alpha"]
-
-    def test_axis_mixup_rejected(self):
-        batch, alpha = self.make_sweeps()
-        with pytest.raises(ValueError):
-            compare_ne_vs_small_batch(alpha, batch)
 
 
 class TestCsvWriters:
@@ -487,7 +485,8 @@ class TestCsvWriters:
 
     def test_scatter_schema_drops_value_column(self, tmp_path):
         path = tmp_path / "scatter.csv"
-        write_scatter_csv(path, [("reduce-batch", 32.0, 300.0, 0.88)])
+        rows = [aggregate_row(32, 1.0, aggregate([rec(0, acc=0.88, conv=300)]))]
+        write_tradeoff_csv(path, tradeoff_rows("reduce-batch", rows))
         lines = path.read_text().splitlines()
         assert lines[0] == "series,convergence_steps,accuracy"
         assert lines[1] == "reduce-batch,300.0,0.88"

@@ -16,7 +16,6 @@ from noise_forge.model import (
     param_count,
     per_sample_grad_matrix,
     per_sample_grad_norms,
-    per_sample_grads,
     save_checkpoint,
 )
 
@@ -212,12 +211,6 @@ class TestPerSampleGradients:
         sq, total = per_sample_grad_norms(self.w, self.ds)
         np.testing.assert_allclose(sq, (mat**2).sum(axis=1), rtol=1e-12)
         np.testing.assert_allclose(total.values, mat.sum(axis=0), rtol=0, atol=1e-12)
-
-    def test_list_wrapper_agrees(self):
-        mat = per_sample_grad_matrix(self.w, self.ds)
-        pvs = per_sample_grads(self.w, self.ds)
-        assert len(pvs) == self.ds.n_samples
-        np.testing.assert_array_equal(pvs[3].values, mat[3])
 
 
 class TestAccuracy:

@@ -5,6 +5,7 @@ import pytest
 
 from noise_forge.report import (
     ResultsUnit,
+    alpha_flags,
     emit_report,
     load_unit,
     render_comparison,
@@ -205,6 +206,28 @@ class TestRenderComparison:
         alpha_unit = ResultsUnit(name="a", rows=rows, totals={}, axis="alpha")
         text, _ = render_comparison(alpha_unit, alpha_unit)
         assert "flag accuracy-best-enhanced-not-worse: NA (insufficient data)" in text
+
+
+def agg_row(alpha, mean_acc, mean_steps=100.0, b=16):
+    return {
+        "B": b,
+        "alpha": alpha,
+        "mean_acc": mean_acc,
+        "std_acc": 0.0,
+        "mean_steps": mean_steps,
+        "std_steps": 0.0,
+        "n_converged": 1,
+    }
+
+
+class TestAlphaFlags:
+    @pytest.mark.parametrize(
+        "enhanced, expected",
+        [((math.nan, 0.90), True), ((0.90, math.nan), True), ((math.nan, math.nan), False)],
+    )
+    def test_best_enhanced_accuracy_skips_nan_cells(self, enhanced, expected):
+        rows = (agg_row(1.0, 0.85), agg_row(1.5, enhanced[0]), agg_row(2.0, enhanced[1]))
+        assert alpha_flags(rows)["accuracy-best-enhanced-not-worse"] is expected
 
 
 class TestEmitReport:
