@@ -29,15 +29,11 @@ from .noiselab import (
     ProbeRow,
     effective_batch,
     enhancement_factor,
-    enumerate_ne_noise_covariance,
-    enumerate_noise_covariance,
-    exact_noise_covariance,
     exact_noise_trace,
     gradient_diversity,
     measure_stats,
     probe_noise,
     sample_ne_noise,
-    sample_sgd_noise,
 )
 from .optim import NEConfig, OptimizerState, ne_combine, training_step
 
@@ -59,9 +55,6 @@ __all__ = [
     "TrainConfig",
     "effective_batch",
     "enhancement_factor",
-    "enumerate_ne_noise_covariance",
-    "enumerate_noise_covariance",
-    "exact_noise_covariance",
     "exact_noise_trace",
     "glorot_init",
     "gradient_diversity",
@@ -74,7 +67,6 @@ __all__ = [
     "probe_run",
     "repeat_runs",
     "sample_ne_noise",
-    "sample_sgd_noise",
     "split_holdout",
     "sweep_alpha",
     "sweep_batch",

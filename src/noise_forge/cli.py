@@ -101,8 +101,9 @@ def _parse_set(text: str) -> tuple[str, object]:
     return key, value
 
 
-def _check_type(key: str, value: object) -> object:
-    default = DEFAULTS[key]
+def _check_type(key: str, value: object, default: object) -> object:
+    """``value`` converted to the kind of ``default``; list elements take the
+    kind of the default's first element."""
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"config key {key} expects a boolean, got {value!r}")
@@ -122,7 +123,7 @@ def _check_type(key: str, value: object) -> object:
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ConfigError(f"config key {key} expects a list, got {value!r}")
-        return value
+        return [_check_type(key, item, default[0]) for item in value]
     if isinstance(default, str):
         if not isinstance(value, str):
             raise ConfigError(f"config key {key} expects a string, got {value!r}")
@@ -151,7 +152,7 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key: {key}")
     merged = copy.deepcopy(DEFAULTS)
-    merged.update({k: _check_type(k, v) for k, v in explicit.items()})
+    merged.update({k: _check_type(k, v, DEFAULTS[k]) for k, v in explicit.items()})
     if merged["fullscale"]:
         for key, value in FULLSCALE.items():
             if key not in explicit:
@@ -447,13 +448,7 @@ def parse_and_dispatch(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (ArithmeticError, RuntimeError) as exc:

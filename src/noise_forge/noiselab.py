@@ -167,41 +167,16 @@ def enumerate_ne_noise_covariance_from_grads(
     return flat.T @ flat / (m * m)
 
 
-def _grad_matrix(w: ParamVector, ds: Dataset) -> np.ndarray:
-    if ds.n_samples * len(w) > MAX_SAMPLE_ENTRIES:
-        raise CapabilityError(
-            f"per-sample gradient matrix would hold {ds.n_samples * len(w)} doubles; "
-            "use probe_noise for large models"
-        )
-    return per_sample_grad_matrix(w, ds)
-
-
-def exact_noise_covariance(
-    w: ParamVector, ds: Dataset, eta: float, batch_size: int, *, large_n_approx: bool = False
-) -> np.ndarray:
-    """Closed-form vanilla noise covariance at frozen parameters."""
-    if len(w) > MAX_DENSE_PARAMS:
-        raise CapabilityError(
-            f"dense covariance needs P <= {MAX_DENSE_PARAMS}, got {len(w)}; "
-            "exact_noise_trace works at any size"
-        )
-    return noise_covariance_from_grads(
-        _grad_matrix(w, ds), eta, batch_size, large_n_approx=large_n_approx
-    )
-
-
-def enumerate_noise_covariance(
-    w: ParamVector, ds: Dataset, eta: float, batch_size: int
-) -> np.ndarray:
-    """Enumeration oracle for the vanilla covariance (small N, B only)."""
-    return enumerate_noise_covariance_from_grads(_grad_matrix(w, ds), eta, batch_size)
-
-
-def enumerate_ne_noise_covariance(
-    w: ParamVector, ds: Dataset, eta: float, batch_size: int, alpha: float
-) -> np.ndarray:
-    """Enumeration oracle for the enhanced covariance over all subset pairs."""
-    return enumerate_ne_noise_covariance_from_grads(_grad_matrix(w, ds), eta, batch_size, alpha)
+def _noise_trace(
+    sq_norms: np.ndarray, total: np.ndarray, eta: float, batch_size: int, large_n_approx: bool
+) -> float:
+    """tr Cov = (eta^2/B) * f * [ (1/N) sum_mu |g_mu|^2 - |g_bar|^2 ] from the
+    per-sample squared norms and the summed gradient; f is the finite-population
+    factor."""
+    n = sq_norms.shape[0]
+    factor = _finite_population_factor(n, batch_size, large_n_approx)
+    g_bar_sq = float(total @ total) / (n * n)
+    return float((eta**2 / batch_size) * factor * (sq_norms.mean() - g_bar_sq))
 
 
 def exact_noise_trace(
@@ -209,62 +184,40 @@ def exact_noise_trace(
 ) -> float:
     """Trace of the exact vanilla covariance, streamed at any parameter count.
 
-    tr Cov = (eta^2/B) * f * [ (1/N) sum_mu |g_mu|^2 - |g_bar|^2 ]
-    where f is the finite-population factor; per-sample squared norms come
-    from the rank-one layer structure, so no (N, P) matrix is formed.
+    Per-sample squared norms come from the rank-one layer structure, so no
+    (N, P) matrix is formed.
     """
-    factor = _finite_population_factor(ds.n_samples, batch_size, large_n_approx)
     sq_norms, total = per_sample_grad_norms(w, ds)
-    n = ds.n_samples
-    g_bar_sq = float(total.values @ total.values) / (n * n)
-    return float((eta**2 / batch_size) * factor * (sq_norms.mean() - g_bar_sq))
+    return _noise_trace(sq_norms, total.values, eta, batch_size, large_n_approx)
 
 
-def _index_chunks(rng: np.random.Generator, n_draws: int, n_total: int, batch_size: int, chunk_size: int):
-    """Yield (k, B) index matrices of uniform without-replacement draws.
-
-    Implemented as argsort of iid uniforms per row: the first B positions of
-    a uniformly random permutation.
-    """
-    remaining = n_draws
-    while remaining > 0:
-        k = min(chunk_size, remaining)
-        u = rng.random((k, n_total))
-        yield np.argsort(u, axis=1)[:, :batch_size]
-        remaining -= k
-
-
-def sample_sgd_noise(
-    w: ParamVector,
-    ds: Dataset,
-    eta: float,
-    batch_size: int,
-    n_samples: int,
+def _index_pairs(
     seed: int,
-    stream_index: int = 0,
-    chunk_size: int = 512,
-) -> np.ndarray:
-    """Monte Carlo vanilla noise samples, one per row of the (n_samples, P) result.
+    stream_index: int,
+    alpha: float,
+    n_draws: int,
+    n_total: int,
+    batch_size: int,
+    chunk_size: int,
+):
+    """Yield (primary, enhancement) chunks of uniform without-replacement draws.
 
-    Minibatches come from the "noise-primary" stream of ``seed``, so the
-    draw sequence is reproducible and shared with the enhanced sampler's
-    primary batches.
+    Each chunk is a (k, B) index matrix: the first B positions of a uniformly
+    random permutation, from an argsort of iid uniforms per row. Primary
+    batches come from the "noise-primary" stream of ``seed``, enhancement
+    batches from the independent "noise-enhancement" stream. At alpha = 1 no
+    enhancement batch is needed, so that stream is not drawn and None stands
+    in for its chunks.
     """
-    if not (1 <= batch_size <= ds.n_samples):
-        raise ValueError("need 1 <= batch_size <= n_samples")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    g = _grad_matrix(w, ds)
-    if n_samples * g.shape[1] > MAX_SAMPLE_ENTRIES:
-        raise CapabilityError("sample matrix too large; use probe_noise")
-    g_bar = g.mean(axis=0)
-    rng = named_stream(seed, "noise-primary", stream_index)
-    out = np.empty((n_samples, g.shape[1]))
-    row = 0
-    for idx in _index_chunks(rng, n_samples, ds.n_samples, batch_size, chunk_size):
-        out[row : row + idx.shape[0]] = eta * (g[idx].mean(axis=1) - g_bar)
-        row += idx.shape[0]
-    return out
+    rng_p = named_stream(seed, "noise-primary", stream_index)
+    rng_e = None if alpha == 1.0 else named_stream(seed, "noise-enhancement", stream_index)
+
+    def batches(rng: np.random.Generator, k: int) -> np.ndarray:
+        return np.argsort(rng.random((k, n_total)), axis=1)[:, :batch_size]
+
+    for start in range(0, n_draws, chunk_size):
+        k = min(chunk_size, n_draws - start)
+        yield batches(rng_p, k), None if rng_e is None else batches(rng_e, k)
 
 
 def sample_ne_noise(
@@ -280,10 +233,10 @@ def sample_ne_noise(
 ) -> np.ndarray:
     """Monte Carlo enhanced noise samples alpha*xi + (1-alpha)*xi'.
 
-    Primary batches replay the exact "noise-primary" sequence of
-    sample_sgd_noise under the same seed; enhancement batches come from the
-    independent "noise-enhancement" stream. At alpha = 1 the result equals
-    the vanilla samples bit for bit.
+    Primary batches S come from the "noise-primary" stream of ``seed`` and
+    enhancement batches S' from the independent "noise-enhancement" stream.
+    At alpha = 1 the enhancement stream is not drawn and each row is the
+    vanilla noise eta * (mean(G[S]) - g_bar).
     """
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
@@ -291,23 +244,23 @@ def sample_ne_noise(
         raise ValueError("need 1 <= batch_size <= n_samples")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    g = _grad_matrix(w, ds)
-    if n_samples * g.shape[1] > MAX_SAMPLE_ENTRIES:
+    if ds.n_samples * len(w) > MAX_SAMPLE_ENTRIES:
+        raise CapabilityError(
+            f"per-sample gradient matrix would hold {ds.n_samples * len(w)} doubles; "
+            "use probe_noise for large models"
+        )
+    if n_samples * len(w) > MAX_SAMPLE_ENTRIES:
         raise CapabilityError("sample matrix too large; use probe_noise")
+    g = per_sample_grad_matrix(w, ds)
     g_bar = g.mean(axis=0)
-    rng_p = named_stream(seed, "noise-primary", stream_index)
-    rng_e = named_stream(seed, "noise-enhancement", stream_index)
     out = np.empty((n_samples, g.shape[1]))
     row = 0
-    chunks_p = _index_chunks(rng_p, n_samples, ds.n_samples, batch_size, chunk_size)
-    chunks_e = _index_chunks(rng_e, n_samples, ds.n_samples, batch_size, chunk_size)
-    for idx_p, idx_e in zip(chunks_p, chunks_e):
-        xi_p = eta * (g[idx_p].mean(axis=1) - g_bar)
-        if alpha == 1.0:
-            out[row : row + idx_p.shape[0]] = xi_p
-        else:
-            xi_e = eta * (g[idx_e].mean(axis=1) - g_bar)
-            out[row : row + idx_p.shape[0]] = alpha * xi_p + (1.0 - alpha) * xi_e
+    pairs = _index_pairs(seed, stream_index, alpha, n_samples, ds.n_samples, batch_size, chunk_size)
+    for idx_p, idx_e in pairs:
+        xi = eta * (g[idx_p].mean(axis=1) - g_bar)
+        if idx_e is not None:
+            xi = alpha * xi + (1.0 - alpha) * (eta * (g[idx_e].mean(axis=1) - g_bar))
+        out[row : row + idx_p.shape[0]] = xi
         row += idx_p.shape[0]
     return out
 
@@ -315,7 +268,8 @@ def sample_ne_noise(
 def excess_kurtosis(samples: np.ndarray, axis: int = 0) -> np.ndarray:
     """Per-coordinate excess kurtosis m4/m2^2 - 3 (population moments).
 
-    Coordinates with zero variance yield nan.
+    Coordinates whose values are all equal yield nan, even where rounding in
+    the mean leaves a tiny nonzero m2.
     """
     x = np.asarray(samples, dtype=np.float64)
     centered = x - x.mean(axis=axis, keepdims=True)
@@ -323,18 +277,22 @@ def excess_kurtosis(samples: np.ndarray, axis: int = 0) -> np.ndarray:
     m4 = (centered**4).mean(axis=axis)
     with np.errstate(divide="ignore", invalid="ignore"):
         kurt = m4 / m2**2 - 3.0
-    return np.where(m2 > 0.0, kurt, np.nan)
+    return np.where((m2 > 0.0) & (np.ptp(x, axis=axis) > 0.0), kurt, np.nan)
+
+
+def _grad_diversity(sq_norms: np.ndarray, total: np.ndarray) -> float:
+    """sum_mu |g_mu|^2 / |sum_mu g_mu|^2 from the per-sample squared norms and
+    the summed gradient."""
+    den = float(total @ total)
+    if den == 0.0:
+        raise ValueError("summed gradient is zero; diversity undefined")
+    return float(sq_norms.sum()) / den
 
 
 def gradient_diversity_from_matrix(grads: np.ndarray) -> float:
-    """sum_mu |g_mu|^2 / |sum_mu g_mu|^2 from an explicit gradient matrix."""
+    """Gradient diversity from an explicit (n_samples, P) gradient matrix."""
     g = np.asarray(grads, dtype=np.float64)
-    num = float(np.einsum("np,np->", g, g))
-    s = g.sum(axis=0)
-    den = float(s @ s)
-    if den == 0.0:
-        raise ValueError("summed gradient is zero; diversity undefined")
-    return num / den
+    return _grad_diversity(np.einsum("np,np->n", g, g), g.sum(axis=0))
 
 
 def gradient_diversity(
@@ -346,10 +304,7 @@ def gradient_diversity(
     1/n_samples when all per-sample gradients coincide.
     """
     sq_norms, total = per_sample_grad_norms(w, ds, idx, chunk_size)
-    den = float(total.values @ total.values)
-    if den == 0.0:
-        raise ValueError("summed gradient is zero; diversity undefined")
-    return float(sq_norms.sum()) / den
+    return _grad_diversity(sq_norms, total.values)
 
 
 @dataclass(frozen=True)
@@ -452,11 +407,15 @@ def probe_noise(
 ) -> ProbeRow:
     """Measure enhanced noise at frozen parameters without dense matrices.
 
-    Enhanced samples are generated minibatch-pair by minibatch-pair (two
-    batched gradient evaluations each) and folded into per-coordinate raw
-    moment accumulators, so memory stays at O(P) regardless of model size.
-    The enhancement ratio divides the empirical enhanced trace by the exact
-    closed-form vanilla trace, which is available at any scale.
+    One streamed pass over the dataset gives the per-sample squared gradient
+    norms and the summed gradient, and from them the full gradient, the
+    exact closed-form vanilla trace and the gradient diversity. Enhanced
+    samples are then generated minibatch-pair by minibatch-pair (two batched
+    gradient evaluations each) and folded into per-coordinate raw moment
+    accumulators, so memory stays at O(P) regardless of model size. The
+    enhancement ratio divides the empirical enhanced trace by the vanilla
+    trace. The median excess kurtosis skips coordinates whose sampled noise
+    is the same in every draw.
     """
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
@@ -465,24 +424,26 @@ def probe_noise(
     n = ds.n_samples
     if not (1 <= batch_size <= n):
         raise ValueError("need 1 <= batch_size <= n_samples")
-    _, full_grad = loss_and_grad(w, ds, None)
-    base = full_grad.values
-    rng_p = named_stream(seed, "noise-primary", stream_index)
-    rng_e = named_stream(seed, "noise-enhancement", stream_index)
+    sq_norms, total = per_sample_grad_norms(w, ds)
+    base = total.values / n
     p = len(w)
     s1 = np.zeros(p)
     s2 = np.zeros(p)
     s3 = np.zeros(p)
     s4 = np.zeros(p)
-    chunks_p = _index_chunks(rng_p, n_samples, n, batch_size, chunk_size)
-    chunks_e = _index_chunks(rng_e, n_samples, n, batch_size, chunk_size)
-    for idx_p, idx_e in zip(chunks_p, chunks_e):
+    first = None
+    varies = np.zeros(p, dtype=bool)
+    pairs = _index_pairs(seed, stream_index, alpha, n_samples, n, batch_size, chunk_size)
+    for idx_p, idx_e in pairs:
         for row in range(idx_p.shape[0]):
             _, gp = loss_and_grad(w, ds, idx_p[row])
             xi = eta * (gp.values - base)
-            if alpha != 1.0:
+            if idx_e is not None:
                 _, ge = loss_and_grad(w, ds, idx_e[row])
                 xi = alpha * xi + (1.0 - alpha) * (eta * (ge.values - base))
+            if first is None:
+                first = xi
+            varies |= xi != first
             s1 += xi
             x2 = xi * xi
             s2 += x2
@@ -497,8 +458,8 @@ def probe_noise(
     mu4 = r4 - 4.0 * r3 * r1 + 6.0 * r2 * r1**2 - 3.0 * r1**4
     with np.errstate(divide="ignore", invalid="ignore"):
         kurt = mu4 / var_pop**2 - 3.0
-    kurt = np.where(var_pop > 0.0, kurt, np.nan)
-    vanilla_trace = exact_noise_trace(w, ds, eta, batch_size)
+    kurt = np.where(varies & (var_pop > 0.0), kurt, np.nan)
+    vanilla_trace = _noise_trace(sq_norms, total.values, eta, batch_size, large_n_approx=False)
     ratio = trace / vanilla_trace if vanilla_trace > 0 else float("nan")
     return ProbeRow(
         step=int(step),
@@ -509,5 +470,5 @@ def probe_noise(
         predicted_factor=enhancement_factor(alpha),
         b_eff=effective_batch(batch_size, alpha),
         median_excess_kurtosis=float(np.nanmedian(kurt)),
-        grad_diversity=gradient_diversity(w, ds),
+        grad_diversity=_grad_diversity(sq_norms, total.values),
     )

@@ -23,7 +23,6 @@ from .noiselab import (
     excess_kurtosis,
     noise_covariance_from_grads,
     sample_ne_noise,
-    sample_sgd_noise,
 )
 from .optim import ne_combine
 from .rng import named_stream
@@ -169,7 +168,7 @@ def run_oracle_suite(fast: bool = False) -> list[OracleCheck]:
     w_mc, ds_mc = toy_instance(21, 10, 4, 5, (8,))
     n_mc = 20_000 if fast else 100_000
     alpha_mc = 2.0
-    van = sample_sgd_noise(w_mc, ds_mc, 0.05, 5, n_mc, seed=33)
+    van = sample_ne_noise(w_mc, ds_mc, 0.05, 5, 1.0, n_mc, seed=33)
     enh = sample_ne_noise(w_mc, ds_mc, 0.05, 5, alpha_mc, n_mc, seed=33)
     trace_van = float(van.var(axis=0, ddof=1).sum())
     trace_enh = float(enh.var(axis=0, ddof=1).sum())

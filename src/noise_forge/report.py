@@ -16,6 +16,7 @@ command line tool and the report both call them.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,7 +66,10 @@ def load_unit(directory: Path, root: Path) -> ResultsUnit:
             totals[key] = totals.get(key, 0) + 1
     alphas = {r["alpha"] for r in rows}
     batches = {r["B"] for r in rows}
-    if len(alphas) > 1 and len(batches) == 1:
+    sweep_path = directory / "sweep.json"
+    if sweep_path.exists():  # a sweep names its axis, even over a one-value grid
+        axis = json.loads(sweep_path.read_text())["axis"]
+    elif len(alphas) > 1 and len(batches) == 1:
         axis = "alpha"
     elif len(batches) > 1 and len(alphas) == 1:
         axis = "batch_size"

@@ -44,12 +44,12 @@ from noise_forge.model import (
 from noise_forge.noiselab import (
     effective_batch,
     enhancement_factor,
-    enumerate_ne_noise_covariance,
-    enumerate_noise_covariance,
-    exact_noise_covariance,
+    enumerate_ne_noise_covariance_from_grads,
+    enumerate_noise_covariance_from_grads,
     exact_noise_trace,
     excess_kurtosis,
     measure_stats,
+    noise_covariance_from_grads,
     sample_ne_noise,
 )
 from noise_forge.optim import BatchStreams, NEConfig, OptimizerState, StepLog, training_step
@@ -100,10 +100,10 @@ def test_c1_enumeration_matches_closed_form_covariance():
     t0 = time.perf_counter()
     worst = 0.0
     for ds, spec in toys:
-        w = glorot_init(spec)
+        grads = per_sample_grad_matrix(glorot_init(spec), ds)
         for b in (1, 2, 4, ds.n_samples):
-            enum = enumerate_noise_covariance(w, ds, eta, b)
-            exact = exact_noise_covariance(w, ds, eta, b)
+            enum = enumerate_noise_covariance_from_grads(grads, eta, b)
+            exact = noise_covariance_from_grads(grads, eta, b)
             worst = max(worst, rel_fro(enum, exact))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 10.0
@@ -136,10 +136,11 @@ def test_c2_enhanced_noise_scales_by_predicted_factor():
     # Exact: enumerate every ordered pair of size-2 subsets of 8 samples.
     ds_en = blob_dataset(seed=1, n_per_class=4, classes=2, dim=3)
     w_en = glorot_init(MlpSpec(3, (), 2, seed=1))
-    vanilla = exact_noise_covariance(w_en, ds_en, eta, 2)
+    grads_en = per_sample_grad_matrix(w_en, ds_en)
+    vanilla = noise_covariance_from_grads(grads_en, eta, 2)
     worst_en = 0.0
     for alpha in alphas:
-        pair = enumerate_ne_noise_covariance(w_en, ds_en, eta, 2, alpha)
+        pair = enumerate_ne_noise_covariance_from_grads(grads_en, eta, 2, alpha)
         worst_en = max(worst_en, rel_fro(pair, enhancement_factor(alpha) * vanilla))
 
     elapsed = time.perf_counter() - t0

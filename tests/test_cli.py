@@ -249,32 +249,35 @@ class TestSweepCommands:
         capsys.readouterr()
 
     def test_sweep_json_best_matches_report_marker(self, tmp_path, capsys):
-        out = tmp_path / "results" / "sweep-alpha"
-        rc = parse_and_dispatch(
-            [
-                "sweep-alpha",
-                "--config",
-                write_config(tmp_path),
-                "--out",
-                str(out),
-                "--set",
-                "sweep.alpha_grid=[1.0,1.5,2.0]",
-                "--set",
-                "sweep.b_fixed=4",
+        # a one-value grid is still a sweep, so its cell is the best one
+        for grid in ("[1.0,1.5,2.0]", "[1.5]"):
+            results = tmp_path / grid / "results"
+            out = results / "sweep-alpha"
+            rc = parse_and_dispatch(
+                [
+                    "sweep-alpha",
+                    "--config",
+                    write_config(tmp_path),
+                    "--out",
+                    str(out),
+                    "--set",
+                    f"sweep.alpha_grid={grid}",
+                    "--set",
+                    "sweep.b_fixed=4",
+                ]
+            )
+            assert rc == 0
+            printed = capsys.readouterr().out
+            assert parse_and_dispatch(["report", "--results", str(results)]) == 0
+            marked = [
+                line for line in (results / "report.md").read_text().splitlines()
+                if "(best)" in line
             ]
-        )
-        assert rc == 0
-        printed = capsys.readouterr().out
-        assert parse_and_dispatch(["report", "--results", str(tmp_path / "results")]) == 0
-        marked = [
-            line for line in (tmp_path / "results" / "report.md").read_text().splitlines()
-            if "(best)" in line
-        ]
-        assert len(marked) == 1
-        alpha = float(marked[0].split("|")[2])
-        assert json.loads((out / "sweep.json").read_text())["best_value"] == alpha
-        assert f"best alpha: {alpha:g}" in printed
-        capsys.readouterr()
+            assert len(marked) == 1
+            alpha = float(marked[0].split("|")[2])
+            assert json.loads((out / "sweep.json").read_text())["best_value"] == alpha
+            assert f"best alpha: {alpha:g}" in printed
+            capsys.readouterr()
 
 
 class TestProbeCommand:
@@ -376,12 +379,28 @@ class TestUsageErrors:
         assert "valid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "setting", ["train.max_steps=Infinity", "train.eval_interval=1e400", "root_seed=NaN"]
+        "setting",
+        [
+            "train.max_steps=Infinity",
+            "train.eval_interval=1e400",
+            "root_seed=NaN",
+            "train.seeds=[Infinity]",
+            "train.seeds=[0.5]",
+            "sweep.b_grid=[1e400]",
+            "model.hidden=[1.5]",
+            "probe.steps=[0,NaN]",
+        ],
     )
     def test_non_finite_integer_is_a_config_error(self, setting, capsys):
         rc = parse_and_dispatch(["train", "--set", setting])
         assert rc == 1
         assert "expects an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ['sweep.alpha_grid=[1.0,"2"]', "sweep.alpha_grid=[true]"])
+    def test_non_numeric_alpha_is_a_config_error(self, setting, capsys):
+        rc = parse_and_dispatch(["sweep-alpha", "--set", setting])
+        assert rc == 1
+        assert "expects a number" in capsys.readouterr().err
 
     def test_unknown_set_key(self, capsys):
         rc = parse_and_dispatch(["train", "--set", "no.such.key=1"])

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from noise_forge.dataio import SyntheticSpec, make_synthetic
+import noise_forge.noiselab as noiselab
+from noise_forge.dataio import Dataset, SyntheticSpec, make_synthetic
 from noise_forge.model import MlpSpec, glorot_init, per_sample_grad_matrix
 from noise_forge.noiselab import (
     MAX_DENSE_PARAMS,
@@ -11,9 +12,7 @@ from noise_forge.noiselab import (
     effective_batch,
     enhancement_factor,
     enumerate_ne_noise_covariance_from_grads,
-    enumerate_noise_covariance,
     enumerate_noise_covariance_from_grads,
-    exact_noise_covariance,
     exact_noise_trace,
     excess_kurtosis,
     gradient_diversity,
@@ -22,7 +21,6 @@ from noise_forge.noiselab import (
     noise_covariance_from_grads,
     probe_noise,
     sample_ne_noise,
-    sample_sgd_noise,
 )
 from noise_forge.rng import named_stream
 
@@ -173,14 +171,16 @@ class TestModelLevelWrappers:
         self.w = glorot_init(MlpSpec(3, (4,), 2, seed=5))
 
     def test_enumeration_matches_closed_form_at_the_model(self):
+        grads = per_sample_grad_matrix(self.w, self.ds)
         for b in (1, 2, 8):
-            exact = exact_noise_covariance(self.w, self.ds, eta=0.1, batch_size=b)
-            enum = enumerate_noise_covariance(self.w, self.ds, eta=0.1, batch_size=b)
+            exact = noise_covariance_from_grads(grads, eta=0.1, batch_size=b)
+            enum = enumerate_noise_covariance_from_grads(grads, eta=0.1, batch_size=b)
             assert rel_fro(enum, exact) < 1e-10
 
     def test_trace_shortcut_matches_dense_trace(self):
+        grads = per_sample_grad_matrix(self.w, self.ds)
         for b in (1, 3, 8):
-            dense = exact_noise_covariance(self.w, self.ds, eta=0.1, batch_size=b)
+            dense = noise_covariance_from_grads(grads, eta=0.1, batch_size=b)
             streamed = exact_noise_trace(self.w, self.ds, eta=0.1, batch_size=b)
             assert streamed == pytest.approx(np.trace(dense), rel=1e-12, abs=1e-18)
 
@@ -198,20 +198,25 @@ class TestNoiseSamplers:
         self.w = glorot_init(MlpSpec(3, (4,), 2, seed=8))
 
     def test_shapes_and_determinism(self):
-        a = sample_sgd_noise(self.w, self.ds, 0.1, 3, 40, seed=5)
-        b = sample_sgd_noise(self.w, self.ds, 0.1, 3, 40, seed=5)
+        a = sample_ne_noise(self.w, self.ds, 0.1, 3, 1.0, 40, seed=5)
+        b = sample_ne_noise(self.w, self.ds, 0.1, 3, 1.0, 40, seed=5)
         assert a.shape == (40, len(self.w))
         np.testing.assert_array_equal(a, b)
-        c = sample_sgd_noise(self.w, self.ds, 0.1, 3, 40, seed=6)
+        c = sample_ne_noise(self.w, self.ds, 0.1, 3, 1.0, 40, seed=6)
         assert not np.array_equal(a, c)
 
     def test_stream_index_gives_fresh_draws(self):
-        a = sample_sgd_noise(self.w, self.ds, 0.1, 3, 40, seed=5, stream_index=0)
-        b = sample_sgd_noise(self.w, self.ds, 0.1, 3, 40, seed=5, stream_index=1)
+        a = sample_ne_noise(self.w, self.ds, 0.1, 3, 1.0, 40, seed=5, stream_index=0)
+        b = sample_ne_noise(self.w, self.ds, 0.1, 3, 1.0, 40, seed=5, stream_index=1)
         assert not np.array_equal(a, b)
 
     def test_alpha_one_reproduces_vanilla_bitwise(self):
-        vanilla = sample_sgd_noise(self.w, self.ds, 0.1, 3, 50, seed=7)
+        # alpha = 1 is the vanilla sampler: eta * (mean(G[S]) - g_bar) over the
+        # "noise-primary" draws, the first B positions of an argsort of uniforms
+        g = per_sample_grad_matrix(self.w, self.ds)
+        u = named_stream(7, "noise-primary", 0).random((50, self.ds.n_samples))
+        idx = np.argsort(u, axis=1)[:, :3]
+        vanilla = 0.1 * (g[idx].mean(axis=1) - g.mean(axis=0))
         enhanced = sample_ne_noise(self.w, self.ds, 0.1, 3, 1.0, 50, seed=7)
         assert np.array_equal(vanilla, enhanced)
 
@@ -221,18 +226,18 @@ class TestNoiseSamplers:
         np.testing.assert_array_equal(a, b)
 
     def test_full_batch_noise_is_exactly_zero(self):
-        xi = sample_sgd_noise(self.w, self.ds, 0.1, self.ds.n_samples, 5, seed=1)
+        xi = sample_ne_noise(self.w, self.ds, 0.1, self.ds.n_samples, 1.0, 5, seed=1)
         np.testing.assert_allclose(xi, np.zeros_like(xi), atol=1e-16)
 
     def test_sample_budget_enforced(self):
         with pytest.raises(CapabilityError):
-            sample_sgd_noise(self.w, self.ds, 0.1, 3, 30_000_000, seed=0)
+            sample_ne_noise(self.w, self.ds, 0.1, 3, 1.0, 30_000_000, seed=0)
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
-            sample_sgd_noise(self.w, self.ds, 0.1, 0, 10, seed=0)
+            sample_ne_noise(self.w, self.ds, 0.1, 0, 1.0, 10, seed=0)
         with pytest.raises(ValueError):
-            sample_sgd_noise(self.w, self.ds, 0.1, 100, 10, seed=0)
+            sample_ne_noise(self.w, self.ds, 0.1, 100, 1.0, 10, seed=0)
         with pytest.raises(ValueError):
             sample_ne_noise(self.w, self.ds, 0.1, 3, float("nan"), 10, seed=0)
 
@@ -259,6 +264,8 @@ class TestKurtosis:
         kurt = excess_kurtosis(x)
         assert math.isnan(kurt[0])
         assert math.isfinite(kurt[1])
+        # rounding in the mean of 1/3 leaves a tiny nonzero second moment
+        assert math.isnan(excess_kurtosis(np.full((400, 1), 1.0 / 3.0))[0])
 
 
 class TestGradientDiversity:
@@ -374,3 +381,39 @@ class TestProbe:
             probe_noise(self.w, self.ds, 0.1, 0, 2.0, 10, seed=0)
         with pytest.raises(ValueError):
             probe_noise(self.w, self.ds, 0.1, 3, float("inf"), 10, seed=0)
+
+    def test_constant_nonzero_noise_is_left_out_of_the_median(self):
+        # one-hot inputs, and hidden unit k fires only on row k: unit k's
+        # gradient is nonzero only on row k, so when no draw picks row k its
+        # coordinates hold -eta * g_bar in every draw, constant but not zero
+        n = 40
+        ds = Dataset(np.eye(n), np.arange(n) % 2, 2)
+        w = glorot_init(MlpSpec(n, (n,), 2, seed=4))
+        w.weights(0)[:] = np.eye(n)
+        w.bias(0)[:] = -0.5
+        eta, b, alpha, n_draws, seed = 0.1, 2, 2.0, 20, 1
+        samples = sample_ne_noise(w, ds, eta, b, alpha, n_draws, seed=seed)
+        constant = np.ptp(samples, axis=0) == 0.0
+        assert (constant & (samples[0] != 0.0)).any()
+        row = probe_noise(w, ds, eta, b, alpha, n_draws, seed=seed)
+        expected = float(np.nanmedian(excess_kurtosis(samples)))
+        assert row.median_excess_kurtosis == pytest.approx(expected, abs=1e-6)
+
+    def test_one_full_data_pass_per_checkpoint(self, monkeypatch):
+        rows = {"norms": [], "grad": []}
+        norms, grad = noiselab.per_sample_grad_norms, noiselab.loss_and_grad
+
+        def counted_norms(w, ds, idx=None, *args):
+            rows["norms"].append(ds.n_samples if idx is None else len(idx))
+            return norms(w, ds, idx, *args)
+
+        def counted_grad(w, ds, idx=None):
+            rows["grad"].append(ds.n_samples if idx is None else len(idx))
+            return grad(w, ds, idx)
+
+        monkeypatch.setattr(noiselab, "per_sample_grad_norms", counted_norms)
+        monkeypatch.setattr(noiselab, "loss_and_grad", counted_grad)
+        probe_noise(self.w, self.ds, 0.1, 3, 2.0, 20, seed=4)
+        assert rows["norms"] == [self.ds.n_samples]
+        assert len(rows["grad"]) == 40
+        assert max(rows["grad"]) <= 3
