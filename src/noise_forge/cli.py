@@ -377,6 +377,10 @@ def _cmd_probe(args) -> int:
             f"median excess kurtosis {row.median_excess_kurtosis:.4f}, "
             f"gradient diversity {row.grad_diversity:.4f}"
         )
+    unreached = sorted({s for s in plan.steps if s > record.steps_taken})
+    if unreached:
+        steps = ", ".join(str(s) for s in unreached)
+        print(f"probe steps {steps} not reached: run stopped at step {record.steps_taken}")
     print(f"results written to {out}")
     if record.status == harness.STATUS_DIVERGED:
         print("error: probed run diverged", file=sys.stderr)
@@ -447,6 +451,8 @@ def parse_and_dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except (FileNotFoundError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)

@@ -129,44 +129,6 @@ def glorot_init(spec: MlpSpec) -> ParamVector:
     return pv
 
 
-def _check_inputs(w: ParamVector, x_batch: np.ndarray) -> np.ndarray:
-    x_batch = np.asarray(x_batch, dtype=np.float64)
-    if x_batch.ndim != 2:
-        raise ValueError("x_batch must be 2-D (batch, input_dim)")
-    if x_batch.shape[1] != w.dims[0]:
-        raise ValueError(
-            f"x_batch has {x_batch.shape[1]} columns, model expects {w.dims[0]}"
-        )
-    if not np.isfinite(x_batch).all():
-        raise FloatingPointError("non-finite values in model input")
-    return x_batch
-
-
-def _forward_acts(w: ParamVector, x_batch: np.ndarray) -> list[np.ndarray]:
-    """Activations per layer: [input, relu outputs..., logits]."""
-    acts = [x_batch]
-    a = x_batch
-    last = w.n_layers - 1
-    for layer in range(w.n_layers):
-        z = a @ w.weights(layer) + w.bias(layer)
-        a = np.maximum(z, 0.0) if layer < last else z
-        acts.append(a)
-    return acts
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return shifted - lse
-
-
-def forward(w: ParamVector, x_batch: np.ndarray) -> np.ndarray:
-    """Class probabilities, shape (batch, num_classes); rows sum to 1."""
-    x_batch = _check_inputs(w, x_batch)
-    logits = _forward_acts(w, x_batch)[-1]
-    return np.exp(_log_softmax(logits))
-
-
 def _resolve_index(ds: Dataset, idx: np.ndarray | None) -> np.ndarray:
     if idx is None:
         return np.arange(ds.n_samples, dtype=np.int64)
@@ -178,36 +140,49 @@ def _resolve_index(ds: Dataset, idx: np.ndarray | None) -> np.ndarray:
     return idx
 
 
+def _chunks(w: ParamVector, ds: Dataset, idx: np.ndarray, chunk_size: int, backward: bool = True):
+    """The one forward (and backward) pass, over the resolved ``idx`` in chunks.
+
+    Yields (part, labels, acts, logp, dzs) per chunk: ``part`` is the
+    chunk's slice of ``idx``, ``acts`` the activations [input, relu
+    outputs..., logits] and ``logp`` the log-softmax of the logits. With
+    ``backward``, ``dzs`` holds the per-layer, per-sample derivatives
+    d(sum of losses)/d(z_layer): the last is softmax(logits) - onehot (no
+    1/B scaling), earlier ones go through the transposed weights with the
+    ReLU mask taken from the post-activations (relu'(0) counted as 0).
+    Without it ``dzs`` is empty. ``Dataset`` guarantees finite float64
+    inputs, so only the width is checked.
+    """
+    if ds.input_dim != w.dims[0]:
+        raise ValueError(f"dataset has {ds.input_dim} columns, model expects {w.dims[0]}")
+    last = w.n_layers - 1
+    for start in range(0, idx.shape[0], chunk_size):
+        rows = idx[start : start + chunk_size]
+        labels = ds.labels[rows]
+        acts = [ds.inputs[rows]]
+        for layer in range(w.n_layers):
+            z = acts[-1] @ w.weights(layer) + w.bias(layer)
+            acts.append(np.maximum(z, 0.0) if layer < last else z)
+        shifted = acts[-1] - acts[-1].max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        dzs = []
+        if backward:
+            dzs.append(np.exp(logp))
+            dzs[0][np.arange(rows.shape[0]), labels] -= 1.0
+            for layer in range(last, 0, -1):
+                dzs.insert(0, (dzs[0] @ w.weights(layer).T) * (acts[layer] > 0.0))
+        yield slice(start, start + rows.shape[0]), labels, acts, logp, dzs
+
+
 def mean_loss(
     w: ParamVector, ds: Dataset, idx: np.ndarray | None = None, chunk_size: int = 4096
 ) -> float:
     """Mean cross-entropy over the indexed samples (all samples when idx is None)."""
     idx = _resolve_index(ds, idx)
     total = 0.0
-    for start in range(0, idx.shape[0], chunk_size):
-        sel = idx[start : start + chunk_size]
-        x = _check_inputs(w, ds.inputs[sel])
-        logp = _log_softmax(_forward_acts(w, x)[-1])
-        total += -logp[np.arange(sel.shape[0]), ds.labels[sel]].sum()
+    for _, labels, _, logp, _ in _chunks(w, ds, idx, chunk_size, backward=False):
+        total += -logp[np.arange(labels.shape[0]), labels].sum()
     return float(total / idx.shape[0])
-
-
-def _backward_dzs(w: ParamVector, acts: list[np.ndarray], labels: np.ndarray) -> list[np.ndarray]:
-    """Per-layer, per-sample upstream derivatives d(sum of losses)/d(z_layer).
-
-    The last entry is softmax(logits) - onehot (no 1/B scaling); earlier
-    entries are propagated through the transposed weights with the ReLU mask
-    taken from the stored post-activations (relu'(0) counted as 0).
-    """
-    logits = acts[-1]
-    probs = np.exp(_log_softmax(logits))
-    dz = probs
-    dz[np.arange(labels.shape[0]), labels] -= 1.0
-    dzs = [dz]
-    for layer in range(w.n_layers - 1, 0, -1):
-        dz = (dzs[0] @ w.weights(layer).T) * (acts[layer] > 0.0)
-        dzs.insert(0, dz)
-    return dzs
 
 
 def loss_and_grad(
@@ -220,13 +195,9 @@ def loss_and_grad(
     for a given (w, ds, idx).
     """
     idx = _resolve_index(ds, idx)
-    x = _check_inputs(w, ds.inputs[idx])
-    labels = ds.labels[idx]
     b = idx.shape[0]
-    acts = _forward_acts(w, x)
-    logp = _log_softmax(acts[-1])
+    ((_, labels, acts, logp, dzs),) = _chunks(w, ds, idx, b)
     loss = float(-logp[np.arange(b), labels].mean())
-    dzs = _backward_dzs(w, acts, labels)
     grad = ParamVector.zeros(w.dims)
     for layer in range(w.n_layers):
         grad.weights(layer)[:] = acts[layer].T @ dzs[layer] / b
@@ -243,19 +214,14 @@ def per_sample_grad_matrix(
     idx[mu]. Memory is the dominant cost: len(idx) * P doubles.
     """
     idx = _resolve_index(ds, idx)
-    n = idx.shape[0]
-    out = np.empty((n, len(w)))
-    for start in range(0, n, chunk_size):
-        sel = idx[start : start + chunk_size]
-        x = _check_inputs(w, ds.inputs[sel])
-        acts = _forward_acts(w, x)
-        dzs = _backward_dzs(w, acts, ds.labels[sel])
-        block = out[start : start + sel.shape[0]]
+    out = np.empty((idx.shape[0], len(w)))
+    for part, _, acts, _, dzs in _chunks(w, ds, idx, chunk_size):
+        block = out[part]
         for layer in range(w.n_layers):
             w_off, b_off = w.slots(layer)
             f_out = w.dims[layer + 1]
             outer = np.einsum("bi,bo->bio", acts[layer], dzs[layer])
-            block[:, w_off:b_off] = outer.reshape(sel.shape[0], -1)
+            block[:, w_off:b_off] = outer.reshape(block.shape[0], -1)
             block[:, b_off : b_off + f_out] = dzs[layer]
     return out
 
@@ -271,22 +237,15 @@ def per_sample_grad_norms(
     Returns (sq_norms of shape (len(idx),), sum of per-sample gradients).
     """
     idx = _resolve_index(ds, idx)
-    n = idx.shape[0]
-    sq_norms = np.zeros(n)
+    sq_norms = np.zeros(idx.shape[0])
     total = ParamVector.zeros(w.dims)
-    for start in range(0, n, chunk_size):
-        sel = idx[start : start + chunk_size]
-        x = _check_inputs(w, ds.inputs[sel])
-        acts = _forward_acts(w, x)
-        dzs = _backward_dzs(w, acts, ds.labels[sel])
-        piece = np.zeros(sel.shape[0])
+    for part, _, acts, _, dzs in _chunks(w, ds, idx, chunk_size):
         for layer in range(w.n_layers):
             a_sq = np.einsum("bi,bi->b", acts[layer], acts[layer])
             dz_sq = np.einsum("bo,bo->b", dzs[layer], dzs[layer])
-            piece += a_sq * dz_sq + dz_sq
+            sq_norms[part] += a_sq * dz_sq + dz_sq
             total.weights(layer)[:] += acts[layer].T @ dzs[layer]
             total.bias(layer)[:] += dzs[layer].sum(axis=0)
-        sq_norms[start : start + sel.shape[0]] = piece
     return sq_norms, total
 
 
@@ -297,10 +256,8 @@ def evaluate_accuracy(w: ParamVector, ds: Dataset, chunk_size: int = 4096) -> fl
     deterministic; an all-zero parameter vector predicts class 0 everywhere.
     """
     correct = 0
-    for start in range(0, ds.n_samples, chunk_size):
-        x = _check_inputs(w, ds.inputs[start : start + chunk_size])
-        logits = _forward_acts(w, x)[-1]
-        correct += int((logits.argmax(axis=1) == ds.labels[start : start + chunk_size]).sum())
+    for _, labels, acts, _, _ in _chunks(w, ds, _resolve_index(ds, None), chunk_size, backward=False):
+        correct += int((acts[-1].argmax(axis=1) == labels).sum())
     return correct / ds.n_samples
 
 

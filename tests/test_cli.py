@@ -292,7 +292,23 @@ class TestProbeCommand:
         assert lines[0].startswith("step,alpha,B,trace_cov,enhancement_ratio")
         assert len(lines) == 2
         assert lines[1].startswith("0,2.0,4,")
-        assert "predicted 5.0000" in capsys.readouterr().out
+        out_text = capsys.readouterr().out
+        assert "predicted 5.0000" in out_text
+        assert "not reached" not in out_text
+
+    def test_steps_after_the_run_stops_are_reported(self, workspace, capsys):
+        tmp, config = workspace
+        out = tmp / "probe-unreached"
+        rc = parse_and_dispatch(
+            [
+                "probe", "--config", config, "--out", str(out),
+                "--set", "train.max_steps=20", "--set", "probe.steps=[0,10,50]",
+            ]
+        )
+        assert rc == 0
+        steps = [line.split(",")[0] for line in (out / "probe.csv").read_text().splitlines()[1:]]
+        assert steps == ["0", "10"]
+        assert "probe steps 50 not reached: run stopped at step 20" in capsys.readouterr().out
 
 
 class TestIdxSource:
@@ -401,6 +417,14 @@ class TestUsageErrors:
         rc = parse_and_dispatch(["sweep-alpha", "--set", setting])
         assert rc == 1
         assert "expects a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["train", "sweep-b", "sweep-alpha", "probe"])
+    def test_jobs_below_one_is_a_config_error(self, command, jobs, tmp_path, capsys):
+        config = write_config(tmp_path, {"sweep.b_grid": [4], "sweep.alpha_grid": [1.0]})
+        rc = parse_and_dispatch([command, "--config", config, "--out", str(tmp_path), "--jobs", jobs])
+        assert rc == 1
+        assert "config error: --jobs must be >= 1" in capsys.readouterr().err
 
     def test_unknown_set_key(self, capsys):
         rc = parse_and_dispatch(["train", "--set", "no.such.key=1"])

@@ -8,7 +8,6 @@ from noise_forge.model import (
     MlpSpec,
     ParamVector,
     evaluate_accuracy,
-    forward,
     glorot_init,
     load_checkpoint,
     loss_and_grad,
@@ -97,41 +96,54 @@ class TestGlorotInit:
         assert not np.array_equal(a.values, c.values)
 
 
+def logit_bias_block(w, mat):
+    """Columns of per-sample gradient rows that hold the logit-layer bias:
+    softmax(logits) - onehot for each row."""
+    _, b_off = w.slots(w.n_layers - 1)
+    return mat[:, b_off : b_off + w.dims[-1]]
+
+
 class TestForward:
+    """The shared forward pass, seen through the public entry points."""
+
     def test_single_linear_layer_by_hand(self):
         # logits = [4.5, 5.5]; softmax gap of 1 gives sigmoid(+-1)
         pv = ParamVector(np.array([1.0, 2.0, 3.0, 4.0, 0.5, -0.5]), (2, 2))
-        probs = forward(pv, np.array([[1.0, 1.0]]))
-        np.testing.assert_allclose(
-            probs, [[0.2689414213699951, 0.7310585786300049]], rtol=1e-15
-        )
+        ds = Dataset(np.array([[1.0, 1.0]]), np.array([1]), 2)
+        assert mean_loss(pv, ds) == pytest.approx(-math.log(0.7310585786300049), rel=1e-15)
 
     def test_rows_sum_to_one(self):
+        # each row's logit-bias block is softmax - onehot, so it sums to 0
         w = glorot_init(MlpSpec(4, (6,), 5, seed=2))
         x = np.random.default_rng(0).random((11, 4))
-        probs = forward(w, x)
-        np.testing.assert_allclose(probs.sum(axis=1), np.ones(11), atol=1e-12)
+        ds = Dataset(x, np.arange(11) % 5, 5)
+        block = logit_bias_block(w, per_sample_grad_matrix(w, ds))
+        np.testing.assert_allclose(block.sum(axis=1), np.zeros(11), atol=1e-12)
 
     def test_zero_params_give_uniform_probabilities(self):
         w = ParamVector.zeros((3, 4))
-        probs = forward(w, np.array([[0.1, 0.5, 0.9]]))
-        np.testing.assert_allclose(probs, np.full((1, 4), 0.25), atol=1e-15)
+        ds = Dataset(np.array([[0.1, 0.5, 0.9]]), np.array([2]), 4)
+        block = logit_bias_block(w, per_sample_grad_matrix(w, ds))
+        np.testing.assert_allclose(block, [[0.25, 0.25, -0.75, 0.25]], atol=1e-15)
 
     def test_large_logits_do_not_overflow(self):
+        # logits [1000, -1000]: loss 0 for label 0 and 2000 for label 1
         pv = ParamVector(np.array([1000.0, -1000.0, 0.0, 0.0]), (1, 2))
-        probs = forward(pv, np.array([[1.0]]))
-        assert np.isfinite(probs).all()
-        np.testing.assert_allclose(probs, [[1.0, 0.0]], atol=1e-300)
+        ds = Dataset(np.array([[1.0], [1.0]]), np.array([0, 1]), 2)
+        loss, grad = loss_and_grad(pv, ds)
+        assert loss == mean_loss(pv, ds) == pytest.approx(1000.0, rel=1e-15)
+        assert np.isfinite(grad.values).all()
 
-    def test_non_finite_input_rejected(self):
+    @pytest.mark.parametrize(
+        "entry",
+        [mean_loss, evaluate_accuracy, loss_and_grad, per_sample_grad_matrix, per_sample_grad_norms],
+        ids=lambda f: f.__name__,
+    )
+    def test_wrong_input_width_rejected(self, entry):
         w = ParamVector.zeros((2, 2))
-        with pytest.raises(FloatingPointError):
-            forward(w, np.array([[np.inf, 0.0]]))
-
-    def test_wrong_input_width_rejected(self):
-        w = ParamVector.zeros((2, 2))
+        ds = Dataset(np.zeros((1, 3)), np.array([0]), 2)
         with pytest.raises(ValueError, match="columns"):
-            forward(w, np.zeros((1, 3)))
+            entry(w, ds)
 
 
 class TestLoss:
@@ -205,6 +217,19 @@ class TestPerSampleGradients:
         a = per_sample_grad_matrix(self.w, self.ds, chunk_size=4)
         b = per_sample_grad_matrix(self.w, self.ds, chunk_size=64)
         np.testing.assert_array_equal(a, b)
+
+    def test_norms_total_is_the_batched_gradient_times_b(self):
+        idx = np.array([3, 0, 14, 7, 7, 9])
+        _, grad = loss_and_grad(self.w, self.ds, idx)
+        _, total = per_sample_grad_norms(self.w, self.ds, idx, chunk_size=len(idx))
+        np.testing.assert_array_equal(grad.values, total.values / len(idx))
+
+    def test_norms_do_not_depend_on_chunk_size(self):
+        sq, total = per_sample_grad_norms(self.w, self.ds)
+        for chunk_size in (1, 4, 7):
+            sq_c, total_c = per_sample_grad_norms(self.w, self.ds, chunk_size=chunk_size)
+            np.testing.assert_allclose(sq_c, sq, rtol=1e-12)
+            np.testing.assert_allclose(total_c.values, total.values, rtol=1e-12)
 
     def test_norms_trick_matches_explicit_rows(self):
         mat = per_sample_grad_matrix(self.w, self.ds)
