@@ -103,6 +103,12 @@ class ProbePlan:
     interval: int = 0
     n_samples: int = 200
 
+    def __post_init__(self) -> None:
+        if any(s < 0 for s in self.steps):
+            raise ValueError(f"probe.steps entries must be >= 0, got {list(self.steps)}")
+        if self.interval < 0:
+            raise ValueError(f"probe.interval must be >= 0, got {self.interval}")
+
     def should_probe(self, step: int) -> bool:
         if step in self.steps:
             return True

@@ -191,6 +191,25 @@ def exact_noise_trace(
     return _noise_trace(sq_norms, total.values, eta, batch_size, large_n_approx)
 
 
+def _first_by_key(keys: np.ndarray, b: int) -> np.ndarray:
+    """Columns of the b smallest keys in each row, in key order.
+
+    Equals ``np.argsort(keys, axis=1)[:, :b]`` index for index, in O(N) per
+    row: a partial selection keeps the b + 1 smallest keys and only those are
+    sorted. The (b + 1)-th key shows whether the b-th one is tied with a key
+    left out. When any of the b + 1 smallest keys tie, or b = N, the full
+    argsort decides, so tied keys come out in exactly its order.
+    """
+    n = keys.shape[1]
+    if b < n:
+        part = np.argpartition(keys, b, axis=1)[:, : b + 1]
+        head = np.take_along_axis(keys, part, axis=1)
+        order = np.argsort(head, axis=1)
+        if np.diff(np.take_along_axis(head, order, axis=1), axis=1).all():
+            return np.take_along_axis(part, order[:, :b], axis=1)
+    return np.argsort(keys, axis=1)[:, :b]
+
+
 def _index_pairs(
     seed: int,
     stream_index: int,
@@ -202,18 +221,23 @@ def _index_pairs(
 ):
     """Yield (primary, enhancement) chunks of uniform without-replacement draws.
 
-    Each chunk is a (k, B) index matrix: the first B positions of a uniformly
-    random permutation, from an argsort of iid uniforms per row. Primary
-    batches come from the "noise-primary" stream of ``seed``, enhancement
-    batches from the independent "noise-enhancement" stream. At alpha = 1 no
-    enhancement batch is needed, so that stream is not drawn and None stands
-    in for its chunks.
+    Each chunk is a (k, B) index matrix. Every row draws N iid uniform keys,
+    one per sample, and its batch is the first B positions of the ordering
+    by key: a uniformly random B-subset in random order. The batch is found
+    by partial selection, with a full sort when keys tie, so it matches a
+    full argsort of the keys index for index. Primary batches come from the
+    "noise-primary" stream of ``seed``, enhancement batches from the
+    independent "noise-enhancement" stream. At alpha = 1 no enhancement
+    batch is needed, so that stream is not drawn and None stands in for its
+    chunks.
     """
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     rng_p = named_stream(seed, "noise-primary", stream_index)
     rng_e = None if alpha == 1.0 else named_stream(seed, "noise-enhancement", stream_index)
 
     def batches(rng: np.random.Generator, k: int) -> np.ndarray:
-        return np.argsort(rng.random((k, n_total)), axis=1)[:, :batch_size]
+        return _first_by_key(rng.random((k, n_total)), batch_size)
 
     for start in range(0, n_draws, chunk_size):
         k = min(chunk_size, n_draws - start)

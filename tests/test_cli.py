@@ -426,6 +426,20 @@ class TestUsageErrors:
         assert rc == 1
         assert "config error: --jobs must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("probe.steps=[-3]", "probe.steps entries must be >= 0"),
+            ("probe.interval=-5", "probe.interval must be >= 0"),
+        ],
+    )
+    def test_negative_probe_plan_is_a_config_error(self, setting, message, tmp_path, capsys):
+        config = write_config(tmp_path)
+        rc = parse_and_dispatch(["probe", "--config", config, "--out", str(tmp_path), "--set", setting])
+        assert rc == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "probe.csv").exists()
+
     def test_unknown_set_key(self, capsys):
         rc = parse_and_dispatch(["train", "--set", "no.such.key=1"])
         assert rc == 1

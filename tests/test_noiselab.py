@@ -212,13 +212,22 @@ class TestNoiseSamplers:
 
     def test_alpha_one_reproduces_vanilla_bitwise(self):
         # alpha = 1 is the vanilla sampler: eta * (mean(G[S]) - g_bar) over the
-        # "noise-primary" draws, the first B positions of an argsort of uniforms
+        # "noise-primary" draws, the first B positions of an argsort of uniforms;
+        # alpha = 2 adds the "noise-enhancement" draws. 50 draws in chunks of 7
+        # consume each stream exactly as one (50, N) block does.
         g = per_sample_grad_matrix(self.w, self.ds)
-        u = named_stream(7, "noise-primary", 0).random((50, self.ds.n_samples))
-        idx = np.argsort(u, axis=1)[:, :3]
-        vanilla = 0.1 * (g[idx].mean(axis=1) - g.mean(axis=0))
-        enhanced = sample_ne_noise(self.w, self.ds, 0.1, 3, 1.0, 50, seed=7)
-        assert np.array_equal(vanilla, enhanced)
+        n = self.ds.n_samples
+
+        def vanilla(stream):
+            u = named_stream(7, stream, 0).random((50, n))
+            idx = np.argsort(u, axis=1)[:, :3]
+            return 0.1 * (g[idx].mean(axis=1) - g.mean(axis=0))
+
+        xi = vanilla("noise-primary")
+        assert np.array_equal(xi, sample_ne_noise(self.w, self.ds, 0.1, 3, 1.0, 50, seed=7))
+        enhanced = 2.0 * xi + (1.0 - 2.0) * vanilla("noise-enhancement")
+        sampled = sample_ne_noise(self.w, self.ds, 0.1, 3, 2.0, 50, seed=7, chunk_size=7)
+        assert np.array_equal(enhanced, sampled)
 
     def test_chunk_size_is_transparent(self):
         a = sample_ne_noise(self.w, self.ds, 0.1, 3, 2.0, 30, seed=9, chunk_size=7)
@@ -241,6 +250,11 @@ class TestNoiseSamplers:
         with pytest.raises(ValueError):
             sample_ne_noise(self.w, self.ds, 0.1, 3, float("nan"), 10, seed=0)
 
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_non_positive_chunk_size_rejected(self, chunk_size):
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            sample_ne_noise(self.w, self.ds, 0.1, 3, 2.0, 10, seed=0, chunk_size=chunk_size)
+
     def test_sample_covariance_approaches_prediction(self):
         # Monte Carlo check of the enhancement ratio at alpha = 2 (factor 5)
         eta, b, alpha, n = 0.1, 3, 2.0, 20_000
@@ -248,6 +262,50 @@ class TestNoiseSamplers:
         baseline = exact_noise_trace(self.w, self.ds, eta, b)
         stats = measure_stats(samples, baseline_trace=baseline)
         assert stats.enhancement_ratio == pytest.approx(5.0, rel=0.10)
+
+
+def _tie(keys, lo, hi):
+    """Give each row's keys at sorted positions lo..hi the value at position lo."""
+    order = np.argsort(keys, axis=1)
+    rows = np.arange(keys.shape[0])[:, None]
+    keys[rows, order[:, lo : hi + 1]] = keys[rows, order[:, lo : lo + 1]]
+    return keys
+
+
+class TestFirstByKey:
+    # the batch sampler's selection must equal the first b columns of a full
+    # argsort index for index, tied keys included. B is large on purpose: on
+    # short heads numpy's argsort often orders tied keys as the full-row
+    # argsort does, which would hide a missing tie fallback.
+    N, B = 600, 300
+
+    def keys(self, seed=0):
+        return np.random.default_rng(seed).random((40, self.N))
+
+    @pytest.mark.parametrize(
+        "case",
+        ["random", "tie-inside", "tie-at-edge", "tie-past-edge", "many-ties"],
+    )
+    def test_matches_full_argsort(self, case):
+        keys = self.keys()
+        b = self.B
+        if case == "tie-inside":
+            keys = _tie(keys, 2, b - 2)
+        elif case == "tie-at-edge":
+            keys = _tie(keys, b - 40, b + 40)
+        elif case == "tie-past-edge":
+            keys = _tie(keys, b, b + 80)
+        elif case == "many-ties":
+            keys = np.floor(keys * 30.0)
+        expected = np.argsort(keys, axis=1)[:, :b]
+        assert np.array_equal(noiselab._first_by_key(keys, b), expected)
+
+    @pytest.mark.parametrize("b", [1, N - 1, N])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_batch_size_extremes(self, b, tied):
+        keys = np.floor(self.keys(1) * 30.0) if tied else self.keys(1)
+        expected = np.argsort(keys, axis=1)[:, :b]
+        assert np.array_equal(noiselab._first_by_key(keys, b), expected)
 
 
 class TestKurtosis:
@@ -381,6 +439,18 @@ class TestProbe:
             probe_noise(self.w, self.ds, 0.1, 0, 2.0, 10, seed=0)
         with pytest.raises(ValueError):
             probe_noise(self.w, self.ds, 0.1, 3, float("inf"), 10, seed=0)
+
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_non_positive_chunk_size_rejected(self, chunk_size):
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            probe_noise(self.w, self.ds, 0.1, 3, 2.0, 10, seed=0, chunk_size=chunk_size)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_chunk_size_is_transparent(self, alpha):
+        a = probe_noise(self.w, self.ds, 0.1, 3, alpha, 50, seed=5, chunk_size=7)
+        b = probe_noise(self.w, self.ds, 0.1, 3, alpha, 50, seed=5, chunk_size=64)
+        assert np.isfinite(a.median_excess_kurtosis)
+        assert a == b
 
     def test_constant_nonzero_noise_is_left_out_of_the_median(self):
         # one-hot inputs, and hidden unit k fires only on row k: unit k's
