@@ -25,13 +25,11 @@ from .harness import (
 )
 from .model import MlpSpec, ParamVector, glorot_init, loss_and_grad
 from .noiselab import (
-    NoiseStats,
     ProbeRow,
     effective_batch,
     enhancement_factor,
     exact_noise_trace,
     gradient_diversity,
-    measure_stats,
     probe_noise,
     sample_ne_noise,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "Dataset",
     "MlpSpec",
     "NEConfig",
-    "NoiseStats",
     "OptimizerState",
     "ParamVector",
     "ProbePlan",
@@ -61,7 +58,6 @@ __all__ = [
     "load_idx_pair",
     "loss_and_grad",
     "make_synthetic",
-    "measure_stats",
     "ne_combine",
     "probe_noise",
     "probe_run",

@@ -354,13 +354,13 @@ def _cmd_sweep_alpha(args) -> int:
 def _cmd_probe(args) -> int:
     cfg = resolve_config(args.config, args.set or [])
     tc = build_train_config(cfg)
-    out = _out_dir(args, "probe")
-    _dump_resolved(cfg, out)
     plan = harness.ProbePlan(
         steps=tuple(int(s) for s in cfg["probe.steps"]),
         interval=int(cfg["probe.interval"]),
         n_samples=int(cfg["probe.n_samples"]),
     )
+    out = _out_dir(args, "probe")
+    _dump_resolved(cfg, out)
     seed = tc.seeds[0]
     record, rows = harness.probe_run(tc, seed, plan)
     h = harness.config_hash(tc)

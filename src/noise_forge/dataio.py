@@ -111,19 +111,11 @@ def _parse_idx(raw: bytes, expected_magic: int, path: Path) -> tuple[np.ndarray,
     return data, dims
 
 
-def load_idx_pair(
-    image_path: str | Path,
-    label_path: str | Path,
-    *,
-    normalize: bool = True,
-    num_classes: int = 10,
-) -> Dataset:
-    """Load an (images, labels) IDX file pair into a Dataset.
+def load_idx_pair(image_path: str | Path, label_path: str | Path) -> Dataset:
+    """Load an (images, labels) IDX file pair into a 10-class Dataset.
 
-    Images are flattened to rows and divided by 255 when ``normalize`` is
-    set (the default). With ``normalize=False`` the raw byte values are
-    kept, which only constructs a valid Dataset when they already lie in
-    [0, 1]; that path exists for binary masks and format round-trips.
+    Images are flattened to rows and divided by 255, so every input lies in
+    [0, 1].
     """
     image_path = Path(image_path)
     label_path = Path(label_path)
@@ -137,9 +129,8 @@ def load_idx_pair(
             f"{label_path} has {n_labels}"
         )
     inputs = img_data.reshape(n_images, rows * cols).astype(np.float64)
-    if normalize:
-        inputs /= 255.0
-    return Dataset(inputs, lbl_data.astype(np.int64), num_classes)
+    inputs /= 255.0
+    return Dataset(inputs, lbl_data.astype(np.int64), 10)
 
 
 def write_idx_pair(

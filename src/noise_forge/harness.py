@@ -108,6 +108,8 @@ class ProbePlan:
             raise ValueError(f"probe.steps entries must be >= 0, got {list(self.steps)}")
         if self.interval < 0:
             raise ValueError(f"probe.interval must be >= 0, got {self.interval}")
+        if self.n_samples < 2:
+            raise ValueError(f"probe.n_samples must be >= 2, got {self.n_samples}")
 
     def should_probe(self, step: int) -> bool:
         if step in self.steps:
@@ -319,14 +321,15 @@ class SweepResult:
 def sweep_batch(
     cfg: TrainConfig, b_grid: Iterable[int], alpha_fixed: float = 1.0, jobs: int = 1
 ) -> SweepResult:
-    """Repeat the protocol for each batch size at fixed alpha."""
+    """Repeat the protocol for each batch size at fixed alpha.
+
+    Every cell's config is built, and so checked, before the first run.
+    """
     values = [int(b) for b in b_grid]
     if not values:
         raise ValueError("b_grid must be non-empty")
-    cells = []
-    for b in values:
-        cfg_b = replace(cfg, ne=replace(cfg.ne, batch_size=b, alpha=alpha_fixed))
-        cells.append(repeat_runs(cfg_b, jobs=jobs))
+    configs = [replace(cfg, ne=replace(cfg.ne, batch_size=b, alpha=alpha_fixed)) for b in values]
+    cells = [repeat_runs(cfg_b, jobs=jobs) for cfg_b in configs]
     return SweepResult(
         axis="batch_size",
         values=tuple(float(v) for v in values),
@@ -338,14 +341,15 @@ def sweep_batch(
 def sweep_alpha(
     cfg: TrainConfig, alpha_grid: Iterable[float], b_fixed: int, jobs: int = 1
 ) -> SweepResult:
-    """Repeat the protocol for each alpha at fixed batch size."""
+    """Repeat the protocol for each alpha at fixed batch size.
+
+    Every cell's config is built, and so checked, before the first run.
+    """
     values = [float(a) for a in alpha_grid]
     if not values:
         raise ValueError("alpha_grid must be non-empty")
-    cells = []
-    for a in values:
-        cfg_a = replace(cfg, ne=replace(cfg.ne, batch_size=int(b_fixed), alpha=a))
-        cells.append(repeat_runs(cfg_a, jobs=jobs))
+    configs = [replace(cfg, ne=replace(cfg.ne, batch_size=int(b_fixed), alpha=a)) for a in values]
+    cells = [repeat_runs(cfg_a, jobs=jobs) for cfg_a in configs]
     return SweepResult(
         axis="alpha",
         values=tuple(values),

@@ -10,16 +10,12 @@ noise lab treat gradients as plain vectors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .dataio import Dataset
 from .rng import named_stream
-
-_CHECKPOINT_FORMAT = "noise-forge-params-v1"
 
 
 def param_count(dims: tuple[int, ...]) -> int:
@@ -260,45 +256,3 @@ def evaluate_accuracy(w: ParamVector, ds: Dataset, chunk_size: int = 4096) -> fl
         correct += int((acts[-1].argmax(axis=1) == labels).sum())
     return correct / ds.n_samples
 
-
-def save_checkpoint(w: ParamVector, path: str | Path) -> None:
-    """Write a self-describing checkpoint: JSON layout line + raw little-endian doubles."""
-    dims = w.dims
-    layers = []
-    for layer in range(w.n_layers):
-        w_off, b_off = w.slots(layer)
-        layers.append(
-            {
-                "weights_offset": w_off,
-                "weights_shape": [dims[layer], dims[layer + 1]],
-                "bias_offset": b_off,
-                "bias_size": dims[layer + 1],
-            }
-        )
-    header = {
-        "format": _CHECKPOINT_FORMAT,
-        "layer_dims": list(dims),
-        "layers": layers,
-        "param_count": len(w),
-        "dtype": "<f8",
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(w.values.astype("<f8").tobytes())
-
-
-def load_checkpoint(path: str | Path) -> ParamVector:
-    """Inverse of save_checkpoint; validates format tag and parameter count."""
-    raw = Path(path).read_bytes()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise ValueError(f"{path}: missing checkpoint header line")
-    header = json.loads(raw[:nl].decode("utf-8"))
-    if header.get("format") != _CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: unrecognized checkpoint format {header.get('format')!r}")
-    dims = tuple(int(d) for d in header["layer_dims"])
-    values = np.frombuffer(raw[nl + 1 :], dtype="<f8")
-    if values.shape[0] != int(header["param_count"]) or values.shape[0] != param_count(dims):
-        raise ValueError(f"{path}: parameter count does not match header")
-    return ParamVector(values.copy(), dims)

@@ -6,9 +6,7 @@ Conventions used throughout:
   holding the gradient of sample mu's loss; g_bar is the full gradient.
 * Vanilla noise for a minibatch S of size B is xi = eta * (mean(G[S]) - g_bar).
   Its exact covariance over uniform draws without replacement is
-      (eta^2 / B) * (N - B) / (N - 1) * [ (1/N) sum_mu g_mu g_mu^T - g_bar g_bar^T ],
-  and dropping the finite-population factor (N - B)/(N - 1) gives the
-  large-N approximation.
+      (eta^2 / B) * (N - B) / (N - 1) * [ (1/N) sum_mu g_mu g_mu^T - g_bar g_bar^T ].
 * Enhanced noise with weight alpha over an independent pair (S, S') is
   xi_ne = alpha * xi + (1 - alpha) * xi', whose covariance is the vanilla
   covariance scaled by alpha^2 + (1 - alpha)^2.
@@ -60,20 +58,16 @@ def effective_batch(batch_size: int, alpha: float) -> float:
     return float(batch_size) / enhancement_factor(alpha)
 
 
-def _finite_population_factor(n: int, b: int, large_n_approx: bool) -> float:
+def _finite_population_factor(n: int, b: int) -> float:
     if not (1 <= b <= n):
         raise ValueError("need 1 <= batch_size <= n_samples")
-    if large_n_approx:
-        return 1.0
     if n == 1:
         # B = N = 1: the only minibatch is the dataset, noise is identically 0.
         return 0.0
     return (n - b) / (n - 1)
 
 
-def noise_covariance_from_grads(
-    grads: np.ndarray, eta: float, batch_size: int, *, large_n_approx: bool = False
-) -> np.ndarray:
+def noise_covariance_from_grads(grads: np.ndarray, eta: float, batch_size: int) -> np.ndarray:
     """Exact (P, P) vanilla noise covariance from a per-sample gradient matrix."""
     g = np.asarray(grads, dtype=np.float64)
     if g.ndim != 2:
@@ -83,14 +77,14 @@ def noise_covariance_from_grads(
         raise CapabilityError(
             f"dense covariance needs P <= {MAX_DENSE_PARAMS}, got {p}; use probe_noise"
         )
-    factor = _finite_population_factor(n, batch_size, large_n_approx)
+    factor = _finite_population_factor(n, batch_size)
     g_bar = g.mean(axis=0)
     second = g.T @ g / n - np.outer(g_bar, g_bar)
     return (eta**2 / batch_size) * factor * second
 
 
 def enumerate_noise_covariance_from_grads(
-    grads: np.ndarray, eta: float, batch_size: int, chunk_size: int = 4096
+    grads: np.ndarray, eta: float, batch_size: int
 ) -> np.ndarray:
     """Population covariance of xi over every size-B subset, by enumeration.
 
@@ -114,16 +108,14 @@ def enumerate_noise_covariance_from_grads(
     second = np.zeros((p, p))
     mean_acc = np.zeros(p)
     combos = itertools.combinations(range(n), batch_size)
-    done = 0
     while True:
-        block = list(itertools.islice(combos, chunk_size))
+        block = list(itertools.islice(combos, 4096))
         if not block:
             break
         idx = np.array(block, dtype=np.int64)
         xi = eta * (g[idx].mean(axis=1) - g_bar)
         second += xi.T @ xi
         mean_acc += xi.sum(axis=0)
-        done += idx.shape[0]
     mean = mean_acc / n_subsets
     if np.abs(mean).max() > 1e-12:
         raise ArithmeticError(
@@ -167,28 +159,24 @@ def enumerate_ne_noise_covariance_from_grads(
     return flat.T @ flat / (m * m)
 
 
-def _noise_trace(
-    sq_norms: np.ndarray, total: np.ndarray, eta: float, batch_size: int, large_n_approx: bool
-) -> float:
+def _noise_trace(sq_norms: np.ndarray, total: np.ndarray, eta: float, batch_size: int) -> float:
     """tr Cov = (eta^2/B) * f * [ (1/N) sum_mu |g_mu|^2 - |g_bar|^2 ] from the
     per-sample squared norms and the summed gradient; f is the finite-population
     factor."""
     n = sq_norms.shape[0]
-    factor = _finite_population_factor(n, batch_size, large_n_approx)
+    factor = _finite_population_factor(n, batch_size)
     g_bar_sq = float(total @ total) / (n * n)
     return float((eta**2 / batch_size) * factor * (sq_norms.mean() - g_bar_sq))
 
 
-def exact_noise_trace(
-    w: ParamVector, ds: Dataset, eta: float, batch_size: int, *, large_n_approx: bool = False
-) -> float:
+def exact_noise_trace(w: ParamVector, ds: Dataset, eta: float, batch_size: int) -> float:
     """Trace of the exact vanilla covariance, streamed at any parameter count.
 
     Per-sample squared norms come from the rank-one layer structure, so no
     (N, P) matrix is formed.
     """
     sq_norms, total = per_sample_grad_norms(w, ds)
-    return _noise_trace(sq_norms, total.values, eta, batch_size, large_n_approx)
+    return _noise_trace(sq_norms, total.values, eta, batch_size)
 
 
 def _first_by_key(keys: np.ndarray, b: int) -> np.ndarray:
@@ -231,8 +219,6 @@ def _index_pairs(
     batch is needed, so that stream is not drawn and None stands in for its
     chunks.
     """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     rng_p = named_stream(seed, "noise-primary", stream_index)
     rng_e = None if alpha == 1.0 else named_stream(seed, "noise-enhancement", stream_index)
 
@@ -252,8 +238,6 @@ def sample_ne_noise(
     alpha: float,
     n_samples: int,
     seed: int,
-    stream_index: int = 0,
-    chunk_size: int = 512,
 ) -> np.ndarray:
     """Monte Carlo enhanced noise samples alpha*xi + (1-alpha)*xi'.
 
@@ -279,7 +263,7 @@ def sample_ne_noise(
     g_bar = g.mean(axis=0)
     out = np.empty((n_samples, g.shape[1]))
     row = 0
-    pairs = _index_pairs(seed, stream_index, alpha, n_samples, ds.n_samples, batch_size, chunk_size)
+    pairs = _index_pairs(seed, 0, alpha, n_samples, ds.n_samples, batch_size, 512)
     for idx_p, idx_e in pairs:
         xi = eta * (g[idx_p].mean(axis=1) - g_bar)
         if idx_e is not None:
@@ -289,19 +273,19 @@ def sample_ne_noise(
     return out
 
 
-def excess_kurtosis(samples: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Per-coordinate excess kurtosis m4/m2^2 - 3 (population moments).
+def excess_kurtosis(samples: np.ndarray) -> np.ndarray:
+    """Excess kurtosis m4/m2^2 - 3 (population moments) of each column.
 
-    Coordinates whose values are all equal yield nan, even where rounding in
+    Columns whose values are all equal yield nan, even where rounding in
     the mean leaves a tiny nonzero m2.
     """
     x = np.asarray(samples, dtype=np.float64)
-    centered = x - x.mean(axis=axis, keepdims=True)
-    m2 = (centered**2).mean(axis=axis)
-    m4 = (centered**4).mean(axis=axis)
+    centered = x - x.mean(axis=0, keepdims=True)
+    m2 = (centered**2).mean(axis=0)
+    m4 = (centered**4).mean(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         kurt = m4 / m2**2 - 3.0
-    return np.where((m2 > 0.0) & (np.ptp(x, axis=axis) > 0.0), kurt, np.nan)
+    return np.where((m2 > 0.0) & (np.ptp(x, axis=0) > 0.0), kurt, np.nan)
 
 
 def _grad_diversity(sq_norms: np.ndarray, total: np.ndarray) -> float:
@@ -313,93 +297,14 @@ def _grad_diversity(sq_norms: np.ndarray, total: np.ndarray) -> float:
     return float(sq_norms.sum()) / den
 
 
-def gradient_diversity_from_matrix(grads: np.ndarray) -> float:
-    """Gradient diversity from an explicit (n_samples, P) gradient matrix."""
-    g = np.asarray(grads, dtype=np.float64)
-    return _grad_diversity(np.einsum("np,np->n", g, g), g.sum(axis=0))
-
-
-def gradient_diversity(
-    w: ParamVector, ds: Dataset, idx: np.ndarray | None = None, chunk_size: int = 1024
-) -> float:
-    """Gradient diversity over the indexed samples, streamed at any scale.
+def gradient_diversity(w: ParamVector, ds: Dataset) -> float:
+    """Gradient diversity over the dataset, streamed at any scale.
 
     Equals 1 for orthogonal per-sample gradients of equal norm and
     1/n_samples when all per-sample gradients coincide.
     """
-    sq_norms, total = per_sample_grad_norms(w, ds, idx, chunk_size)
+    sq_norms, total = per_sample_grad_norms(w, ds)
     return _grad_diversity(sq_norms, total.values)
-
-
-@dataclass(frozen=True)
-class NoiseStats:
-    """Summary statistics of a noise-sample matrix."""
-
-    n_samples: int
-    mean: np.ndarray
-    trace_cov: float
-    diag_cov: np.ndarray
-    excess_kurtosis: np.ndarray
-    projection_kurtosis: np.ndarray | None = None
-    enhancement_ratio: float | None = None
-    b_eff: float | None = None
-    grad_diversity: float | None = None
-
-
-def measure_stats(
-    samples: np.ndarray,
-    baseline_trace: float | None = None,
-    batch_size: int | None = None,
-    alpha: float | None = None,
-    per_sample_grads: np.ndarray | None = None,
-    n_projections: int = 0,
-    projection_seed: int = 0,
-) -> NoiseStats:
-    """Summarize noise samples: mean, covariance diagonal/trace, kurtosis.
-
-    With ``baseline_trace`` the enhancement ratio trace/baseline is filled
-    in; with ``batch_size`` and ``alpha`` the predicted effective batch is;
-    with ``per_sample_grads`` the gradient diversity is. ``n_projections``
-    adds excess kurtosis along that many random unit directions (drawn from
-    the "projection" stream of ``projection_seed``).
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("samples must be (n_samples, n_params)")
-    n, p = x.shape
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    diag = (centered**2).sum(axis=0) / (n - 1)
-    proj_kurt = None
-    if n_projections > 0:
-        rng = named_stream(projection_seed, "projection")
-        u = rng.standard_normal((p, n_projections))
-        u /= np.linalg.norm(u, axis=0, keepdims=True)
-        proj_kurt = excess_kurtosis(centered @ u)
-    ratio = None
-    if baseline_trace is not None:
-        if not (np.isfinite(baseline_trace) and baseline_trace > 0):
-            raise ValueError("baseline_trace must be finite and positive")
-        ratio = float(diag.sum() / baseline_trace)
-    b_eff = None
-    if batch_size is not None and alpha is not None:
-        b_eff = effective_batch(batch_size, alpha)
-    diversity = None
-    if per_sample_grads is not None:
-        diversity = gradient_diversity_from_matrix(per_sample_grads)
-    return NoiseStats(
-        n_samples=n,
-        mean=mean,
-        trace_cov=float(diag.sum()),
-        diag_cov=diag,
-        excess_kurtosis=excess_kurtosis(x),
-        projection_kurtosis=proj_kurt,
-        enhancement_ratio=ratio,
-        b_eff=b_eff,
-        grad_diversity=diversity,
-    )
 
 
 @dataclass(frozen=True)
@@ -427,7 +332,6 @@ def probe_noise(
     seed: int,
     step: int = 0,
     stream_index: int = 0,
-    chunk_size: int = 64,
 ) -> ProbeRow:
     """Measure enhanced noise at frozen parameters without dense matrices.
 
@@ -457,7 +361,7 @@ def probe_noise(
     s4 = np.zeros(p)
     first = None
     varies = np.zeros(p, dtype=bool)
-    pairs = _index_pairs(seed, stream_index, alpha, n_samples, n, batch_size, chunk_size)
+    pairs = _index_pairs(seed, stream_index, alpha, n_samples, n, batch_size, 64)
     for idx_p, idx_e in pairs:
         for row in range(idx_p.shape[0]):
             _, gp = loss_and_grad(w, ds, idx_p[row])
@@ -483,7 +387,7 @@ def probe_noise(
     with np.errstate(divide="ignore", invalid="ignore"):
         kurt = mu4 / var_pop**2 - 3.0
     kurt = np.where(varies & (var_pop > 0.0), kurt, np.nan)
-    vanilla_trace = _noise_trace(sq_norms, total.values, eta, batch_size, large_n_approx=False)
+    vanilla_trace = _noise_trace(sq_norms, total.values, eta, batch_size)
     ratio = trace / vanilla_trace if vanilla_trace > 0 else float("nan")
     return ProbeRow(
         step=int(step),

@@ -48,7 +48,6 @@ from noise_forge.noiselab import (
     enumerate_noise_covariance_from_grads,
     exact_noise_trace,
     excess_kurtosis,
-    measure_stats,
     noise_covariance_from_grads,
     sample_ne_noise,
 )
@@ -130,8 +129,8 @@ def test_c2_enhanced_noise_scales_by_predicted_factor():
     worst_mc = 0.0
     for alpha in alphas:
         samples = sample_ne_noise(w_mc, ds_mc, eta, b, alpha, n_samples=100_000, seed=17)
-        stats = measure_stats(samples, baseline_trace=baseline, batch_size=b, alpha=alpha)
-        worst_mc = max(worst_mc, abs(stats.enhancement_ratio / enhancement_factor(alpha) - 1.0))
+        ratio = samples.var(axis=0, ddof=1).sum() / baseline
+        worst_mc = max(worst_mc, abs(ratio / enhancement_factor(alpha) - 1.0))
 
     # Exact: enumerate every ordered pair of size-2 subsets of 8 samples.
     ds_en = blob_dataset(seed=1, n_per_class=4, classes=2, dim=3)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from noise_forge import dataio
+from noise_forge import dataio, harness
 from noise_forge.cli import (
     DATA_DIR_ENV,
     DEFAULTS,
@@ -439,6 +439,32 @@ class TestUsageErrors:
         assert rc == 1
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "probe.csv").exists()
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("probe.steps=[-3]", "probe.steps entries must be >= 0"),
+            ("probe.n_samples=1", "probe.n_samples must be >= 2"),
+        ],
+    )
+    def test_rejected_probe_plan_stops_before_training_and_output(
+        self, setting, message, tmp_path, monkeypatch, capsys
+    ):
+        runs = []
+        probe_run = harness.probe_run
+
+        def counted(*args):
+            runs.append(args)
+            return probe_run(*args)
+
+        monkeypatch.setattr(harness, "probe_run", counted)
+        out = tmp_path / "out"
+        config = write_config(tmp_path, {"probe.steps": [10], "probe.interval": 0})
+        rc = parse_and_dispatch(["probe", "--config", config, "--out", str(out), "--set", setting])
+        assert rc == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert runs == []
+        assert not out.exists()
 
     def test_unknown_set_key(self, capsys):
         rc = parse_and_dispatch(["train", "--set", "no.such.key=1"])

@@ -101,13 +101,6 @@ class TestIdxLoading:
         with pytest.raises(IdxFormatError, match="mismatch"):
             load_idx_pair(ipath, tmp_path / "short")
 
-    def test_unnormalized_binary_mask_loads(self, tmp_path):
-        images = np.array([[[0, 1], [1, 0]]], dtype=np.uint8)
-        (tmp_path / "i").write_bytes(image_bytes(images))
-        (tmp_path / "l").write_bytes(label_bytes(np.array([1], dtype=np.uint8)))
-        ds = load_idx_pair(tmp_path / "i", tmp_path / "l", normalize=False)
-        np.testing.assert_array_equal(ds.inputs, [[0.0, 1.0, 1.0, 0.0]])
-
 
 class TestIdxRoundTrip:
     def test_write_then_load_is_bit_exact(self, tmp_path, idx_pair):

@@ -232,6 +232,12 @@ class TestProbePlan:
         assert plan.should_probe(3)
         assert not plan.should_probe(0)
 
+    @pytest.mark.parametrize("n_samples", [1, 0])
+    def test_too_few_samples_rejected(self, n_samples):
+        with pytest.raises(ValueError, match="probe.n_samples must be >= 2"):
+            ProbePlan(n_samples=n_samples)
+        assert ProbePlan(n_samples=2).n_samples == 2
+
     def test_probe_run_emits_rows_at_planned_steps(self, monkeypatch):
         scripted_losses(monkeypatch, [0.5, 0.5, 0.5])
         scripted_steps(monkeypatch)
@@ -372,6 +378,20 @@ class TestSweeps:
         monkeypatch.setattr(harness, "train_run", diverged_or_ok)
         sweep = sweep_alpha(small_config(), [1.0, 2.0], b_fixed=16)
         assert best_row(sweep.rows(), "alpha")["alpha"] == 2.0
+
+    def test_bad_cell_stops_the_sweep_before_any_run(self, monkeypatch):
+        runs = []
+
+        def counted(cfg, seed, step_writer=None):
+            runs.append((cfg.ne.batch_size, cfg.ne.alpha, seed))
+            return rec(seed)
+
+        monkeypatch.setattr(harness, "train_run", counted)
+        with pytest.raises(ValueError, match="alpha must be >= 1"):
+            sweep_alpha(small_config(), [1.0, 0.5], b_fixed=4)
+        with pytest.raises(ValueError, match="batch_size exceeds training set size"):
+            sweep_batch(small_config(), [4, 100_000])
+        assert runs == []
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -9,13 +9,11 @@ from noise_forge.model import (
     ParamVector,
     evaluate_accuracy,
     glorot_init,
-    load_checkpoint,
     loss_and_grad,
     mean_loss,
     param_count,
     per_sample_grad_matrix,
     per_sample_grad_norms,
-    save_checkpoint,
 )
 
 
@@ -256,36 +254,3 @@ class TestAccuracy:
         w = glorot_init(MlpSpec(4, (5,), 3, seed=1))
         assert evaluate_accuracy(w, ds, chunk_size=3) == evaluate_accuracy(w, ds)
 
-
-class TestCheckpoint:
-    def test_round_trip_is_exact(self, tmp_path):
-        w = glorot_init(MlpSpec(4, (5, 3), 2, seed=13))
-        path = tmp_path / "w.ckpt"
-        save_checkpoint(w, path)
-        back = load_checkpoint(path)
-        assert back.dims == w.dims
-        np.testing.assert_array_equal(back.values, w.values)
-
-    def test_header_describes_layout(self, tmp_path):
-        import json
-
-        w = glorot_init(MlpSpec(3, (4,), 2, seed=0))
-        path = tmp_path / "w.ckpt"
-        save_checkpoint(w, path)
-        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        assert header["layer_dims"] == [3, 4, 2]
-        assert header["param_count"] == len(w)
-        assert header["layers"][0]["weights_shape"] == [3, 4]
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        w = glorot_init(MlpSpec(3, (4,), 2, seed=0))
-        path = tmp_path / "w.ckpt"
-        save_checkpoint(w, path)
-        (tmp_path / "cut.ckpt").write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="count"):
-            load_checkpoint(tmp_path / "cut.ckpt")
-
-    def test_wrong_format_tag_rejected(self, tmp_path):
-        (tmp_path / "junk.ckpt").write_bytes(b'{"format": "other"}\n')
-        with pytest.raises(ValueError, match="format"):
-            load_checkpoint(tmp_path / "junk.ckpt")
