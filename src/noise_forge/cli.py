@@ -326,10 +326,10 @@ def _sweep_exit(sweep: harness.SweepResult) -> int:
 def _cmd_sweep_b(args) -> int:
     cfg = resolve_config(args.config, args.set or [])
     tc = build_train_config(cfg)
+    plan = harness.SweepPlan.over_batch(tc, cfg["sweep.b_grid"], float(cfg["sweep.alpha_fixed"]))
     out = _out_dir(args, "sweep-b")
     _dump_resolved(cfg, out)
-    grid = [int(b) for b in cfg["sweep.b_grid"]]
-    sweep = harness.sweep_batch(tc, grid, alpha_fixed=float(cfg["sweep.alpha_fixed"]), jobs=args.jobs)
+    sweep = plan.run(args.jobs)
     _write_sweep_outputs(out, sweep, tc)
     _print_sweep(sweep)
     print(f"results written to {out}")
@@ -339,10 +339,10 @@ def _cmd_sweep_b(args) -> int:
 def _cmd_sweep_alpha(args) -> int:
     cfg = resolve_config(args.config, args.set or [])
     tc = build_train_config(cfg)
+    plan = harness.SweepPlan.over_alpha(tc, cfg["sweep.alpha_grid"], int(cfg["sweep.b_fixed"]))
     out = _out_dir(args, "sweep-alpha")
     _dump_resolved(cfg, out)
-    grid = [float(a) for a in cfg["sweep.alpha_grid"]]
-    sweep = harness.sweep_alpha(tc, grid, b_fixed=int(cfg["sweep.b_fixed"]), jobs=args.jobs)
+    sweep = plan.run(args.jobs)
     _write_sweep_outputs(out, sweep, tc)
     scatter = report.tradeoff_rows("increase-alpha", sweep.rows())
     report.write_tradeoff_csv(out / "scatter.csv", scatter)

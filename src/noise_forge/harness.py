@@ -318,44 +318,57 @@ class SweepResult:
         return [aggregate_row(b, a, cell) for b, a, cell in self.entries()]
 
 
+@dataclass(frozen=True)
+class SweepPlan:
+    """One TrainConfig per grid cell along one axis, the other setting fixed.
+
+    Building a plan builds, and so checks, every cell's config, so a bad
+    grid is rejected before any run and before any output is written.
+    """
+
+    axis: str
+    values: tuple[float, ...]
+    fixed_value: float
+    configs: tuple[TrainConfig, ...]
+
+    @classmethod
+    def over_batch(
+        cls, cfg: TrainConfig, b_grid: Iterable[int], alpha_fixed: float = 1.0
+    ) -> SweepPlan:
+        values = [int(b) for b in b_grid]
+        if not values:
+            raise ValueError("b_grid must be non-empty")
+        configs = [replace(cfg, ne=replace(cfg.ne, batch_size=b, alpha=alpha_fixed)) for b in values]
+        return cls("batch_size", tuple(float(v) for v in values), float(alpha_fixed), tuple(configs))
+
+    @classmethod
+    def over_alpha(
+        cls, cfg: TrainConfig, alpha_grid: Iterable[float], b_fixed: int
+    ) -> SweepPlan:
+        values = [float(a) for a in alpha_grid]
+        if not values:
+            raise ValueError("alpha_grid must be non-empty")
+        configs = [replace(cfg, ne=replace(cfg.ne, batch_size=int(b_fixed), alpha=a)) for a in values]
+        return cls("alpha", tuple(values), float(b_fixed), tuple(configs))
+
+    def run(self, jobs: int = 1) -> SweepResult:
+        """Repeat the protocol for every cell, in grid order."""
+        cells = tuple(repeat_runs(cell_cfg, jobs=jobs) for cell_cfg in self.configs)
+        return SweepResult(self.axis, self.values, self.fixed_value, cells)
+
+
 def sweep_batch(
     cfg: TrainConfig, b_grid: Iterable[int], alpha_fixed: float = 1.0, jobs: int = 1
 ) -> SweepResult:
-    """Repeat the protocol for each batch size at fixed alpha.
-
-    Every cell's config is built, and so checked, before the first run.
-    """
-    values = [int(b) for b in b_grid]
-    if not values:
-        raise ValueError("b_grid must be non-empty")
-    configs = [replace(cfg, ne=replace(cfg.ne, batch_size=b, alpha=alpha_fixed)) for b in values]
-    cells = [repeat_runs(cfg_b, jobs=jobs) for cfg_b in configs]
-    return SweepResult(
-        axis="batch_size",
-        values=tuple(float(v) for v in values),
-        fixed_value=float(alpha_fixed),
-        cells=tuple(cells),
-    )
+    """Repeat the protocol for each batch size at fixed alpha (see SweepPlan)."""
+    return SweepPlan.over_batch(cfg, b_grid, alpha_fixed).run(jobs)
 
 
 def sweep_alpha(
     cfg: TrainConfig, alpha_grid: Iterable[float], b_fixed: int, jobs: int = 1
 ) -> SweepResult:
-    """Repeat the protocol for each alpha at fixed batch size.
-
-    Every cell's config is built, and so checked, before the first run.
-    """
-    values = [float(a) for a in alpha_grid]
-    if not values:
-        raise ValueError("alpha_grid must be non-empty")
-    configs = [replace(cfg, ne=replace(cfg.ne, batch_size=int(b_fixed), alpha=a)) for a in values]
-    cells = [repeat_runs(cfg_a, jobs=jobs) for cfg_a in configs]
-    return SweepResult(
-        axis="alpha",
-        values=tuple(values),
-        fixed_value=float(b_fixed),
-        cells=tuple(cells),
-    )
+    """Repeat the protocol for each alpha at fixed batch size (see SweepPlan)."""
+    return SweepPlan.over_alpha(cfg, alpha_grid, b_fixed).run(jobs)
 
 
 def _fmt(value) -> str:

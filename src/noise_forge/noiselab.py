@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataio import Dataset
 from .model import ParamVector, loss_and_grad, per_sample_grad_matrix, per_sample_grad_norms
-from .rng import named_stream
+from .rng import named_stream, uniform_batch
 
 MAX_DENSE_PARAMS = 2000
 MAX_ENUM_SUBSETS = 1_000_000
@@ -179,25 +179,6 @@ def exact_noise_trace(w: ParamVector, ds: Dataset, eta: float, batch_size: int) 
     return _noise_trace(sq_norms, total.values, eta, batch_size)
 
 
-def _first_by_key(keys: np.ndarray, b: int) -> np.ndarray:
-    """Columns of the b smallest keys in each row, in key order.
-
-    Equals ``np.argsort(keys, axis=1)[:, :b]`` index for index, in O(N) per
-    row: a partial selection keeps the b + 1 smallest keys and only those are
-    sorted. The (b + 1)-th key shows whether the b-th one is tied with a key
-    left out. When any of the b + 1 smallest keys tie, or b = N, the full
-    argsort decides, so tied keys come out in exactly its order.
-    """
-    n = keys.shape[1]
-    if b < n:
-        part = np.argpartition(keys, b, axis=1)[:, : b + 1]
-        head = np.take_along_axis(keys, part, axis=1)
-        order = np.argsort(head, axis=1)
-        if np.diff(np.take_along_axis(head, order, axis=1), axis=1).all():
-            return np.take_along_axis(part, order[:, :b], axis=1)
-    return np.argsort(keys, axis=1)[:, :b]
-
-
 def _index_pairs(
     seed: int,
     stream_index: int,
@@ -209,21 +190,20 @@ def _index_pairs(
 ):
     """Yield (primary, enhancement) chunks of uniform without-replacement draws.
 
-    Each chunk is a (k, B) index matrix. Every row draws N iid uniform keys,
-    one per sample, and its batch is the first B positions of the ordering
-    by key: a uniformly random B-subset in random order. The batch is found
-    by partial selection, with a full sort when keys tie, so it matches a
-    full argsort of the keys index for index. Primary batches come from the
-    "noise-primary" stream of ``seed``, enhancement batches from the
-    independent "noise-enhancement" stream. At alpha = 1 no enhancement
-    batch is needed, so that stream is not drawn and None stands in for its
-    chunks.
+    Each chunk is a (k, B) index matrix. Every row is one ``uniform_batch``
+    draw, the sampler training uses for B': a uniformly random B-subset in
+    random order, at O(B) cost for B small against N. Primary batches come
+    from the "noise-primary-v2" stream of ``seed``, enhancement batches from
+    the independent "noise-enhancement-v2" stream. Each stream is drawn once
+    per row, so the chunk size bounds memory only and never changes which
+    rows are drawn. At alpha = 1 no enhancement batch is needed, so that
+    stream is not drawn and None stands in for its chunks.
     """
-    rng_p = named_stream(seed, "noise-primary", stream_index)
-    rng_e = None if alpha == 1.0 else named_stream(seed, "noise-enhancement", stream_index)
+    rng_p = named_stream(seed, "noise-primary-v2", stream_index)
+    rng_e = None if alpha == 1.0 else named_stream(seed, "noise-enhancement-v2", stream_index)
 
     def batches(rng: np.random.Generator, k: int) -> np.ndarray:
-        return _first_by_key(rng.random((k, n_total)), batch_size)
+        return np.array([uniform_batch(rng, n_total, batch_size) for _ in range(k)])
 
     for start in range(0, n_draws, chunk_size):
         k = min(chunk_size, n_draws - start)
@@ -241,10 +221,11 @@ def sample_ne_noise(
 ) -> np.ndarray:
     """Monte Carlo enhanced noise samples alpha*xi + (1-alpha)*xi'.
 
-    Primary batches S come from the "noise-primary" stream of ``seed`` and
-    enhancement batches S' from the independent "noise-enhancement" stream.
-    At alpha = 1 the enhancement stream is not drawn and each row is the
-    vanilla noise eta * (mean(G[S]) - g_bar).
+    Batches come from ``_index_pairs``: S from the "noise-primary-v2" stream
+    of ``seed`` and S' from the independent "noise-enhancement-v2" stream,
+    one ``uniform_batch`` draw each per row, in chunks of 512 rows that only
+    bound the (rows, B, P) gather. At alpha = 1 the enhancement stream is not
+    drawn and each row is the vanilla noise eta * (mean(G[S]) - g_bar).
     """
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
@@ -341,9 +322,11 @@ def probe_noise(
     samples are then generated minibatch-pair by minibatch-pair (two batched
     gradient evaluations each) and folded into per-coordinate raw moment
     accumulators, so memory stays at O(P) regardless of model size. The
-    enhancement ratio divides the empirical enhanced trace by the vanilla
-    trace. The median excess kurtosis skips coordinates whose sampled noise
-    is the same in every draw.
+    pairs are ``_index_pairs`` draws on the v2 noise streams at
+    ``stream_index``, so each checkpoint gets fresh batches, and a draw costs
+    O(B) rather than O(N). The enhancement ratio divides the empirical
+    enhanced trace by the vanilla trace. The median excess kurtosis skips
+    coordinates whose sampled noise is the same in every draw.
     """
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")

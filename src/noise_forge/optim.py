@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataio import Dataset
 from .model import ParamVector, loss_and_grad
-from .rng import named_stream
+from .rng import named_stream, uniform_batch
 
 
 class DivergenceError(FloatingPointError):
@@ -105,7 +105,7 @@ def sample_minibatch_pair(
 
     The primary batch advances the epoch partition; the enhancement batch
     is an independent uniform draw without replacement from the full index
-    range, resampled every call.
+    range (``rng.uniform_batch``), resampled every call.
     """
     n, b = epoch_state.n_samples, epoch_state.batch_size
     if epoch_state.cursor + b > n:
@@ -114,8 +114,7 @@ def sample_minibatch_pair(
         epoch_state.epoch += 1
     primary = epoch_state.order[epoch_state.cursor : epoch_state.cursor + b].copy()
     epoch_state.cursor += b
-    enhancement = enhancement_rng.choice(n, size=b, replace=False)
-    return primary, enhancement.astype(np.int64)
+    return primary, uniform_batch(enhancement_rng, n, b)
 
 
 @dataclass

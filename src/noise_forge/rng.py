@@ -8,6 +8,12 @@ through ``numpy.random.SeedSequence`` spawn keys, so
 * distinct names never share state, and
 * disabling one consumer (say, the enhancement batch) leaves every other
   stream's draw sequence untouched.
+
+A change to how a consumer draws from its stream gets a new stream name and
+id instead of a new meaning for the old ones: an old name then fails loudly
+rather than silently producing different numbers under the same seed. Both
+the training enhancement batch and the noise-lab batches are drawn by
+``uniform_batch``.
 """
 
 from __future__ import annotations
@@ -22,10 +28,20 @@ _STREAM_IDS = {
     "enhancement-batch": 2,
     "split": 3,
     "subset": 4,
-    "noise-primary": 5,
-    "noise-enhancement": 6,
+    # ids 5 and 6 are retired (see _RETIRED_STREAMS) and never handed out again
     "synthetic": 7,
     "projection": 8,
+    "noise-primary-v2": 9,
+    "noise-enhancement-v2": 10,
+}
+
+# Retired stream name -> (its id, the stream that replaces it). The v1
+# noise-lab streams picked each batch as the B smallest of N uniform keys;
+# the v2 streams draw it with uniform_batch, so the same seed gives other
+# batches.
+_RETIRED_STREAMS = {
+    "noise-primary": (5, "noise-primary-v2"),
+    "noise-enhancement": (6, "noise-enhancement-v2"),
 }
 
 
@@ -40,6 +56,10 @@ def named_stream(root_seed: int, name: str, index: int = 0) -> np.random.Generat
     ``index`` selects a sub-stream (used e.g. for per-checkpoint noise
     probes) and defaults to 0.
     """
+    if name in _RETIRED_STREAMS:
+        raise ValueError(
+            f"stream {name!r} is retired; use {_RETIRED_STREAMS[name][1]!r}"
+        )
     if name not in _STREAM_IDS:
         raise ValueError(
             f"unknown stream name {name!r}; expected one of {stream_names()}"
@@ -51,3 +71,12 @@ def named_stream(root_seed: int, name: str, index: int = 0) -> np.random.Generat
         raise ValueError("stream index must be non-negative")
     ss = np.random.SeedSequence(root_seed, spawn_key=(_STREAM_IDS[name], int(index)))
     return np.random.default_rng(ss)
+
+
+def uniform_batch(rng: np.random.Generator, n: int, b: int) -> np.ndarray:
+    """b distinct indices drawn uniformly from range(n), in random order.
+
+    One ``rng.choice(n, b, replace=False)`` call: numpy's set sample, which
+    costs O(b) for b small against n (Bentley & Floyd 1987).
+    """
+    return rng.choice(n, size=b, replace=False).astype(np.int64, copy=False)

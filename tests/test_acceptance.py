@@ -306,8 +306,21 @@ def test_c8_desk_scale_directional_run_synthetic(tmp_path):
     t0 = time.perf_counter()
     cfg = resolve_config(None, list(DESK_SCALE_SETS))
     tc = build_train_config(cfg)
-    alpha_sweep = harness.sweep_alpha(tc, [1.0, 1.5, 2.0], b_fixed=100)
-    batch_sweep = harness.sweep_batch(tc, [50, 100], alpha_fixed=1.0)
+    alpha_plan = harness.SweepPlan.over_alpha(tc, [1.0, 1.5, 2.0], b_fixed=100)
+    batch_plan = harness.SweepPlan.over_batch(tc, [50, 100], alpha_fixed=1.0)
+    # The batch sweep's B = 100 cell is the alpha sweep's alpha = 1 cell: same
+    # config, same seeds, so it is run once and shared.
+    shared = alpha_plan.configs[0]
+    assert config_hash(batch_plan.configs[1]) == config_hash(shared)
+    assert batch_plan.configs[1].seeds == shared.seeds
+    alpha_sweep = alpha_plan.run()
+    assert [r.seed for r in alpha_sweep.cells[0].records] == list(shared.seeds)
+    batch_sweep = harness.SweepResult(
+        batch_plan.axis,
+        batch_plan.values,
+        batch_plan.fixed_value,
+        (harness.repeat_runs(batch_plan.configs[0]), alpha_sweep.cells[0]),
+    )
     elapsed = time.perf_counter() - t0
 
     n_seeds = len(tc.seeds)

@@ -466,6 +466,26 @@ class TestUsageErrors:
         assert runs == []
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, setting, message",
+        [
+            ("sweep-b", "sweep.b_grid=[16,100000]", "batch_size exceeds training set size"),
+            ("sweep-alpha", "sweep.alpha_grid=[1.0,0.5]", "alpha must be >= 1"),
+        ],
+    )
+    def test_rejected_sweep_grid_leaves_no_output(
+        self, command, setting, message, tmp_path, monkeypatch, capsys
+    ):
+        runs = []
+        monkeypatch.setattr(harness, "train_run", lambda *args, **kw: runs.append(args))
+        out = tmp_path / "out"
+        config = write_config(tmp_path, {"sweep.b_fixed": 4})
+        rc = parse_and_dispatch([command, "--config", config, "--out", str(out), "--set", setting])
+        assert rc == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert runs == []
+        assert not out.exists()
+
     def test_unknown_set_key(self, capsys):
         rc = parse_and_dispatch(["train", "--set", "no.such.key=1"])
         assert rc == 1

@@ -203,19 +203,19 @@ class TestNoiseSamplers:
 
     def test_alpha_one_reproduces_vanilla_bitwise(self):
         # alpha = 1 is the vanilla sampler: eta * (mean(G[S]) - g_bar) over the
-        # "noise-primary" draws, the first B positions of an argsort of uniforms;
-        # alpha = 2 adds the "noise-enhancement" draws.
+        # "noise-primary-v2" draws, one choice(n, 3, replace=False) per row;
+        # alpha = 2 adds the "noise-enhancement-v2" draws.
         g = per_sample_grad_matrix(self.w, self.ds)
         n = self.ds.n_samples
 
         def vanilla(stream):
-            u = named_stream(7, stream, 0).random((50, n))
-            idx = np.argsort(u, axis=1)[:, :3]
+            rng = named_stream(7, stream, 0)
+            idx = np.array([rng.choice(n, 3, replace=False) for _ in range(50)])
             return 0.1 * (g[idx].mean(axis=1) - g.mean(axis=0))
 
-        xi = vanilla("noise-primary")
+        xi = vanilla("noise-primary-v2")
         assert np.array_equal(xi, sample_ne_noise(self.w, self.ds, 0.1, 3, 1.0, 50, seed=7))
-        enhanced = 2.0 * xi + (1.0 - 2.0) * vanilla("noise-enhancement")
+        enhanced = 2.0 * xi + (1.0 - 2.0) * vanilla("noise-enhancement-v2")
         sampled = sample_ne_noise(self.w, self.ds, 0.1, 3, 2.0, 50, seed=7)
         assert np.array_equal(enhanced, sampled)
 
@@ -257,48 +257,44 @@ class TestNoiseSamplers:
         assert ratio == pytest.approx(5.0, rel=0.10)
 
 
-def _tie(keys, lo, hi):
-    """Give each row's keys at sorted positions lo..hi the value at position lo."""
-    order = np.argsort(keys, axis=1)
-    rows = np.arange(keys.shape[0])[:, None]
-    keys[rows, order[:, lo : hi + 1]] = keys[rows, order[:, lo : lo + 1]]
-    return keys
+class TestIndexPairs:
+    # properties of the noise-lab batch draw itself, on N = 12, B = 3
+    N, B = 12, 3
 
+    def draws(self, alpha, n_draws, seed=4, stream_index=0):
+        pairs = list(noiselab._index_pairs(seed, stream_index, alpha, n_draws, self.N, self.B, 64))
+        primary = np.vstack([p for p, _ in pairs])
+        enhancement = None if alpha == 1.0 else np.vstack([e for _, e in pairs])
+        return primary, enhancement
 
-class TestFirstByKey:
-    # the batch sampler's selection must equal the first b columns of a full
-    # argsort index for index, tied keys included. B is large on purpose: on
-    # short heads numpy's argsort often orders tied keys as the full-row
-    # argsort does, which would hide a missing tie fallback.
-    N, B = 600, 300
+    def test_rows_hold_distinct_indices_in_range(self):
+        for batches in self.draws(2.0, 500):
+            assert batches.shape == (500, self.B)
+            assert batches.dtype == np.int64
+            assert batches.min() >= 0 and batches.max() < self.N
+            assert all(len(np.unique(row)) == self.B for row in batches)
 
-    def keys(self, seed=0):
-        return np.random.default_rng(seed).random((40, self.N))
+    def test_primary_batches_do_not_depend_on_alpha(self):
+        for stream_index in (0, 3):
+            at_one, none = self.draws(1.0, 100, stream_index=stream_index)
+            at_two, enhancement = self.draws(2.0, 100, stream_index=stream_index)
+            assert none is None
+            assert np.array_equal(at_one, at_two)
+            assert not np.array_equal(at_two, enhancement)
 
-    @pytest.mark.parametrize(
-        "case",
-        ["random", "tie-inside", "tie-at-edge", "tie-past-edge", "many-ties"],
-    )
-    def test_matches_full_argsort(self, case):
-        keys = self.keys()
-        b = self.B
-        if case == "tie-inside":
-            keys = _tie(keys, 2, b - 2)
-        elif case == "tie-at-edge":
-            keys = _tie(keys, b - 40, b + 40)
-        elif case == "tie-past-edge":
-            keys = _tie(keys, b, b + 80)
-        elif case == "many-ties":
-            keys = np.floor(keys * 30.0)
-        expected = np.argsort(keys, axis=1)[:, :b]
-        assert np.array_equal(noiselab._first_by_key(keys, b), expected)
-
-    @pytest.mark.parametrize("b", [1, N - 1, N])
-    @pytest.mark.parametrize("tied", [False, True])
-    def test_batch_size_extremes(self, b, tied):
-        keys = np.floor(self.keys(1) * 30.0) if tied else self.keys(1)
-        expected = np.argsort(keys, axis=1)[:, :b]
-        assert np.array_equal(noiselab._first_by_key(keys, b), expected)
+    def test_inclusion_frequency_is_uniform(self):
+        # Each index lands in a draw with probability p = B/N, so its count
+        # over D draws is Binomial(D, p): mean D*p, sd sqrt(D*p*(1-p)) =
+        # 61.2 at D = 20,000, p = 1/4. The bound is 4.5 sd (275 draws). A
+        # correct sampler breaks it for one of the 24 counts below with
+        # probability < 24 * 6.8e-6 = 1.6e-4. An index that is never drawn,
+        # or whose inclusion rate is off by 6% (300 draws), breaks it.
+        draws = 20_000
+        p = self.B / self.N
+        bound = 4.5 * math.sqrt(draws * p * (1.0 - p))
+        for batches in self.draws(2.0, draws, seed=11):
+            counts = np.bincount(batches.ravel(), minlength=self.N)
+            assert np.all(np.abs(counts - draws * p) <= bound), counts
 
 
 class TestKurtosis:
