@@ -21,7 +21,7 @@ from noise_forge.noiselab import (
     probe_noise,
     sample_ne_noise,
 )
-from noise_forge.rng import named_stream
+from noise_forge.rng import named_stream, uniform_batch
 
 # per-sample scalar "gradients" with known exact noise variance:
 # N=4, B=2, eta=1 gives (1/2) * (2/3) * var([1,2,3,6]) = (1/2)(2/3)(3.5) = 7/6
@@ -295,6 +295,34 @@ class TestIndexPairs:
         for batches in self.draws(2.0, draws, seed=11):
             counts = np.bincount(batches.ravel(), minlength=self.N)
             assert np.all(np.abs(counts - draws * p) <= bound), counts
+
+
+class TestFirstByKey:
+    # The retired noise-lab draw took the first b columns of a full argsort of
+    # N uniform keys. uniform_batch must keep its law: every ordered b-tuple
+    # of distinct indices, order within the batch included, equally likely.
+    N, B = 5, 2
+
+    def ordered_pair_counts(self, batches):
+        codes = batches[:, 0] * self.N + batches[:, 1]
+        return np.bincount(codes, minlength=self.N * self.N).reshape(self.N, self.N)
+
+    @pytest.mark.parametrize("case", ["random"])
+    def test_matches_full_argsort(self, case):
+        # 20 ordered pairs, each Binomial(D, 1/20): sd 30.8 at D = 20,000; the
+        # bound is 4.5 sd. A sampler that returned its batch sorted, or swapped
+        # index 0 to the front in 20% of the draws that hold it second, breaks it.
+        draws = 20_000
+        gen = np.random.default_rng(12)
+        by_key = np.argsort(gen.random((draws, self.N)), axis=1)[:, : self.B]
+        drawn = np.array([uniform_batch(gen, self.N, self.B) for _ in range(draws)])
+        p = 1.0 / (self.N * (self.N - 1))
+        bound = 4.5 * math.sqrt(draws * p * (1.0 - p))
+        off_diagonal = ~np.eye(self.N, dtype=bool)
+        for batches in (by_key, drawn):
+            counts = self.ordered_pair_counts(batches)
+            assert np.all(np.diag(counts) == 0)
+            assert np.all(np.abs(counts[off_diagonal] - draws * p) <= bound), counts
 
 
 class TestKurtosis:
