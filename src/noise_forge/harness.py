@@ -180,7 +180,9 @@ def _run(
             status = STATUS_DID_NOT_CONVERGE
             break
         try:
-            w, log = training_step(w, cfg.train_data, cfg.ne, state, streams)
+            w, log = training_step(
+                w, cfg.train_data, cfg.ne, state, streams, log=step_writer is not None
+            )
         except FloatingPointError:
             status = STATUS_DIVERGED
             break

@@ -11,11 +11,19 @@ noise lab treat gradients as plain vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .dataio import Dataset
 from .rng import named_stream
+
+# Rows per chunk of each entry point. One chunk is live at a time, so no
+# pass holds more than 4096 rows of activations, whatever the index set.
+_EVAL_ROWS = 4096  # mean_loss, evaluate_accuracy
+_GRAD_ROWS = 4096  # loss_and_grad
+_NORM_ROWS = 1024  # per_sample_grad_norms
+_MATRIX_ROWS = 256  # per_sample_grad_matrix
 
 
 def param_count(dims: tuple[int, ...]) -> int:
@@ -23,6 +31,18 @@ def param_count(dims: tuple[int, ...]) -> int:
     if len(dims) < 2 or any(int(d) < 1 for d in dims):
         raise ValueError("dims needs >= 2 entries, all positive")
     return sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(len(dims) - 1))
+
+
+@cache
+def _layout(dims: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(parameter count, (weights_offset, bias_offset) per layer) of ``dims``."""
+    offsets = []
+    off = 0
+    for i in range(len(dims) - 1):
+        f_in, f_out = dims[i], dims[i + 1]
+        offsets.append((off, off + f_in * f_out))
+        off += f_in * f_out + f_out
+    return param_count(dims), tuple(offsets)
 
 
 class ParamVector:
@@ -41,24 +61,18 @@ class ParamVector:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1:
             raise ValueError("values must be 1-D")
-        expected = param_count(dims)
+        expected, self._offsets = _layout(dims)
         if values.shape[0] != expected:
             raise ValueError(
                 f"values has {values.shape[0]} entries, dims {dims} need {expected}"
             )
         self.values = values
         self.dims = dims
-        offsets = []
-        off = 0
-        for i in range(len(dims) - 1):
-            f_in, f_out = dims[i], dims[i + 1]
-            offsets.append((off, off + f_in * f_out))
-            off += f_in * f_out + f_out
-        self._offsets = tuple(offsets)
 
     @classmethod
     def zeros(cls, dims: tuple[int, ...]) -> "ParamVector":
-        return cls(np.zeros(param_count(tuple(dims))), tuple(dims))
+        dims = tuple(int(d) for d in dims)
+        return cls(np.zeros(_layout(dims)[0]), dims)
 
     @property
     def n_layers(self) -> int:
@@ -136,7 +150,41 @@ def _resolve_index(ds: Dataset, idx: np.ndarray | None) -> np.ndarray:
     return idx
 
 
-def _chunks(w: ParamVector, ds: Dataset, idx: np.ndarray, chunk_size: int, backward: bool = True):
+# The training step's work arrays, one set per dims: (forward, backward)
+# lists, grown to the largest loss_and_grad chunk and never shrunk. "forward"
+# holds the activations, the log-softmax, the softmax exponentials and the
+# row maxima/sums; "backward" the per-layer dz.
+_BUFFERS: dict[tuple[int, ...], tuple[list[np.ndarray], list[np.ndarray]]] = {}
+
+
+def _block(rows: int, widths: tuple[int, ...]) -> list[np.ndarray]:
+    """One (rows, width) array per width, carved from a single allocation."""
+    flat = np.empty(rows * sum(widths))
+    ends = np.cumsum(widths) * rows
+    return [flat[end - rows * d : end].reshape(rows, d) for d, end in zip(widths, ends)]
+
+
+def _buffers(dims: tuple[int, ...], rows: int, backward: bool, keep: bool):
+    """(forward, backward) buffers of at least ``rows`` rows; see _chunks."""
+    kept = _BUFFERS.get(dims)
+    if kept is not None and kept[0][0].shape[0] >= rows:
+        return kept
+    fwd = _block(rows, (*dims, dims[-1], dims[-1], 1))
+    bwd = _block(rows, dims[1:]) if backward or keep else []
+    if keep:
+        _BUFFERS[dims] = (fwd, bwd)
+    return fwd, bwd
+
+
+def _chunks(
+    w: ParamVector,
+    ds: Dataset,
+    idx: np.ndarray,
+    chunk_size: int,
+    backward: bool = True,
+    weights: np.ndarray | None = None,
+    keep: bool = False,
+):
     """The one forward (and backward) pass, over the resolved ``idx`` in chunks.
 
     Yields (part, labels, acts, logp, dzs) per chunk: ``part`` is the
@@ -146,63 +194,117 @@ def _chunks(w: ParamVector, ds: Dataset, idx: np.ndarray, chunk_size: int, backw
     d(sum of losses)/d(z_layer): the last is softmax(logits) - onehot (no
     1/B scaling), earlier ones go through the transposed weights with the
     ReLU mask taken from the post-activations (relu'(0) counted as 0).
-    Without it ``dzs`` is empty. ``Dataset`` guarantees finite float64
+    With ``weights`` (one per row of ``idx``) row i of the last dz is scaled
+    by weights[i], and, backprop being linear, so is row i of every dz:
+    they are then the derivatives of sum_i weights[i] * loss_i. Without
+    ``backward`` ``dzs`` is empty. ``Dataset`` guarantees finite float64
     inputs, so only the width is checked.
+
+    Every chunk is computed into the same buffers, so one chunk is live at
+    a time. With ``keep`` (loss_and_grad, the training step's pass) they
+    stay for later calls on the same dims. Other passes use the kept
+    buffers when they are large enough and otherwise their own, freed with
+    the call, so a full-data pass leaves no memory behind. Every array
+    yielded is a view that the next chunk or call overwrites: a consumer
+    finishes with a chunk before it advances the generator, copies what it
+    returns, and calls no other entry point while it iterates.
     """
     if ds.input_dim != w.dims[0]:
         raise ValueError(f"dataset has {ds.input_dim} columns, model expects {w.dims[0]}")
     last = w.n_layers - 1
+    fwd, bwd = _buffers(w.dims, min(chunk_size, idx.shape[0]), backward, keep)
     for start in range(0, idx.shape[0], chunk_size):
         rows = idx[start : start + chunk_size]
+        n = rows.shape[0]
         labels = ds.labels[rows]
-        acts = [ds.inputs[rows]]
+        acts = [a[:n] for a in fwd[: last + 2]]
+        logp, expd, col = (a[:n] for a in fwd[last + 2 :])
+        # idx is checked by _resolve_index; "clip" lets take write to out unbuffered
+        np.take(ds.inputs, rows, axis=0, out=acts[0], mode="clip")
         for layer in range(w.n_layers):
-            z = acts[-1] @ w.weights(layer) + w.bias(layer)
-            acts.append(np.maximum(z, 0.0) if layer < last else z)
-        shifted = acts[-1] - acts[-1].max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            z = acts[layer + 1]
+            np.matmul(acts[layer], w.weights(layer), out=z)
+            np.add(z, w.bias(layer), out=z)
+            if layer < last:
+                np.maximum(z, 0.0, out=z)
+        np.max(acts[-1], axis=1, keepdims=True, out=col)
+        np.subtract(acts[-1], col, out=logp)
+        np.exp(logp, out=expd)
+        np.sum(expd, axis=1, keepdims=True, out=col)
+        np.log(col, out=col)
+        np.subtract(logp, col, out=logp)
         dzs = []
         if backward:
-            dzs.append(np.exp(logp))
-            dzs[0][np.arange(rows.shape[0]), labels] -= 1.0
+            dzs = [d[:n] for d in bwd]
+            np.exp(logp, out=dzs[-1])
+            dzs[-1][np.arange(n), labels] -= 1.0
+            if weights is not None:
+                np.multiply(dzs[-1], weights[start : start + n, None], out=dzs[-1])
             for layer in range(last, 0, -1):
-                dzs.insert(0, (dzs[0] @ w.weights(layer).T) * (acts[layer] > 0.0))
-        yield slice(start, start + rows.shape[0]), labels, acts, logp, dzs
+                dz = dzs[layer - 1]
+                np.matmul(dzs[layer], w.weights(layer).T, out=dz)
+                np.multiply(dz, acts[layer] > 0.0, out=dz)
+        yield slice(start, start + n), labels, acts, logp, dzs
 
 
-def mean_loss(
-    w: ParamVector, ds: Dataset, idx: np.ndarray | None = None, chunk_size: int = 4096
-) -> float:
+def mean_loss(w: ParamVector, ds: Dataset, idx: np.ndarray | None = None) -> float:
     """Mean cross-entropy over the indexed samples (all samples when idx is None)."""
     idx = _resolve_index(ds, idx)
     total = 0.0
-    for _, labels, _, logp, _ in _chunks(w, ds, idx, chunk_size, backward=False):
+    for _, labels, _, logp, _ in _chunks(w, ds, idx, _EVAL_ROWS, backward=False):
         total += -logp[np.arange(labels.shape[0]), labels].sum()
     return float(total / idx.shape[0])
 
 
 def loss_and_grad(
-    w: ParamVector, ds: Dataset, idx: np.ndarray | None = None
+    w: ParamVector,
+    ds: Dataset,
+    idx: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
 ) -> tuple[float, ParamVector]:
-    """Mean loss over the index set and its gradient as a ParamVector.
+    """Loss over the index set and its gradient as a ParamVector, in one pass.
 
-    Passing the full index set (or None) yields the full-dataset loss and
-    gradient. The reduction order is fixed, so results are deterministic
-    for a given (w, ds, idx).
+    Without ``weights`` the loss is the mean cross-entropy over ``idx``
+    (all samples when None); with them, one float per row of ``idx``, it is
+    sum_i weights[i] * loss_i. Either way the gradient is that of the loss
+    returned. So ``idx = B then B'`` with weights alpha/|B| on B and
+    (1 - alpha)/|B'| on B' gives the noise-enhanced direction
+    alpha * grad(B) + (1 - alpha) * grad(B') from one pass; it rounds
+    differently from combining two gradients, by about 1e-15 of its norm.
+
+    Rows go through the kernel in chunks of up to 4096, so an unweighted
+    index set of up to 4096 rows gets acts.T @ dz / len(idx) from one GEMM
+    per layer; larger sets sum the chunks' products. The reduction order is
+    fixed, so results are deterministic for given (w, ds, idx, weights). The
+    returned gradient is a fresh vector that later calls do not touch.
     """
     idx = _resolve_index(ds, idx)
-    b = idx.shape[0]
-    ((_, labels, acts, logp, dzs),) = _chunks(w, ds, idx, b)
-    loss = float(-logp[np.arange(b), labels].mean())
-    grad = ParamVector.zeros(w.dims)
-    for layer in range(w.n_layers):
-        grad.weights(layer)[:] = acts[layer].T @ dzs[layer] / b
-        grad.bias(layer)[:] = dzs[layer].sum(axis=0) / b
-    return loss, grad
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != idx.shape:
+            raise ValueError("weights need one entry per index")
+    grad = ParamVector(np.empty(len(w)), w.dims)
+    total = -0.0  # -0.0 - s is -s for every s, 0.0 included: one chunk gives -mean
+    chunks = _chunks(w, ds, idx, _GRAD_ROWS, weights=weights, keep=True)
+    for part, labels, acts, logp, dzs in chunks:
+        picked = logp[np.arange(labels.shape[0]), labels]
+        total -= picked.sum() if weights is None else weights[part] @ picked
+        for layer in range(w.n_layers):
+            gw, gb = grad.weights(layer), grad.bias(layer)
+            if part.start == 0:
+                np.matmul(acts[layer].T, dzs[layer], out=gw)
+                np.sum(dzs[layer], axis=0, out=gb)
+            else:
+                gw += acts[layer].T @ dzs[layer]
+                gb += dzs[layer].sum(axis=0)
+    if weights is None:
+        grad.values /= idx.shape[0]
+        total /= idx.shape[0]
+    return float(total), grad
 
 
 def per_sample_grad_matrix(
-    w: ParamVector, ds: Dataset, idx: np.ndarray | None = None, chunk_size: int = 256
+    w: ParamVector, ds: Dataset, idx: np.ndarray | None = None
 ) -> np.ndarray:
     """Stack per-sample loss gradients into a (len(idx), P) matrix.
 
@@ -211,7 +313,7 @@ def per_sample_grad_matrix(
     """
     idx = _resolve_index(ds, idx)
     out = np.empty((idx.shape[0], len(w)))
-    for part, _, acts, _, dzs in _chunks(w, ds, idx, chunk_size):
+    for part, _, acts, _, dzs in _chunks(w, ds, idx, _MATRIX_ROWS):
         block = out[part]
         for layer in range(w.n_layers):
             w_off, b_off = w.slots(layer)
@@ -223,7 +325,7 @@ def per_sample_grad_matrix(
 
 
 def per_sample_grad_norms(
-    w: ParamVector, ds: Dataset, idx: np.ndarray | None = None, chunk_size: int = 1024
+    w: ParamVector, ds: Dataset, idx: np.ndarray | None = None
 ) -> tuple[np.ndarray, ParamVector]:
     """Squared per-sample gradient norms plus the summed gradient, streamed.
 
@@ -235,7 +337,7 @@ def per_sample_grad_norms(
     idx = _resolve_index(ds, idx)
     sq_norms = np.zeros(idx.shape[0])
     total = ParamVector.zeros(w.dims)
-    for part, _, acts, _, dzs in _chunks(w, ds, idx, chunk_size):
+    for part, _, acts, _, dzs in _chunks(w, ds, idx, _NORM_ROWS):
         for layer in range(w.n_layers):
             a_sq = np.einsum("bi,bi->b", acts[layer], acts[layer])
             dz_sq = np.einsum("bo,bo->b", dzs[layer], dzs[layer])
@@ -245,14 +347,13 @@ def per_sample_grad_norms(
     return sq_norms, total
 
 
-def evaluate_accuracy(w: ParamVector, ds: Dataset, chunk_size: int = 4096) -> float:
+def evaluate_accuracy(w: ParamVector, ds: Dataset) -> float:
     """Fraction of samples whose argmax logit matches the label.
 
     Ties resolve to the lowest class index (numpy argmax), so the value is
     deterministic; an all-zero parameter vector predicts class 0 everywhere.
     """
     correct = 0
-    for _, labels, acts, _, _ in _chunks(w, ds, _resolve_index(ds, None), chunk_size, backward=False):
+    for _, labels, acts, _, _ in _chunks(w, ds, _resolve_index(ds, None), _EVAL_ROWS, backward=False):
         correct += int((acts[-1].argmax(axis=1) == labels).sum())
     return correct / ds.n_samples
-

@@ -319,8 +319,10 @@ def probe_noise(
     One streamed pass over the dataset gives the per-sample squared gradient
     norms and the summed gradient, and from them the full gradient, the
     exact closed-form vanilla trace and the gradient diversity. Enhanced
-    samples are then generated minibatch-pair by minibatch-pair (two batched
-    gradient evaluations each) and folded into per-coordinate raw moment
+    samples are then generated minibatch-pair by minibatch-pair (one
+    ``loss_and_grad`` call each, weighted over S then S' at alpha != 1, so
+    it rounds differently from combining two gradients by about 1e-15 of
+    the noise) and folded into per-coordinate raw moment
     accumulators, so memory stays at O(P) regardless of model size. The
     pairs are ``_index_pairs`` draws on the v2 noise streams at
     ``stream_index``, so each checkpoint gets fresh batches, and a draw costs
@@ -344,14 +346,17 @@ def probe_noise(
     s4 = np.zeros(p)
     first = None
     varies = np.zeros(p, dtype=bool)
+    # alpha * xi + (1 - alpha) * xi' = eta * (combined - base), as the weights
+    # sum to 1; one weighted pass over S then S' gives the combined gradient
+    weights = None
+    if alpha != 1.0:
+        weights = np.repeat((alpha / batch_size, (1.0 - alpha) / batch_size), batch_size)
     pairs = _index_pairs(seed, stream_index, alpha, n_samples, n, batch_size, 64)
     for idx_p, idx_e in pairs:
-        for row in range(idx_p.shape[0]):
-            _, gp = loss_and_grad(w, ds, idx_p[row])
-            xi = eta * (gp.values - base)
-            if idx_e is not None:
-                _, ge = loss_and_grad(w, ds, idx_e[row])
-                xi = alpha * xi + (1.0 - alpha) * (eta * (ge.values - base))
+        rows = idx_p if idx_e is None else np.hstack((idx_p, idx_e))
+        for idx in rows:
+            _, g = loss_and_grad(w, ds, idx, weights)
+            xi = eta * (g.values - base)
             if first is None:
                 first = xi
             varies |= xi != first

@@ -262,7 +262,7 @@ def test_c7_protocol_halves_once_and_stops_at_threshold(monkeypatch):
     losses = iter([0.5, 0.008, 0.004, 0.002, 0.0009])
     monkeypatch.setattr(harness, "mean_loss", lambda w, ds, chunk_size=4096: next(losses))
 
-    def fake_step(w, ds, ne_cfg, state, streams):
+    def fake_step(w, ds, ne_cfg, state, streams, log=False):
         lr = state.learning_rate
         state.step_count += 1
         return w, StepLog(state.step_count, 0, 0.5, 1.0, None, 1.0, lr)

@@ -13,6 +13,7 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -48,3 +49,27 @@ def test_row_counted_functions_take_w_ds_idx_first(monkeypatch):
         func = getattr(importlib.import_module(f"noise_forge.{module_name}"), func_name)
         params = list(inspect.signature(func).parameters)[:3]
         assert params == ["w", "ds", "idx"], f"{module_name}.{func_name} takes {params}"
+
+
+@pytest.mark.parametrize("mode, alpha", [("pairwise", 1.0), ("pairwise", 1.5), ("off", 1.0)])
+def test_traced_steps_use_every_gradient_they_compute(monkeypatch, mode, alpha):
+    # perfbench's optim.useful_grad_frac divides by the loss_and_grad calls
+    # it finds under each training_step; a step that computes its direction
+    # any other way leaves it nothing to divide by.
+    from noise_forge import dataio, model, optim
+
+    spans = load_spans(monkeypatch)
+    centers = np.random.default_rng(0).standard_normal((3, 4))
+    ds = dataio.make_synthetic(dataio.SyntheticSpec(centers, 10, 0.5, 0))
+    w = model.glorot_init(model.MlpSpec(4, (6,), 3, seed=1))
+    config = optim.NEConfig(alpha=alpha, batch_size=5, mode=mode)
+    state = optim.OptimizerState(learning_rate=1e-2)
+    streams = optim.BatchStreams.from_seed(ds.n_samples, 5, 2)
+    tracer = spans.Tracer()
+    with tracer:
+        for _ in range(3):
+            w, _ = optim.training_step(w, ds, config, state, streams)
+    use = spans.grad_use(tracer.spans)
+    assert list(use) == [alpha]
+    useful, computed = use[alpha]
+    assert useful == computed >= 1

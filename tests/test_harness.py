@@ -72,7 +72,7 @@ def scripted_losses(monkeypatch, losses):
 
 def scripted_steps(monkeypatch, fail_at=None):
     """Replace the optimizer step with a no-op that advances the counter."""
-    def fake_step(w, ds, cfg, state, streams):
+    def fake_step(w, ds, cfg, state, streams, log=False):
         if fail_at is not None and state.step_count + 1 >= fail_at:
             raise DivergenceError("scripted failure")
         lr = state.learning_rate

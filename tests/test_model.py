@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from noise_forge import model
 from noise_forge.dataio import Dataset, SyntheticSpec, make_synthetic
 from noise_forge.model import (
     MlpSpec,
@@ -156,12 +157,13 @@ class TestLoss:
         loss, _ = loss_and_grad(w, ds)
         assert mean_loss(w, ds) == pytest.approx(loss, rel=1e-14)
 
-    def test_chunked_evaluation_matches_unchunked(self):
+    def test_chunked_evaluation_matches_unchunked(self, monkeypatch):
         ds = blob_dataset(n_per_class=9)
         w = glorot_init(MlpSpec(4, (5,), 3, seed=7))
-        assert mean_loss(w, ds, chunk_size=4) == pytest.approx(
-            mean_loss(w, ds, chunk_size=10_000), rel=1e-14
-        )
+        monkeypatch.setattr(model, "_EVAL_ROWS", 10_000)
+        whole = mean_loss(w, ds)
+        monkeypatch.setattr(model, "_EVAL_ROWS", 4)
+        assert mean_loss(w, ds) == pytest.approx(whole, rel=1e-14)
 
     def test_full_loss_equals_mean_over_equal_partition(self):
         ds = blob_dataset(n_per_class=4, classes=3)  # N = 12
@@ -195,6 +197,79 @@ class TestLoss:
         assert rel < 1e-6
 
 
+class TestWeightedLossAndGrad:
+    def setup_method(self):
+        self.ds = blob_dataset(seed=3, n_per_class=6, classes=3, dim=4)  # N = 18
+        self.w = glorot_init(MlpSpec(4, (6, 5), 3, seed=3))
+        self.idx = np.array([4, 0, 17, 9, 9, 2, 11])
+        self.weights = np.array([0.5, -1.25, 2.0, 0.0, 0.75, -0.5, 1.0])
+
+    def test_weighted_sum_of_per_sample_losses_and_gradients(self):
+        loss, grad = loss_and_grad(self.w, self.ds, self.idx, self.weights)
+        want_loss = 0.0
+        want_grad = np.zeros(len(self.w))
+        for i, weight in zip(self.idx, self.weights):
+            loss_i, grad_i = loss_and_grad(self.w, self.ds, np.array([i]))
+            want_loss += weight * loss_i
+            want_grad += weight * grad_i.values
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        np.testing.assert_allclose(grad.values, want_grad, rtol=0, atol=1e-14)
+
+    def test_weights_of_one_over_b_give_the_mean(self):
+        b = len(self.idx)
+        mean, g_mean = loss_and_grad(self.w, self.ds, self.idx)
+        loss, grad = loss_and_grad(self.w, self.ds, self.idx, np.full(b, 1.0 / b))
+        assert loss == pytest.approx(mean, rel=1e-14)
+        np.testing.assert_allclose(grad.values, g_mean.values, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_chunking_is_transparent(self, monkeypatch, weighted):
+        weights = self.weights if weighted else None
+        whole_loss, whole = loss_and_grad(self.w, self.ds, self.idx, weights)
+        for rows in (1, 3):
+            monkeypatch.setattr(model, "_GRAD_ROWS", rows)
+            loss, grad = loss_and_grad(self.w, self.ds, self.idx, weights)
+            assert loss == pytest.approx(whole_loss, rel=1e-14)
+            np.testing.assert_allclose(grad.values, whole.values, rtol=0, atol=1e-15)
+
+    def test_weights_must_match_the_index_set(self):
+        with pytest.raises(ValueError, match="weights"):
+            loss_and_grad(self.w, self.ds, self.idx, self.weights[:-1])
+        with pytest.raises(ValueError, match="weights"):
+            loss_and_grad(self.w, self.ds, None, self.weights)
+
+    def test_results_survive_later_calls(self, monkeypatch):
+        # the kernel reuses its buffers: nothing an entry point returns may share them
+        monkeypatch.setattr(model, "_GRAD_ROWS", 4)
+        loss, grad = loss_and_grad(self.w, self.ds, self.idx, self.weights)
+        sq, total = per_sample_grad_norms(self.w, self.ds, self.idx)
+        mat = per_sample_grad_matrix(self.w, self.ds, self.idx)
+        kept = [grad.values.copy(), sq.copy(), total.values.copy(), mat.copy()]
+        other = np.array([1, 3, 5, 6, 8, 10, 12, 13, 15])
+        loss_and_grad(self.w, self.ds, other)
+        loss_and_grad(self.w, self.ds, other, np.linspace(-1.0, 2.0, other.shape[0]))
+        per_sample_grad_norms(self.w, self.ds)
+        per_sample_grad_matrix(self.w, self.ds)
+        mean_loss(self.w, self.ds)
+        evaluate_accuracy(self.w, self.ds)
+        for now, before in zip([grad.values, sq, total.values, mat], kept):
+            np.testing.assert_array_equal(now, before)
+        assert loss_and_grad(self.w, self.ds, self.idx, self.weights)[0] == loss
+
+    def test_only_the_gradient_pass_keeps_its_buffers(self, monkeypatch):
+        # full-data passes bigger than any training chunk leave no memory behind
+        monkeypatch.setattr(model, "_BUFFERS", {})
+        dims = self.w.dims
+        per_sample_grad_norms(self.w, self.ds)
+        mean_loss(self.w, self.ds)
+        assert dims not in model._BUFFERS
+        loss_and_grad(self.w, self.ds, self.idx)
+        rows = model._BUFFERS[dims][0][0].shape[0]
+        assert rows == len(self.idx)
+        mean_loss(self.w, self.ds)
+        assert model._BUFFERS[dims][0][0].shape[0] == rows
+
+
 class TestPerSampleGradients:
     def setup_method(self):
         self.ds = blob_dataset(seed=8, n_per_class=5, classes=3, dim=4)
@@ -211,21 +286,25 @@ class TestPerSampleGradients:
         _, full = loss_and_grad(self.w, self.ds, None)
         np.testing.assert_allclose(mat.mean(axis=0), full.values, atol=1e-12)
 
-    def test_chunking_does_not_change_rows(self):
-        a = per_sample_grad_matrix(self.w, self.ds, chunk_size=4)
-        b = per_sample_grad_matrix(self.w, self.ds, chunk_size=64)
+    def test_chunking_does_not_change_rows(self, monkeypatch):
+        monkeypatch.setattr(model, "_MATRIX_ROWS", 4)
+        a = per_sample_grad_matrix(self.w, self.ds)
+        monkeypatch.setattr(model, "_MATRIX_ROWS", 64)
+        b = per_sample_grad_matrix(self.w, self.ds)
         np.testing.assert_array_equal(a, b)
 
-    def test_norms_total_is_the_batched_gradient_times_b(self):
+    def test_norms_total_is_the_batched_gradient_times_b(self, monkeypatch):
         idx = np.array([3, 0, 14, 7, 7, 9])
         _, grad = loss_and_grad(self.w, self.ds, idx)
-        _, total = per_sample_grad_norms(self.w, self.ds, idx, chunk_size=len(idx))
+        monkeypatch.setattr(model, "_NORM_ROWS", len(idx))
+        _, total = per_sample_grad_norms(self.w, self.ds, idx)
         np.testing.assert_array_equal(grad.values, total.values / len(idx))
 
-    def test_norms_do_not_depend_on_chunk_size(self):
+    def test_norms_do_not_depend_on_chunk_size(self, monkeypatch):
         sq, total = per_sample_grad_norms(self.w, self.ds)
         for chunk_size in (1, 4, 7):
-            sq_c, total_c = per_sample_grad_norms(self.w, self.ds, chunk_size=chunk_size)
+            monkeypatch.setattr(model, "_NORM_ROWS", chunk_size)
+            sq_c, total_c = per_sample_grad_norms(self.w, self.ds)
             np.testing.assert_allclose(sq_c, sq, rtol=1e-12)
             np.testing.assert_allclose(total_c.values, total.values, rtol=1e-12)
 
@@ -249,8 +328,10 @@ class TestAccuracy:
         pv = ParamVector(np.array([0.0, 10.0, 10.0, 0.0, 0.0, 0.0]), (2, 2))
         assert evaluate_accuracy(pv, ds) == 1.0
 
-    def test_chunking_matches(self):
+    def test_chunking_matches(self, monkeypatch):
         ds = blob_dataset(n_per_class=11)
         w = glorot_init(MlpSpec(4, (5,), 3, seed=1))
-        assert evaluate_accuracy(w, ds, chunk_size=3) == evaluate_accuracy(w, ds)
+        whole = evaluate_accuracy(w, ds)
+        monkeypatch.setattr(model, "_EVAL_ROWS", 3)
+        assert evaluate_accuracy(w, ds) == whole
 

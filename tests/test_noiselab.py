@@ -449,13 +449,13 @@ class TestProbe:
             rows["norms"].append(ds.n_samples if idx is None else len(idx))
             return norms(w, ds, idx, *args)
 
-        def counted_grad(w, ds, idx=None):
+        def counted_grad(w, ds, idx=None, weights=None):
             rows["grad"].append(ds.n_samples if idx is None else len(idx))
-            return grad(w, ds, idx)
+            return grad(w, ds, idx, weights)
 
         monkeypatch.setattr(noiselab, "per_sample_grad_norms", counted_norms)
         monkeypatch.setattr(noiselab, "loss_and_grad", counted_grad)
         probe_noise(self.w, self.ds, 0.1, 3, 2.0, 20, seed=4)
         assert rows["norms"] == [self.ds.n_samples]
-        assert len(rows["grad"]) == 40
-        assert max(rows["grad"]) <= 3
+        # one weighted call per draw over the 2B rows of S then S'
+        assert rows["grad"] == [6] * 20

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from noise_forge import optim
 from noise_forge.dataio import SyntheticSpec, make_synthetic
 from noise_forge.model import MlpSpec, ParamVector, glorot_init, loss_and_grad
 from noise_forge.optim import (
@@ -230,6 +231,44 @@ class TestAdamStep:
         adam_step(pv([0.0, 0.0], (1, 1)), pv([1.0, 1.0], (1, 1)), state)
         assert state.adam_m is not None and state.adam_v is not None
 
+    def test_in_place_update_is_bitwise_the_textbook_form(self):
+        # the form with temporaries, in the order the docstring states
+        def textbook(w, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * g**2
+            m_hat = m / (1.0 - beta1**t)
+            v_hat = v / (1.0 - beta2**t)
+            return w - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+        rng = np.random.default_rng(12)
+        dims = (6, 9, 3)
+        w = ParamVector(rng.standard_normal(93), dims)
+        ref_w, m, v = w.values.copy(), np.zeros(93), np.zeros(93)
+        state = OptimizerState(learning_rate=3e-3)
+        for t in range(1, 201):
+            if t == 120:
+                state.learning_rate *= 0.5  # the protocol's halving
+            g = rng.standard_normal(93) * 10.0 ** rng.uniform(-6, 2)
+            g[rng.random(93) < 0.1] = 0.0
+            before = w.values.copy()
+            w = adam_step(w, ParamVector(g, dims), state)
+            ref_w, m, v = textbook(ref_w, g, m, v, t, state.learning_rate)
+            np.testing.assert_array_equal(w.values, ref_w)
+            np.testing.assert_array_equal(state.adam_m, m)
+            np.testing.assert_array_equal(state.adam_v, v)
+            assert not np.array_equal(w.values, before)
+        assert state.step_count == 200
+
+    def test_non_finite_gradient_leaves_state_untouched(self):
+        state = OptimizerState(learning_rate=0.1)
+        w = adam_step(pv([0.0, 0.0], (1, 1)), pv([1.0, -2.0], (1, 1)), state)
+        m, v = state.adam_m.copy(), state.adam_v.copy()
+        with pytest.raises(DivergenceError):
+            adam_step(w, pv([np.inf, 0.0], (1, 1)), state)
+        np.testing.assert_array_equal(state.adam_m, m)
+        np.testing.assert_array_equal(state.adam_v, v)
+        assert state.step_count == 1
+
 
 class TestConfigValidation:
     def test_alpha_below_one_rejected(self):
@@ -268,7 +307,7 @@ class TestTrainingStep:
             ds, w, cfg, state, streams = self.make_parts(mode, alpha)
             logs = []
             for _ in range(20):
-                w, log = training_step(w, ds, cfg, state, streams)
+                w, log = training_step(w, ds, cfg, state, streams, log=True)
                 logs.append(log)
             runs[mode] = (w.values.copy(), logs)
         np.testing.assert_array_equal(runs["off"][0], runs["pairwise"][0])
@@ -278,14 +317,14 @@ class TestTrainingStep:
 
     def test_off_mode_skips_second_gradient_in_log(self):
         ds, w, cfg, state, streams = self.make_parts("off", 1.0)
-        _, log = training_step(w, ds, cfg, state, streams)
+        _, log = training_step(w, ds, cfg, state, streams, log=True)
         assert log.grad_norm_bprime is None
         assert log.step == 1 and log.epoch == 0
         assert log.lr == 0.05
 
     def test_pairwise_mode_logs_both_norms(self):
         ds, w, cfg, state, streams = self.make_parts("pairwise", 2.0)
-        _, log = training_step(w, ds, cfg, state, streams)
+        _, log = training_step(w, ds, cfg, state, streams, log=True)
         assert log.grad_norm_bprime is not None
         assert log.grad_norm_b >= 0.0
         assert log.combined_norm >= 0.0
@@ -332,3 +371,111 @@ class TestTrainingStep:
             return w.values
 
         np.testing.assert_array_equal(run(), run())
+
+    @pytest.mark.parametrize(
+        "mode, alpha, rows, weighted",
+        [("pairwise", 1.0, 4, False), ("off", 1.0, 4, False), ("pairwise", 1.5, 8, True)],
+    )
+    def test_one_gradient_pass_per_step(self, monkeypatch, mode, alpha, rows, weighted):
+        # B' is still drawn at alpha = 1: both streams end where a twin that
+        # only samples the pairs ends
+        ds, w, cfg, state, streams = self.make_parts(mode, alpha)
+        twin = BatchStreams.from_seed(ds.n_samples, cfg.batch_size, 17)
+        calls = []
+
+        def counted(w, ds, idx=None, weights=None):
+            calls.append((len(idx), weights is not None))
+            return loss_and_grad(w, ds, idx, weights)
+
+        monkeypatch.setattr(optim, "loss_and_grad", counted)
+        for _ in range(7):
+            w, log = training_step(w, ds, cfg, state, streams)
+            sample_minibatch_pair(twin.epoch_state, twin.enhancement_rng)
+            assert log is None
+        assert calls == [(rows, weighted)] * 7
+        rngs = (
+            (streams.enhancement_rng, twin.enhancement_rng),
+            (streams.epoch_state.rng, twin.epoch_state.rng),
+        )
+        for ours, theirs in rngs:
+            assert ours.bit_generator.state == theirs.bit_generator.state
+        assert streams.epoch_state.cursor == twin.epoch_state.cursor
+
+    @pytest.mark.parametrize(
+        "mode, alpha", [("pairwise", 2.0), ("pairwise", 1.0), ("naive-full", 2.0)]
+    )
+    def test_logging_does_not_change_the_trajectory(self, mode, alpha):
+        runs = []
+        for log in (False, True):
+            ds, w, cfg, state, streams = self.make_parts(mode, alpha, base="adam")
+            rows = []
+            for _ in range(30):
+                w, row = training_step(w, ds, cfg, state, streams, log=log)
+                rows.append(row)
+            runs.append((w.values, state.adam_m, rows))
+        (w_off, m_off, rows_off), (w_on, m_on, rows_on) = runs
+        np.testing.assert_array_equal(w_off, w_on)
+        np.testing.assert_array_equal(m_off, m_on)
+        assert rows_off == [None] * 30
+        assert [r.step for r in rows_on] == list(range(1, 31))
+        assert all(r.grad_norm_bprime is not None for r in rows_on)
+
+    def test_logged_norms_are_those_of_the_step_gradients(self):
+        ds, w, cfg, state, streams = self.make_parts("pairwise", 2.0)
+        twin = BatchStreams.from_seed(ds.n_samples, cfg.batch_size, 17)
+        primary, enhancement = sample_minibatch_pair(twin.epoch_state, twin.enhancement_rng)
+        loss_b, g_b = loss_and_grad(w, ds, primary)
+        _, g_bp = loss_and_grad(w, ds, enhancement)
+        combined = ne_combine(g_b, g_bp, 2.0)
+        _, log = training_step(w, ds, cfg, state, streams, log=True)
+        assert log.minibatch_loss == loss_b
+        assert log.grad_norm_b == np.linalg.norm(g_b.values)
+        assert log.grad_norm_bprime == np.linalg.norm(g_bp.values)
+        assert log.combined_norm == pytest.approx(np.linalg.norm(combined.values), rel=1e-12)
+
+
+def _relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestFusedDirection:
+    """One weighted pass over B then B' against ne_combine(grad(B), grad(B')).
+
+    The two round differently; 1e-12 of the norm is the stated tolerance
+    (measured 5e-16 to 1e-15)."""
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize(
+        "dims, classes, batch",
+        [((16, 128, 128, 4), 4, 100), ((784, 500, 500, 10), 10, 50)],
+        ids=["desk", "784-500-500-10"],
+    )
+    def test_matches_the_combined_gradients(self, dims, classes, batch, alpha):
+        centers = named_stream(3, "synthetic").standard_normal((classes, dims[0]))
+        ds = make_synthetic(SyntheticSpec(centers, 2 * batch, 0.9, 3))
+        w = glorot_init(MlpSpec(dims[0], dims[1:-1], classes, seed=5))
+        streams = BatchStreams.from_seed(ds.n_samples, batch, 8)
+        for _ in range(2):
+            primary, enhancement = sample_minibatch_pair(
+                streams.epoch_state, streams.enhancement_rng
+            )
+            weights = np.repeat((alpha / batch, (1.0 - alpha) / batch), batch)
+            rows = np.concatenate((primary, enhancement))
+            loss, fused = loss_and_grad(w, ds, rows, weights)
+            loss_b, g_b = loss_and_grad(w, ds, primary)
+            loss_bp, g_bp = loss_and_grad(w, ds, enhancement)
+            want = ne_combine(g_b, g_bp, alpha).values
+            assert _relative_error(fused.values, want) < 1e-12
+            assert loss == pytest.approx(alpha * loss_b + (1.0 - alpha) * loss_bp, rel=1e-12)
+
+    def test_training_step_takes_the_fused_direction(self):
+        ds = tiny_dataset(seed=2, n_per_class=8, classes=2, dim=3)
+        w = glorot_init(MlpSpec(3, (4,), 2, seed=9))
+        cfg = NEConfig(alpha=3.0, batch_size=4, base="sgd", mode="pairwise")
+        streams = BatchStreams.from_seed(ds.n_samples, 4, 17)
+        twin = BatchStreams.from_seed(ds.n_samples, 4, 17)
+        primary, enhancement = sample_minibatch_pair(twin.epoch_state, twin.enhancement_rng)
+        weights = np.repeat((3.0 / 4, -2.0 / 4), 4)
+        _, fused = loss_and_grad(w, ds, np.concatenate((primary, enhancement)), weights)
+        w2, _ = training_step(w, ds, cfg, OptimizerState(learning_rate=0.05), streams)
+        np.testing.assert_array_equal(w2.values, w.values - 0.05 * fused.values)
