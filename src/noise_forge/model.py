@@ -164,11 +164,20 @@ def _block(rows: int, widths: tuple[int, ...]) -> list[np.ndarray]:
     return [flat[end - rows * d : end].reshape(rows, d) for d, end in zip(widths, ends)]
 
 
-def _buffers(dims: tuple[int, ...], rows: int, backward: bool, keep: bool):
-    """(forward, backward) buffers of at least ``rows`` rows; see _chunks."""
+def _buffers(dims: tuple[int, ...], rows: int, chunk: int, backward: bool, keep: bool):
+    """(forward, backward) buffers of at least ``rows`` rows; see _chunks.
+
+    A kept set that is too small for a keeping pass grows to
+    min(chunk, max(rows, twice its rows)), so index sets whose size varies
+    from call to call re-allocate it a few times, not on every new maximum.
+    """
     kept = _BUFFERS.get(dims)
-    if kept is not None and kept[0][0].shape[0] >= rows:
-        return kept
+    if kept is not None:
+        have = kept[0][0].shape[0]
+        if have >= rows:
+            return kept
+        if keep:
+            rows = min(chunk, max(rows, 2 * have))
     fwd = _block(rows, (*dims, dims[-1], dims[-1], 1))
     bwd = _block(rows, dims[1:]) if backward or keep else []
     if keep:
@@ -212,7 +221,7 @@ def _chunks(
     if ds.input_dim != w.dims[0]:
         raise ValueError(f"dataset has {ds.input_dim} columns, model expects {w.dims[0]}")
     last = w.n_layers - 1
-    fwd, bwd = _buffers(w.dims, min(chunk_size, idx.shape[0]), backward, keep)
+    fwd, bwd = _buffers(w.dims, min(chunk_size, idx.shape[0]), chunk_size, backward, keep)
     for start in range(0, idx.shape[0], chunk_size):
         rows = idx[start : start + chunk_size]
         n = rows.shape[0]
@@ -267,10 +276,11 @@ def loss_and_grad(
     Without ``weights`` the loss is the mean cross-entropy over ``idx``
     (all samples when None); with them, one float per row of ``idx``, it is
     sum_i weights[i] * loss_i. Either way the gradient is that of the loss
-    returned. So ``idx = B then B'`` with weights alpha/|B| on B and
-    (1 - alpha)/|B'| on B' gives the noise-enhanced direction
-    alpha * grad(B) + (1 - alpha) * grad(B') from one pass; it rounds
-    differently from combining two gradients, by about 1e-15 of its norm.
+    returned. So the rows and weights of ``optim.pair_rows`` (each row of
+    B ∪ B' once, a shared row carrying both of its weights) give the
+    noise-enhanced direction alpha * grad(B) + (1 - alpha) * grad(B') from
+    one pass; it rounds differently from combining two gradients, by about
+    1e-15 of its norm.
 
     Rows go through the kernel in chunks of up to 4096, so an unweighted
     index set of up to 4096 rows gets acts.T @ dz / len(idx) from one GEMM

@@ -26,6 +26,7 @@ import numpy as np
 
 from .dataio import Dataset
 from .model import ParamVector, loss_and_grad, per_sample_grad_matrix, per_sample_grad_norms
+from .optim import pair_rows
 from .rng import named_stream, uniform_batch
 
 MAX_DENSE_PARAMS = 2000
@@ -320,7 +321,8 @@ def probe_noise(
     norms and the summed gradient, and from them the full gradient, the
     exact closed-form vanilla trace and the gradient diversity. Enhanced
     samples are then generated minibatch-pair by minibatch-pair (one
-    ``loss_and_grad`` call each, weighted over S then S' at alpha != 1, so
+    ``loss_and_grad`` call each; at alpha != 1 it is weighted over the rows
+    of S ∪ S' that ``optim.pair_rows`` gives, the training step's rule, so
     it rounds differently from combining two gradients by about 1e-15 of
     the noise) and folded into per-coordinate raw moment
     accumulators, so memory stays at O(P) regardless of model size. The
@@ -347,15 +349,12 @@ def probe_noise(
     first = None
     varies = np.zeros(p, dtype=bool)
     # alpha * xi + (1 - alpha) * xi' = eta * (combined - base), as the weights
-    # sum to 1; one weighted pass over S then S' gives the combined gradient
-    weights = None
-    if alpha != 1.0:
-        weights = np.repeat((alpha / batch_size, (1.0 - alpha) / batch_size), batch_size)
+    # sum to 1; one weighted pass over S ∪ S' gives the combined gradient
     pairs = _index_pairs(seed, stream_index, alpha, n_samples, n, batch_size, 64)
     for idx_p, idx_e in pairs:
-        rows = idx_p if idx_e is None else np.hstack((idx_p, idx_e))
-        for idx in rows:
-            _, g = loss_and_grad(w, ds, idx, weights)
+        for k, primary in enumerate(idx_p):
+            rows = (primary,) if idx_e is None else pair_rows(primary, idx_e[k], alpha, n)
+            _, g = loss_and_grad(w, ds, *rows)
             xi = eta * (g.values - base)
             if first is None:
                 first = xi

@@ -6,8 +6,8 @@ minibatch resampled uniformly each step. alpha = 1 reduces exactly to the
 base optimizer; alpha > 1 amplifies minibatch noise without changing the
 expected direction.
 
-A pairwise step forms that direction in one weighted gradient pass over the
-rows of B then B' (see ``training_step``).
+A step with alpha != 1 forms that direction in one weighted gradient pass
+that visits each row of B ∪ B' once (``pair_rows``, ``training_step``).
 """
 
 from __future__ import annotations
@@ -157,6 +157,32 @@ def ne_combine(grad_b: ParamVector, grad_bprime: ParamVector, alpha: float) -> P
     return ParamVector(alpha * grad_b.values + (1.0 - alpha) * grad_bprime.values, grad_b.dims)
 
 
+def pair_rows(
+    primary: np.ndarray, second: np.ndarray, alpha: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and weights of one pass giving alpha * grad(B) + (1 - alpha) * grad(B').
+
+    ``primary`` (B) and ``second`` (B') hold distinct indices in [0, n).
+    Each row of B ∪ B' appears once: the rows of B in draw order, weighted
+    alpha/|B|, plus (1 - alpha)/|B'| on those also in B'; then the rest of
+    B' in draw order, weighted (1 - alpha)/|B'|. Backprop is linear in the
+    row weights, so ``loss_and_grad(w, ds, rows, weights)`` returns that
+    direction, and the weighted loss alpha * L_B + (1 - alpha) * L_B'. A
+    shared row costs one row of work instead of two. One boolean mark array
+    of length n finds the shared rows in O(n + |B| + |B'|).
+    """
+    b, b2 = primary.shape[0], second.shape[0]
+    mark = np.zeros(n, dtype=bool)
+    mark[second] = True
+    shared = mark[primary]
+    mark[second] = False
+    mark[primary] = True
+    rest = second[~mark[second]]
+    on_b = np.where(shared, alpha / b + (1.0 - alpha) / b2, alpha / b)
+    weights = np.concatenate((on_b, np.full(rest.shape[0], (1.0 - alpha) / b2)))
+    return np.concatenate((primary, rest)), weights
+
+
 def _require_finite(g: ParamVector) -> None:
     if not np.isfinite(g.values).all():
         raise DivergenceError("non-finite gradient")
@@ -230,42 +256,42 @@ def training_step(
 ) -> tuple[ParamVector, StepLog | None]:
     """One full step: sample the pair, form the direction, apply the base rule.
 
-    Pairwise mode makes one ``loss_and_grad`` call: over B alone at
-    alpha = 1, where B' is still drawn so the streams stay aligned, and
-    otherwise one weighted pass over B then B'. That direction is
-    alpha * grad(B) + (1 - alpha) * grad(B') to about 1e-15 of its norm
-    (tests hold it to 1e-12); alpha = 1 and off mode are bit-identical to
-    plain descent on grad(B). Naive-full mode combines grad(B) with the
-    full gradient through ``ne_combine``.
+    Each step makes one ``loss_and_grad`` call. At alpha = 1 and in off mode
+    it runs over B alone, unweighted, so those runs are bit-identical to
+    plain descent on grad(B); B' is still drawn so the streams stay aligned.
+    Otherwise it runs once over ``pair_rows(B, second, alpha, N)``, each row
+    of B ∪ second once, where second is B' in pairwise mode and the whole
+    dataset in naive-full mode. That direction is alpha * grad(B) +
+    (1 - alpha) * grad(second) to about 1e-15 of its norm (tests hold it to
+    1e-12).
 
-    With ``log`` the step also returns its StepLog, computing grad(B),
-    grad(B') and their norms where the update did not need them; without
-    it it returns None in its place. The update never depends on ``log``.
-    Raises DivergenceError, before any state changes, when the direction is
-    non-finite. The batch streams advance the same way in every mode.
+    With ``log`` the step also returns its StepLog, computing grad(B), the
+    second gradient and their norms where the update did not need them;
+    without it it returns None in its place. The update never depends on
+    ``log``. Raises DivergenceError, before any state changes, when the
+    direction is non-finite. The batch streams advance the same way in
+    every mode.
     """
     lr = state.learning_rate
     primary, enhancement = sample_minibatch_pair(streams.epoch_state, streams.enhancement_rng)
     alpha = config.alpha
-    grad_b = grad_other = None
-    if config.mode == "pairwise" and alpha != 1.0:
-        b = primary.shape[0]
-        weights = np.repeat((alpha / b, (1.0 - alpha) / b), b)
-        _, direction = loss_and_grad(w, ds, np.concatenate((primary, enhancement)), weights)
-    else:
+    n = ds.n_samples
+    grad_b = None
+    if config.mode == "off" or alpha == 1.0:
         loss_b, grad_b = loss_and_grad(w, ds, primary)
         direction = grad_b
-        if config.mode == "naive-full":
-            _, grad_other = loss_and_grad(w, ds, None)
-            direction = ne_combine(grad_b, grad_other, alpha)
+    else:
+        second = enhancement if config.mode == "pairwise" else np.arange(n)
+        _, direction = loss_and_grad(w, ds, *pair_rows(primary, second, alpha, n))
     step_fn = adam_step if config.base == "adam" else sgd_step
     w_next = step_fn(w, direction, state)
     if not log:
         return w_next, None
     if grad_b is None:
         loss_b, grad_b = loss_and_grad(w, ds, primary)
-    if config.mode == "pairwise":
-        _, grad_other = loss_and_grad(w, ds, enhancement)
+    grad_other = None
+    if config.mode != "off":
+        _, grad_other = loss_and_grad(w, ds, enhancement if config.mode == "pairwise" else None)
     return w_next, StepLog(
         step=state.step_count,
         epoch=streams.epoch_state.epoch,

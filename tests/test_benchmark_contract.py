@@ -65,6 +65,12 @@ def test_traced_steps_use_every_gradient_they_compute(monkeypatch, mode, alpha):
     config = optim.NEConfig(alpha=alpha, batch_size=5, mode=mode)
     state = optim.OptimizerState(learning_rate=1e-2)
     streams = optim.BatchStreams.from_seed(ds.n_samples, 5, 2)
+    twin = optim.BatchStreams.from_seed(ds.n_samples, 5, 2)
+    want_rows = []
+    for _ in range(3):
+        primary, enhancement = optim.sample_minibatch_pair(twin.epoch_state, twin.enhancement_rng)
+        both = alpha != 1.0 and mode == "pairwise"
+        want_rows.append(len(np.union1d(primary, enhancement) if both else primary))
     tracer = spans.Tracer()
     with tracer:
         for _ in range(3):
@@ -73,3 +79,8 @@ def test_traced_steps_use_every_gradient_they_compute(monkeypatch, mode, alpha):
     assert list(use) == [alpha]
     useful, computed = use[alpha]
     assert useful == computed >= 1
+    # model.loss_and_grad.rows: one pass per step over B, or over B ∪ B'
+    rows = [s.attrs["rows"] for s in tracer.spans if s.name == "model.loss_and_grad"]
+    assert rows == want_rows
+    if alpha != 1.0:
+        assert min(want_rows) < 10  # the pairs share rows

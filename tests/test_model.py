@@ -269,6 +269,24 @@ class TestWeightedLossAndGrad:
         mean_loss(self.w, self.ds)
         assert model._BUFFERS[dims][0][0].shape[0] == rows
 
+    def test_kept_buffers_grow_geometrically(self, monkeypatch):
+        # training passes over B ∪ B' vary in size from step to step; the kept
+        # set grows to min(chunk, max(rows, 2 * old rows)) when it must grow
+        monkeypatch.setattr(model, "_BUFFERS", {})
+        dims = self.w.dims
+
+        def kept_after(n_rows):
+            loss_and_grad(self.w, self.ds, np.arange(n_rows))
+            return model._BUFFERS[dims][0][0].shape[0]
+
+        assert [kept_after(r) for r in (2, 3, 4, 5, 17)] == [2, 4, 4, 8, 17]
+        monkeypatch.setattr(model, "_BUFFERS", {})
+        monkeypatch.setattr(model, "_GRAD_ROWS", 6)
+        assert [kept_after(r) for r in (4, 5, 18)] == [4, 6, 6]
+        per_sample_grad_norms(self.w, self.ds)
+        mean_loss(self.w, self.ds, np.arange(5))
+        assert model._BUFFERS[dims][0][0].shape[0] == 6
+
 
 class TestPerSampleGradients:
     def setup_method(self):

@@ -457,5 +457,9 @@ class TestProbe:
         monkeypatch.setattr(noiselab, "loss_and_grad", counted_grad)
         probe_noise(self.w, self.ds, 0.1, 3, 2.0, 20, seed=4)
         assert rows["norms"] == [self.ds.n_samples]
-        # one weighted call per draw over the 2B rows of S then S'
-        assert rows["grad"] == [6] * 20
+        # one weighted call per draw over the |S ∪ S'| rows, a shared row once
+        want = []
+        for idx_p, idx_e in noiselab._index_pairs(4, 0, 2.0, 20, self.ds.n_samples, 3, 64):
+            want.extend(len(np.union1d(p, e)) for p, e in zip(idx_p, idx_e))
+        assert rows["grad"] == want
+        assert min(want) < 6  # some draws share a row

@@ -15,6 +15,7 @@ from noise_forge.optim import (
     OptimizerState,
     adam_step,
     ne_combine,
+    pair_rows,
     sample_minibatch_pair,
     sgd_step,
     training_step,
@@ -373,15 +374,17 @@ class TestTrainingStep:
         np.testing.assert_array_equal(run(), run())
 
     @pytest.mark.parametrize(
-        "mode, alpha, rows, weighted",
-        [("pairwise", 1.0, 4, False), ("off", 1.0, 4, False), ("pairwise", 1.5, 8, True)],
+        "mode, alpha",
+        [("pairwise", 1.0), ("off", 1.0), ("pairwise", 1.5)],
+        ids=["pairwise-1.0", "off-1.0", "pairwise-1.5"],
     )
-    def test_one_gradient_pass_per_step(self, monkeypatch, mode, alpha, rows, weighted):
+    def test_one_gradient_pass_per_step(self, monkeypatch, mode, alpha):
         # B' is still drawn at alpha = 1: both streams end where a twin that
-        # only samples the pairs ends
+        # only samples the pairs ends. At alpha != 1 the one weighted pass
+        # covers |B ∪ B'| rows, a shared row once.
         ds, w, cfg, state, streams = self.make_parts(mode, alpha)
         twin = BatchStreams.from_seed(ds.n_samples, cfg.batch_size, 17)
-        calls = []
+        calls, want = [], []
 
         def counted(w, ds, idx=None, weights=None):
             calls.append((len(idx), weights is not None))
@@ -390,9 +393,15 @@ class TestTrainingStep:
         monkeypatch.setattr(optim, "loss_and_grad", counted)
         for _ in range(7):
             w, log = training_step(w, ds, cfg, state, streams)
-            sample_minibatch_pair(twin.epoch_state, twin.enhancement_rng)
+            primary, enhancement = sample_minibatch_pair(twin.epoch_state, twin.enhancement_rng)
+            if alpha == 1.0:
+                want.append((len(primary), False))
+            else:
+                want.append((len(np.union1d(primary, enhancement)), True))
             assert log is None
-        assert calls == [(rows, weighted)] * 7
+        assert calls == want
+        if alpha != 1.0:
+            assert any(rows < 2 * cfg.batch_size for rows, _ in want)  # the draws overlap
         rngs = (
             (streams.enhancement_rng, twin.enhancement_rng),
             (streams.epoch_state.rng, twin.epoch_state.rng),
@@ -439,29 +448,35 @@ def _relative_error(got, want):
 
 
 class TestFusedDirection:
-    """One weighted pass over B then B' against ne_combine(grad(B), grad(B')).
+    """One weighted pass over the pair_rows of B and B' against
+    ne_combine(grad(B), grad(B')).
 
     The two round differently; 1e-12 of the norm is the stated tolerance
     (measured 5e-16 to 1e-15)."""
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize(
-        "dims, classes, batch",
-        [((16, 128, 128, 4), 4, 100), ((784, 500, 500, 10), 10, 50)],
-        ids=["desk", "784-500-500-10"],
+        "dims, classes, batch, per_class",
+        [
+            ((16, 128, 128, 4), 4, 100, 200),
+            ((784, 500, 500, 10), 10, 50, 100),
+            ((784, 500, 500, 10), 10, 50, 10),
+        ],
+        ids=["desk", "784-500-500-10", "784-500-500-10-half-data"],
     )
-    def test_matches_the_combined_gradients(self, dims, classes, batch, alpha):
+    def test_matches_the_combined_gradients(self, dims, classes, batch, per_class, alpha):
+        # the last case draws B = N/2, where B and B' share half their rows
         centers = named_stream(3, "synthetic").standard_normal((classes, dims[0]))
-        ds = make_synthetic(SyntheticSpec(centers, 2 * batch, 0.9, 3))
+        ds = make_synthetic(SyntheticSpec(centers, per_class, 0.9, 3))
         w = glorot_init(MlpSpec(dims[0], dims[1:-1], classes, seed=5))
         streams = BatchStreams.from_seed(ds.n_samples, batch, 8)
         for _ in range(2):
             primary, enhancement = sample_minibatch_pair(
                 streams.epoch_state, streams.enhancement_rng
             )
-            weights = np.repeat((alpha / batch, (1.0 - alpha) / batch), batch)
-            rows = np.concatenate((primary, enhancement))
-            loss, fused = loss_and_grad(w, ds, rows, weights)
+            loss, fused = loss_and_grad(
+                w, ds, *pair_rows(primary, enhancement, alpha, ds.n_samples)
+            )
             loss_b, g_b = loss_and_grad(w, ds, primary)
             loss_bp, g_bp = loss_and_grad(w, ds, enhancement)
             want = ne_combine(g_b, g_bp, alpha).values
@@ -472,10 +487,87 @@ class TestFusedDirection:
         ds = tiny_dataset(seed=2, n_per_class=8, classes=2, dim=3)
         w = glorot_init(MlpSpec(3, (4,), 2, seed=9))
         cfg = NEConfig(alpha=3.0, batch_size=4, base="sgd", mode="pairwise")
-        streams = BatchStreams.from_seed(ds.n_samples, 4, 17)
-        twin = BatchStreams.from_seed(ds.n_samples, 4, 17)
+        streams = BatchStreams.from_seed(ds.n_samples, 4, 15)
+        twin = BatchStreams.from_seed(ds.n_samples, 4, 15)
         primary, enhancement = sample_minibatch_pair(twin.epoch_state, twin.enhancement_rng)
-        weights = np.repeat((3.0 / 4, -2.0 / 4), 4)
-        _, fused = loss_and_grad(w, ds, np.concatenate((primary, enhancement)), weights)
+        assert np.intersect1d(primary, enhancement).size == 1  # seed 15 shares a row
+        _, fused = loss_and_grad(w, ds, *pair_rows(primary, enhancement, 3.0, ds.n_samples))
         w2, _ = training_step(w, ds, cfg, OptimizerState(learning_rate=0.05), streams)
         np.testing.assert_array_equal(w2.values, w.values - 0.05 * fused.values)
+
+
+class TestPairRows:
+    """Each row of B ∪ B' once, with the weights that make one pass
+    alpha * grad(B) + (1 - alpha) * grad(B')."""
+
+    @staticmethod
+    def expected(primary, second, alpha):
+        # the rule written out row by row
+        b, b2 = len(primary), len(second)
+        in_second, in_primary = set(second.tolist()), set(primary.tolist())
+        rows = primary.tolist() + [i for i in second.tolist() if i not in in_primary]
+        weights = [alpha / b + ((1.0 - alpha) / b2 if i in in_second else 0.0) for i in primary]
+        weights += [(1.0 - alpha) / b2] * (len(rows) - b)
+        return rows, weights
+
+    @pytest.mark.parametrize(
+        "n, b, b2", [(10, 4, 4), (50, 25, 25), (60, 7, 30), (30, 30, 30), (9, 1, 9)]
+    )
+    @pytest.mark.parametrize("alpha", [1.5, 3.0])
+    def test_laws_on_random_draws(self, n, b, b2, alpha):
+        rng = np.random.default_rng(n * 100 + b)
+        shared_seen = 0
+        for _ in range(40):
+            primary = rng.choice(n, size=b, replace=False)
+            second = rng.choice(n, size=b2, replace=False)
+            rows, weights = pair_rows(primary, second, alpha, n)
+            assert rows.dtype == primary.dtype and rows.shape == weights.shape
+            # every row of B ∪ B' exactly once, B first in draw order
+            np.testing.assert_array_equal(np.sort(rows), np.union1d(primary, second))
+            np.testing.assert_array_equal(rows[:b], primary)
+            want_rows, want_weights = self.expected(primary, second, alpha)
+            assert rows.tolist() == want_rows
+            np.testing.assert_allclose(weights, want_weights, rtol=1e-15, atol=0)
+            assert abs(weights.sum() - 1.0) <= 1e-15
+            shared = np.isin(primary, second)
+            shared_seen += int(shared.sum())
+            if b == b2:  # a shared row weighs one row of a plain mean
+                np.testing.assert_allclose(weights[:b][shared], 1.0 / b, rtol=1e-15)
+        assert shared_seen > 0
+
+    @staticmethod
+    def parts():
+        ds = tiny_dataset(seed=4, n_per_class=30, classes=3, dim=5)
+        return ds, glorot_init(MlpSpec(5, (16, 8), 3, seed=2))
+
+    def test_second_a_permutation_of_primary_gives_grad_b(self):
+        ds, w = self.parts()
+        rng = np.random.default_rng(5)
+        primary = rng.choice(ds.n_samples, size=20, replace=False)
+        second = rng.permutation(primary)
+        _, want = loss_and_grad(w, ds, primary)
+        for alpha in (1.5, 3.0):
+            rows, weights = pair_rows(primary, second, alpha, ds.n_samples)
+            np.testing.assert_array_equal(rows, primary)
+            _, got = loss_and_grad(w, ds, rows, weights)
+            assert _relative_error(got.values, want.values) < 1e-13
+
+    def test_disjoint_batches_give_both_batches(self):
+        primary, second = np.array([3, 0, 7]), np.array([5, 1, 2])
+        rows, weights = pair_rows(primary, second, 2.0, 8)
+        np.testing.assert_array_equal(rows, [3, 0, 7, 5, 1, 2])
+        np.testing.assert_array_equal(weights, [2 / 3] * 3 + [-1 / 3] * 3)
+
+    @pytest.mark.parametrize("alpha", [1.5, 3.0])
+    def test_full_batch_gives_the_full_gradient(self, alpha):
+        # B = N is the zero-noise limit: every row is shared and weighted 1/N,
+        # with no alpha * g - (alpha - 1) * g cancellation
+        ds, w = self.parts()
+        n = ds.n_samples
+        rng = np.random.default_rng(6)
+        primary, second = rng.permutation(n), rng.permutation(n)
+        rows, weights = pair_rows(primary, second, alpha, n)
+        np.testing.assert_array_equal(rows, primary)
+        _, got = loss_and_grad(w, ds, rows, weights)
+        _, full = loss_and_grad(w, ds, None)
+        assert _relative_error(got.values, full.values) < 1e-13
