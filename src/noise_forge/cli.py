@@ -17,7 +17,6 @@ import copy
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import dataio, harness, oracles, report
@@ -262,14 +261,12 @@ def _cmd_train(args) -> int:
         agg = harness.aggregate(records)
     else:
         agg = harness.repeat_runs(tc, jobs=args.jobs)
-    h = harness.config_hash(tc)
-    b, a = tc.ne.batch_size, tc.ne.alpha
-    harness.write_runs_csv(out / "runs.csv", [(h, b, a, r) for r in agg.records])
-    harness.write_aggregate_csv(out / "aggregate.csv", [(b, a, agg)])
+    harness.write_cells(out, [(tc, agg)])
     for record in agg.records:
         print(_record_line(record))
     print(
-        f"B={b} alpha={a:g}: accuracy {agg.mean_accuracy:.4f} +- {agg.std_accuracy:.4f}, "
+        f"B={tc.ne.batch_size} alpha={tc.ne.alpha:g}: "
+        f"accuracy {agg.mean_accuracy:.4f} +- {agg.std_accuracy:.4f}, "
         f"steps {agg.mean_convergence:.1f} +- {agg.std_convergence:.1f} "
         f"({agg.n_converged}/{len(agg.records)} converged)"
     )
@@ -280,75 +277,40 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _best_value(sweep: harness.SweepResult) -> float | None:
-    """Grid value of the report's best cell; None when no cell has a finite accuracy."""
-    key = "B" if sweep.axis == "batch_size" else "alpha"
-    best = report.best_row(sweep.rows(), key)
-    return None if best is None else float(best[key])
-
-
-def _write_sweep_outputs(out: Path, sweep: harness.SweepResult, tc: harness.TrainConfig) -> None:
-    run_entries = []
-    for b, a, cell in sweep.entries():
-        cell_cfg = replace(tc, ne=replace(tc.ne, batch_size=b, alpha=a))
-        h = harness.config_hash(cell_cfg)
-        run_entries.extend((h, b, a, r) for r in cell.records)
-    harness.write_runs_csv(out / "runs.csv", run_entries)
-    harness.write_aggregate_csv(out / "aggregate.csv", sweep.entries())
-    meta = {
-        "axis": sweep.axis,
-        "values": list(sweep.values),
-        "fixed_value": sweep.fixed_value,
-        "best_value": _best_value(sweep),
-    }
-    (out / "sweep.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-
-
-def _print_sweep(sweep: harness.SweepResult) -> None:
-    label = "B" if sweep.axis == "batch_size" else "alpha"
+def _print_sweep(sweep: harness.SweepResult, label: str, best: float | None) -> None:
     for value, cell in zip(sweep.values, sweep.cells):
         print(
             f"{label}={value:g}: accuracy {cell.mean_accuracy:.4f} +- {cell.std_accuracy:.4f}, "
             f"steps {cell.mean_convergence:.1f} +- {cell.std_convergence:.1f} "
             f"({cell.n_converged}/{len(cell.records)} converged)"
         )
-    best = _best_value(sweep)
     print(f"best {label}: {best:g}" if best is not None else f"best {label}: none (no finite cell)")
 
 
-def _sweep_exit(sweep: harness.SweepResult) -> int:
-    if _best_value(sweep) is None:
+def _cmd_sweep(args) -> int:
+    cfg = resolve_config(args.config, args.set or [])
+    tc = build_train_config(cfg)
+    if args.command == "sweep-b":
+        plan = harness.SweepPlan.over_batch(tc, cfg["sweep.b_grid"], float(cfg["sweep.alpha_fixed"]))
+    else:
+        plan = harness.SweepPlan.over_alpha(tc, cfg["sweep.alpha_grid"], int(cfg["sweep.b_fixed"]))
+    out = _out_dir(args, args.command)
+    _dump_resolved(cfg, out)
+    sweep = plan.run(args.jobs)
+    harness.write_cells(out, zip(plan.configs, sweep.cells))
+    key = "B" if sweep.axis == "batch_size" else "alpha"
+    best_row = report.best_row(sweep.rows(), key)  # None when no cell has a finite accuracy
+    best = None if best_row is None else float(best_row[key])
+    meta = {"axis": sweep.axis, "values": list(sweep.values), "fixed_value": sweep.fixed_value, "best_value": best}
+    (out / "sweep.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    if args.command == "sweep-alpha":
+        report.write_tradeoff_csv(out / "scatter.csv", report.tradeoff_rows("increase-alpha", sweep.rows()))
+    _print_sweep(sweep, key, best)
+    print(f"results written to {out}")
+    if best is None:
         print("error: no sweep cell produced a finite accuracy", file=sys.stderr)
         return 2
     return 0
-
-
-def _cmd_sweep_b(args) -> int:
-    cfg = resolve_config(args.config, args.set or [])
-    tc = build_train_config(cfg)
-    plan = harness.SweepPlan.over_batch(tc, cfg["sweep.b_grid"], float(cfg["sweep.alpha_fixed"]))
-    out = _out_dir(args, "sweep-b")
-    _dump_resolved(cfg, out)
-    sweep = plan.run(args.jobs)
-    _write_sweep_outputs(out, sweep, tc)
-    _print_sweep(sweep)
-    print(f"results written to {out}")
-    return _sweep_exit(sweep)
-
-
-def _cmd_sweep_alpha(args) -> int:
-    cfg = resolve_config(args.config, args.set or [])
-    tc = build_train_config(cfg)
-    plan = harness.SweepPlan.over_alpha(tc, cfg["sweep.alpha_grid"], int(cfg["sweep.b_fixed"]))
-    out = _out_dir(args, "sweep-alpha")
-    _dump_resolved(cfg, out)
-    sweep = plan.run(args.jobs)
-    _write_sweep_outputs(out, sweep, tc)
-    scatter = report.tradeoff_rows("increase-alpha", sweep.rows())
-    report.write_tradeoff_csv(out / "scatter.csv", scatter)
-    _print_sweep(sweep)
-    print(f"results written to {out}")
-    return _sweep_exit(sweep)
 
 
 def _cmd_probe(args) -> int:
@@ -363,11 +325,7 @@ def _cmd_probe(args) -> int:
     _dump_resolved(cfg, out)
     seed = tc.seeds[0]
     record, rows = harness.probe_run(tc, seed, plan)
-    h = harness.config_hash(tc)
-    harness.write_runs_csv(out / "runs.csv", [(h, tc.ne.batch_size, tc.ne.alpha, record)])
-    harness.write_aggregate_csv(
-        out / "aggregate.csv", [(tc.ne.batch_size, tc.ne.alpha, harness.aggregate([record]))]
-    )
+    harness.write_cells(out, [(tc, harness.aggregate([record]))])
     harness.write_probe_csv(out / "probe.csv", rows)
     print(_record_line(record))
     for row in rows:
@@ -425,11 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sb = sub.add_parser("sweep-b", help="batch-size sweep at fixed alpha")
     common(p_sb)
-    p_sb.set_defaults(func=_cmd_sweep_b)
+    p_sb.set_defaults(func=_cmd_sweep)
 
     p_sa = sub.add_parser("sweep-alpha", help="alpha sweep at fixed batch size")
     common(p_sa)
-    p_sa.set_defaults(func=_cmd_sweep_alpha)
+    p_sa.set_defaults(func=_cmd_sweep)
 
     p_probe = sub.add_parser("probe", help="train one seed and measure noise at checkpoints")
     common(p_probe)

@@ -133,41 +133,6 @@ def load_idx_pair(image_path: str | Path, label_path: str | Path) -> Dataset:
     return Dataset(inputs, lbl_data.astype(np.int64), 10)
 
 
-def write_idx_pair(
-    ds: Dataset,
-    image_path: str | Path,
-    label_path: str | Path,
-    *,
-    image_shape: tuple[int, int] | None = None,
-) -> None:
-    """Write a Dataset back to an IDX image/label file pair.
-
-    Inputs must be exact multiples of 1/255 (i.e. normalized byte data);
-    anything else would not survive the uint8 round-trip and raises
-    ValueError. ``image_shape`` defaults to (1, input_dim).
-    """
-    scaled = ds.inputs * 255.0
-    bytes_f = np.rint(scaled)
-    if not np.allclose(scaled, bytes_f, rtol=0.0, atol=1e-6):
-        raise ValueError("inputs are not byte-exact; cannot round-trip to IDX")
-    if ds.num_classes > 256:
-        raise ValueError("labels do not fit in uint8")
-    if image_shape is None:
-        image_shape = (1, ds.input_dim)
-    rows, cols = (int(s) for s in image_shape)
-    if rows * cols != ds.input_dim:
-        raise ValueError(f"image_shape {image_shape} does not match input_dim {ds.input_dim}")
-    img = bytes_f.astype(np.uint8)
-    image_path = Path(image_path)
-    label_path = Path(label_path)
-    with open(image_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", _IMAGE_MAGIC, ds.n_samples, rows, cols))
-        fh.write(img.tobytes())
-    with open(label_path, "wb") as fh:
-        fh.write(struct.pack(">II", _LABEL_MAGIC, ds.n_samples))
-        fh.write(ds.labels.astype(np.uint8).tobytes())
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a Gaussian-blob classification set.

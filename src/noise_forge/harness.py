@@ -16,7 +16,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -309,15 +309,11 @@ class SweepResult:
     fixed_value: float
     cells: tuple[AggregateResult, ...]
 
-    def entries(self) -> list[tuple[int, float, AggregateResult]]:
-        """(B, alpha, cell) per cell, in grid order."""
-        if self.axis == "batch_size":
-            return [(int(v), self.fixed_value, c) for v, c in zip(self.values, self.cells)]
-        return [(int(self.fixed_value), v, c) for v, c in zip(self.values, self.cells)]
-
     def rows(self) -> list[dict]:
         """One aggregate row per cell, in grid order (see aggregate_row)."""
-        return [aggregate_row(b, a, cell) for b, a, cell in self.entries()]
+        if self.axis == "batch_size":
+            return [aggregate_row(int(v), self.fixed_value, c) for v, c in zip(self.values, self.cells)]
+        return [aggregate_row(int(self.fixed_value), v, c) for v, c in zip(self.values, self.cells)]
 
 
 @dataclass(frozen=True)
@@ -340,7 +336,7 @@ class SweepPlan:
         values = [int(b) for b in b_grid]
         if not values:
             raise ValueError("b_grid must be non-empty")
-        configs = [replace(cfg, ne=replace(cfg.ne, batch_size=b, alpha=alpha_fixed)) for b in values]
+        configs = [replace(cfg, ne=replace(cfg.ne, batch_size=b, alpha=float(alpha_fixed))) for b in values]
         return cls("batch_size", tuple(float(v) for v in values), float(alpha_fixed), tuple(configs))
 
     @classmethod
@@ -385,7 +381,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
+def _write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -396,65 +392,37 @@ def _write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) ->
 
 
 def write_step_log(path: str | Path, logs: Iterable[StepLog]) -> None:
-    _write_csv(
-        path,
-        ["step", "epoch", "minibatch_loss", "grad_norm_b", "grad_norm_bprime", "combined_norm", "lr"],
-        (
-            (l.step, l.epoch, l.minibatch_loss, l.grad_norm_b, l.grad_norm_bprime, l.combined_norm, l.lr)
-            for l in logs
-        ),
-    )
+    _write_csv(path, [f.name for f in fields(StepLog)], map(astuple, logs))
 
 
 def write_probe_csv(path: str | Path, rows: Iterable[ProbeRow]) -> None:
-    _write_csv(
-        path,
-        [
-            "step",
-            "alpha",
-            "B",
-            "trace_cov",
-            "enhancement_ratio",
-            "predicted_factor",
-            "b_eff",
-            "median_excess_kurtosis",
-            "grad_diversity",
-        ],
-        (
-            (
-                r.step,
-                r.alpha,
-                r.batch_size,
-                r.trace_cov,
-                r.enhancement_ratio,
-                r.predicted_factor,
-                r.b_eff,
-                r.median_excess_kurtosis,
-                r.grad_diversity,
-            )
-            for r in rows
-        ),
-    )
+    header = ["B" if f.name == "batch_size" else f.name for f in fields(ProbeRow)]
+    _write_csv(path, header, map(astuple, rows))
 
 
-def write_runs_csv(
-    path: str | Path, entries: Iterable[tuple[str, int, float, RunRecord]]
-) -> None:
-    """Per-seed rows: (config_hash, B, alpha, record)."""
-    _write_csv(
-        path,
-        ["config_hash", "B", "alpha", "seed", "test_accuracy", "convergence_steps", "lr_halved_at", "status"],
-        (
+def write_cells(out: str | Path, cells: Iterable[tuple[TrainConfig, AggregateResult]]) -> None:
+    """Write a results directory's runs.csv (one row per seed) and
+    aggregate.csv (one row per cell), cells in the given order.
+
+    Each cell's B, alpha and config_hash come from its own config, so these
+    two files are written here and nowhere else.
+    """
+    out = Path(out)
+    cells = list(cells)
+    runs = []
+    for cfg, agg in cells:
+        h, b, a = config_hash(cfg), cfg.ne.batch_size, cfg.ne.alpha
+        runs.extend(
             (h, b, a, r.seed, r.test_accuracy, r.convergence_steps, r.lr_halved_at, r.status)
-            for h, b, a, r in entries
-        ),
+            for r in agg.records
+        )
+    _write_csv(
+        out / "runs.csv",
+        ["config_hash", "B", "alpha", "seed", "test_accuracy", "convergence_steps", "lr_halved_at", "status"],
+        runs,
     )
-
-
-def write_aggregate_csv(
-    path: str | Path, entries: Iterable[tuple[int, float, AggregateResult]]
-) -> None:
-    """Per-cell rows: (B, alpha, aggregate)."""
-    rows = (aggregate_row(b, a, agg) for b, a, agg in entries)
-    _write_csv(path, list(AGGREGATE_COLUMNS), ([row[c] for c in AGGREGATE_COLUMNS] for row in rows))
-
+    _write_csv(
+        out / "aggregate.csv",
+        AGGREGATE_COLUMNS,
+        (aggregate_row(cfg.ne.batch_size, cfg.ne.alpha, agg).values() for cfg, agg in cells),
+    )

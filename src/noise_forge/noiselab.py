@@ -224,9 +224,11 @@ def sample_ne_noise(
 
     Batches come from ``_index_pairs``: S from the "noise-primary-v2" stream
     of ``seed`` and S' from the independent "noise-enhancement-v2" stream,
-    one ``uniform_batch`` draw each per row, in chunks of 512 rows that only
-    bound the (rows, B, P) gather. At alpha = 1 the enhancement stream is not
-    drawn and each row is the vanilla noise eta * (mean(G[S]) - g_bar).
+    one ``uniform_batch`` draw each per row. Rows are made in chunks of at
+    most 512, fewer when B * P is large, so that each (rows, B, P) gather
+    holds at most MAX_SAMPLE_ENTRIES doubles; the chunking never changes a
+    row. At alpha = 1 the enhancement stream is not drawn and each row is the
+    vanilla noise eta * (mean(G[S]) - g_bar).
     """
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
@@ -245,7 +247,8 @@ def sample_ne_noise(
     g_bar = g.mean(axis=0)
     out = np.empty((n_samples, g.shape[1]))
     row = 0
-    pairs = _index_pairs(seed, 0, alpha, n_samples, ds.n_samples, batch_size, 512)
+    chunk = min(512, max(1, MAX_SAMPLE_ENTRIES // (batch_size * g.shape[1])))
+    pairs = _index_pairs(seed, 0, alpha, n_samples, ds.n_samples, batch_size, chunk)
     for idx_p, idx_e in pairs:
         xi = eta * (g[idx_p].mean(axis=1) - g_bar)
         if idx_e is not None:

@@ -24,7 +24,7 @@ from .noiselab import (
     noise_covariance_from_grads,
     sample_ne_noise,
 )
-from .optim import ne_combine
+from .optim import ne_combine, pair_rows
 from .rng import named_stream
 
 
@@ -91,7 +91,8 @@ def run_oracle_suite(fast: bool = False) -> list[OracleCheck]:
 
     # Closed-form covariance vs full minibatch enumeration, per toy instance,
     # across a batch grid that includes B = N (zero covariance on both sides).
-    for name, w, ds in standard_toys():
+    toys = standard_toys()
+    for name, w, ds in toys:
         grads = per_sample_grad_matrix(w, ds)
         worst = 0.0
         grid = _batch_grid(ds.n_samples)
@@ -110,7 +111,7 @@ def run_oracle_suite(fast: bool = False) -> list[OracleCheck]:
         )
 
     # Enumerated noise mean is zero (the enumeration itself also asserts this).
-    _, w, ds = standard_toys()[0]
+    _, w, ds = toys[0]
     grads = per_sample_grad_matrix(w, ds)
     g_bar = grads.mean(axis=0)
     means = []
@@ -128,7 +129,7 @@ def run_oracle_suite(fast: bool = False) -> list[OracleCheck]:
     )
 
     # Exact pair enumeration: enhanced covariance = factor * vanilla covariance.
-    _, w8, ds8 = standard_toys()[1]
+    _, w8, ds8 = toys[1]
     grads8 = per_sample_grad_matrix(w8, ds8)
     vanilla = enumerate_noise_covariance_from_grads(grads8, eta, 2)
     worst_pair = 0.0
@@ -184,26 +185,28 @@ def run_oracle_suite(fast: bool = False) -> list[OracleCheck]:
     )
 
     # The combined direction is unbiased: averaging over every minibatch pair
-    # recovers the full gradient.
-    _, w6, ds6 = standard_toys()[0]
+    # recovers the full gradient, both for two combined gradients and for the
+    # one weighted pass over B ∪ B' that training takes (pairs sharing rows
+    # included).
+    _, w6, ds6 = toys[0]
     _, full = loss_and_grad(w6, ds6, None)
-    subsets = [
-        np.array(c, dtype=np.int64) for c in itertools.combinations(range(ds6.n_samples), 2)
-    ]
+    subsets = [np.array(c, dtype=np.int64) for c in itertools.combinations(range(ds6.n_samples), 2)]
     sub_grads = [loss_and_grad(w6, ds6, s)[1] for s in subsets]
-    acc = np.zeros(len(w6))
-    for gb in sub_grads:
-        for ge in sub_grads:
-            acc += ne_combine(gb, ge, 2.0).values
-    acc /= len(sub_grads) ** 2
-    bias = float(np.abs(acc - full.values).max())
+    combined = np.zeros(len(w6))
+    fused = np.zeros(len(w6))
+    for s, gb in zip(subsets, sub_grads):
+        for s2, ge in zip(subsets, sub_grads):
+            combined += ne_combine(gb, ge, 2.0).values
+            fused += loss_and_grad(w6, ds6, *pair_rows(s, s2, 2.0, ds6.n_samples))[1].values
+    n_pairs = len(subsets) ** 2
+    bias = max(float(np.abs(acc / n_pairs - full.values).max()) for acc in (combined, fused))
     checks.append(
         OracleCheck(
             name="ne-direction-unbiased",
             passed=bias <= 1e-10,
             measured=bias,
             bound=1e-10,
-            detail=f"alpha=2, all {len(sub_grads)}^2 minibatch pairs, N=6, B=2",
+            detail=f"alpha=2, all {len(subsets)}^2 minibatch pairs, N=6, B=2; combined and fused",
         )
     )
 

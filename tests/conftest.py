@@ -1,12 +1,6 @@
 """Shared test plumbing: acceptance criteria get one summary line each."""
 
-_ACCEPTANCE: list[tuple[int, str, str, str]] = []
-
-
-def record_acceptance(number: int, name: str, passed: bool | None, detail: str = "") -> None:
-    """Record a criterion outcome; passed=None means skipped."""
-    status = "SKIP" if passed is None else ("PASS" if passed else "FAIL")
-    _ACCEPTANCE.append((number, name, status, detail))
+from acceptance_log import _ACCEPTANCE
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

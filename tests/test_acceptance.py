@@ -2,7 +2,7 @@
 
 Every test gathers its own evidence (enumeration oracles, scripted
 protocols, real sweeps), records a PASS/FAIL/SKIP line for the terminal
-summary via conftest.record_acceptance, and then asserts. The Monte Carlo
+summary via acceptance_log.record_acceptance, and then asserts. The Monte Carlo
 ratio check and the desk-scale directional run each take on the order of a
 minute; everything else is fast.
 
@@ -11,7 +11,6 @@ $NOISE_FORGE_DATA_DIR points at the IDX files; without it that check is
 recorded as SKIP and a synthetic stand-in exercises the identical protocol.
 """
 
-import dataclasses
 import itertools
 import math
 import os
@@ -20,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_acceptance
+from acceptance_log import record_acceptance
 
 import noise_forge.harness as harness
 from noise_forge.cli import DATA_DIR_ENV, build_train_config, resolve_config
@@ -30,8 +29,6 @@ from noise_forge.harness import (
     ProbePlan,
     TrainConfig,
     config_hash,
-    write_aggregate_csv,
-    write_runs_csv,
 )
 from noise_forge.model import (
     MlpSpec,
@@ -289,18 +286,6 @@ def test_c7_protocol_halves_once_and_stops_at_threshold(monkeypatch):
     assert single_halving
 
 
-def _write_sweep_unit(directory, tc, sweep):
-    """Persist one sweep the way the command line tool lays it out."""
-    run_rows = []
-    for b, alpha, cell in sweep.entries():
-        ne = dataclasses.replace(tc.ne, alpha=alpha, batch_size=b)
-        digest = config_hash(dataclasses.replace(tc, ne=ne))
-        run_rows.extend((digest, b, alpha, record) for record in cell.records)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_runs_csv(directory / "runs.csv", run_rows)
-    write_aggregate_csv(directory / "aggregate.csv", sweep.entries())
-
-
 def test_c8_desk_scale_directional_run_synthetic(tmp_path):
     """Full desk-scale protocol on synthetic data: sweep, flags, report."""
     t0 = time.perf_counter()
@@ -330,8 +315,8 @@ def test_c8_desk_scale_directional_run_synthetic(tmp_path):
     flags = alpha_flags(alpha_sweep.rows())
 
     results = tmp_path / "results"
-    _write_sweep_unit(results / "sweep-alpha", tc, alpha_sweep)
-    _write_sweep_unit(results / "sweep-b", tc, batch_sweep)
+    harness.write_cells(results / "sweep-alpha", zip(alpha_plan.configs, alpha_sweep.cells))
+    harness.write_cells(results / "sweep-b", zip(batch_plan.configs, batch_sweep.cells))
     report_path = emit_report(results)
     text = report_path.read_text(encoding="utf-8")
     flags_in_report = (
@@ -402,10 +387,11 @@ def test_c8_desk_scale_directional_run_real_data(tmp_path):
     ]
     tc = build_train_config(resolve_config(None, sets))
     t0 = time.perf_counter()
-    sweep = harness.sweep_alpha(tc, [1.0, 1.5, 2.0], b_fixed=2000)
+    plan = harness.SweepPlan.over_alpha(tc, [1.0, 1.5, 2.0], b_fixed=2000)
+    sweep = plan.run()
     elapsed = time.perf_counter() - t0
     flags = alpha_flags(sweep.rows())
-    _write_sweep_unit(tmp_path / "results" / "sweep-alpha", tc, sweep)
+    harness.write_cells(tmp_path / "results" / "sweep-alpha", zip(plan.configs, sweep.cells))
     report_path = emit_report(tmp_path / "results")
     accs = [cell.mean_accuracy for cell in sweep.cells]
     detail = (

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from noise_forge import dataio, harness
+from noise_forge import harness
 from noise_forge.cli import (
     DATA_DIR_ENV,
     DEFAULTS,
@@ -12,6 +12,7 @@ from noise_forge.cli import (
     parse_and_dispatch,
     resolve_config,
 )
+from test_dataio import image_bytes, label_bytes
 
 
 def write_config(tmp_path, extra=None):
@@ -314,17 +315,13 @@ class TestProbeCommand:
 class TestIdxSource:
     def test_training_from_idx_files(self, tmp_path, monkeypatch, capsys):
         rng = np.random.default_rng(0)
-        inputs = rng.integers(0, 256, size=(40, 6)).astype(float) / 255.0
+        images = rng.integers(0, 256, size=(40, 1, 6))
         labels = np.tile(np.arange(2), 20)
-        ds = dataio.Dataset(inputs, labels, 2)
         data_dir = tmp_path / "data"
         data_dir.mkdir()
         for stem in ("train", "t10k"):
-            dataio.write_idx_pair(
-                ds,
-                data_dir / f"{stem}-images-idx3-ubyte",
-                data_dir / f"{stem}-labels-idx1-ubyte",
-            )
+            (data_dir / f"{stem}-images-idx3-ubyte").write_bytes(image_bytes(images))
+            (data_dir / f"{stem}-labels-idx1-ubyte").write_bytes(label_bytes(labels))
         monkeypatch.setenv(DATA_DIR_ENV, str(data_dir))
         config = write_config(
             tmp_path,

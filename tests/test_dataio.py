@@ -12,7 +12,6 @@ from noise_forge.dataio import (
     make_synthetic,
     split_holdout,
     subset,
-    write_idx_pair,
 )
 
 IMAGE_MAGIC = 0x00000803  # 2051
@@ -100,27 +99,6 @@ class TestIdxLoading:
         (tmp_path / "short").write_bytes(label_bytes(np.array([0, 1], dtype=np.uint8)))
         with pytest.raises(IdxFormatError, match="mismatch"):
             load_idx_pair(ipath, tmp_path / "short")
-
-
-class TestIdxRoundTrip:
-    def test_write_then_load_is_bit_exact(self, tmp_path, idx_pair):
-        ipath, lpath, _, _ = idx_pair
-        ds = load_idx_pair(ipath, lpath)
-        write_idx_pair(ds, tmp_path / "out-i", tmp_path / "out-l", image_shape=(2, 3))
-        back = load_idx_pair(tmp_path / "out-i", tmp_path / "out-l")
-        np.testing.assert_array_equal(ds.inputs, back.inputs)
-        np.testing.assert_array_equal(ds.labels, back.labels)
-
-    def test_non_byte_values_rejected(self, tmp_path):
-        ds = Dataset(np.array([[0.3]]), np.array([0]), 2)
-        with pytest.raises(ValueError, match="byte-exact"):
-            write_idx_pair(ds, tmp_path / "i", tmp_path / "l")
-
-    def test_shape_mismatch_rejected(self, tmp_path, idx_pair):
-        ipath, lpath, _, _ = idx_pair
-        ds = load_idx_pair(ipath, lpath)
-        with pytest.raises(ValueError, match="image_shape"):
-            write_idx_pair(ds, tmp_path / "i", tmp_path / "l", image_shape=(2, 2))
 
 
 class TestDataset:

@@ -24,9 +24,8 @@ from noise_forge.harness import (
     sweep_alpha,
     sweep_batch,
     train_run,
-    write_aggregate_csv,
+    write_cells,
     write_probe_csv,
-    write_runs_csv,
     write_step_log,
 )
 from noise_forge.report import (
@@ -475,20 +474,33 @@ class TestCsvWriters:
         assert lines[1] == "1,0,0.5,1.25,,1.25,0.001"
 
     def test_runs_schema(self, tmp_path):
-        path = tmp_path / "runs.csv"
+        cfg = small_config(ne=NEConfig(alpha=1.5, batch_size=4))
         record = RunRecord(0, STATUS_CONVERGED, 0.875, 300, 150, 0.0009, 300)
-        write_runs_csv(path, [("abc123def456", 4, 1.5, record)])
-        lines = path.read_text().splitlines()
+        write_cells(tmp_path, [(cfg, aggregate([record]))])
+        lines = (tmp_path / "runs.csv").read_text().splitlines()
         assert lines[0] == "config_hash,B,alpha,seed,test_accuracy,convergence_steps,lr_halved_at,status"
-        assert lines[1] == "abc123def456,4,1.5,0,0.875,300,150,converged"
+        assert lines[1] == f"{config_hash(cfg)},4,1.5,0,0.875,300,150,converged"
 
     def test_aggregate_schema(self, tmp_path):
-        path = tmp_path / "aggregate.csv"
-        agg = aggregate([rec(0, acc=0.9, conv=100)])
-        write_aggregate_csv(path, [(4, 1.0, agg)])
-        lines = path.read_text().splitlines()
+        write_cells(tmp_path, [(small_config(), aggregate([rec(0, acc=0.9, conv=100)]))])
+        lines = (tmp_path / "aggregate.csv").read_text().splitlines()
         assert lines[0] == "B,alpha,mean_acc,std_acc,mean_steps,std_steps,n_converged"
         assert lines[1] == "4,1.0,0.9,0.0,100.0,0.0,1"
+
+    def test_cells_carry_their_own_configs(self, tmp_path):
+        plan = harness.SweepPlan.over_alpha(small_config(), [1.0, 2.5], b_fixed=8)
+        cells = [aggregate([rec(0, acc=0.75), rec(3, acc=0.5)]), aggregate([rec(1, acc=0.25)])]
+        write_cells(tmp_path, zip(plan.configs, cells))
+        runs = [line.split(",") for line in (tmp_path / "runs.csv").read_text().splitlines()[1:]]
+        h0, h1 = (config_hash(c) for c in plan.configs)
+        assert h0 != h1
+        assert [r[:5] for r in runs] == [
+            [h0, "8", "1.0", "0", "0.75"],
+            [h0, "8", "1.0", "3", "0.5"],
+            [h1, "8", "2.5", "1", "0.25"],
+        ]
+        agg = (tmp_path / "aggregate.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[:3] for line in agg] == [["8", "1.0", "0.625"], ["8", "2.5", "0.25"]]
 
     def test_probe_schema(self, tmp_path):
         from noise_forge.noiselab import ProbeRow

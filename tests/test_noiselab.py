@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,46 @@ class TestNoiseSamplers:
                     assert block_e is None and all(e is None for _, e in pairs)
                 else:
                     assert np.array_equal(np.vstack([e for _, e in pairs]), block_e)
+
+    def test_chunks_bounded_by_the_sample_cap_are_transparent(self, monkeypatch):
+        # N = 12 and P = 26: a cap of N * P allows 2 draws per chunk at B = 6
+        # and 1 at B = 8, and every row stays byte-equal to the uncapped run
+        p = len(self.w)
+        reference = {
+            (b, alpha): sample_ne_noise(self.w, self.ds, 0.1, b, alpha, 12, seed=3)
+            for b in (6, 8)
+            for alpha in (1.0, 2.0)
+        }
+        chunks = []
+        index_pairs = noiselab._index_pairs
+
+        def spy(*args):
+            chunks.append(args[-1])
+            return index_pairs(*args)
+
+        monkeypatch.setattr(noiselab, "_index_pairs", spy)
+        monkeypatch.setattr(noiselab, "MAX_SAMPLE_ENTRIES", self.ds.n_samples * p)
+        for (b, alpha), expected in reference.items():
+            capped = sample_ne_noise(self.w, self.ds, 0.1, b, alpha, 12, seed=3)
+            assert capped.tobytes() == expected.tobytes()
+        assert chunks == [2, 2, 1, 1]
+
+    def test_gather_memory_is_bounded_by_the_sample_cap(self, monkeypatch):
+        # G, the output and one chunk's (draws, B, P) gather each hold at most
+        # `cap` doubles; a 512-draw gather would be 20x the cap here
+        ds = blob_dataset(seed=3, n_per_class=20)
+        w = glorot_init(MlpSpec(3, (16,), 2, seed=3))
+        n_draws, b = 400, 20
+        cap = n_draws * len(w)
+        monkeypatch.setattr(noiselab, "MAX_SAMPLE_ENTRIES", cap)
+        for alpha in (1.0, 2.0):
+            tracemalloc.start()
+            try:
+                sample_ne_noise(w, ds, 0.1, b, alpha, n_draws, seed=4)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 8 * cap
 
     def test_full_batch_noise_is_exactly_zero(self):
         xi = sample_ne_noise(self.w, self.ds, 0.1, self.ds.n_samples, 1.0, 5, seed=1)
