@@ -20,7 +20,6 @@ from .harness import (
     probe_run,
     repeat_runs,
     sweep_alpha,
-    sweep_batch,
     train_run,
 )
 from .model import MlpSpec, ParamVector, glorot_init, loss_and_grad
@@ -28,8 +27,6 @@ from .noiselab import (
     ProbeRow,
     effective_batch,
     enhancement_factor,
-    exact_noise_trace,
-    gradient_diversity,
     probe_noise,
     sample_ne_noise,
 )
@@ -52,9 +49,7 @@ __all__ = [
     "TrainConfig",
     "effective_batch",
     "enhancement_factor",
-    "exact_noise_trace",
     "glorot_init",
-    "gradient_diversity",
     "load_idx_pair",
     "loss_and_grad",
     "make_synthetic",
@@ -65,7 +60,6 @@ __all__ = [
     "sample_ne_noise",
     "split_holdout",
     "sweep_alpha",
-    "sweep_batch",
     "train_run",
     "training_step",
     "__version__",

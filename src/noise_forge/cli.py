@@ -45,7 +45,6 @@ DEFAULTS: dict = {
     "model.hidden": [100, 100],
     "optim.base": "adam",
     "optim.learning_rate": 0.001,
-    "ne.mode": "pairwise",
     "ne.alpha": 1.0,
     "ne.batch_size": 128,
     "train.l_star": 0.01,
@@ -208,7 +207,6 @@ def build_train_config(cfg: dict) -> harness.TrainConfig:
         alpha=float(cfg["ne.alpha"]),
         batch_size=int(cfg["ne.batch_size"]),
         base=cfg["optim.base"],
-        mode=cfg["ne.mode"],
     )
     try:
         return harness.TrainConfig(

@@ -279,19 +279,14 @@ def _train_one(args: tuple[TrainConfig, int]) -> RunRecord:
     return train_run(cfg, seed)
 
 
-def repeat_runs(
-    cfg: TrainConfig, seeds: Iterable[int] | None = None, jobs: int = 1
-) -> AggregateResult:
-    """Run the protocol once per seed and aggregate. Results are ordered by
-    the seed list regardless of scheduling."""
-    seed_list = list(cfg.seeds if seeds is None else seeds)
-    if not seed_list:
-        raise ValueError("need at least one seed")
+def repeat_runs(cfg: TrainConfig, jobs: int = 1) -> AggregateResult:
+    """Run the protocol once per seed in cfg.seeds and aggregate. Results
+    are ordered by the seed list regardless of scheduling."""
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_train_one, [(cfg, s) for s in seed_list]))
+            records = list(pool.map(_train_one, [(cfg, s) for s in cfg.seeds]))
     else:
-        records = [train_run(cfg, s) for s in seed_list]
+        records = [train_run(cfg, s) for s in cfg.seeds]
     return aggregate(records)
 
 
@@ -353,13 +348,6 @@ class SweepPlan:
         """Repeat the protocol for every cell, in grid order."""
         cells = tuple(repeat_runs(cell_cfg, jobs=jobs) for cell_cfg in self.configs)
         return SweepResult(self.axis, self.values, self.fixed_value, cells)
-
-
-def sweep_batch(
-    cfg: TrainConfig, b_grid: Iterable[int], alpha_fixed: float = 1.0, jobs: int = 1
-) -> SweepResult:
-    """Repeat the protocol for each batch size at fixed alpha (see SweepPlan)."""
-    return SweepPlan.over_batch(cfg, b_grid, alpha_fixed).run(jobs)
 
 
 def sweep_alpha(

@@ -29,14 +29,10 @@ class DivergenceError(FloatingPointError):
 class NEConfig:
     """Noise-enhancement settings for a training run.
 
-    alpha is the primary-batch weight (>= 1; 1 disables enhancement).
-    mode selects how the second gradient is formed:
-      "pairwise"   alpha * grad(B) + (1 - alpha) * grad(B'), the real rule;
-      "naive-full" alpha * grad(B) + (1 - alpha) * grad_full, the oracle
-                   variant that needs the exact gradient;
-      "off"        plain base optimizer on grad(B).
-    All modes consume the minibatch streams identically, so trajectories
-    with the same seed stay comparable across modes.
+    alpha is the primary-batch weight (>= 1; 1 disables enhancement) in
+    alpha * grad(B) + (1 - alpha) * grad(B'). mode names that rule and
+    takes only "pairwise"; it is kept so existing callers and config
+    hashes stay valid.
     """
 
     alpha: float = 1.0
@@ -53,8 +49,8 @@ class NEConfig:
             raise ValueError("batch_size must be >= 1")
         if self.base not in ("sgd", "adam"):
             raise ValueError(f"unknown base optimizer {self.base!r}")
-        if self.mode not in ("pairwise", "naive-full", "off"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode != "pairwise":
+            raise ValueError(f"unknown mode {self.mode!r} (only 'pairwise')")
 
 
 @dataclass
@@ -241,7 +237,7 @@ class StepLog:
     epoch: int
     minibatch_loss: float
     grad_norm_b: float
-    grad_norm_bprime: float | None
+    grad_norm_bprime: float
     combined_norm: float
     lr: float
 
@@ -256,48 +252,41 @@ def training_step(
 ) -> tuple[ParamVector, StepLog | None]:
     """One full step: sample the pair, form the direction, apply the base rule.
 
-    Each step makes one ``loss_and_grad`` call. At alpha = 1 and in off mode
-    it runs over B alone, unweighted, so those runs are bit-identical to
-    plain descent on grad(B); B' is still drawn so the streams stay aligned.
-    Otherwise it runs once over ``pair_rows(B, second, alpha, N)``, each row
-    of B ∪ second once, where second is B' in pairwise mode and the whole
-    dataset in naive-full mode. That direction is alpha * grad(B) +
-    (1 - alpha) * grad(second) to about 1e-15 of its norm (tests hold it to
-    1e-12).
+    Each step makes one ``loss_and_grad`` call. At alpha = 1 it runs over B
+    alone, unweighted, so the run is bit-identical to plain descent on
+    grad(B); B' is still drawn so the streams stay aligned. Otherwise it
+    runs once over ``pair_rows(B, B', alpha, N)``, each row of B ∪ B' once.
+    That direction is alpha * grad(B) + (1 - alpha) * grad(B') to about
+    1e-15 of its norm (tests hold it to 1e-12).
 
-    With ``log`` the step also returns its StepLog, computing grad(B), the
-    second gradient and their norms where the update did not need them;
-    without it it returns None in its place. The update never depends on
-    ``log``. Raises DivergenceError, before any state changes, when the
-    direction is non-finite. The batch streams advance the same way in
-    every mode.
+    With ``log`` the step also returns its StepLog, computing grad(B),
+    grad(B') and their norms where the update did not need them; without it
+    it returns None in its place. The update never depends on ``log``.
+    Raises DivergenceError, before any state changes, when the direction is
+    non-finite.
     """
     lr = state.learning_rate
     primary, enhancement = sample_minibatch_pair(streams.epoch_state, streams.enhancement_rng)
     alpha = config.alpha
-    n = ds.n_samples
     grad_b = None
-    if config.mode == "off" or alpha == 1.0:
+    if alpha == 1.0:
         loss_b, grad_b = loss_and_grad(w, ds, primary)
         direction = grad_b
     else:
-        second = enhancement if config.mode == "pairwise" else np.arange(n)
-        _, direction = loss_and_grad(w, ds, *pair_rows(primary, second, alpha, n))
+        _, direction = loss_and_grad(w, ds, *pair_rows(primary, enhancement, alpha, ds.n_samples))
     step_fn = adam_step if config.base == "adam" else sgd_step
     w_next = step_fn(w, direction, state)
     if not log:
         return w_next, None
     if grad_b is None:
         loss_b, grad_b = loss_and_grad(w, ds, primary)
-    grad_other = None
-    if config.mode != "off":
-        _, grad_other = loss_and_grad(w, ds, enhancement if config.mode == "pairwise" else None)
+    _, grad_bprime = loss_and_grad(w, ds, enhancement)
     return w_next, StepLog(
         step=state.step_count,
         epoch=streams.epoch_state.epoch,
         minibatch_loss=loss_b,
         grad_norm_b=float(np.linalg.norm(grad_b.values)),
-        grad_norm_bprime=None if grad_other is None else float(np.linalg.norm(grad_other.values)),
+        grad_norm_bprime=float(np.linalg.norm(grad_bprime.values)),
         combined_norm=float(np.linalg.norm(direction.values)),
         lr=lr,
     )

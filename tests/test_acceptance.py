@@ -48,7 +48,14 @@ from noise_forge.noiselab import (
     noise_covariance_from_grads,
     sample_ne_noise,
 )
-from noise_forge.optim import BatchStreams, NEConfig, OptimizerState, StepLog, training_step
+from noise_forge.optim import (
+    BatchStreams,
+    NEConfig,
+    OptimizerState,
+    StepLog,
+    sample_minibatch_pair,
+    training_step,
+)
 from noise_forge.report import alpha_flags, emit_report
 
 
@@ -167,22 +174,34 @@ def test_c3_effective_batch_reference_points():
 
 
 def test_c4_alpha_one_trajectory_is_bit_identical_to_plain():
-    """500 adam steps: pairwise at alpha=1 equals the plain optimizer bitwise."""
+    """500 adam steps: pairwise at alpha=1 equals the plain optimizer bitwise.
+
+    The plain side is written out here: grad(B) from loss_and_grad on the
+    primary batch of each drawn pair, then the textbook Adam update, with
+    no training_step or adam_step, on identically seeded streams.
+    """
     ds = blob_dataset(seed=21, n_per_class=64, classes=4, dim=10)
     spec = MlpSpec(10, (16, 16), 4, seed=3)
-    w_pair = glorot_init(spec)
-    w_off = w_pair.copy()
-    cfg_pair = NEConfig(alpha=1.0, batch_size=16, base="adam", mode="pairwise")
-    cfg_off = NEConfig(alpha=1.0, batch_size=16, base="adam", mode="off")
-    state_pair = OptimizerState(learning_rate=1e-3)
-    state_off = OptimizerState(learning_rate=1e-3)
-    streams_pair = BatchStreams.from_seed(ds.n_samples, 16, seed=7)
-    streams_off = BatchStreams.from_seed(ds.n_samples, 16, seed=7)
+    w_step = glorot_init(spec)
+    cfg = NEConfig(alpha=1.0, batch_size=16, base="adam")
+    state = OptimizerState(learning_rate=1e-3)
+    streams = BatchStreams.from_seed(ds.n_samples, 16, seed=7)
+
+    lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
+    w_plain = w_step.values.copy()
+    m, v = np.zeros(w_plain.size), np.zeros(w_plain.size)
+    plain_streams = BatchStreams.from_seed(ds.n_samples, 16, seed=7)
     identical = 0
-    for _ in range(500):
-        w_pair, _ = training_step(w_pair, ds, cfg_pair, state_pair, streams_pair)
-        w_off, _ = training_step(w_off, ds, cfg_off, state_off, streams_off)
-        if w_pair.values.tobytes() != w_off.values.tobytes():
+    for t in range(1, 501):
+        w_step, _ = training_step(w_step, ds, cfg, state, streams)
+        primary, _ = sample_minibatch_pair(plain_streams.epoch_state, plain_streams.enhancement_rng)
+        _, g = loss_and_grad(ParamVector(w_plain, spec.dims), ds, primary)
+        m = beta1 * m + (1.0 - beta1) * g.values
+        v = beta2 * v + (1.0 - beta2) * g.values**2
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        w_plain = w_plain - lr * m_hat / (np.sqrt(v_hat) + eps)
+        if w_step.values.tobytes() != w_plain.tobytes():
             break
         identical += 1
     ok = identical == 500
@@ -246,7 +265,7 @@ def test_c7_protocol_halves_once_and_stops_at_threshold(monkeypatch):
     test = blob_dataset(seed=42, n_per_class=4, classes=2, dim=3)
     cfg = TrainConfig(
         model=MlpSpec(3, (4,), 2, seed=0),
-        ne=NEConfig(alpha=1.0, batch_size=4, base="sgd", mode="pairwise"),
+        ne=NEConfig(alpha=1.0, batch_size=4, base="sgd"),
         train_data=train,
         test_data=test,
         learning_rate=0.1,
@@ -421,7 +440,7 @@ def test_c9_kurtosis_estimator_and_probe_pipeline():
     test = blob_dataset(seed=52, n_per_class=5, classes=2, dim=3)
     cfg = TrainConfig(
         model=MlpSpec(3, (4,), 2, seed=1),
-        ne=NEConfig(alpha=1.5, batch_size=8, base="sgd", mode="pairwise"),
+        ne=NEConfig(alpha=1.5, batch_size=8, base="sgd"),
         train_data=train,
         test_data=test,
         learning_rate=0.05,

@@ -51,8 +51,8 @@ def test_row_counted_functions_take_w_ds_idx_first(monkeypatch):
         assert params == ["w", "ds", "idx"], f"{module_name}.{func_name} takes {params}"
 
 
-@pytest.mark.parametrize("mode, alpha", [("pairwise", 1.0), ("pairwise", 1.5), ("off", 1.0)])
-def test_traced_steps_use_every_gradient_they_compute(monkeypatch, mode, alpha):
+@pytest.mark.parametrize("alpha", [1.0, 1.5], ids=["pairwise-1.0", "pairwise-1.5"])
+def test_traced_steps_use_every_gradient_they_compute(monkeypatch, alpha):
     # perfbench's optim.useful_grad_frac divides by the loss_and_grad calls
     # it finds under each training_step; a step that computes its direction
     # any other way leaves it nothing to divide by.
@@ -62,15 +62,14 @@ def test_traced_steps_use_every_gradient_they_compute(monkeypatch, mode, alpha):
     centers = np.random.default_rng(0).standard_normal((3, 4))
     ds = dataio.make_synthetic(dataio.SyntheticSpec(centers, 10, 0.5, 0))
     w = model.glorot_init(model.MlpSpec(4, (6,), 3, seed=1))
-    config = optim.NEConfig(alpha=alpha, batch_size=5, mode=mode)
+    config = optim.NEConfig(alpha=alpha, batch_size=5)
     state = optim.OptimizerState(learning_rate=1e-2)
     streams = optim.BatchStreams.from_seed(ds.n_samples, 5, 2)
     twin = optim.BatchStreams.from_seed(ds.n_samples, 5, 2)
     want_rows = []
     for _ in range(3):
         primary, enhancement = optim.sample_minibatch_pair(twin.epoch_state, twin.enhancement_rng)
-        both = alpha != 1.0 and mode == "pairwise"
-        want_rows.append(len(np.union1d(primary, enhancement) if both else primary))
+        want_rows.append(len(primary if alpha == 1.0 else np.union1d(primary, enhancement)))
     tracer = spans.Tracer()
     with tracer:
         for _ in range(3):

@@ -409,6 +409,13 @@ class TestUsageErrors:
         assert rc == 1
         assert "expects an integer" in capsys.readouterr().err
 
+    def test_retired_mode_key_is_unknown(self, tmp_path, capsys):
+        # pairwise is the only training rule, so there is no ne.mode to set
+        rc = parse_and_dispatch(["train", "--set", "ne.mode=off", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "unknown config key: ne.mode" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("setting", ['sweep.alpha_grid=[1.0,"2"]', "sweep.alpha_grid=[true]"])
     def test_non_numeric_alpha_is_a_config_error(self, setting, capsys):
         rc = parse_and_dispatch(["sweep-alpha", "--set", setting])

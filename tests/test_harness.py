@@ -14,6 +14,7 @@ from noise_forge.harness import (
     AggregateResult,
     ProbePlan,
     RunRecord,
+    SweepPlan,
     SweepResult,
     TrainConfig,
     aggregate,
@@ -22,7 +23,6 @@ from noise_forge.harness import (
     probe_run,
     repeat_runs,
     sweep_alpha,
-    sweep_batch,
     train_run,
     write_cells,
     write_probe_csv,
@@ -49,7 +49,7 @@ def small_config(**overrides):
     test = blob_dataset(seed=2, n_per_class=4)
     defaults = dict(
         model=MlpSpec(3, (4,), 2, seed=0),
-        ne=NEConfig(alpha=1.0, batch_size=4, base="sgd", mode="pairwise"),
+        ne=NEConfig(alpha=1.0, batch_size=4, base="sgd"),
         train_data=train,
         test_data=test,
         learning_rate=0.1,
@@ -129,6 +129,11 @@ class TestConfigHash:
         h = config_hash(small_config())
         assert len(h) == 12
         int(h, 16)
+
+    def test_digest_is_pinned(self):
+        # runs.csv rows are keyed by this digest; a change to the hashed
+        # payload (dropping "mode", say) would re-key every results directory
+        assert config_hash(small_config()) == "6584d0b7c7dc"
 
 
 class TestProtocol:
@@ -307,7 +312,7 @@ class TestRepeatRuns:
         monkeypatch.setattr(
             harness, "train_run", lambda cfg, seed, step_writer=None: rec(seed)
         )
-        agg = repeat_runs(small_config(), seeds=[5, 1, 3])
+        agg = repeat_runs(small_config(seeds=(5, 1, 3)))
         assert [r.seed for r in agg.records] == [5, 1, 3]
 
     def test_defaults_to_config_seeds(self, monkeypatch):
@@ -318,8 +323,9 @@ class TestRepeatRuns:
         assert [r.seed for r in agg.records] == [2, 4]
 
     def test_empty_seed_list_rejected(self):
-        with pytest.raises(ValueError):
-            repeat_runs(small_config(), seeds=[])
+        # repeat_runs runs cfg.seeds, which TrainConfig keeps non-empty
+        with pytest.raises(ValueError, match="need at least one seed"):
+            repeat_runs(small_config(seeds=()))
 
     def test_parallel_jobs_match_serial(self):
         cfg = small_config(max_steps=40, eval_interval=20, seeds=(0, 1))
@@ -347,7 +353,7 @@ class TestSweeps:
         table = {(4, 1.0): (0.80, 100), (8, 1.0): (0.90, 200), (16, 1.0): (0.90, 400)}
         monkeypatch.setattr(harness, "train_run", fake_table_runner(table))
         cfg = small_config(seeds=(0, 1))
-        sweep = sweep_batch(cfg, [4, 8, 16], alpha_fixed=1.0)
+        sweep = SweepPlan.over_batch(cfg, [4, 8, 16], alpha_fixed=1.0).run()
         assert sweep.axis == "batch_size"
         assert sweep.values == (4.0, 8.0, 16.0)
         assert [c.mean_accuracy for c in sweep.cells] == [0.80, 0.90, 0.90]
@@ -389,12 +395,12 @@ class TestSweeps:
         with pytest.raises(ValueError, match="alpha must be >= 1"):
             sweep_alpha(small_config(), [1.0, 0.5], b_fixed=4)
         with pytest.raises(ValueError, match="batch_size exceeds training set size"):
-            sweep_batch(small_config(), [4, 100_000])
+            SweepPlan.over_batch(small_config(), [4, 100_000]).run()
         assert runs == []
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            sweep_batch(small_config(), [])
+            SweepPlan.over_batch(small_config(), []).run()
         with pytest.raises(ValueError):
             sweep_alpha(small_config(), [], b_fixed=4)
 
