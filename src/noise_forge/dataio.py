@@ -31,8 +31,11 @@ class Dataset:
 
     ``inputs`` is (n_samples, input_dim) float64 with every entry finite and
     in [0, 1]; ``labels`` is (n_samples,) int64 with values in
-    [0, num_classes). Arrays are copied on construction and marked
-    read-only.
+    [0, num_classes). Arrays a caller passes in are copied, so changing
+    them later does not reach the dataset. Arrays that this module has just
+    built and holds no other reference to (the synthetic cloud, the rows
+    ``take`` gathers, the scaled IDX images) are adopted without a copy
+    through ``_adopt``. Either way they are validated and end read-only.
     """
 
     inputs: np.ndarray
@@ -40,8 +43,13 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self) -> None:
-        inputs = np.array(self.inputs, dtype=np.float64, copy=True)
-        labels = np.array(self.labels, dtype=np.int64, copy=True)
+        self._own(
+            np.array(self.inputs, dtype=np.float64, copy=True),
+            np.array(self.labels, dtype=np.int64, copy=True),
+        )
+
+    def _own(self, inputs: np.ndarray, labels: np.ndarray) -> None:
+        """Validate the arrays, make them read-only and store them."""
         if inputs.ndim != 2:
             raise ValueError("inputs must be 2-D (n_samples, input_dim)")
         if labels.ndim != 1:
@@ -76,9 +84,27 @@ class Dataset:
         return self.inputs.shape[1]
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        """New dataset holding the given rows, in the given order."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.inputs[idx], self.labels[idx], self.num_classes)
+        """New dataset holding the given rows, in the given order.
+
+        ``indices`` must be 1-D integers in [0, n_samples); anything else
+        (negative, floats, out of range) raises ValueError.
+        """
+        idx = np.asarray(indices)
+        if idx.ndim != 1 or idx.shape[0] == 0 or idx.dtype.kind not in "iu":
+            raise ValueError("row indices must be a non-empty 1-D integer array")
+        if idx.min() < 0 or idx.max() >= self.n_samples:
+            raise ValueError("row index out of range for dataset")
+        return _adopt(self.inputs[idx], self.labels[idx], self.num_classes)
+
+
+def _adopt(inputs: np.ndarray, labels: np.ndarray, num_classes: int) -> Dataset:
+    """Dataset over float64 ``inputs`` and int64 ``labels`` that the caller
+    has just built and no one else holds: validated and made read-only like
+    any other, but not copied."""
+    ds = object.__new__(Dataset)
+    object.__setattr__(ds, "num_classes", num_classes)
+    ds._own(inputs, labels)
+    return ds
 
 
 def _read_maybe_gzip(path: Path) -> bytes:
@@ -130,7 +156,7 @@ def load_idx_pair(image_path: str | Path, label_path: str | Path) -> Dataset:
         )
     inputs = img_data.reshape(n_images, rows * cols).astype(np.float64)
     inputs /= 255.0
-    return Dataset(inputs, lbl_data.astype(np.int64), 10)
+    return _adopt(inputs, lbl_data.astype(np.int64), 10)
 
 
 @dataclass(frozen=True)
@@ -177,23 +203,30 @@ def make_synthetic(spec: SyntheticSpec) -> Dataset:
     by a single global affine map, and clamped. A degenerate cloud (all
     points equal) maps to 0.5. With ``label_noise`` > 0 that fraction of
     labels is resampled uniformly.
+
+    The cloud is built, rescaled and clamped in the one array the normal
+    draws fill, which the dataset then adopts: one array of
+    n * dim floats at any time.
     """
     rng = named_stream(spec.seed, "synthetic")
     n = spec.n_per_class * spec.num_classes
     labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), spec.n_per_class)
-    points = spec.centers[labels] + spec.noise_scale * rng.standard_normal((n, spec.dim))
+    points = rng.standard_normal((n, spec.dim))
+    points *= spec.noise_scale
+    for k, center in enumerate(spec.centers):
+        points[k * spec.n_per_class : (k + 1) * spec.n_per_class] += center
     lo = points.min()
     hi = points.max()
     if hi > lo:
-        points = (points - lo) / (hi - lo)
+        points -= lo
+        points /= hi - lo
     else:
-        points = np.full_like(points, 0.5)
+        points.fill(0.5)
     np.clip(points, 0.0, 1.0, out=points)
     if spec.label_noise > 0.0:
         flip = rng.random(n) < spec.label_noise
-        labels = labels.copy()
         labels[flip] = rng.integers(0, spec.num_classes, size=int(flip.sum()))
-    return Dataset(points, labels, spec.num_classes)
+    return _adopt(points, labels, spec.num_classes)
 
 
 def split_holdout(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -150,11 +150,14 @@ def _resolve_index(ds: Dataset, idx: np.ndarray | None) -> np.ndarray:
     return idx
 
 
-# The training step's work arrays, one set per dims: (forward, backward)
-# lists, grown to the largest loss_and_grad chunk and never shrunk. "forward"
-# holds the activations, the log-softmax, the softmax exponentials and the
-# row maxima/sums; "backward" the per-layer dz.
-_BUFFERS: dict[tuple[int, ...], tuple[list[np.ndarray], list[np.ndarray]]] = {}
+# The training step's work arrays, one set per dims: (forward, backward),
+# grown to the largest loss_and_grad chunk and never shrunk. "forward" holds
+# the activations, the log-softmax, the softmax exponentials and the row
+# maxima/sums; "backward" the top dz, (rows, classes), and one flat boolean
+# ReLU mask with room for the widest hidden layer. The other dz have no
+# arrays of their own: the backward sweep writes each over the activation it
+# replaces.
+_BUFFERS: dict[tuple[int, ...], tuple[list[np.ndarray], tuple[np.ndarray, ...]]] = {}
 
 
 def _block(rows: int, widths: tuple[int, ...]) -> list[np.ndarray]:
@@ -170,6 +173,8 @@ def _buffers(dims: tuple[int, ...], rows: int, chunk: int, backward: bool, keep:
     A kept set that is too small for a keeping pass grows to
     min(chunk, max(rows, twice its rows)), so index sets whose size varies
     from call to call re-allocate it a few times, not on every new maximum.
+    At the full-scale shape (784-dim input, 7x500 hidden, 10 classes) a
+    4096-row kept set is about 141 MB, nearly all of it activations.
     """
     kept = _BUFFERS.get(dims)
     if kept is not None:
@@ -179,10 +184,30 @@ def _buffers(dims: tuple[int, ...], rows: int, chunk: int, backward: bool, keep:
         if keep:
             rows = min(chunk, max(rows, 2 * have))
     fwd = _block(rows, (*dims, dims[-1], dims[-1], 1))
-    bwd = _block(rows, dims[1:]) if backward or keep else []
+    bwd = ()
+    if backward or keep:
+        bwd = (np.empty((rows, dims[-1])), np.empty(rows * max(dims[1:-1], default=0), dtype=bool))
     if keep:
         _BUFFERS[dims] = (fwd, bwd)
     return fwd, bwd
+
+
+def _sweep(w: ParamVector, acts: list[np.ndarray], dz: np.ndarray, mask: np.ndarray):
+    """(layer, a, dz) from the top layer down; see _chunks.
+
+    Once the consumer is done with layer l > 0, its input activation a_l
+    is turned into dz_{l-1} = (dz_l @ W_l.T) * (a_l > 0) in place: the mask
+    is taken into ``mask`` before the product overwrites a_l.
+    """
+    for layer in range(w.n_layers - 1, -1, -1):
+        a = acts[layer]
+        yield layer, a, dz
+        if layer:
+            alive = mask[: a.size].reshape(a.shape)
+            np.greater(a, 0.0, out=alive)
+            np.matmul(dz, w.weights(layer).T, out=a)
+            np.multiply(a, alive, out=a)
+            dz = a
 
 
 def _chunks(
@@ -196,18 +221,24 @@ def _chunks(
 ):
     """The one forward (and backward) pass, over the resolved ``idx`` in chunks.
 
-    Yields (part, labels, acts, logp, dzs) per chunk: ``part`` is the
+    Yields (part, labels, acts, logp, layers) per chunk: ``part`` is the
     chunk's slice of ``idx``, ``acts`` the activations [input, relu
     outputs..., logits] and ``logp`` the log-softmax of the logits. With
-    ``backward``, ``dzs`` holds the per-layer, per-sample derivatives
-    d(sum of losses)/d(z_layer): the last is softmax(logits) - onehot (no
-    1/B scaling), earlier ones go through the transposed weights with the
-    ReLU mask taken from the post-activations (relu'(0) counted as 0).
-    With ``weights`` (one per row of ``idx``) row i of the last dz is scaled
-    by weights[i], and, backprop being linear, so is row i of every dz:
-    they are then the derivatives of sum_i weights[i] * loss_i. Without
-    ``backward`` ``dzs`` is empty. ``Dataset`` guarantees finite float64
-    inputs, so only the width is checked.
+    ``backward``, ``layers`` iterates (layer, a, dz) from the top layer
+    down: ``a`` is the layer's input activation and ``dz`` the per-sample
+    derivatives d(sum of losses)/d(z_layer). The top dz is softmax(logits)
+    - onehot (no 1/B scaling); each one below goes through the transposed
+    weights with the ReLU mask taken from the post-activations (relu'(0)
+    counted as 0). With ``weights`` (one per row of ``idx``) row i of the
+    top dz is scaled by weights[i], and, backprop being linear, so is row i
+    of every dz: they are then the derivatives of sum_i weights[i] *
+    loss_i. Without ``backward`` ``layers`` is empty. ``Dataset``
+    guarantees finite float64 inputs, so only the width is checked.
+
+    The sweep keeps no second set of arrays for the dz: each is written over
+    the activation it replaces, so a pair (a, dz) is valid only until the
+    consumer advances ``layers``, and once ``layers`` has started the hidden
+    activations in ``acts`` are gone (the input and the logits stay).
 
     Every chunk is computed into the same buffers, so one chunk is live at
     a time. With ``keep`` (loss_and_grad, the training step's pass) they
@@ -242,18 +273,16 @@ def _chunks(
         np.sum(expd, axis=1, keepdims=True, out=col)
         np.log(col, out=col)
         np.subtract(logp, col, out=logp)
-        dzs = []
+        layers = ()
         if backward:
-            dzs = [d[:n] for d in bwd]
-            np.exp(logp, out=dzs[-1])
-            dzs[-1][np.arange(n), labels] -= 1.0
+            top, mask = bwd
+            dz = top[:n]
+            np.exp(logp, out=dz)
+            dz[np.arange(n), labels] -= 1.0
             if weights is not None:
-                np.multiply(dzs[-1], weights[start : start + n, None], out=dzs[-1])
-            for layer in range(last, 0, -1):
-                dz = dzs[layer - 1]
-                np.matmul(dzs[layer], w.weights(layer).T, out=dz)
-                np.multiply(dz, acts[layer] > 0.0, out=dz)
-        yield slice(start, start + n), labels, acts, logp, dzs
+                np.multiply(dz, weights[start : start + n, None], out=dz)
+            layers = _sweep(w, acts, dz, mask)
+        yield slice(start, start + n), labels, acts, logp, layers
 
 
 def mean_loss(w: ParamVector, ds: Dataset, idx: np.ndarray | None = None) -> float:
@@ -296,17 +325,17 @@ def loss_and_grad(
     grad = ParamVector(np.empty(len(w)), w.dims)
     total = -0.0  # -0.0 - s is -s for every s, 0.0 included: one chunk gives -mean
     chunks = _chunks(w, ds, idx, _GRAD_ROWS, weights=weights, keep=True)
-    for part, labels, acts, logp, dzs in chunks:
+    for part, labels, _, logp, layers in chunks:
         picked = logp[np.arange(labels.shape[0]), labels]
         total -= picked.sum() if weights is None else weights[part] @ picked
-        for layer in range(w.n_layers):
+        for layer, a, dz in layers:
             gw, gb = grad.weights(layer), grad.bias(layer)
             if part.start == 0:
-                np.matmul(acts[layer].T, dzs[layer], out=gw)
-                np.sum(dzs[layer], axis=0, out=gb)
+                np.matmul(a.T, dz, out=gw)
+                np.sum(dz, axis=0, out=gb)
             else:
-                gw += acts[layer].T @ dzs[layer]
-                gb += dzs[layer].sum(axis=0)
+                gw += a.T @ dz
+                gb += dz.sum(axis=0)
     if weights is None:
         grad.values /= idx.shape[0]
         total /= idx.shape[0]
@@ -323,14 +352,14 @@ def per_sample_grad_matrix(
     """
     idx = _resolve_index(ds, idx)
     out = np.empty((idx.shape[0], len(w)))
-    for part, _, acts, _, dzs in _chunks(w, ds, idx, _MATRIX_ROWS):
+    for part, _, _, _, layers in _chunks(w, ds, idx, _MATRIX_ROWS):
         block = out[part]
-        for layer in range(w.n_layers):
+        for layer, a, dz in layers:
             w_off, b_off = w.slots(layer)
             f_out = w.dims[layer + 1]
-            outer = np.einsum("bi,bo->bio", acts[layer], dzs[layer])
+            outer = np.einsum("bi,bo->bio", a, dz)
             block[:, w_off:b_off] = outer.reshape(block.shape[0], -1)
-            block[:, b_off : b_off + f_out] = dzs[layer]
+            block[:, b_off : b_off + f_out] = dz
     return out
 
 
@@ -347,13 +376,16 @@ def per_sample_grad_norms(
     idx = _resolve_index(ds, idx)
     sq_norms = np.zeros(idx.shape[0])
     total = ParamVector.zeros(w.dims)
-    for part, _, acts, _, dzs in _chunks(w, ds, idx, _NORM_ROWS):
-        for layer in range(w.n_layers):
-            a_sq = np.einsum("bi,bi->b", acts[layer], acts[layer])
-            dz_sq = np.einsum("bo,bo->b", dzs[layer], dzs[layer])
-            sq_norms[part] += a_sq * dz_sq + dz_sq
-            total.weights(layer)[:] += acts[layer].T @ dzs[layer]
-            total.bias(layer)[:] += dzs[layer].sum(axis=0)
+    for part, _, _, _, layers in _chunks(w, ds, idx, _NORM_ROWS):
+        terms = []
+        for layer, a, dz in layers:
+            a_sq = np.einsum("bi,bi->b", a, a)
+            dz_sq = np.einsum("bo,bo->b", dz, dz)
+            terms.append(a_sq * dz_sq + dz_sq)
+            total.weights(layer)[:] += a.T @ dz
+            total.bias(layer)[:] += dz.sum(axis=0)
+        for term in reversed(terms):  # layers 0..L-1: the order fixes the rounding
+            sq_norms[part] += term
     return sq_norms, total
 
 

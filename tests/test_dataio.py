@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import struct
 
 import numpy as np
@@ -111,9 +112,12 @@ class TestDataset:
 
     def test_copies_do_not_alias_caller_arrays(self):
         x = np.zeros((2, 2))
-        ds = Dataset(x, np.array([0, 0]), 1)
+        y = np.array([0, 0])
+        ds = Dataset(x, y, 2)
         x[0, 0] = 0.7
+        y[1] = 1
         assert ds.inputs[0, 0] == 0.0
+        assert ds.labels[1] == 0
 
     def test_non_finite_inputs_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -139,11 +143,25 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((1, 1)), np.array([0]), 0)
 
+    def three_rows(self):
+        return Dataset(np.array([[0.1], [0.2], [0.3]]), np.array([0, 1, 2]), 3)
+
     def test_take_picks_rows_in_order(self):
-        ds = Dataset(np.array([[0.1], [0.2], [0.3]]), np.array([0, 1, 2]), 3)
-        sub = ds.take(np.array([2, 0]))
+        sub = self.three_rows().take(np.array([2, 0]))
         np.testing.assert_allclose(sub.inputs[:, 0], [0.3, 0.1])
         np.testing.assert_array_equal(sub.labels, [2, 0])
+
+    def test_take_rejects_negative_indices(self):
+        with pytest.raises(ValueError, match="range"):
+            self.three_rows().take([-1])
+
+    def test_take_rejects_float_indices(self):
+        with pytest.raises(ValueError, match="integer"):
+            self.three_rows().take([0.9, 1.7])
+
+    def test_take_rejects_out_of_range_indices(self):
+        with pytest.raises(ValueError, match="range"):
+            self.three_rows().take([1, 3])
 
 
 class TestSynthetic:
@@ -247,3 +265,59 @@ class TestSplits:
             subset(ds, 0, seed=2)
         with pytest.raises(ValueError):
             subset(ds, 13, seed=2)
+
+
+def digest(*datasets):
+    h = hashlib.sha256()
+    for ds in datasets:
+        h.update(ds.inputs.tobytes())
+        h.update(ds.labels.tobytes())
+    return h.hexdigest()[:16]
+
+
+PINNED_CENTERS = np.random.default_rng(11).standard_normal((4, 5))
+
+
+class TestBuildersArePinned:
+    """Digests of the builders' outputs, recorded before they built their
+    arrays in place and adopted them: the bytes must not move."""
+
+    @pytest.mark.parametrize(
+        "noise_scale, label_noise, want",
+        [
+            (0.7, 0.0, ("f30f5c5126a7dcbb", "91841c1fd0d969eb", "096c711feb60dd42")),
+            (0.0, 0.0, ("81d67443126a87ce", "c35e5be984ed6bf0", "da7436816814bf9b")),
+            (0.7, 0.3, ("aca84caf3789301c", "093483fafbbd661f", "24cdfd29e1654af6")),
+        ],
+        ids=["plain", "zero-noise", "label-noise"],
+    )
+    def test_digests(self, noise_scale, label_noise, want):
+        ds = make_synthetic(SyntheticSpec(PINNED_CENTERS, 9, noise_scale, 4, label_noise))
+        got = (digest(ds), digest(*split_holdout(ds, 0.25, 5)), digest(subset(ds, 20, 6)))
+        assert got == want
+
+
+def built_datasets(tmp_path):
+    """One output of every dataio builder."""
+    images = np.arange(24, dtype=np.uint8).reshape(4, 2, 3)
+    (tmp_path / "i").write_bytes(image_bytes(images))
+    (tmp_path / "l").write_bytes(label_bytes(np.array([0, 9, 1, 3], dtype=np.uint8)))
+    synthetic = make_synthetic(SyntheticSpec(PINNED_CENTERS, 9, 0.7, 4, 0.3))
+    return {
+        "Dataset": Dataset(np.zeros((2, 3)), np.array([0, 1]), 2),
+        "load_idx_pair": load_idx_pair(tmp_path / "i", tmp_path / "l"),
+        "make_synthetic": synthetic,
+        "split_holdout.train": split_holdout(synthetic, 0.25, 5)[0],
+        "split_holdout.test": split_holdout(synthetic, 0.25, 5)[1],
+        "subset": subset(synthetic, 20, 6),
+        "take": synthetic.take(np.array([3, 1, 3])),
+    }
+
+
+def test_every_builder_output_is_read_only(tmp_path):
+    for name, ds in built_datasets(tmp_path).items():
+        assert ds.inputs.dtype == np.float64 and ds.labels.dtype == np.int64, name
+        with pytest.raises(ValueError):
+            ds.inputs[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            ds.labels[0] = 0

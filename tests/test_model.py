@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,6 +332,143 @@ class TestPerSampleGradients:
         sq, total = per_sample_grad_norms(self.w, self.ds)
         np.testing.assert_allclose(sq, (mat**2).sum(axis=1), rtol=1e-12)
         np.testing.assert_allclose(total.values, mat.sum(axis=0), rtol=0, atol=1e-12)
+
+
+def two_set_passes(w, ds, idx, chunk, weights=None):
+    """Reference kernel with its own array per dz: yields (part, labels,
+    acts, logp, dzs) per chunk, with dzs[l] = (dzs[l + 1] @ W.T) * (a > 0)
+    and every activation left intact."""
+    for start in range(0, len(idx), chunk):
+        rows = idx[start : start + chunk]
+        n = len(rows)
+        labels = ds.labels[rows]
+        acts = [ds.inputs[rows]]
+        for layer in range(w.n_layers):
+            z = acts[-1] @ w.weights(layer) + w.bias(layer)
+            acts.append(np.maximum(z, 0.0) if layer < w.n_layers - 1 else z)
+        shifted = acts[-1] - acts[-1].max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        dzs = [None] * w.n_layers
+        dzs[-1] = np.exp(logp)
+        dzs[-1][np.arange(n), labels] -= 1.0
+        if weights is not None:
+            dzs[-1] = dzs[-1] * weights[start : start + n, None]
+        for layer in range(w.n_layers - 1, 0, -1):
+            dzs[layer - 1] = (dzs[layer] @ w.weights(layer).T) * (acts[layer] > 0.0)
+        yield slice(start, start + n), labels, acts, logp, dzs
+
+
+def two_set_loss_and_grad(w, ds, idx, chunk, weights=None):
+    grad = ParamVector(np.empty(len(w)), w.dims)
+    total = -0.0
+    for part, labels, acts, logp, dzs in two_set_passes(w, ds, idx, chunk, weights):
+        picked = logp[np.arange(len(labels)), labels]
+        total -= picked.sum() if weights is None else weights[part] @ picked
+        for layer in range(w.n_layers):
+            gw, gb = grad.weights(layer), grad.bias(layer)
+            if part.start == 0:
+                gw[:] = acts[layer].T @ dzs[layer]
+                gb[:] = dzs[layer].sum(axis=0)
+            else:
+                gw += acts[layer].T @ dzs[layer]
+                gb += dzs[layer].sum(axis=0)
+    if weights is None:
+        grad.values /= len(idx)
+        total /= len(idx)
+    return total, grad.values
+
+
+def two_set_norms(w, ds, idx, chunk):
+    sq_norms = np.zeros(len(idx))
+    total = ParamVector.zeros(w.dims)
+    for part, _, acts, _, dzs in two_set_passes(w, ds, idx, chunk):
+        for layer in range(w.n_layers):  # terms added in layer order 0..L-1
+            a_sq = np.einsum("bi,bi->b", acts[layer], acts[layer])
+            dz_sq = np.einsum("bo,bo->b", dzs[layer], dzs[layer])
+            sq_norms[part] += a_sq * dz_sq + dz_sq
+            total.weights(layer)[:] += acts[layer].T @ dzs[layer]
+            total.bias(layer)[:] += dzs[layer].sum(axis=0)
+    return sq_norms, total.values
+
+
+def two_set_matrix(w, ds, idx):
+    out = np.empty((len(idx), len(w)))
+    for _, _, acts, _, dzs in two_set_passes(w, ds, idx, len(idx)):
+        for layer in range(w.n_layers):
+            w_off, b_off = w.slots(layer)
+            outer = np.einsum("bi,bo->bio", acts[layer], dzs[layer])
+            out[:, w_off:b_off] = outer.reshape(len(idx), -1)
+            out[:, b_off : b_off + w.dims[layer + 1]] = dzs[layer]
+    return out
+
+
+class TestOneActivationSetSweep:
+    """The backward sweep writes each dz over the activation it replaces; every
+    entry point must stay byte-equal to a kernel that keeps a dz array per layer."""
+
+    def setup_method(self):
+        self.ds = blob_dataset(seed=6, n_per_class=12, classes=3, dim=6)  # N = 36
+        self.w = glorot_init(MlpSpec(6, (9, 4, 8), 3, seed=6))
+        gen = np.random.default_rng(6)
+        self.idx = gen.integers(0, self.ds.n_samples, size=23)
+        self.weights = gen.standard_normal(23)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("chunk", [model._GRAD_ROWS, 3])
+    def test_loss_and_grad(self, monkeypatch, weighted, chunk):
+        monkeypatch.setattr(model, "_GRAD_ROWS", chunk)
+        weights = self.weights if weighted else None
+        loss, grad = loss_and_grad(self.w, self.ds, self.idx, weights)
+        want_loss, want_grad = two_set_loss_and_grad(self.w, self.ds, self.idx, chunk, weights)
+        assert loss == want_loss
+        assert np.array_equal(grad.values, want_grad)
+
+    @pytest.mark.parametrize("chunk", [model._NORM_ROWS, 5])
+    def test_per_sample_grad_norms(self, monkeypatch, chunk):
+        monkeypatch.setattr(model, "_NORM_ROWS", chunk)
+        sq, total = per_sample_grad_norms(self.w, self.ds, self.idx)
+        want_sq, want_total = two_set_norms(self.w, self.ds, self.idx, chunk)
+        assert np.array_equal(sq, want_sq)
+        assert np.array_equal(total.values, want_total)
+
+    def test_per_sample_grad_matrix(self):
+        mat = per_sample_grad_matrix(self.w, self.ds, self.idx)
+        assert np.array_equal(mat, two_set_matrix(self.w, self.ds, self.idx))
+
+
+class TestKernelMemory:
+    def setup_method(self):
+        self.ds = blob_dataset(seed=2, n_per_class=150, classes=3, dim=8)  # N = 450
+        self.w = glorot_init(MlpSpec(8, (1024, 1024), 3, seed=2))
+        self.idx = np.arange(400)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_warm_gradient_pass_allocates_little_beyond_its_result(self, monkeypatch, weighted):
+        # once the kept buffers fit, a call allocates its gradient, a few
+        # (rows,) and (rows, classes) temporaries and numpy's fixed-size
+        # casting buffer for the float * bool mask product; nothing as
+        # large as rows x hidden width (400 x 1024 here)
+        monkeypatch.setattr(model, "_BUFFERS", {})
+        weights = np.linspace(-1.0, 1.0, len(self.idx)) if weighted else None
+        loss_and_grad(self.w, self.ds, self.idx, weights)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, grad = loss_and_grad(self.w, self.ds, self.idx, weights)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        rows, classes = len(self.idx), self.w.dims[-1]
+        allowed = grad.values.nbytes + 8 * np.getbufsize() + 128 * rows * classes
+        assert peak <= allowed, f"peak {peak} bytes, allowed {allowed}"
+
+    def test_kept_backward_set_has_no_hidden_width_floats(self, monkeypatch):
+        monkeypatch.setattr(model, "_BUFFERS", {})
+        loss_and_grad(self.w, self.ds, self.idx)
+        _, backward = model._BUFFERS[self.w.dims]
+        floats = [a for a in backward if a.dtype.kind == "f"]
+        assert floats and all(a.shape == (len(self.idx), self.w.dims[-1]) for a in floats)
+        assert sum(a.nbytes for a in backward if a.dtype.kind != "f") <= len(self.idx) * 1024
 
 
 class TestAccuracy:
