@@ -63,10 +63,13 @@ class Dataset:
             raise ValueError("dataset must contain at least one sample")
         if int(self.num_classes) < 1:
             raise ValueError("num_classes must be >= 1")
-        if not np.isfinite(inputs).all():
-            raise ValueError("inputs contain non-finite entries")
-        if inputs.size and (inputs.min() < 0.0 or inputs.max() > 1.0):
-            raise ValueError("inputs must lie in [0, 1]")
+        if inputs.size:
+            # min and max propagate NaN, so no n x d boolean array is needed
+            lo, hi = inputs.min(), inputs.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError("inputs contain non-finite entries")
+            if lo < 0.0 or hi > 1.0:
+                raise ValueError("inputs must lie in [0, 1]")
         if labels.size and (labels.min() < 0 or labels.max() >= int(self.num_classes)):
             raise ValueError("labels out of range for num_classes")
         inputs.setflags(write=False)
@@ -82,6 +85,11 @@ class Dataset:
     @property
     def input_dim(self) -> int:
         return self.inputs.shape[1]
+
+    def __reduce__(self):
+        # unpickling skips __post_init__; rebuild through _adopt so the copy
+        # (say, the one a --jobs worker receives) is validated and read-only
+        return _adopt, (self.inputs, self.labels, self.num_classes)
 
     def take(self, indices: np.ndarray) -> "Dataset":
         """New dataset holding the given rows, in the given order.

@@ -12,8 +12,10 @@ runs whose gradients or loss go non-finite are marked diverged.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, replace
@@ -279,11 +281,39 @@ def _train_one(args: tuple[TrainConfig, int]) -> RunRecord:
     return train_run(cfg, seed)
 
 
+def _set_blas_threads(n: int) -> None:
+    """Set the loaded OpenBLAS's thread count to ``n``; do nothing when no
+    OpenBLAS setter is found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
+    except OSError:
+        return
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int]
+                fn(n)
+                return
+
+
+def _worker_pool(jobs: int) -> ProcessPoolExecutor:
+    """``jobs`` worker processes sharing the CPUs: each forked worker would
+    otherwise keep the parent's BLAS thread count, and ``jobs`` of them
+    oversubscribe the machine (a 4-seed desk train ran 3x slower with
+    ``--jobs 2`` than serially on 2 CPUs)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    threads = max(1, cpus // jobs)
+    return ProcessPoolExecutor(max_workers=jobs, initializer=_set_blas_threads, initargs=(threads,))
+
+
 def repeat_runs(cfg: TrainConfig, jobs: int = 1) -> AggregateResult:
     """Run the protocol once per seed in cfg.seeds and aggregate. Results
     are ordered by the seed list regardless of scheduling."""
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with _worker_pool(jobs) as pool:
             records = list(pool.map(_train_one, [(cfg, s) for s in cfg.seeds]))
     else:
         records = [train_run(cfg, s) for s in cfg.seeds]

@@ -18,12 +18,14 @@ import numpy as np
 from .dataio import Dataset
 from .rng import named_stream
 
-# Rows per chunk of each entry point. One chunk is live at a time, so no
-# pass holds more than 4096 rows of activations, whatever the index set.
+# Most rows per chunk of each entry point; _chunk_rows lowers them so one
+# chunk's work arrays fit _PASS_BYTES. One chunk is live at a time, so no
+# pass holds more than that, whatever the index set.
 _EVAL_ROWS = 4096  # mean_loss, evaluate_accuracy
 _GRAD_ROWS = 4096  # loss_and_grad
 _NORM_ROWS = 1024  # per_sample_grad_norms
 _MATRIX_ROWS = 256  # per_sample_grad_matrix
+_PASS_BYTES = 48 << 20
 
 
 def param_count(dims: tuple[int, ...]) -> int:
@@ -142,12 +144,14 @@ def glorot_init(spec: MlpSpec) -> ParamVector:
 def _resolve_index(ds: Dataset, idx: np.ndarray | None) -> np.ndarray:
     if idx is None:
         return np.arange(ds.n_samples, dtype=np.int64)
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = np.asarray(idx)
     if idx.ndim != 1 or idx.shape[0] == 0:
         raise ValueError("index set must be 1-D and non-empty")
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"index set must hold integers, not {idx.dtype}")
     if idx.min() < 0 or idx.max() >= ds.n_samples:
         raise ValueError("index out of range for dataset")
-    return idx
+    return idx.astype(np.int64, copy=False)
 
 
 # The training step's work arrays, one set per dims: (forward, backward),
@@ -158,6 +162,23 @@ def _resolve_index(ds: Dataset, idx: np.ndarray | None) -> np.ndarray:
 # arrays of their own: the backward sweep writes each over the activation it
 # replaces.
 _BUFFERS: dict[tuple[int, ...], tuple[list[np.ndarray], tuple[np.ndarray, ...]]] = {}
+
+
+def _forward_widths(dims: tuple[int, ...]) -> tuple[int, ...]:
+    """Float columns per row of the forward block: the activations, the
+    log-softmax, the softmax exponentials and the row maxima/sums."""
+    return (*dims, dims[-1], dims[-1], 1)
+
+
+def _chunk_rows(dims: tuple[int, ...], cap: int) -> int:
+    """Rows per chunk for ``dims``: as many as fit _PASS_BYTES, at most ``cap``.
+
+    A row takes its forward block, its top dz and its ReLU mask bytes. At the
+    full-scale shape that is about 35.1 KB, so 1,433 rows; the desk net
+    (16-128-128-4) and 784-100-100-10 fit all 4096.
+    """
+    row_bytes = 8 * (sum(_forward_widths(dims)) + dims[-1]) + max(dims[1:-1], default=0)
+    return min(cap, max(1, _PASS_BYTES // row_bytes))
 
 
 def _block(rows: int, widths: tuple[int, ...]) -> list[np.ndarray]:
@@ -173,8 +194,10 @@ def _buffers(dims: tuple[int, ...], rows: int, chunk: int, backward: bool, keep:
     A kept set that is too small for a keeping pass grows to
     min(chunk, max(rows, twice its rows)), so index sets whose size varies
     from call to call re-allocate it a few times, not on every new maximum.
-    At the full-scale shape (784-dim input, 7x500 hidden, 10 classes) a
-    4096-row kept set is about 141 MB, nearly all of it activations.
+    ``chunk`` is already clamped by _chunk_rows, so a kept set never holds
+    more than about _PASS_BYTES: at the full-scale shape (784-dim input,
+    7x500 hidden, 10 classes) 1,433 rows, about 48 MiB, nearly all of it
+    activations.
     """
     kept = _BUFFERS.get(dims)
     if kept is not None:
@@ -183,7 +206,7 @@ def _buffers(dims: tuple[int, ...], rows: int, chunk: int, backward: bool, keep:
             return kept
         if keep:
             rows = min(chunk, max(rows, 2 * have))
-    fwd = _block(rows, (*dims, dims[-1], dims[-1], 1))
+    fwd = _block(rows, _forward_widths(dims))
     bwd = ()
     if backward or keep:
         bwd = (np.empty((rows, dims[-1])), np.empty(rows * max(dims[1:-1], default=0), dtype=bool))
@@ -240,9 +263,10 @@ def _chunks(
     consumer advances ``layers``, and once ``layers`` has started the hidden
     activations in ``acts`` are gone (the input and the logits stay).
 
-    Every chunk is computed into the same buffers, so one chunk is live at
-    a time. With ``keep`` (loss_and_grad, the training step's pass) they
-    stay for later calls on the same dims. Other passes use the kept
+    Chunks hold ``_chunk_rows(w.dims, chunk_size)`` rows, so their work
+    arrays fit _PASS_BYTES. Every chunk is computed into the same buffers,
+    so one chunk is live at a time. With ``keep`` (loss_and_grad, the
+    training step's pass) they stay for later calls on the same dims. Other passes use the kept
     buffers when they are large enough and otherwise their own, freed with
     the call, so a full-data pass leaves no memory behind. Every array
     yielded is a view that the next chunk or call overwrites: a consumer
@@ -252,6 +276,7 @@ def _chunks(
     if ds.input_dim != w.dims[0]:
         raise ValueError(f"dataset has {ds.input_dim} columns, model expects {w.dims[0]}")
     last = w.n_layers - 1
+    chunk_size = _chunk_rows(w.dims, chunk_size)
     fwd, bwd = _buffers(w.dims, min(chunk_size, idx.shape[0]), chunk_size, backward, keep)
     for start in range(0, idx.shape[0], chunk_size):
         rows = idx[start : start + chunk_size]
@@ -311,8 +336,9 @@ def loss_and_grad(
     one pass; it rounds differently from combining two gradients, by about
     1e-15 of its norm.
 
-    Rows go through the kernel in chunks of up to 4096, so an unweighted
-    index set of up to 4096 rows gets acts.T @ dz / len(idx) from one GEMM
+    Rows go through the kernel in chunks of up to 4096 (fewer for wide
+    nets: 1,433 at the full-scale shape; see _chunk_rows), so an unweighted
+    index set of up to one chunk gets acts.T @ dz / len(idx) from one GEMM
     per layer; larger sets sum the chunks' products. The reduction order is
     fixed, so results are deterministic for given (w, ds, idx, weights). The
     returned gradient is a fresh vector that later calls do not touch.

@@ -57,7 +57,7 @@ class NEConfig:
 class OptimizerState:
     """Mutable per-run optimizer state; accumulators allocate lazily.
 
-    ``adam_m`` and ``adam_v`` are updated in place, with two work vectors
+    ``adam_m`` and ``adam_v`` are updated in place, with one work vector
     of the same length that the state keeps between steps.
     """
 
@@ -68,7 +68,7 @@ class OptimizerState:
     eps: float = 1e-8
     adam_m: np.ndarray | None = None
     adam_v: np.ndarray | None = None
-    _work: tuple[np.ndarray, np.ndarray] | None = field(
+    _work: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -180,7 +180,8 @@ def pair_rows(
 
 
 def _require_finite(g: ParamVector) -> None:
-    if not np.isfinite(g.values).all():
+    # min and max propagate NaN, so this needs no P-sized boolean array
+    if not (np.isfinite(g.values.min()) and np.isfinite(g.values.max())):
         raise DivergenceError("non-finite gradient")
 
 
@@ -196,10 +197,10 @@ def sgd_step(w: ParamVector, g: ParamVector, state: OptimizerState) -> ParamVect
 def adam_step(w: ParamVector, g: ParamVector, state: OptimizerState) -> ParamVector:
     """Bias-corrected Adam step: w - lr * m_hat / (sqrt(v_hat) + eps).
 
-    The moments are updated in place and the rest runs in the state's two
-    work vectors, with the operations and their order of the textbook
-    form, so the result is bit for bit that form's. Only the returned
-    vector is new.
+    The moments are updated in place and the rest runs in the state's work
+    vector and in the returned vector, which first holds sqrt(v_hat) + eps,
+    with the operations and their order of the textbook form, so the result
+    is bit for bit that form's. Only the returned vector is new.
     """
     if w.dims != g.dims:
         raise ValueError("parameter/gradient shapes disagree")
@@ -208,9 +209,8 @@ def adam_step(w: ParamVector, g: ParamVector, state: OptimizerState) -> ParamVec
         state.adam_m = np.zeros(len(w))
         state.adam_v = np.zeros(len(w))
     if state._work is None:
-        state._work = (np.empty(len(w)), np.empty(len(w)))
-    m, v = state.adam_m, state.adam_v
-    s, r = state._work
+        state._work = np.empty(len(w))
+    m, v, s = state.adam_m, state.adam_v, state._work
     t = state.step_count + 1
     m *= state.beta1  # m = beta1 * m + (1 - beta1) * g
     np.multiply(g.values, 1.0 - state.beta1, out=s)
@@ -221,12 +221,12 @@ def adam_step(w: ParamVector, g: ParamVector, state: OptimizerState) -> ParamVec
     v += s
     np.divide(m, 1.0 - state.beta1**t, out=s)  # lr * m_hat
     s *= state.learning_rate
-    np.divide(v, 1.0 - state.beta2**t, out=r)  # sqrt(v_hat) + eps
+    r = np.divide(v, 1.0 - state.beta2**t)  # sqrt(v_hat) + eps
     np.sqrt(r, out=r)
     r += state.eps
     s /= r
     state.step_count = t
-    return ParamVector(np.subtract(w.values, s), w.dims)
+    return ParamVector(np.subtract(w.values, s, out=r), w.dims)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import gzip
 import hashlib
+import pickle
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +144,33 @@ class TestDataset:
     def test_zero_classes_rejected(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((1, 1)), np.array([0]), 0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_inputs_rejected_before_the_range(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(np.array([[0.5, bad]]), np.array([0]), 1)
+
+    def test_validation_allocates_no_input_sized_temporary(self):
+        # the copy of the inputs is the one large allocation; an n x d
+        # boolean finiteness mask (3.1 MB here) would exceed the 1 MB slack
+        x = np.random.default_rng(0).random((4000, 784))
+        y = np.zeros(4000, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            Dataset(x, y, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.nbytes + (1 << 20), f"peak {peak} bytes for {x.nbytes} of inputs"
+
+    def test_pickled_copy_is_read_only_and_equal(self):
+        ds = Dataset(np.array([[0.1, 0.9], [0.4, 0.0]]), np.array([1, 0]), 2)
+        back = pickle.loads(pickle.dumps(ds))
+        assert not back.inputs.flags.writeable and not back.labels.flags.writeable
+        np.testing.assert_array_equal(back.inputs, ds.inputs)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        assert back.num_classes == 2 and back.inputs.dtype == np.float64
 
     def three_rows(self):
         return Dataset(np.array([[0.1], [0.2], [0.3]]), np.array([0, 1, 2]), 3)

@@ -1,4 +1,6 @@
+import ctypes
 import math
+import os
 
 import numpy as np
 import pytest
@@ -336,6 +338,36 @@ class TestRepeatRuns:
             np.testing.assert_allclose(
                 getattr(serial, name), getattr(parallel, name), equal_nan=True
             )
+
+
+def openblas_threads():
+    """Thread count the loaded OpenBLAS reports, or None without a getter."""
+    with open("/proc/self/maps") as fh:
+        libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+
+class TestWorkerPool:
+    def test_workers_share_the_cpus_between_their_blas_threads(self):
+        if openblas_threads() is None:
+            pytest.skip("numpy is not linked against an OpenBLAS with a thread getter")
+        want = max(1, len(os.sched_getaffinity(0)) // 2)
+        with harness._worker_pool(2) as pool:
+            assert pool.submit(openblas_threads).result() == want
+
+    def test_parallel_runs_csv_is_byte_equal_to_serial(self, tmp_path):
+        cfg = small_config(max_steps=40, eval_interval=20, seeds=(0, 1, 2))
+        for jobs in (1, 2):
+            write_cells(tmp_path / str(jobs), [(cfg, repeat_runs(cfg, jobs=jobs))])
+        serial, parallel = ((tmp_path / j / "runs.csv").read_bytes() for j in ("1", "2"))
+        assert serial == parallel
 
 
 def fake_table_runner(table):

@@ -188,6 +188,22 @@ class TestLoss:
         with pytest.raises(ValueError):
             loss_and_grad(w, ds, np.array([ds.n_samples]))
 
+    @pytest.mark.parametrize("idx", [[0.9, 1.7], np.array([0.0, 1.0]), np.array([True, False, True])])
+    def test_non_integer_index_sets_are_rejected(self, idx):
+        # a float index would otherwise be truncated: [0.9, 1.7] read rows 0 and 1
+        ds = blob_dataset()
+        w = glorot_init(MlpSpec(4, (5,), 3, seed=7))
+        for call in (mean_loss, loss_and_grad, per_sample_grad_norms, per_sample_grad_matrix):
+            with pytest.raises(ValueError, match="integers"):
+                call(w, ds, idx)
+
+    def test_unsigned_and_list_index_sets_are_accepted(self):
+        ds = blob_dataset()
+        w = glorot_init(MlpSpec(4, (5,), 3, seed=7))
+        want = mean_loss(w, ds, np.array([3, 0, 5]))
+        assert mean_loss(w, ds, np.array([3, 0, 5], dtype=np.uint8)) == want
+        assert mean_loss(w, ds, [3, 0, 5]) == want
+
     def test_gradient_matches_finite_differences_small_net(self):
         ds = blob_dataset(seed=5, n_per_class=2, classes=3, dim=5)
         w = glorot_init(MlpSpec(5, (6,), 3, seed=9))
@@ -287,6 +303,53 @@ class TestWeightedLossAndGrad:
         per_sample_grad_norms(self.w, self.ds)
         mean_loss(self.w, self.ds, np.arange(5))
         assert model._BUFFERS[dims][0][0].shape[0] == 6
+
+
+class TestPassBudget:
+    """Chunks hold as many rows as fit model._PASS_BYTES, at most each entry
+    point's row cap."""
+
+    def test_narrow_nets_keep_the_row_caps(self):
+        for dims in ((16, 128, 128, 4), (784, 100, 100, 10)):
+            assert model._chunk_rows(dims, model._GRAD_ROWS) == 4096
+            assert model._chunk_rows(dims, model._EVAL_ROWS) == 4096
+            assert model._chunk_rows(dims, model._NORM_ROWS) == model._NORM_ROWS
+
+    def test_wide_nets_get_the_budget_row_count(self):
+        dims = (784, *(500,) * 7, 10)
+        row_bytes = 8 * (784 + 7 * 500 + 10 + 10 + 10 + 1 + 10) + 500  # 35,100
+        assert model._chunk_rows(dims, model._GRAD_ROWS) == model._PASS_BYTES // row_bytes == 1433
+        assert model._chunk_rows(dims, model._NORM_ROWS) == model._NORM_ROWS
+        assert model._chunk_rows(dims, 4096) >= 1
+
+    def test_small_budget_bounds_the_kept_set_and_keeps_the_results(self, monkeypatch):
+        ds = blob_dataset(seed=4, n_per_class=20, classes=3, dim=4)  # N = 60
+        w = glorot_init(MlpSpec(4, (6, 5), 3, seed=4))
+        idx = np.random.default_rng(4).integers(0, ds.n_samples, size=41)
+        weights = np.linspace(-1.0, 2.0, idx.shape[0])
+
+        def outputs():
+            loss, grad = loss_and_grad(w, ds, idx)
+            wloss, wgrad = loss_and_grad(w, ds, idx, weights)
+            sq, total = per_sample_grad_norms(w, ds, idx)
+            return (
+                [loss, wloss, mean_loss(w, ds), evaluate_accuracy(w, ds)],
+                [grad.values, wgrad.values, sq, total.values, per_sample_grad_matrix(w, ds, idx)],
+            )
+
+        monkeypatch.setattr(model, "_BUFFERS", {})
+        whole_scalars, whole_arrays = outputs()
+        assert model._BUFFERS[w.dims][0][0].shape[0] == idx.shape[0]  # one chunk
+        budget = 5 * (8 * (4 + 6 + 5 + 3 + 3 + 3 + 1 + 3) + 6)  # five rows
+        monkeypatch.setattr(model, "_PASS_BYTES", budget)
+        monkeypatch.setattr(model, "_BUFFERS", {})
+        scalars, arrays = outputs()
+        fwd, bwd = model._BUFFERS[w.dims]
+        assert fwd[0].shape[0] == 5
+        assert sum(a.nbytes for a in (*fwd, *bwd)) <= budget
+        np.testing.assert_allclose(scalars, whole_scalars, rtol=1e-15, atol=1e-15)
+        for got, want in zip(arrays, whole_arrays):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
 
 
 class TestPerSampleGradients:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,42 @@ class TestAdamStep:
             np.testing.assert_array_equal(state.adam_v, v)
             assert not np.array_equal(w.values, before)
         assert state.step_count == 200
+
+    def test_warm_step_allocates_only_its_result(self):
+        dims = (100, 100)  # P = 10,100
+        gen = np.random.default_rng(3)
+        w = ParamVector(gen.standard_normal(10_100), dims)
+        g = ParamVector(gen.standard_normal(10_100), dims)
+        state = OptimizerState(learning_rate=0.01)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            w = adam_step(w, g, state)  # cold: m, v and one work vector stay
+            kept = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            w = adam_step(w, g, state)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            g.values[5] = np.nan
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(DivergenceError):
+                adam_step(w, g, state)
+            check_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # no P-sized float or boolean temporary (a boolean one is 10,100 bytes)
+        assert peak <= w.values.nbytes + 4096, f"warm peak {peak} bytes"
+        assert kept <= 4 * w.values.nbytes + 4096, f"cold step kept {kept} bytes"
+        assert check_peak <= 4096, f"finiteness check peak {check_peak} bytes"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("step", [adam_step, sgd_step])
+    def test_every_non_finite_value_raises(self, step, bad):
+        g = np.zeros(12)
+        g[7] = bad
+        with pytest.raises(DivergenceError):
+            step(ParamVector.zeros((2, 4)), ParamVector(g, (2, 4)), OptimizerState(learning_rate=0.1))
 
     def test_non_finite_gradient_leaves_state_untouched(self):
         state = OptimizerState(learning_rate=0.1)
