@@ -60,6 +60,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and positive")
         if len(self.seeds) < 1:
             raise ValueError("need at least one seed")
+        if any(int(s) < 0 for s in self.seeds):
+            raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
         if self.model.input_dim != self.train_data.input_dim:
             raise ValueError("model input_dim does not match training data")
         if self.model.num_classes != self.train_data.num_classes:
@@ -299,21 +301,27 @@ def _set_blas_threads(n: int) -> None:
                 return
 
 
-def _worker_pool(jobs: int) -> ProcessPoolExecutor:
-    """``jobs`` worker processes sharing the CPUs: each forked worker would
-    otherwise keep the parent's BLAS thread count, and ``jobs`` of them
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """``workers`` processes sharing the CPUs: each forked worker would
+    otherwise keep the parent's BLAS thread count, and ``workers`` of them
     oversubscribe the machine (a 4-seed desk train ran 3x slower with
     ``--jobs 2`` than serially on 2 CPUs)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    threads = max(1, cpus // jobs)
-    return ProcessPoolExecutor(max_workers=jobs, initializer=_set_blas_threads, initargs=(threads,))
+    threads = max(1, cpus // workers)
+    return ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads, initargs=(threads,))
 
 
 def repeat_runs(cfg: TrainConfig, jobs: int = 1) -> AggregateResult:
     """Run the protocol once per seed in cfg.seeds and aggregate. Results
-    are ordered by the seed list regardless of scheduling."""
-    if jobs > 1:
-        with _worker_pool(jobs) as pool:
+    are ordered by the seed list regardless of scheduling.
+
+    At most ``jobs`` worker processes run the seeds, and never more than
+    there are seeds (the default fork start method starts every worker at
+    once); one worker means the runs stay in this process.
+    """
+    workers = min(jobs, len(cfg.seeds))
+    if workers > 1:
+        with _worker_pool(workers) as pool:
             records = list(pool.map(_train_one, [(cfg, s) for s in cfg.seeds]))
     else:
         records = [train_run(cfg, s) for s in cfg.seeds]

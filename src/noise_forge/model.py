@@ -18,13 +18,10 @@ import numpy as np
 from .dataio import Dataset
 from .rng import named_stream
 
-# Most rows per chunk of each entry point; _chunk_rows lowers them so one
-# chunk's work arrays fit _PASS_BYTES. One chunk is live at a time, so no
-# pass holds more than that, whatever the index set.
-_EVAL_ROWS = 4096  # mean_loss, evaluate_accuracy
-_GRAD_ROWS = 4096  # loss_and_grad
-_NORM_ROWS = 1024  # per_sample_grad_norms
-_MATRIX_ROWS = 256  # per_sample_grad_matrix
+# Most rows in one chunk of any pass; _chunk_rows lowers it so a chunk's work
+# arrays fit _PASS_BYTES. One chunk is live at a time, so no pass holds more
+# than that, whatever the index set.
+_MAX_ROWS = 1024
 _PASS_BYTES = 48 << 20
 
 
@@ -154,13 +151,13 @@ def _resolve_index(ds: Dataset, idx: np.ndarray | None) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
-# The training step's work arrays, one set per dims: (forward, backward),
-# grown to the largest loss_and_grad chunk and never shrunk. "forward" holds
-# the activations, the log-softmax, the softmax exponentials and the row
-# maxima/sums; "backward" the top dz, (rows, classes), and one flat boolean
-# ReLU mask with room for the widest hidden layer. The other dz have no
-# arrays of their own: the backward sweep writes each over the activation it
-# replaces.
+# The kernel's work arrays, one set per dims, shared by every pass:
+# (forward, backward), grown to the largest chunk any pass has needed and
+# never shrunk. "forward" holds the activations, the log-softmax, the softmax
+# exponentials and the row maxima/sums; "backward" the top dz, (rows,
+# classes), and one flat boolean ReLU mask with room for the widest hidden
+# layer. The other dz have no arrays of their own: _sweep writes each over
+# the activation it replaces.
 _BUFFERS: dict[tuple[int, ...], tuple[list[np.ndarray], tuple[np.ndarray, ...]]] = {}
 
 
@@ -170,15 +167,15 @@ def _forward_widths(dims: tuple[int, ...]) -> tuple[int, ...]:
     return (*dims, dims[-1], dims[-1], 1)
 
 
-def _chunk_rows(dims: tuple[int, ...], cap: int) -> int:
-    """Rows per chunk for ``dims``: as many as fit _PASS_BYTES, at most ``cap``.
+def _chunk_rows(dims: tuple[int, ...]) -> int:
+    """Rows per chunk for ``dims``: as many as fit _PASS_BYTES, at most _MAX_ROWS.
 
-    A row takes its forward block, its top dz and its ReLU mask bytes. At the
-    full-scale shape that is about 35.1 KB, so 1,433 rows; the desk net
-    (16-128-128-4) and 784-100-100-10 fit all 4096.
+    A row takes its forward block, its top dz and its ReLU mask bytes. The
+    desk net (16-128-128-4), 784-100-100-10 and the full-scale shape
+    (784-dim input, 7x500 hidden, 10 classes; 35.1 KB a row) all get 1,024.
     """
     row_bytes = 8 * (sum(_forward_widths(dims)) + dims[-1]) + max(dims[1:-1], default=0)
-    return min(cap, max(1, _PASS_BYTES // row_bytes))
+    return min(_MAX_ROWS, max(1, _PASS_BYTES // row_bytes))
 
 
 def _block(rows: int, widths: tuple[int, ...]) -> list[np.ndarray]:
@@ -188,40 +185,45 @@ def _block(rows: int, widths: tuple[int, ...]) -> list[np.ndarray]:
     return [flat[end - rows * d : end].reshape(rows, d) for d, end in zip(widths, ends)]
 
 
-def _buffers(dims: tuple[int, ...], rows: int, chunk: int, backward: bool, keep: bool):
-    """(forward, backward) buffers of at least ``rows`` rows; see _chunks.
+def _buffers(dims: tuple[int, ...], rows: int):
+    """The kept (forward, backward) set for ``dims``, at least ``rows`` rows.
 
-    A kept set that is too small for a keeping pass grows to
-    min(chunk, max(rows, twice its rows)), so index sets whose size varies
-    from call to call re-allocate it a few times, not on every new maximum.
-    ``chunk`` is already clamped by _chunk_rows, so a kept set never holds
-    more than about _PASS_BYTES: at the full-scale shape (784-dim input,
-    7x500 hidden, 10 classes) 1,433 rows, about 48 MiB, nearly all of it
-    activations.
+    A set too small grows to min(_chunk_rows(dims), max(rows, twice its
+    rows)), so index sets whose size varies from call to call re-allocate it
+    a few times, not on every new maximum, and it never holds more than one
+    chunk: at the full-scale shape 1,024 rows, about 34 MiB.
     """
-    kept = _BUFFERS.get(dims)
-    if kept is not None:
-        have = kept[0][0].shape[0]
-        if have >= rows:
-            return kept
-        if keep:
-            rows = min(chunk, max(rows, 2 * have))
-    fwd = _block(rows, _forward_widths(dims))
-    bwd = ()
-    if backward or keep:
+    have = _BUFFERS[dims][0][0].shape[0] if dims in _BUFFERS else 0
+    if have < rows:
+        rows = min(_chunk_rows(dims), max(rows, 2 * have))
+        _BUFFERS.pop(dims, None)  # free the old set before making the new one
+        fwd = _block(rows, _forward_widths(dims))
         bwd = (np.empty((rows, dims[-1])), np.empty(rows * max(dims[1:-1], default=0), dtype=bool))
-    if keep:
         _BUFFERS[dims] = (fwd, bwd)
-    return fwd, bwd
+    return _BUFFERS[dims]
 
 
-def _sweep(w: ParamVector, acts: list[np.ndarray], dz: np.ndarray, mask: np.ndarray):
-    """(layer, a, dz) from the top layer down; see _chunks.
+def _sweep(w: ParamVector, acts: list[np.ndarray], logp: np.ndarray, labels: np.ndarray, weights, bwd):
+    """(layer, a, dz) from the top layer down, for one chunk of _chunks.
 
-    Once the consumer is done with layer l > 0, its input activation a_l
-    is turned into dz_{l-1} = (dz_l @ W_l.T) * (a_l > 0) in place: the mask
-    is taken into ``mask`` before the product overwrites a_l.
+    ``a`` is the layer's input activation and ``dz`` the per-sample
+    derivatives d(sum of losses)/d(z_layer). The top dz, softmax(logits) -
+    onehot (no 1/B scaling, each row times its ``weights`` entry when given),
+    is built when the sweep starts, so a pass that never iterates it never
+    builds it. Backprop being linear, each dz below carries the same row
+    weights: once the consumer is done with layer l > 0, its input activation
+    a_l is turned into dz_{l-1} = (dz_l @ W_l.T) * (a_l > 0) in place
+    (relu'(0) counted as 0), the mask taken before the product overwrites a_l.
+    So a pair (a, dz) is valid only until the consumer advances, and once the
+    sweep has started the hidden activations in ``acts`` are gone.
     """
+    top, mask = bwd
+    n = labels.shape[0]
+    dz = top[:n]
+    np.exp(logp, out=dz)
+    dz[np.arange(n), labels] -= 1.0
+    if weights is not None:
+        np.multiply(dz, weights[:, None], out=dz)
     for layer in range(w.n_layers - 1, -1, -1):
         a = acts[layer]
         yield layer, a, dz
@@ -233,54 +235,26 @@ def _sweep(w: ParamVector, acts: list[np.ndarray], dz: np.ndarray, mask: np.ndar
             dz = a
 
 
-def _chunks(
-    w: ParamVector,
-    ds: Dataset,
-    idx: np.ndarray,
-    chunk_size: int,
-    backward: bool = True,
-    weights: np.ndarray | None = None,
-    keep: bool = False,
-):
-    """The one forward (and backward) pass, over the resolved ``idx`` in chunks.
+def _chunks(w: ParamVector, ds: Dataset, idx: np.ndarray, weights: np.ndarray | None = None):
+    """The one forward/backward pass over the resolved ``idx``, _chunk_rows rows at a time.
 
-    Yields (part, labels, acts, logp, layers) per chunk: ``part`` is the
-    chunk's slice of ``idx``, ``acts`` the activations [input, relu
-    outputs..., logits] and ``logp`` the log-softmax of the logits. With
-    ``backward``, ``layers`` iterates (layer, a, dz) from the top layer
-    down: ``a`` is the layer's input activation and ``dz`` the per-sample
-    derivatives d(sum of losses)/d(z_layer). The top dz is softmax(logits)
-    - onehot (no 1/B scaling); each one below goes through the transposed
-    weights with the ReLU mask taken from the post-activations (relu'(0)
-    counted as 0). With ``weights`` (one per row of ``idx``) row i of the
-    top dz is scaled by weights[i], and, backprop being linear, so is row i
-    of every dz: they are then the derivatives of sum_i weights[i] *
-    loss_i. Without ``backward`` ``layers`` is empty. ``Dataset``
-    guarantees finite float64 inputs, so only the width is checked.
-
-    The sweep keeps no second set of arrays for the dz: each is written over
-    the activation it replaces, so a pair (a, dz) is valid only until the
-    consumer advances ``layers``, and once ``layers`` has started the hidden
-    activations in ``acts`` are gone (the input and the logits stay).
-
-    Chunks hold ``_chunk_rows(w.dims, chunk_size)`` rows, so their work
-    arrays fit _PASS_BYTES. Every chunk is computed into the same buffers,
-    so one chunk is live at a time. With ``keep`` (loss_and_grad, the
-    training step's pass) they stay for later calls on the same dims. Other passes use the kept
-    buffers when they are large enough and otherwise their own, freed with
-    the call, so a full-data pass leaves no memory behind. Every array
-    yielded is a view that the next chunk or call overwrites: a consumer
-    finishes with a chunk before it advances the generator, copies what it
-    returns, and calls no other entry point while it iterates.
+    Yields (part, labels, acts, logp, layers) per chunk: ``part`` slices ``idx``
+    and ``weights`` (one per row), ``acts`` is [input, relu outputs..., logits],
+    ``logp`` the log-softmax and ``layers`` the chunk's _sweep. All are views of
+    the kept _buffers that the next chunk or call overwrites: a consumer finishes
+    with a chunk before it advances, copies what it returns, and calls no other
+    entry point while it iterates. ``Dataset`` inputs are finite float64, so only
+    the width is checked.
     """
     if ds.input_dim != w.dims[0]:
         raise ValueError(f"dataset has {ds.input_dim} columns, model expects {w.dims[0]}")
     last = w.n_layers - 1
-    chunk_size = _chunk_rows(w.dims, chunk_size)
-    fwd, bwd = _buffers(w.dims, min(chunk_size, idx.shape[0]), chunk_size, backward, keep)
-    for start in range(0, idx.shape[0], chunk_size):
-        rows = idx[start : start + chunk_size]
+    chunk = _chunk_rows(w.dims)
+    fwd, bwd = _buffers(w.dims, min(chunk, idx.shape[0]))
+    for start in range(0, idx.shape[0], chunk):
+        rows = idx[start : start + chunk]
         n = rows.shape[0]
+        part = slice(start, start + n)
         labels = ds.labels[rows]
         acts = [a[:n] for a in fwd[: last + 2]]
         logp, expd, col = (a[:n] for a in fwd[last + 2 :])
@@ -298,23 +272,15 @@ def _chunks(
         np.sum(expd, axis=1, keepdims=True, out=col)
         np.log(col, out=col)
         np.subtract(logp, col, out=logp)
-        layers = ()
-        if backward:
-            top, mask = bwd
-            dz = top[:n]
-            np.exp(logp, out=dz)
-            dz[np.arange(n), labels] -= 1.0
-            if weights is not None:
-                np.multiply(dz, weights[start : start + n, None], out=dz)
-            layers = _sweep(w, acts, dz, mask)
-        yield slice(start, start + n), labels, acts, logp, layers
+        part_weights = None if weights is None else weights[part]
+        yield part, labels, acts, logp, _sweep(w, acts, logp, labels, part_weights, bwd)
 
 
 def mean_loss(w: ParamVector, ds: Dataset, idx: np.ndarray | None = None) -> float:
     """Mean cross-entropy over the indexed samples (all samples when idx is None)."""
     idx = _resolve_index(ds, idx)
     total = 0.0
-    for _, labels, _, logp, _ in _chunks(w, ds, idx, _EVAL_ROWS, backward=False):
+    for _, labels, _, logp, _ in _chunks(w, ds, idx):
         total += -logp[np.arange(labels.shape[0]), labels].sum()
     return float(total / idx.shape[0])
 
@@ -336,8 +302,8 @@ def loss_and_grad(
     one pass; it rounds differently from combining two gradients, by about
     1e-15 of its norm.
 
-    Rows go through the kernel in chunks of up to 4096 (fewer for wide
-    nets: 1,433 at the full-scale shape; see _chunk_rows), so an unweighted
+    Rows go through the kernel in chunks of up to 1,024 (fewer for nets
+    wider than the full-scale shape; see _chunk_rows), so an unweighted
     index set of up to one chunk gets acts.T @ dz / len(idx) from one GEMM
     per layer; larger sets sum the chunks' products. The reduction order is
     fixed, so results are deterministic for given (w, ds, idx, weights). The
@@ -350,8 +316,7 @@ def loss_and_grad(
             raise ValueError("weights need one entry per index")
     grad = ParamVector(np.empty(len(w)), w.dims)
     total = -0.0  # -0.0 - s is -s for every s, 0.0 included: one chunk gives -mean
-    chunks = _chunks(w, ds, idx, _GRAD_ROWS, weights=weights, keep=True)
-    for part, labels, _, logp, layers in chunks:
+    for part, labels, _, logp, layers in _chunks(w, ds, idx, weights):
         picked = logp[np.arange(labels.shape[0]), labels]
         total -= picked.sum() if weights is None else weights[part] @ picked
         for layer, a, dz in layers:
@@ -374,18 +339,19 @@ def per_sample_grad_matrix(
     """Stack per-sample loss gradients into a (len(idx), P) matrix.
 
     Row mu is the gradient of the single-sample cross-entropy at sample
-    idx[mu]. Memory is the dominant cost: len(idx) * P doubles.
+    idx[mu]. Memory is the dominant cost: len(idx) * P doubles. Each weight
+    block, outer(a, dz) per row, is written straight into ``out``.
     """
     idx = _resolve_index(ds, idx)
     out = np.empty((idx.shape[0], len(w)))
-    for part, _, _, _, layers in _chunks(w, ds, idx, _MATRIX_ROWS):
+    for part, _, _, _, layers in _chunks(w, ds, idx):
         block = out[part]
         for layer, a, dz in layers:
             w_off, b_off = w.slots(layer)
-            f_out = w.dims[layer + 1]
-            outer = np.einsum("bi,bo->bio", a, dz)
-            block[:, w_off:b_off] = outer.reshape(block.shape[0], -1)
-            block[:, b_off : b_off + f_out] = dz
+            # a view: the reshape only splits the contiguous last axis
+            target = block[:, w_off:b_off].reshape(a.shape[0], a.shape[1], dz.shape[1])
+            np.multiply(a[:, :, None], dz[:, None, :], out=target)
+            block[:, b_off : b_off + dz.shape[1]] = dz
     return out
 
 
@@ -402,7 +368,7 @@ def per_sample_grad_norms(
     idx = _resolve_index(ds, idx)
     sq_norms = np.zeros(idx.shape[0])
     total = ParamVector.zeros(w.dims)
-    for part, _, _, _, layers in _chunks(w, ds, idx, _NORM_ROWS):
+    for part, _, _, _, layers in _chunks(w, ds, idx):
         terms = []
         for layer, a, dz in layers:
             a_sq = np.einsum("bi,bi->b", a, a)
@@ -422,6 +388,6 @@ def evaluate_accuracy(w: ParamVector, ds: Dataset) -> float:
     deterministic; an all-zero parameter vector predicts class 0 everywhere.
     """
     correct = 0
-    for _, labels, acts, _, _ in _chunks(w, ds, _resolve_index(ds, None), _EVAL_ROWS, backward=False):
+    for _, labels, acts, _, _ in _chunks(w, ds, _resolve_index(ds, None)):
         correct += int((acts[-1].argmax(axis=1) == labels).sum())
     return correct / ds.n_samples

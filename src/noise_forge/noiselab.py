@@ -68,16 +68,25 @@ def _finite_population_factor(n: int, b: int) -> float:
     return (n - b) / (n - 1)
 
 
-def noise_covariance_from_grads(grads: np.ndarray, eta: float, batch_size: int) -> np.ndarray:
-    """Exact (P, P) vanilla noise covariance from a per-sample gradient matrix."""
+def _dense_grads(grads: np.ndarray, batch_size: int) -> np.ndarray:
+    """``grads`` as a float64 (n_samples, n_params) array, after the checks
+    every dense routine shares: 2-D, 1 <= batch_size <= n_samples, and at
+    most MAX_DENSE_PARAMS columns (else CapabilityError)."""
     g = np.asarray(grads, dtype=np.float64)
     if g.ndim != 2:
         raise ValueError("grads must be (n_samples, n_params)")
     n, p = g.shape
+    if not (1 <= batch_size <= n):
+        raise ValueError("need 1 <= batch_size <= n_samples")
     if p > MAX_DENSE_PARAMS:
-        raise CapabilityError(
-            f"dense covariance needs P <= {MAX_DENSE_PARAMS}, got {p}; use probe_noise"
-        )
+        raise CapabilityError(f"dense noise routines need P <= {MAX_DENSE_PARAMS}, got {p}; use probe_noise")
+    return g
+
+
+def noise_covariance_from_grads(grads: np.ndarray, eta: float, batch_size: int) -> np.ndarray:
+    """Exact (P, P) vanilla noise covariance from a per-sample gradient matrix."""
+    g = _dense_grads(grads, batch_size)
+    n = g.shape[0]
     factor = _finite_population_factor(n, batch_size)
     g_bar = g.mean(axis=0)
     second = g.T @ g / n - np.outer(g_bar, g_bar)
@@ -92,14 +101,8 @@ def enumerate_noise_covariance_from_grads(
     Also asserts the enumerated noise mean is zero (absolute tolerance
     1e-12); a violation would mean the arithmetic itself is broken.
     """
-    g = np.asarray(grads, dtype=np.float64)
-    if g.ndim != 2:
-        raise ValueError("grads must be (n_samples, n_params)")
+    g = _dense_grads(grads, batch_size)
     n, p = g.shape
-    if not (1 <= batch_size <= n):
-        raise ValueError("need 1 <= batch_size <= n_samples")
-    if p > MAX_DENSE_PARAMS:
-        raise CapabilityError(f"enumeration needs P <= {MAX_DENSE_PARAMS}, got {p}")
     n_subsets = math.comb(n, batch_size)
     if n_subsets > MAX_ENUM_SUBSETS:
         raise CapabilityError(
@@ -134,16 +137,10 @@ def enumerate_ne_noise_covariance_from_grads(
     M = C(N, B)), so it is exact and directly comparable to the vanilla
     enumeration scaled by the enhancement factor.
     """
-    g = np.asarray(grads, dtype=np.float64)
-    if g.ndim != 2:
-        raise ValueError("grads must be (n_samples, n_params)")
+    g = _dense_grads(grads, batch_size)
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
     n, p = g.shape
-    if not (1 <= batch_size <= n):
-        raise ValueError("need 1 <= batch_size <= n_samples")
-    if p > MAX_DENSE_PARAMS:
-        raise CapabilityError(f"enumeration needs P <= {MAX_DENSE_PARAMS}, got {p}")
     m = math.comb(n, batch_size)
     if m * m > MAX_ENUM_PAIRS:
         raise CapabilityError(f"{m}^2 subset pairs exceed {MAX_ENUM_PAIRS}")

@@ -490,6 +490,26 @@ class TestUsageErrors:
         assert runs == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "probe", "sweep-alpha"])
+    def test_negative_seed_leaves_no_output(self, command, tmp_path, monkeypatch, capsys):
+        # the seed check used to fire only inside a run, after the output
+        # directory and resolved_config.json were written
+        runs = []
+
+        def counted(real):
+            return lambda *args, **kw: runs.append(args) or real(*args, **kw)
+
+        monkeypatch.setattr(harness, "train_run", counted(harness.train_run))
+        monkeypatch.setattr(harness, "probe_run", counted(harness.probe_run))
+        out = tmp_path / "out"
+        config = write_config(tmp_path, {"sweep.b_fixed": 4, "sweep.alpha_grid": [1.0]})
+        argv = [command, "--config", config, "--out", str(out), "--set", "train.seeds=[0,-1]"]
+        rc = parse_and_dispatch(argv)
+        assert rc == 1
+        assert "config error: seeds must be >= 0, got [0, -1]" in capsys.readouterr().err
+        assert runs == []
+        assert not out.exists()
+
     def test_unknown_set_key(self, capsys):
         rc = parse_and_dispatch(["train", "--set", "no.such.key=1"])
         assert rc == 1

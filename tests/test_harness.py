@@ -112,6 +112,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(seeds=())
 
+    def test_negative_seeds_rejected(self):
+        # named_stream would reject them only once a run starts
+        with pytest.raises(ValueError, match=r"seeds must be >= 0, got \[0, -1\]"):
+            small_config(seeds=(0, -1))
+
 
 class TestConfigHash:
     def test_stable_across_equal_configs(self):
@@ -361,6 +366,34 @@ class TestWorkerPool:
         want = max(1, len(os.sched_getaffinity(0)) // 2)
         with harness._worker_pool(2) as pool:
             assert pool.submit(openblas_threads).result() == want
+
+    @pytest.mark.parametrize(
+        "jobs, n_seeds, workers", [(8, 5, 5), (2, 3, 2), (3, 1, None), (1, 4, None)]
+    )
+    def test_pool_starts_at_most_one_worker_per_seed(self, monkeypatch, jobs, n_seeds, workers):
+        # a stub executor records what repeat_runs asks for; no process starts
+        pools = []
+
+        class StubPool:
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append((max_workers, initargs))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(harness, "train_run", lambda cfg, seed, step_writer=None: rec(seed))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        seeds = tuple(range(10, 10 + n_seeds))
+        agg = repeat_runs(small_config(seeds=seeds), jobs=jobs)
+        assert [r.seed for r in agg.records] == list(seeds)
+        assert pools == ([] if workers is None else [(workers, (8 // workers,))])
 
     def test_parallel_runs_csv_is_byte_equal_to_serial(self, tmp_path):
         cfg = small_config(max_steps=40, eval_interval=20, seeds=(0, 1, 2))

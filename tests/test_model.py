@@ -161,9 +161,9 @@ class TestLoss:
     def test_chunked_evaluation_matches_unchunked(self, monkeypatch):
         ds = blob_dataset(n_per_class=9)
         w = glorot_init(MlpSpec(4, (5,), 3, seed=7))
-        monkeypatch.setattr(model, "_EVAL_ROWS", 10_000)
+        monkeypatch.setattr(model, "_MAX_ROWS", 10_000)
         whole = mean_loss(w, ds)
-        monkeypatch.setattr(model, "_EVAL_ROWS", 4)
+        monkeypatch.setattr(model, "_MAX_ROWS", 4)
         assert mean_loss(w, ds) == pytest.approx(whole, rel=1e-14)
 
     def test_full_loss_equals_mean_over_equal_partition(self):
@@ -244,7 +244,7 @@ class TestWeightedLossAndGrad:
         weights = self.weights if weighted else None
         whole_loss, whole = loss_and_grad(self.w, self.ds, self.idx, weights)
         for rows in (1, 3):
-            monkeypatch.setattr(model, "_GRAD_ROWS", rows)
+            monkeypatch.setattr(model, "_MAX_ROWS", rows)
             loss, grad = loss_and_grad(self.w, self.ds, self.idx, weights)
             assert loss == pytest.approx(whole_loss, rel=1e-14)
             np.testing.assert_allclose(grad.values, whole.values, rtol=0, atol=1e-15)
@@ -257,7 +257,7 @@ class TestWeightedLossAndGrad:
 
     def test_results_survive_later_calls(self, monkeypatch):
         # the kernel reuses its buffers: nothing an entry point returns may share them
-        monkeypatch.setattr(model, "_GRAD_ROWS", 4)
+        monkeypatch.setattr(model, "_MAX_ROWS", 4)
         loss, grad = loss_and_grad(self.w, self.ds, self.idx, self.weights)
         sq, total = per_sample_grad_norms(self.w, self.ds, self.idx)
         mat = per_sample_grad_matrix(self.w, self.ds, self.idx)
@@ -273,18 +273,29 @@ class TestWeightedLossAndGrad:
             np.testing.assert_array_equal(now, before)
         assert loss_and_grad(self.w, self.ds, self.idx, self.weights)[0] == loss
 
-    def test_only_the_gradient_pass_keeps_its_buffers(self, monkeypatch):
-        # full-data passes bigger than any training chunk leave no memory behind
-        monkeypatch.setattr(model, "_BUFFERS", {})
+    def test_every_pass_grows_and_reuses_the_one_kept_set(self, monkeypatch):
+        # one set per dims serves all five entry points; a pass that needs more
+        # rows grows it to at most one chunk, and a smaller pass reuses it
         dims = self.w.dims
-        per_sample_grad_norms(self.w, self.ds)
-        mean_loss(self.w, self.ds)
-        assert dims not in model._BUFFERS
-        loss_and_grad(self.w, self.ds, self.idx)
-        rows = model._BUFFERS[dims][0][0].shape[0]
-        assert rows == len(self.idx)
-        mean_loss(self.w, self.ds)
-        assert model._BUFFERS[dims][0][0].shape[0] == rows
+        passes = [
+            lambda: loss_and_grad(self.w, self.ds),
+            lambda: loss_and_grad(self.w, self.ds, np.arange(self.ds.n_samples), np.ones(self.ds.n_samples)),
+            lambda: mean_loss(self.w, self.ds),
+            lambda: evaluate_accuracy(self.w, self.ds),
+            lambda: per_sample_grad_norms(self.w, self.ds),
+            lambda: per_sample_grad_matrix(self.w, self.ds),
+        ]
+        for max_rows in (model._MAX_ROWS, 7):
+            monkeypatch.setattr(model, "_MAX_ROWS", max_rows)
+            want = min(self.ds.n_samples, model._chunk_rows(dims))
+            for run in passes:
+                monkeypatch.setattr(model, "_BUFFERS", {})
+                run()
+                kept = model._BUFFERS[dims]
+                assert kept[0][0].shape[0] == want
+                loss_and_grad(self.w, self.ds, self.idx)
+                mean_loss(self.w, self.ds, self.idx[:3])
+                assert model._BUFFERS[dims] is kept
 
     def test_kept_buffers_grow_geometrically(self, monkeypatch):
         # training passes over B ∪ B' vary in size from step to step; the kept
@@ -298,7 +309,7 @@ class TestWeightedLossAndGrad:
 
         assert [kept_after(r) for r in (2, 3, 4, 5, 17)] == [2, 4, 4, 8, 17]
         monkeypatch.setattr(model, "_BUFFERS", {})
-        monkeypatch.setattr(model, "_GRAD_ROWS", 6)
+        monkeypatch.setattr(model, "_MAX_ROWS", 6)
         assert [kept_after(r) for r in (4, 5, 18)] == [4, 6, 6]
         per_sample_grad_norms(self.w, self.ds)
         mean_loss(self.w, self.ds, np.arange(5))
@@ -306,21 +317,19 @@ class TestWeightedLossAndGrad:
 
 
 class TestPassBudget:
-    """Chunks hold as many rows as fit model._PASS_BYTES, at most each entry
-    point's row cap."""
+    """Chunks hold as many rows as fit model._PASS_BYTES, at most model._MAX_ROWS."""
 
     def test_narrow_nets_keep_the_row_caps(self):
-        for dims in ((16, 128, 128, 4), (784, 100, 100, 10)):
-            assert model._chunk_rows(dims, model._GRAD_ROWS) == 4096
-            assert model._chunk_rows(dims, model._EVAL_ROWS) == 4096
-            assert model._chunk_rows(dims, model._NORM_ROWS) == model._NORM_ROWS
+        # the desk net, the real-data check-8 net and the full-scale shape
+        # (35,100 bytes a row, so 1,433 rows would fit the budget)
+        for dims in ((16, 128, 128, 4), (784, 100, 100, 10), (784, *(500,) * 7, 10)):
+            assert model._chunk_rows(dims) == model._MAX_ROWS == 1024
 
     def test_wide_nets_get_the_budget_row_count(self):
-        dims = (784, *(500,) * 7, 10)
-        row_bytes = 8 * (784 + 7 * 500 + 10 + 10 + 10 + 1 + 10) + 500  # 35,100
-        assert model._chunk_rows(dims, model._GRAD_ROWS) == model._PASS_BYTES // row_bytes == 1433
-        assert model._chunk_rows(dims, model._NORM_ROWS) == model._NORM_ROWS
-        assert model._chunk_rows(dims, 4096) >= 1
+        dims = (784, *(2000,) * 7, 10)
+        row_bytes = 8 * (784 + 7 * 2000 + 10 + 10 + 10 + 1 + 10) + 2000  # 120,600
+        assert model._chunk_rows(dims) == model._PASS_BYTES // row_bytes == 417
+        assert model._chunk_rows((10**7, 10)) == 1
 
     def test_small_budget_bounds_the_kept_set_and_keeps_the_results(self, monkeypatch):
         ds = blob_dataset(seed=4, n_per_class=20, classes=3, dim=4)  # N = 60
@@ -339,7 +348,7 @@ class TestPassBudget:
 
         monkeypatch.setattr(model, "_BUFFERS", {})
         whole_scalars, whole_arrays = outputs()
-        assert model._BUFFERS[w.dims][0][0].shape[0] == idx.shape[0]  # one chunk
+        assert model._BUFFERS[w.dims][0][0].shape[0] >= ds.n_samples  # every pass in one chunk
         budget = 5 * (8 * (4 + 6 + 5 + 3 + 3 + 3 + 1 + 3) + 6)  # five rows
         monkeypatch.setattr(model, "_PASS_BYTES", budget)
         monkeypatch.setattr(model, "_BUFFERS", {})
@@ -369,23 +378,23 @@ class TestPerSampleGradients:
         np.testing.assert_allclose(mat.mean(axis=0), full.values, atol=1e-12)
 
     def test_chunking_does_not_change_rows(self, monkeypatch):
-        monkeypatch.setattr(model, "_MATRIX_ROWS", 4)
+        monkeypatch.setattr(model, "_MAX_ROWS", 4)
         a = per_sample_grad_matrix(self.w, self.ds)
-        monkeypatch.setattr(model, "_MATRIX_ROWS", 64)
+        monkeypatch.setattr(model, "_MAX_ROWS", 64)
         b = per_sample_grad_matrix(self.w, self.ds)
         np.testing.assert_array_equal(a, b)
 
     def test_norms_total_is_the_batched_gradient_times_b(self, monkeypatch):
         idx = np.array([3, 0, 14, 7, 7, 9])
         _, grad = loss_and_grad(self.w, self.ds, idx)
-        monkeypatch.setattr(model, "_NORM_ROWS", len(idx))
+        monkeypatch.setattr(model, "_MAX_ROWS", len(idx))
         _, total = per_sample_grad_norms(self.w, self.ds, idx)
         np.testing.assert_array_equal(grad.values, total.values / len(idx))
 
     def test_norms_do_not_depend_on_chunk_size(self, monkeypatch):
         sq, total = per_sample_grad_norms(self.w, self.ds)
         for chunk_size in (1, 4, 7):
-            monkeypatch.setattr(model, "_NORM_ROWS", chunk_size)
+            monkeypatch.setattr(model, "_MAX_ROWS", chunk_size)
             sq_c, total_c = per_sample_grad_norms(self.w, self.ds)
             np.testing.assert_allclose(sq_c, sq, rtol=1e-12)
             np.testing.assert_allclose(total_c.values, total.values, rtol=1e-12)
@@ -477,18 +486,18 @@ class TestOneActivationSetSweep:
         self.weights = gen.standard_normal(23)
 
     @pytest.mark.parametrize("weighted", [False, True])
-    @pytest.mark.parametrize("chunk", [model._GRAD_ROWS, 3])
+    @pytest.mark.parametrize("chunk", [4096, 3])
     def test_loss_and_grad(self, monkeypatch, weighted, chunk):
-        monkeypatch.setattr(model, "_GRAD_ROWS", chunk)
+        monkeypatch.setattr(model, "_MAX_ROWS", chunk)
         weights = self.weights if weighted else None
         loss, grad = loss_and_grad(self.w, self.ds, self.idx, weights)
         want_loss, want_grad = two_set_loss_and_grad(self.w, self.ds, self.idx, chunk, weights)
         assert loss == want_loss
         assert np.array_equal(grad.values, want_grad)
 
-    @pytest.mark.parametrize("chunk", [model._NORM_ROWS, 5])
+    @pytest.mark.parametrize("chunk", [model._MAX_ROWS, 5])
     def test_per_sample_grad_norms(self, monkeypatch, chunk):
-        monkeypatch.setattr(model, "_NORM_ROWS", chunk)
+        monkeypatch.setattr(model, "_MAX_ROWS", chunk)
         sq, total = per_sample_grad_norms(self.w, self.ds, self.idx)
         want_sq, want_total = two_set_norms(self.w, self.ds, self.idx, chunk)
         assert np.array_equal(sq, want_sq)
@@ -525,6 +534,48 @@ class TestKernelMemory:
         allowed = grad.values.nbytes + 8 * np.getbufsize() + 128 * rows * classes
         assert peak <= allowed, f"peak {peak} bytes, allowed {allowed}"
 
+    @pytest.mark.parametrize("entry", [mean_loss, per_sample_grad_norms], ids=lambda f: f.__name__)
+    def test_warm_pass_over_more_rows_than_training_allocates_no_work_arrays(self, monkeypatch, entry):
+        # a full-data pass (450 rows) needs more rows than the training pass's
+        # set (400); once it has grown the one kept set it allocates its
+        # results, (rows,) temporaries and, for the norms, one summed weight
+        # block at a time, but nothing of rows x hidden width (450 x 1024)
+        monkeypatch.setattr(model, "_BUFFERS", {})
+        loss_and_grad(self.w, self.ds, self.idx)
+        entry(self.w, self.ds)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            entry(self.w, self.ds)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        rows, widest = self.ds.n_samples, max(self.w.dims[1:-1])
+        slack = 8 * np.getbufsize() + 128 * rows * self.w.dims[-1]
+        assert slack < 8 * rows * widest
+        results = 0 if entry is mean_loss else 8 * len(self.w) + self.w.weights(1).nbytes
+        assert peak <= results + slack, f"peak {peak} bytes, allowed {results + slack}"
+
+    def test_matrix_pass_writes_outer_products_into_its_output(self, monkeypatch):
+        # a one-hidden-layer net whose first weight block is 73% of P: a
+        # (rows, in, out) temporary would add 0.73 of the output to the peak
+        ds = blob_dataset(seed=3, n_per_class=100, classes=2, dim=8)  # N = 200
+        w = glorot_init(MlpSpec(8, (256,), 2, seed=3))
+        monkeypatch.setattr(model, "_BUFFERS", {})
+        per_sample_grad_matrix(w, ds)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mat = per_sample_grad_matrix(w, ds)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert w.weights(0).size * ds.n_samples * 8 >= mat.nbytes // 2
+        # beyond the output: numpy's fixed-size iterator buffers for the
+        # broadcast product into a strided target (one per operand), and (rows,) arrays
+        allowed = mat.nbytes + 3 * 8 * np.getbufsize() + 64 * ds.n_samples
+        assert peak <= allowed, f"peak {peak} bytes, allowed {allowed}"
+
     def test_kept_backward_set_has_no_hidden_width_floats(self, monkeypatch):
         monkeypatch.setattr(model, "_BUFFERS", {})
         loss_and_grad(self.w, self.ds, self.idx)
@@ -551,6 +602,6 @@ class TestAccuracy:
         ds = blob_dataset(n_per_class=11)
         w = glorot_init(MlpSpec(4, (5,), 3, seed=1))
         whole = evaluate_accuracy(w, ds)
-        monkeypatch.setattr(model, "_EVAL_ROWS", 3)
+        monkeypatch.setattr(model, "_MAX_ROWS", 3)
         assert evaluate_accuracy(w, ds) == whole
 

@@ -113,6 +113,24 @@ class TestExactCovariance:
                 np.zeros((3, MAX_DENSE_PARAMS + 1)), eta=1.0, batch_size=2
             )
 
+    @pytest.mark.parametrize(
+        "dense",
+        [
+            lambda g, b: noise_covariance_from_grads(g, 1.0, b),
+            lambda g, b: enumerate_noise_covariance_from_grads(g, 1.0, b),
+            lambda g, b: enumerate_ne_noise_covariance_from_grads(g, 1.0, b, 2.0),
+        ],
+        ids=["closed-form", "enumeration", "pair-enumeration"],
+    )
+    def test_dense_routines_share_one_input_guard(self, dense):
+        with pytest.raises(ValueError, match="n_samples, n_params"):
+            dense(np.zeros(4), 2)
+        for b in (0, 5):
+            with pytest.raises(ValueError, match="batch_size"):
+                dense(np.zeros((4, 2)), b)
+        with pytest.raises(CapabilityError, match="use probe_noise"):
+            dense(np.zeros((3, MAX_DENSE_PARAMS + 1)), 2)
+
 
 class TestEnumerationOracle:
     def test_hand_scalar_value(self):
