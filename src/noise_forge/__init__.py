@@ -15,12 +15,11 @@ from .harness import (
     AggregateResult,
     ProbePlan,
     RunRecord,
-    SweepResult,
+    SweepPlan,
     TrainConfig,
     probe_run,
     repeat_runs,
     sweep_alpha,
-    train_run,
 )
 from .model import MlpSpec, ParamVector, glorot_init, loss_and_grad
 from .noiselab import (
@@ -44,7 +43,7 @@ __all__ = [
     "ProbePlan",
     "ProbeRow",
     "RunRecord",
-    "SweepResult",
+    "SweepPlan",
     "SyntheticSpec",
     "TrainConfig",
     "effective_batch",
@@ -60,7 +59,6 @@ __all__ = [
     "sample_ne_noise",
     "split_holdout",
     "sweep_alpha",
-    "train_run",
     "training_step",
     "__version__",
 ]

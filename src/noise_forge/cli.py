@@ -250,15 +250,8 @@ def _cmd_train(args) -> int:
     tc = build_train_config(cfg)
     out = _out_dir(args, "train")
     _dump_resolved(cfg, out)
-    if cfg["train.log_steps"]:
-        records = []
-        for seed in tc.seeds:
-            logs = []
-            records.append(harness.train_run(tc, seed, step_writer=logs.append))
-            harness.write_step_log(out / f"steps_seed{seed}.csv", logs)
-        agg = harness.aggregate(records)
-    else:
-        agg = harness.repeat_runs(tc, jobs=args.jobs)
+    step_dir = out if cfg["train.log_steps"] else None
+    agg = harness.repeat_runs(tc, jobs=args.jobs, step_dir=step_dir)
     harness.write_cells(out, [(tc, agg)])
     for record in agg.records:
         print(_record_line(record))
@@ -275,7 +268,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _print_sweep(sweep: harness.SweepResult, label: str, best: float | None) -> None:
+def _print_sweep(sweep: harness.SweepPlan, label: str, best: float | None) -> None:
     for value, cell in zip(sweep.values, sweep.cells):
         print(
             f"{label}={value:g}: accuracy {cell.mean_accuracy:.4f} +- {cell.std_accuracy:.4f}, "
@@ -295,7 +288,7 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args, args.command)
     _dump_resolved(cfg, out)
     sweep = plan.run(args.jobs)
-    harness.write_cells(out, zip(plan.configs, sweep.cells))
+    harness.write_cells(out, zip(sweep.configs, sweep.cells))
     key = "B" if sweep.axis == "batch_size" else "alpha"
     best_row = report.best_row(sweep.rows(), key)  # None when no cell has a finite accuracy
     best = None if best_row is None else float(best_row[key])

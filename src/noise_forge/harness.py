@@ -66,6 +66,8 @@ class TrainConfig:
             raise ValueError("model input_dim does not match training data")
         if self.model.num_classes != self.train_data.num_classes:
             raise ValueError("model num_classes does not match training data")
+        if self.model.num_classes != self.test_data.num_classes:
+            raise ValueError("model num_classes does not match test data")
         if self.train_data.input_dim != self.test_data.input_dim:
             raise ValueError("train/test input_dim mismatch")
         if self.ne.batch_size > self.train_data.n_samples:
@@ -278,9 +280,16 @@ def aggregate_row(b: int, alpha: float, agg: AggregateResult) -> dict:
     )
 
 
-def _train_one(args: tuple[TrainConfig, int]) -> RunRecord:
-    cfg, seed = args
-    return train_run(cfg, seed)
+def _train_one(args: tuple[TrainConfig, int, Path | None]) -> RunRecord:
+    """One seed's run; with a step directory it also writes the run's
+    ``steps_seed<N>.csv`` there, in whichever process runs the seed."""
+    cfg, seed, step_dir = args
+    if step_dir is None:
+        return train_run(cfg, seed)
+    logs: list[StepLog] = []
+    record = train_run(cfg, seed, step_writer=logs.append)
+    write_step_log(step_dir / f"steps_seed{seed}.csv", logs)
+    return record
 
 
 def _set_blas_threads(n: int) -> None:
@@ -311,56 +320,43 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads, initargs=(threads,))
 
 
-def repeat_runs(cfg: TrainConfig, jobs: int = 1) -> AggregateResult:
+def repeat_runs(cfg: TrainConfig, jobs: int = 1, step_dir: Path | None = None) -> AggregateResult:
     """Run the protocol once per seed in cfg.seeds and aggregate. Results
     are ordered by the seed list regardless of scheduling.
 
     At most ``jobs`` worker processes run the seeds, and never more than
     there are seeds (the default fork start method starts every worker at
-    once); one worker means the runs stay in this process.
+    once); one worker means the runs stay in this process. With
+    ``step_dir``, each run writes its step log there as
+    ``steps_seed<N>.csv``.
     """
+    tasks = [(cfg, s, step_dir) for s in cfg.seeds]
     workers = min(jobs, len(cfg.seeds))
     if workers > 1:
         with _worker_pool(workers) as pool:
-            records = list(pool.map(_train_one, [(cfg, s) for s in cfg.seeds]))
+            records = list(pool.map(_train_one, tasks))
     else:
-        records = [train_run(cfg, s) for s in cfg.seeds]
+        records = [_train_one(task) for task in tasks]
     return aggregate(records)
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    """Aggregates along one axis (batch_size or alpha), other settings fixed.
-
-    Cell statistics are meant to be read with >= 2 completed runs behind
-    them; that is a reporting convention, not a hard precondition (a grid
-    of one with one seed is still a valid, if noisy, sweep).
-    """
-
-    axis: str
-    values: tuple[float, ...]
-    fixed_value: float
-    cells: tuple[AggregateResult, ...]
-
-    def rows(self) -> list[dict]:
-        """One aggregate row per cell, in grid order (see aggregate_row)."""
-        if self.axis == "batch_size":
-            return [aggregate_row(int(v), self.fixed_value, c) for v, c in zip(self.values, self.cells)]
-        return [aggregate_row(int(self.fixed_value), v, c) for v, c in zip(self.values, self.cells)]
-
-
-@dataclass(frozen=True)
 class SweepPlan:
-    """One TrainConfig per grid cell along one axis, the other setting fixed.
+    """One TrainConfig per grid cell along one axis, the other setting fixed,
+    and, once run, one aggregate per cell.
 
     Building a plan builds, and so checks, every cell's config, so a bad
     grid is rejected before any run and before any output is written.
+    ``run`` returns a copy of the plan holding its ``cells``. Cell statistics
+    are meant to be read with >= 2 completed runs behind them; that is a
+    reporting convention, not a hard precondition.
     """
 
     axis: str
     values: tuple[float, ...]
     fixed_value: float
     configs: tuple[TrainConfig, ...]
+    cells: tuple[AggregateResult, ...] = ()
 
     @classmethod
     def over_batch(
@@ -382,15 +378,21 @@ class SweepPlan:
         configs = [replace(cfg, ne=replace(cfg.ne, batch_size=int(b_fixed), alpha=a)) for a in values]
         return cls("alpha", tuple(values), float(b_fixed), tuple(configs))
 
-    def run(self, jobs: int = 1) -> SweepResult:
+    def run(self, jobs: int = 1) -> SweepPlan:
         """Repeat the protocol for every cell, in grid order."""
-        cells = tuple(repeat_runs(cell_cfg, jobs=jobs) for cell_cfg in self.configs)
-        return SweepResult(self.axis, self.values, self.fixed_value, cells)
+        return replace(self, cells=tuple(repeat_runs(c, jobs=jobs) for c in self.configs))
+
+    def rows(self) -> list[dict]:
+        """One aggregate row per run cell, in grid order (see aggregate_row)."""
+        return [
+            aggregate_row(cfg.ne.batch_size, cfg.ne.alpha, agg)
+            for cfg, agg in zip(self.configs, self.cells)
+        ]
 
 
 def sweep_alpha(
     cfg: TrainConfig, alpha_grid: Iterable[float], b_fixed: int, jobs: int = 1
-) -> SweepResult:
+) -> SweepPlan:
     """Repeat the protocol for each alpha at fixed batch size (see SweepPlan)."""
     return SweepPlan.over_alpha(cfg, alpha_grid, b_fixed).run(jobs)
 

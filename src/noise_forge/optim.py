@@ -53,21 +53,26 @@ class NEConfig:
             raise ValueError(f"unknown mode {self.mode!r} (only 'pairwise')")
 
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba,
+# arXiv:1412.6980); every run uses these.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Mutable per-run optimizer state; accumulators allocate lazily.
 
-    ``adam_m`` and ``adam_v`` are updated in place, with one work vector
-    of the same length that the state keeps between steps.
+    Only the learning rate is set by the caller. ``adam_m`` and ``adam_v``
+    are updated in place, with one work vector of the same length that the
+    state keeps between steps.
     """
 
     learning_rate: float
-    step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    adam_m: np.ndarray | None = None
-    adam_v: np.ndarray | None = None
+    step_count: int = field(default=0, init=False)
+    adam_m: np.ndarray | None = field(default=None, init=False)
+    adam_v: np.ndarray | None = field(default=None, init=False)
     _work: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -75,25 +80,23 @@ class OptimizerState:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
 
 
 @dataclass
-class EpochState:
-    """Epoch-partition schedule over n_samples.
+class BatchStreams:
+    """The two minibatch streams of a run: the epoch partition and B'.
 
-    Each epoch draws a fresh permutation and hands out consecutive
-    batch_size slices, so within one epoch the primary minibatches are
-    disjoint and cover every index exactly once (when batch_size divides
-    n_samples; otherwise the short tail is dropped and a new epoch begins).
+    Each epoch draws a fresh permutation from ``primary_rng`` and hands out
+    consecutive batch_size slices, so within one epoch the primary
+    minibatches are disjoint and cover every index exactly once (when
+    batch_size divides n_samples; otherwise the short tail is dropped and a
+    new epoch begins). ``enhancement_rng`` draws B' independently.
     """
 
     n_samples: int
     batch_size: int
-    rng: np.random.Generator
+    primary_rng: np.random.Generator
+    enhancement_rng: np.random.Generator
     order: np.ndarray = field(init=False)
     cursor: int = field(init=False, default=0)
     epoch: int = field(init=False, default=0)
@@ -101,41 +104,33 @@ class EpochState:
     def __post_init__(self) -> None:
         if not (1 <= int(self.batch_size) <= int(self.n_samples)):
             raise ValueError("need 1 <= batch_size <= n_samples")
-        self.order = self.rng.permutation(self.n_samples)
+        self.order = self.primary_rng.permutation(self.n_samples)
+
+    @classmethod
+    def from_seed(cls, n_samples: int, batch_size: int, seed: int) -> "BatchStreams":
+        return cls(
+            n_samples,
+            batch_size,
+            named_stream(seed, "primary-batch"),
+            named_stream(seed, "enhancement-batch"),
+        )
 
 
-def sample_minibatch_pair(
-    epoch_state: EpochState, enhancement_rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+def sample_minibatch_pair(streams: BatchStreams) -> tuple[np.ndarray, np.ndarray]:
     """Draw (primary, enhancement) minibatches of the configured size.
 
     The primary batch advances the epoch partition; the enhancement batch
     is an independent uniform draw without replacement from the full index
     range (``rng.uniform_batch``), resampled every call.
     """
-    n, b = epoch_state.n_samples, epoch_state.batch_size
-    if epoch_state.cursor + b > n:
-        epoch_state.order = epoch_state.rng.permutation(n)
-        epoch_state.cursor = 0
-        epoch_state.epoch += 1
-    primary = epoch_state.order[epoch_state.cursor : epoch_state.cursor + b].copy()
-    epoch_state.cursor += b
-    return primary, uniform_batch(enhancement_rng, n, b)
-
-
-@dataclass
-class BatchStreams:
-    """The pair of random streams feeding sample_minibatch_pair."""
-
-    epoch_state: EpochState
-    enhancement_rng: np.random.Generator
-
-    @classmethod
-    def from_seed(cls, n_samples: int, batch_size: int, seed: int) -> "BatchStreams":
-        return cls(
-            EpochState(n_samples, batch_size, named_stream(seed, "primary-batch")),
-            named_stream(seed, "enhancement-batch"),
-        )
+    n, b = streams.n_samples, streams.batch_size
+    if streams.cursor + b > n:
+        streams.order = streams.primary_rng.permutation(n)
+        streams.cursor = 0
+        streams.epoch += 1
+    primary = streams.order[streams.cursor : streams.cursor + b].copy()
+    streams.cursor += b
+    return primary, uniform_batch(streams.enhancement_rng, n, b)
 
 
 def ne_combine(grad_b: ParamVector, grad_bprime: ParamVector, alpha: float) -> ParamVector:
@@ -212,18 +207,18 @@ def adam_step(w: ParamVector, g: ParamVector, state: OptimizerState) -> ParamVec
         state._work = np.empty(len(w))
     m, v, s = state.adam_m, state.adam_v, state._work
     t = state.step_count + 1
-    m *= state.beta1  # m = beta1 * m + (1 - beta1) * g
-    np.multiply(g.values, 1.0 - state.beta1, out=s)
+    m *= ADAM_BETA1  # m = beta1 * m + (1 - beta1) * g
+    np.multiply(g.values, 1.0 - ADAM_BETA1, out=s)
     m += s
-    v *= state.beta2  # v = beta2 * v + (1 - beta2) * g**2
+    v *= ADAM_BETA2  # v = beta2 * v + (1 - beta2) * g**2
     np.multiply(g.values, g.values, out=s)
-    s *= 1.0 - state.beta2
+    s *= 1.0 - ADAM_BETA2
     v += s
-    np.divide(m, 1.0 - state.beta1**t, out=s)  # lr * m_hat
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=s)  # lr * m_hat
     s *= state.learning_rate
-    r = np.divide(v, 1.0 - state.beta2**t)  # sqrt(v_hat) + eps
+    r = np.divide(v, 1.0 - ADAM_BETA2**t)  # sqrt(v_hat) + eps
     np.sqrt(r, out=r)
-    r += state.eps
+    r += ADAM_EPS
     s /= r
     state.step_count = t
     return ParamVector(np.subtract(w.values, s, out=r), w.dims)
@@ -266,7 +261,7 @@ def training_step(
     non-finite.
     """
     lr = state.learning_rate
-    primary, enhancement = sample_minibatch_pair(streams.epoch_state, streams.enhancement_rng)
+    primary, enhancement = sample_minibatch_pair(streams)
     alpha = config.alpha
     grad_b = None
     if alpha == 1.0:
@@ -283,7 +278,7 @@ def training_step(
     _, grad_bprime = loss_and_grad(w, ds, enhancement)
     return w_next, StepLog(
         step=state.step_count,
-        epoch=streams.epoch_state.epoch,
+        epoch=streams.epoch,
         minibatch_loss=loss_b,
         grad_norm_b=float(np.linalg.norm(grad_b.values)),
         grad_norm_bprime=float(np.linalg.norm(grad_bprime.values)),

@@ -8,7 +8,7 @@ annotations and directional flags. Output is a pure function of the input
 CSVs: units are visited in sorted order and no timestamps are embedded.
 
 This module also holds the sweep verdict, as pure functions over aggregate
-rows (the dicts ``load_unit`` builds, or ``SweepResult.rows`` in memory):
+rows (the dicts ``load_unit`` builds, or ``SweepPlan.rows`` in memory):
 the best cell, the directional flags and the trade-off scatter rows. The
 command line tool and the report both call them.
 """

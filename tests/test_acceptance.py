@@ -15,6 +15,7 @@ import itertools
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,7 +195,7 @@ def test_c4_alpha_one_trajectory_is_bit_identical_to_plain():
     identical = 0
     for t in range(1, 501):
         w_step, _ = training_step(w_step, ds, cfg, state, streams)
-        primary, _ = sample_minibatch_pair(plain_streams.epoch_state, plain_streams.enhancement_rng)
+        primary, _ = sample_minibatch_pair(plain_streams)
         _, g = loss_and_grad(ParamVector(w_plain, spec.dims), ds, primary)
         m = beta1 * m + (1.0 - beta1) * g.values
         v = beta2 * v + (1.0 - beta2) * g.values**2
@@ -319,11 +320,8 @@ def test_c8_desk_scale_directional_run_synthetic(tmp_path):
     assert batch_plan.configs[1].seeds == shared.seeds
     alpha_sweep = alpha_plan.run()
     assert [r.seed for r in alpha_sweep.cells[0].records] == list(shared.seeds)
-    batch_sweep = harness.SweepResult(
-        batch_plan.axis,
-        batch_plan.values,
-        batch_plan.fixed_value,
-        (harness.repeat_runs(batch_plan.configs[0]), alpha_sweep.cells[0]),
+    batch_sweep = replace(
+        batch_plan, cells=(harness.repeat_runs(batch_plan.configs[0]), alpha_sweep.cells[0])
     )
     elapsed = time.perf_counter() - t0
 

@@ -68,7 +68,7 @@ def test_traced_steps_use_every_gradient_they_compute(monkeypatch, alpha):
     twin = optim.BatchStreams.from_seed(ds.n_samples, 5, 2)
     want_rows = []
     for _ in range(3):
-        primary, enhancement = optim.sample_minibatch_pair(twin.epoch_state, twin.enhancement_rng)
+        primary, enhancement = optim.sample_minibatch_pair(twin)
         want_rows.append(len(primary if alpha == 1.0 else np.union1d(primary, enhancement)))
     tracer = spans.Tracer()
     with tracer:

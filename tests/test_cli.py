@@ -155,6 +155,27 @@ class TestTrainCommand:
         assert steps[0].startswith("step,epoch,minibatch_loss")
         assert len(steps) >= 2
 
+    def test_step_logs_are_byte_equal_under_jobs(self, workspace, monkeypatch):
+        # with step logs on, --jobs 2 still runs the seeds in a worker pool
+        tmp, config = workspace
+        started = []
+        real_pool = harness._worker_pool
+        monkeypatch.setattr(harness, "_worker_pool", lambda n: started.append(n) or real_pool(n))
+        files = ("runs.csv", "aggregate.csv", "steps_seed0.csv", "steps_seed1.csv")
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp / f"jobs{jobs}"
+            rc = parse_and_dispatch(
+                [
+                    "train", "--config", config, "--out", str(out), "--jobs", jobs,
+                    "--set", "train.log_steps=true", "--set", "train.seeds=[0,1]",
+                ]
+            )
+            assert rc == 0
+            outputs.append([(out / name).read_bytes() for name in files])
+        assert started == [2]
+        assert outputs[0] == outputs[1]
+
     def test_all_diverged_exits_two(self, tmp_path, monkeypatch, capsys):
         # the divergence detection itself is covered by the protocol tests;
         # here only the exit-code plumbing is under test

@@ -17,7 +17,6 @@ from noise_forge.harness import (
     ProbePlan,
     RunRecord,
     SweepPlan,
-    SweepResult,
     TrainConfig,
     aggregate,
     aggregate_row,
@@ -97,6 +96,9 @@ class TestConfig:
             small_config(model=MlpSpec(7, (4,), 2, seed=0))
         with pytest.raises(ValueError, match="classes"):
             small_config(model=MlpSpec(3, (4,), 5, seed=0))
+        # a wider test set would be scored with its extra-class rows all wrong
+        with pytest.raises(ValueError, match="num_classes does not match test data"):
+            small_config(test_data=blob_dataset(seed=2, n_per_class=4, classes=3))
 
     def test_max_steps_default_is_two_hundred_epochs(self):
         cfg = small_config(max_steps=None)
@@ -359,6 +361,30 @@ def openblas_threads():
     return None
 
 
+def stub_pools(monkeypatch):
+    """Replace the process pool with an in-process stub on an 8-CPU
+    affinity; returns the list each pool's (max_workers, initargs) is
+    appended to. No process starts."""
+    pools = []
+
+    class StubPool:
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append((max_workers, initargs))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    return pools
+
+
 class TestWorkerPool:
     def test_workers_share_the_cpus_between_their_blas_threads(self):
         if openblas_threads() is None:
@@ -372,28 +398,24 @@ class TestWorkerPool:
     )
     def test_pool_starts_at_most_one_worker_per_seed(self, monkeypatch, jobs, n_seeds, workers):
         # a stub executor records what repeat_runs asks for; no process starts
-        pools = []
-
-        class StubPool:
-            def __init__(self, max_workers, initializer, initargs):
-                pools.append((max_workers, initargs))
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", StubPool)
+        pools = stub_pools(monkeypatch)
         monkeypatch.setattr(harness, "train_run", lambda cfg, seed, step_writer=None: rec(seed))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         seeds = tuple(range(10, 10 + n_seeds))
         agg = repeat_runs(small_config(seeds=seeds), jobs=jobs)
         assert [r.seed for r in agg.records] == list(seeds)
         assert pools == ([] if workers is None else [(workers, (8 // workers,))])
+
+    def test_pool_starts_with_step_logs_on(self, monkeypatch, tmp_path):
+        # each seed's step log is written by whichever process runs the seed
+        pools = stub_pools(monkeypatch)
+        cfg = small_config(max_steps=40, eval_interval=20, seeds=(3, 5))
+        agg = repeat_runs(cfg, jobs=2, step_dir=tmp_path)
+        assert pools == [(2, (4,))]
+        assert [r.seed for r in agg.records] == [3, 5]
+        for seed in (3, 5):
+            lines = (tmp_path / f"steps_seed{seed}.csv").read_text().splitlines()
+            assert lines[0].startswith("step,epoch,minibatch_loss")
+            assert len(lines) == 1 + 40
 
     def test_parallel_runs_csv_is_byte_equal_to_serial(self, tmp_path):
         cfg = small_config(max_steps=40, eval_interval=20, seeds=(0, 1, 2))
@@ -471,7 +493,12 @@ class TestSweeps:
 
 
 def sweep_from_cells(axis, values, cells, fixed=1.0):
-    return SweepResult(axis=axis, values=tuple(values), fixed_value=fixed, cells=tuple(cells))
+    """The aggregate rows of a sweep along ``axis``. Built from the rows, not
+    a SweepPlan, because TestComparison's B = 32 and 64 exceed
+    small_config's 16 training rows."""
+    if axis == "batch_size":
+        return [aggregate_row(int(v), fixed, c) for v, c in zip(values, cells)]
+    return [aggregate_row(int(fixed), v, c) for v, c in zip(values, cells)]
 
 
 def cell(acc, conv, status=STATUS_CONVERGED):
@@ -479,7 +506,7 @@ def cell(acc, conv, status=STATUS_CONVERGED):
 
 
 def flags_of(values, cells):
-    return alpha_flags(sweep_from_cells("alpha", values, cells).rows())
+    return alpha_flags(sweep_from_cells("alpha", values, cells))
 
 
 class TestDirectionalFlags:
@@ -516,7 +543,10 @@ class TestComparison:
         alpha = sweep_from_cells(
             "alpha", [1.0, 2.0], [cell(0.84, 150), cell(0.88, 280)], fixed=64.0
         )
-        units = [ResultsUnit(s.axis, tuple(s.rows()), {}, s.axis) for s in (batch, alpha)]
+        units = [
+            ResultsUnit(axis, tuple(rows), {}, axis)
+            for axis, rows in (("batch_size", batch), ("alpha", alpha))
+        ]
         return render_comparison(*units)
 
     def test_best_cells_and_gap(self):

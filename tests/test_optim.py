@@ -11,7 +11,6 @@ from noise_forge.model import MlpSpec, ParamVector, glorot_init, loss_and_grad
 from noise_forge.optim import (
     BatchStreams,
     DivergenceError,
-    EpochState,
     NEConfig,
     OptimizerState,
     adam_step,
@@ -35,56 +34,54 @@ def pv(values, dims):
 
 
 class TestEpochState:
+    """The epoch partition a BatchStreams keeps (order, cursor, epoch)."""
+
     @staticmethod
-    def draw(state, enh):
-        primary, _ = sample_minibatch_pair(state, enh)
+    def draw(streams):
+        primary, _ = sample_minibatch_pair(streams)
         return primary
 
     def test_one_epoch_partitions_the_dataset(self):
-        state = EpochState(12, 3, named_stream(0, "primary-batch"))
-        enh = named_stream(0, "enhancement-batch")
+        streams = BatchStreams.from_seed(12, 3, 0)
         seen = []
         for _ in range(4):
-            seen.extend(self.draw(state, enh).tolist())
+            seen.extend(self.draw(streams).tolist())
         assert sorted(seen) == list(range(12))
-        assert state.epoch == 0
+        assert streams.epoch == 0
 
     def test_reshuffle_advances_epoch(self):
-        state = EpochState(6, 3, named_stream(0, "primary-batch"))
-        enh = named_stream(0, "enhancement-batch")
+        streams = BatchStreams.from_seed(6, 3, 0)
         for _ in range(2):
-            self.draw(state, enh)
-        assert state.epoch == 0
-        self.draw(state, enh)
-        assert state.epoch == 1
+            self.draw(streams)
+        assert streams.epoch == 0
+        self.draw(streams)
+        assert streams.epoch == 1
 
     def test_tail_shorter_than_batch_is_dropped(self):
         # n=10, B=3: three full batches per epoch, the leftover index waits
-        state = EpochState(10, 3, named_stream(1, "primary-batch"))
-        enh = named_stream(1, "enhancement-batch")
-        used = np.concatenate([self.draw(state, enh) for _ in range(3)])
+        streams = BatchStreams.from_seed(10, 3, 1)
+        used = np.concatenate([self.draw(streams) for _ in range(3)])
         assert len(used) == 9
         assert len(np.unique(used)) == 9
-        self.draw(state, enh)
-        assert state.epoch == 1
+        self.draw(streams)
+        assert streams.epoch == 1
 
     def test_epochs_use_different_permutations(self):
-        state = EpochState(8, 4, named_stream(2, "primary-batch"))
-        enh = named_stream(2, "enhancement-batch")
-        a = np.concatenate([self.draw(state, enh) for _ in range(2)])
-        b = np.concatenate([self.draw(state, enh) for _ in range(2)])
+        streams = BatchStreams.from_seed(8, 4, 2)
+        a = np.concatenate([self.draw(streams) for _ in range(2)])
+        b = np.concatenate([self.draw(streams) for _ in range(2)])
         assert sorted(a.tolist()) == sorted(b.tolist())
         assert not np.array_equal(a, b)
 
     def test_batch_larger_than_dataset_rejected(self):
         with pytest.raises(ValueError, match="batch"):
-            EpochState(4, 5, named_stream(0, "primary-batch"))
+            BatchStreams.from_seed(4, 5, 0)
 
 
 class TestMinibatchPair:
     def test_pair_shapes_and_validity(self):
         streams = BatchStreams.from_seed(10, 3, 7)
-        b, bprime = sample_minibatch_pair(streams.epoch_state, streams.enhancement_rng)
+        b, bprime = sample_minibatch_pair(streams)
         for idx in (b, bprime):
             assert idx.shape == (3,)
             assert np.unique(idx).shape == (3,)
@@ -96,9 +93,7 @@ class TestMinibatchPair:
         streams = BatchStreams.from_seed(n, b, 3)
         counts = np.zeros(n)
         for _ in range(draws):
-            _, bprime = sample_minibatch_pair(
-                streams.epoch_state, streams.enhancement_rng
-            )
+            _, bprime = sample_minibatch_pair(streams)
             assert len(np.unique(bprime)) == b
             counts[bprime] += 1
         p = b / n
@@ -108,7 +103,7 @@ class TestMinibatchPair:
     def test_pair_is_deterministic_in_seed(self):
         def draw(seed):
             streams = BatchStreams.from_seed(10, 4, seed)
-            return sample_minibatch_pair(streams.epoch_state, streams.enhancement_rng)
+            return sample_minibatch_pair(streams)
 
         a = draw(5)
         b = draw(5)
@@ -357,9 +352,7 @@ class TestTrainingStep:
     def test_pairwise_update_matches_manual_combination(self):
         ds, w, cfg, state, streams = self.make_parts(2.0)
         twin = BatchStreams.from_seed(ds.n_samples, cfg.batch_size, 17)
-        primary, enhancement = sample_minibatch_pair(
-            twin.epoch_state, twin.enhancement_rng
-        )
+        primary, enhancement = sample_minibatch_pair(twin)
         _, g_b = loss_and_grad(w, ds, primary)
         _, g_bp = loss_and_grad(w, ds, enhancement)
         expected = w.values - 0.05 * (2.0 * g_b.values - g_bp.values)
@@ -403,7 +396,7 @@ class TestTrainingStep:
         monkeypatch.setattr(optim, "loss_and_grad", counted)
         for _ in range(7):
             w, log = training_step(w, ds, cfg, state, streams)
-            primary, enhancement = sample_minibatch_pair(twin.epoch_state, twin.enhancement_rng)
+            primary, enhancement = sample_minibatch_pair(twin)
             if alpha == 1.0:
                 want.append((len(primary), False))
             else:
@@ -414,11 +407,11 @@ class TestTrainingStep:
             assert any(rows < 2 * cfg.batch_size for rows, _ in want)  # the draws overlap
         rngs = (
             (streams.enhancement_rng, twin.enhancement_rng),
-            (streams.epoch_state.rng, twin.epoch_state.rng),
+            (streams.primary_rng, twin.primary_rng),
         )
         for ours, theirs in rngs:
             assert ours.bit_generator.state == theirs.bit_generator.state
-        assert streams.epoch_state.cursor == twin.epoch_state.cursor
+        assert streams.cursor == twin.cursor
 
     @pytest.mark.parametrize("alpha", [2.0, 1.0], ids=["pairwise-2.0", "pairwise-1.0"])
     def test_logging_does_not_change_the_trajectory(self, alpha):
@@ -440,7 +433,7 @@ class TestTrainingStep:
     def test_logged_norms_are_those_of_the_step_gradients(self):
         ds, w, cfg, state, streams = self.make_parts(2.0)
         twin = BatchStreams.from_seed(ds.n_samples, cfg.batch_size, 17)
-        primary, enhancement = sample_minibatch_pair(twin.epoch_state, twin.enhancement_rng)
+        primary, enhancement = sample_minibatch_pair(twin)
         loss_b, g_b = loss_and_grad(w, ds, primary)
         _, g_bp = loss_and_grad(w, ds, enhancement)
         combined = ne_combine(g_b, g_bp, 2.0)
@@ -479,9 +472,7 @@ class TestFusedDirection:
         w = glorot_init(MlpSpec(dims[0], dims[1:-1], classes, seed=5))
         streams = BatchStreams.from_seed(ds.n_samples, batch, 8)
         for _ in range(2):
-            primary, enhancement = sample_minibatch_pair(
-                streams.epoch_state, streams.enhancement_rng
-            )
+            primary, enhancement = sample_minibatch_pair(streams)
             loss, fused = loss_and_grad(
                 w, ds, *pair_rows(primary, enhancement, alpha, ds.n_samples)
             )
@@ -497,7 +488,7 @@ class TestFusedDirection:
         cfg = NEConfig(alpha=3.0, batch_size=4, base="sgd")
         streams = BatchStreams.from_seed(ds.n_samples, 4, 15)
         twin = BatchStreams.from_seed(ds.n_samples, 4, 15)
-        primary, enhancement = sample_minibatch_pair(twin.epoch_state, twin.enhancement_rng)
+        primary, enhancement = sample_minibatch_pair(twin)
         assert np.intersect1d(primary, enhancement).size == 1  # seed 15 shares a row
         _, fused = loss_and_grad(w, ds, *pair_rows(primary, enhancement, 3.0, ds.n_samples))
         w2, _ = training_step(w, ds, cfg, OptimizerState(learning_rate=0.05), streams)

@@ -1,13 +1,16 @@
-"""Every function the package exports has a caller outside its own module.
+"""The package's public surface holds nothing that only its tests use.
 
 A function in ``noise_forge.__all__`` must be called from another module of
 the package (``__init__.py`` does not count) or from the benchmark's
 workloads, which are built only from the public API. A function whose only
 callers are its own tests belongs in its module, not in the package's
-public surface.
+public surface. Likewise, a constructor argument with a default in an
+exported dataclass must be set somewhere in that code; one that no caller
+sets is a one-value knob, and belongs in the code as a constant.
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -49,3 +52,60 @@ def test_every_exported_function_has_a_caller_outside_its_module():
         if not callers:
             uncalled.append(f"{func.__module__}.{name}")
     assert not uncalled, f"exported but called only from their own module or tests: {uncalled}"
+
+
+class ConstructorCalls(ast.NodeVisitor):
+    """Per class name, the keywords its constructor calls pass and the most
+    positional arguments one passes; plus every ``replace`` keyword. A
+    ``cls(...)`` call inside a class body counts as a call of that class."""
+
+    def __init__(self):
+        self.keywords: dict[str, set[str]] = {}
+        self.positional: dict[str, float] = {}
+        self.replaced: set[str] = set()
+        self._classes: list[str] = []
+
+    def visit_ClassDef(self, node):
+        self._classes.append(node.name)
+        self.generic_visit(node)
+        self._classes.pop()
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "cls" and self._classes:
+            name = self._classes[-1]
+        keywords = {kw.arg for kw in node.keywords if kw.arg is not None}
+        if name == "replace":
+            self.replaced |= keywords
+        elif name is not None:
+            self.keywords.setdefault(name, set()).update(keywords)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            count = float("inf") if starred else len(node.args)
+            self.positional[name] = max(self.positional.get(name, 0), count)
+        self.generic_visit(node)
+
+
+def test_every_defaulted_dataclass_argument_is_set_by_some_caller():
+    calls = ConstructorCalls()
+    for path in [*PACKAGE_DIR.glob("*.py"), WORKLOADS]:
+        calls.visit(ast.parse(path.read_text(), filename=str(path)))
+    classes = [
+        obj
+        for name in noise_forge.__all__
+        if dataclasses.is_dataclass(obj := getattr(noise_forge, name)) and inspect.isclass(obj)
+    ]
+    assert classes
+    unset = []
+    for cls in classes:
+        params = [f for f in dataclasses.fields(cls) if f.init]
+        for index, f in enumerate(params):
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                continue
+            if not (
+                f.name in calls.keywords.get(cls.__name__, ())
+                or calls.positional.get(cls.__name__, 0) > index
+                or f.name in calls.replaced
+            ):
+                unset.append(f"{cls.__name__}.{f.name}")
+    assert not unset, f"constructor arguments no package module or workload sets: {unset}"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from noise_forge import rng
-from noise_forge.optim import EpochState, sample_minibatch_pair
+from noise_forge.optim import BatchStreams, sample_minibatch_pair
 from noise_forge.rng import named_stream, stream_names
 
 # Every stream name and its id. The ids seed every run, so this table is
@@ -90,15 +90,16 @@ class TestTrainingDrawsArePinned:
         # Index arrays recorded before the enhancement draw moved into
         # rng.uniform_batch. Three calls on N = 10, B = 4 cross an epoch
         # boundary, so both the permutation and the B' draw are covered.
-        state = EpochState(10, 4, named_stream(3, "primary-batch"))
-        enh = named_stream(3, "enhancement-batch")
+        streams = BatchStreams(
+            10, 4, named_stream(3, "primary-batch"), named_stream(3, "enhancement-batch")
+        )
         expected = [
             ([7, 0, 6, 2], [2, 5, 1, 3]),
             ([3, 5, 4, 9], [1, 3, 9, 5]),
             ([1, 8, 4, 6], [0, 8, 2, 7]),
         ]
         for want_p, want_e in expected:
-            primary, enhancement = sample_minibatch_pair(state, enh)
+            primary, enhancement = sample_minibatch_pair(streams)
             assert primary.dtype == enhancement.dtype == np.int64
             assert primary.tolist() == want_p
             assert enhancement.tolist() == want_e
