@@ -55,8 +55,6 @@ DEFAULTS: dict = {
     "train.log_steps": False,
     "sweep.b_grid": [32, 64, 128, 256],
     "sweep.alpha_grid": [1.0, 1.5, 2.0],
-    "sweep.alpha_fixed": 1.0,
-    "sweep.b_fixed": 128,
     "probe.steps": [0],
     "probe.interval": 0,
     "probe.n_samples": 200,
@@ -75,7 +73,6 @@ FULLSCALE: dict = {
     "train.seeds": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
     "sweep.b_grid": [100, 200, 300, 400, 500, 600, 700, 800, 900, 1000, 2000, 3000, 5000],
     "sweep.alpha_grid": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0],
-    "sweep.b_fixed": 5000,
 }
 
 
@@ -282,9 +279,9 @@ def _cmd_sweep(args) -> int:
     cfg = resolve_config(args.config, args.set or [])
     tc = build_train_config(cfg)
     if args.command == "sweep-b":
-        plan = harness.SweepPlan.over_batch(tc, cfg["sweep.b_grid"], float(cfg["sweep.alpha_fixed"]))
+        plan = harness.SweepPlan.over_batch(tc, cfg["sweep.b_grid"], tc.ne.alpha)
     else:
-        plan = harness.SweepPlan.over_alpha(tc, cfg["sweep.alpha_grid"], int(cfg["sweep.b_fixed"]))
+        plan = harness.SweepPlan.over_alpha(tc, cfg["sweep.alpha_grid"], tc.ne.batch_size)
     out = _out_dir(args, args.command)
     _dump_resolved(cfg, out)
     sweep = plan.run(args.jobs)

@@ -15,6 +15,7 @@ import csv
 import ctypes
 import hashlib
 import json
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -280,10 +281,9 @@ def aggregate_row(b: int, alpha: float, agg: AggregateResult) -> dict:
     )
 
 
-def _train_one(args: tuple[TrainConfig, int, Path | None]) -> RunRecord:
+def _train_one(cfg: TrainConfig, seed: int, step_dir: Path | None) -> RunRecord:
     """One seed's run; with a step directory it also writes the run's
     ``steps_seed<N>.csv`` there, in whichever process runs the seed."""
-    cfg, seed, step_dir = args
     if step_dir is None:
         return train_run(cfg, seed)
     logs: list[StepLog] = []
@@ -310,34 +310,42 @@ def _set_blas_threads(n: int) -> None:
                 return
 
 
-def _worker_pool(workers: int) -> ProcessPoolExecutor:
-    """``workers`` processes sharing the CPUs: each forked worker would
-    otherwise keep the parent's BLAS thread count, and ``workers`` of them
-    oversubscribe the machine (a 4-seed desk train ran 3x slower with
-    ``--jobs 2`` than serially on 2 CPUs)."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    threads = max(1, cpus // workers)
-    return ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads, initargs=(threads,))
+_worker_configs: tuple[TrainConfig, ...] = ()  # set by _init_worker, in pool workers only
+
+
+def _init_worker(threads: int, configs: tuple[TrainConfig, ...]) -> None:
+    global _worker_configs
+    _set_blas_threads(threads)
+    _worker_configs = configs
+
+
+def _worker_task(task: tuple[int, int, Path | None]) -> RunRecord:
+    return _train_one(_worker_configs[task[0]], *task[1:])
+
+
+def _dispatch(configs: tuple[TrainConfig, ...], jobs: int, step_dir: Path | None = None) -> list[AggregateResult]:
+    """One aggregate per config over its seeds. The (cell, seed) tasks run in
+    this process, or in one pool of ``min(jobs, tasks)`` > 1 spawned workers
+    that each get ``configs`` once (cells sharing a Dataset pickle it once)
+    and a share of the CPUs for BLAS threads (each taking all, two workers ran
+    a 4-seed desk train 3x slower than one process on 2 CPUs). With
+    ``step_dir``, each run writes ``steps_seed<N>.csv`` there."""
+    tasks = [(cell, seed, step_dir) for cell, cfg in enumerate(configs) for seed in cfg.seeds]
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        spawn, initargs = multiprocessing.get_context("spawn"), (max(1, cpus // workers), configs)
+        with ProcessPoolExecutor(workers, mp_context=spawn, initializer=_init_worker, initargs=initargs) as pool:
+            records = iter(list(pool.map(_worker_task, tasks)))
+    else:
+        records = (_train_one(configs[cell], seed, step_dir) for cell, seed, step_dir in tasks)
+    return [aggregate([next(records) for _ in cfg.seeds]) for cfg in configs]
 
 
 def repeat_runs(cfg: TrainConfig, jobs: int = 1, step_dir: Path | None = None) -> AggregateResult:
-    """Run the protocol once per seed in cfg.seeds and aggregate. Results
-    are ordered by the seed list regardless of scheduling.
-
-    At most ``jobs`` worker processes run the seeds, and never more than
-    there are seeds (the default fork start method starts every worker at
-    once); one worker means the runs stay in this process. With
-    ``step_dir``, each run writes its step log there as
-    ``steps_seed<N>.csv``.
-    """
-    tasks = [(cfg, s, step_dir) for s in cfg.seeds]
-    workers = min(jobs, len(cfg.seeds))
-    if workers > 1:
-        with _worker_pool(workers) as pool:
-            records = list(pool.map(_train_one, tasks))
-    else:
-        records = [_train_one(task) for task in tasks]
-    return aggregate(records)
+    """Run the protocol once per seed in cfg.seeds, in seed-list order, and
+    aggregate; ``jobs`` and ``step_dir`` as in ``_dispatch``."""
+    return _dispatch((cfg,), jobs, step_dir)[0]
 
 
 @dataclass(frozen=True)
@@ -379,8 +387,8 @@ class SweepPlan:
         return cls("alpha", tuple(values), float(b_fixed), tuple(configs))
 
     def run(self, jobs: int = 1) -> SweepPlan:
-        """Repeat the protocol for every cell, in grid order."""
-        return replace(self, cells=tuple(repeat_runs(c, jobs=jobs) for c in self.configs))
+        """Repeat the protocol for every cell, in grid order (see ``_dispatch``)."""
+        return replace(self, cells=tuple(_dispatch(self.configs, jobs)))
 
     def rows(self) -> list[dict]:
         """One aggregate row per run cell, in grid order (see aggregate_row)."""

@@ -163,7 +163,7 @@ def _noise_trace(sq_norms: np.ndarray, total: np.ndarray, eta: float, batch_size
     factor."""
     n = sq_norms.shape[0]
     factor = _finite_population_factor(n, batch_size)
-    g_bar_sq = float(total @ total) / (n * n)
+    g_bar_sq = float((total * total).sum()) / (n * n)
     return float((eta**2 / batch_size) * factor * (sq_norms.mean() - g_bar_sq))
 
 
@@ -273,7 +273,7 @@ def excess_kurtosis(samples: np.ndarray) -> np.ndarray:
 def _grad_diversity(sq_norms: np.ndarray, total: np.ndarray) -> float:
     """sum_mu |g_mu|^2 / |sum_mu g_mu|^2 from the per-sample squared norms and
     the summed gradient."""
-    den = float(total @ total)
+    den = float((total * total).sum())
     if den == 0.0:
         raise ValueError("summed gradient is zero; diversity undefined")
     return float(sq_norms.sum()) / den

@@ -224,6 +224,11 @@ def adam_step(w: ParamVector, g: ParamVector, state: OptimizerState) -> ParamVec
     return ParamVector(np.subtract(w.values, s, out=r), w.dims)
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm by numpy's fixed-order sum; a BLAS dot's order follows its thread count."""
+    return float(np.sqrt((x * x).sum()))
+
+
 @dataclass(frozen=True)
 class StepLog:
     """One training step's log row (the step-log CSV schema)."""
@@ -280,8 +285,8 @@ def training_step(
         step=state.step_count,
         epoch=streams.epoch,
         minibatch_loss=loss_b,
-        grad_norm_b=float(np.linalg.norm(grad_b.values)),
-        grad_norm_bprime=float(np.linalg.norm(grad_bprime.values)),
-        combined_norm=float(np.linalg.norm(direction.values)),
+        grad_norm_b=_norm(grad_b.values),
+        grad_norm_bprime=_norm(grad_bprime.values),
+        combined_norm=_norm(direction.values),
         lr=lr,
     )

@@ -318,10 +318,11 @@ def test_c8_desk_scale_directional_run_synthetic(tmp_path):
     shared = alpha_plan.configs[0]
     assert config_hash(batch_plan.configs[1]) == config_hash(shared)
     assert batch_plan.configs[1].seeds == shared.seeds
-    alpha_sweep = alpha_plan.run()
+    jobs = min(2, len(os.sched_getaffinity(0)))  # the runs go through the worker pool
+    alpha_sweep = alpha_plan.run(jobs=jobs)
     assert [r.seed for r in alpha_sweep.cells[0].records] == list(shared.seeds)
     batch_sweep = replace(
-        batch_plan, cells=(harness.repeat_runs(batch_plan.configs[0]), alpha_sweep.cells[0])
+        batch_plan, cells=(harness.repeat_runs(batch_plan.configs[0], jobs=jobs), alpha_sweep.cells[0])
     )
     elapsed = time.perf_counter() - t0
 

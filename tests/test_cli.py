@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from noise_forge.cli import (
     resolve_config,
 )
 from test_dataio import image_bytes, label_bytes
+from test_harness import openblas_threads
 
 
 def write_config(tmp_path, extra=None):
@@ -89,7 +91,7 @@ class TestResolveConfig:
         assert cfg["ne.batch_size"] == 4  # explicit in the file
         assert cfg["data.source"] == "synthetic"  # explicit on the command line
         assert cfg["model.hidden"] == [4]
-        assert cfg["sweep.b_fixed"] == 5000  # preset still fills the rest
+        assert cfg["sweep.b_grid"][-1] == 5000  # preset still fills the rest
 
 
 class TestBuildTrainConfig:
@@ -121,6 +123,20 @@ class TestBuildTrainConfig:
         cfg = resolve_config(write_config(tmp_path, {"ne.batch_size": 1000}), [])
         with pytest.raises(ConfigError, match="batch"):
             build_train_config(cfg)
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """(workers, start method) of each pool harness starts; the pools are real."""
+    starts = []
+
+    class RecordedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context, **kwargs):
+            starts.append((max_workers, mp_context.get_start_method()))
+            super().__init__(max_workers, mp_context=mp_context, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordedPool)
+    return starts
 
 
 @pytest.fixture(scope="module")
@@ -155,12 +171,9 @@ class TestTrainCommand:
         assert steps[0].startswith("step,epoch,minibatch_loss")
         assert len(steps) >= 2
 
-    def test_step_logs_are_byte_equal_under_jobs(self, workspace, monkeypatch):
+    def test_step_logs_are_byte_equal_under_jobs(self, workspace, pool_starts):
         # with step logs on, --jobs 2 still runs the seeds in a worker pool
         tmp, config = workspace
-        started = []
-        real_pool = harness._worker_pool
-        monkeypatch.setattr(harness, "_worker_pool", lambda n: started.append(n) or real_pool(n))
         files = ("runs.csv", "aggregate.csv", "steps_seed0.csv", "steps_seed1.csv")
         outputs = []
         for jobs in ("1", "2"):
@@ -173,7 +186,7 @@ class TestTrainCommand:
             )
             assert rc == 0
             outputs.append([(out / name).read_bytes() for name in files])
-        assert started == [2]
+        assert pool_starts == [(2, "spawn")]
         assert outputs[0] == outputs[1]
 
     def test_all_diverged_exits_two(self, tmp_path, monkeypatch, capsys):
@@ -213,8 +226,6 @@ class TestTrainCommand:
                 str(tmp_path / "sweep"),
                 "--set",
                 "sweep.alpha_grid=[1.0,2.0]",
-                "--set",
-                "sweep.b_fixed=4",
             ]
         )
         assert rc == 2
@@ -237,8 +248,6 @@ class TestSweepCommands:
                 str(sweep_out),
                 "--set",
                 "sweep.alpha_grid=[1.0]",
-                "--set",
-                "sweep.b_fixed=4",
             ]
         )
         assert rc == 0
@@ -284,8 +293,6 @@ class TestSweepCommands:
                     str(out),
                     "--set",
                     f"sweep.alpha_grid={grid}",
-                    "--set",
-                    "sweep.b_fixed=4",
                 ]
             )
             assert rc == 0
@@ -300,6 +307,63 @@ class TestSweepCommands:
             assert json.loads((out / "sweep.json").read_text())["best_value"] == alpha
             assert f"best alpha: {alpha:g}" in printed
             capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command, setting, fixed",
+        [("sweep-alpha", "ne.batch_size=8", "8,1.0,"), ("sweep-b", "ne.alpha=2", "4,2.0,")],
+    )
+    def test_sweeps_hold_the_base_config_fixed(self, command, setting, fixed, tmp_path, capsys):
+        # the fixed B of an alpha sweep and the fixed alpha of a batch sweep are ne.*
+        out = tmp_path / command
+        grid = "sweep.alpha_grid=[1.0]" if command == "sweep-alpha" else "sweep.b_grid=[4]"
+        argv = [command, "--config", write_config(tmp_path), "--out", str(out), "--set", setting, "--set", grid]
+        assert parse_and_dispatch(argv) == 0
+        assert (out / "aggregate.csv").read_text().splitlines()[1].startswith(fixed)
+        assert (out / "runs.csv").read_text().splitlines()[1].split(",")[1:3] == fixed.split(",")[:2]
+        capsys.readouterr()
+
+    def test_one_seed_cells_share_one_pool(self, workspace, pool_starts, capsys):
+        # three one-seed cells under --jobs 2 run in one two-worker pool
+        tmp, config = workspace
+        files = ("runs.csv", "aggregate.csv", "sweep.json", "scatter.csv")
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp / f"sweep-jobs{jobs}"
+            argv = ["sweep-alpha", "--config", config, "--out", str(out), "--jobs", jobs]
+            assert parse_and_dispatch(argv + ["--set", "sweep.alpha_grid=[1.0,1.5,2.0]"]) == 0
+            outputs.append([(out / name).read_bytes() for name in files])
+        assert pool_starts == [(2, "spawn")]
+        assert outputs[0] == outputs[1]
+        capsys.readouterr()
+
+
+class TestBlasThreads:
+    def test_train_and_probe_outputs_do_not_follow_the_blas_thread_count(self, tmp_path, capsys):
+        # the desk net (P = 19,204) is long enough for OpenBLAS to split a dot product by thread
+        before = openblas_threads()
+        if before is None:
+            pytest.skip("numpy is not linked against an OpenBLAS with a thread getter")
+        desk = [
+            "synthetic.classes=4", "synthetic.dim=16", "synthetic.n_per_class=200",
+            "synthetic.noise_scale=0.9", "model.hidden=[128,128]", "ne.batch_size=100",
+            "ne.alpha=2", "optim.learning_rate=0.003", "train.eval_interval=25",
+            "train.max_steps=250", "train.seeds=[0]", "train.log_steps=true", "probe.steps=[0,200]",
+        ]
+        sets = [arg for item in desk for arg in ("--set", item)]
+        outputs = []
+        try:
+            for threads in (1, 2):
+                harness._set_blas_threads(threads)
+                out = tmp_path / str(threads)
+                assert parse_and_dispatch(["train", "--out", str(out / "train"), *sets]) == 0
+                assert parse_and_dispatch(["probe", "--out", str(out / "probe"), *sets]) == 0
+                names = ("train/runs.csv", "train/steps_seed0.csv", "probe/runs.csv", "probe/probe.csv")
+                outputs.append([(out / name).read_bytes() for name in names])
+        finally:
+            harness._set_blas_threads(before)
+        assert len(outputs[0][3].splitlines()) == 3  # header and steps 0 and 200
+        assert outputs[0] == outputs[1]
+        capsys.readouterr()
 
 
 class TestProbeCommand:
@@ -504,7 +568,7 @@ class TestUsageErrors:
         runs = []
         monkeypatch.setattr(harness, "train_run", lambda *args, **kw: runs.append(args))
         out = tmp_path / "out"
-        config = write_config(tmp_path, {"sweep.b_fixed": 4})
+        config = write_config(tmp_path)
         rc = parse_and_dispatch([command, "--config", config, "--out", str(out), "--set", setting])
         assert rc == 1
         assert f"config error: {message}" in capsys.readouterr().err
@@ -523,7 +587,7 @@ class TestUsageErrors:
         monkeypatch.setattr(harness, "train_run", counted(harness.train_run))
         monkeypatch.setattr(harness, "probe_run", counted(harness.probe_run))
         out = tmp_path / "out"
-        config = write_config(tmp_path, {"sweep.b_fixed": 4, "sweep.alpha_grid": [1.0]})
+        config = write_config(tmp_path, {"sweep.alpha_grid": [1.0]})
         argv = [command, "--config", config, "--out", str(out), "--set", "train.seeds=[0,-1]"]
         rc = parse_and_dispatch(argv)
         assert rc == 1

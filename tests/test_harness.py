@@ -1,6 +1,8 @@
 import ctypes
 import math
 import os
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -363,13 +365,18 @@ def openblas_threads():
 
 def stub_pools(monkeypatch):
     """Replace the process pool with an in-process stub on an 8-CPU
-    affinity; returns the list each pool's (max_workers, initargs) is
-    appended to. No process starts."""
+    affinity; returns the list each pool's (max_workers, start method, BLAS
+    threads) is appended to. The stub hands the initializer's configs to the
+    workers' task function, checks that every task it maps pickles to under
+    1 KB, and starts no process."""
     pools = []
 
     class StubPool:
-        def __init__(self, max_workers, initializer, initargs):
-            pools.append((max_workers, initargs))
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            assert initializer is harness._init_worker
+            threads, configs = initargs
+            pools.append((max_workers, mp_context.get_start_method(), threads))
+            monkeypatch.setattr(harness, "_worker_configs", configs)
 
         def __enter__(self):
             return self
@@ -378,6 +385,8 @@ def stub_pools(monkeypatch):
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            assert all(len(pickle.dumps(item)) < 1024 for item in items)
             return map(fn, items)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", StubPool)
@@ -385,13 +394,46 @@ def stub_pools(monkeypatch):
     return pools
 
 
+def worker_view():
+    """What a pool worker holds: its BLAS thread count and its configs' count."""
+    return openblas_threads(), len(harness._worker_configs)
+
+
 class TestWorkerPool:
-    def test_workers_share_the_cpus_between_their_blas_threads(self):
+    def test_workers_share_the_cpus_between_their_blas_threads(self, monkeypatch):
+        # a real pool: the dispatcher's own arguments, observed from a worker
         if openblas_threads() is None:
             pytest.skip("numpy is not linked against an OpenBLAS with a thread getter")
+        views = []
+
+        class ObservedPool(ProcessPoolExecutor):
+            def __init__(self, max_workers, mp_context, **kwargs):
+                super().__init__(max_workers, mp_context=mp_context, **kwargs)
+                self.start_method = mp_context.get_start_method()
+
+            def map(self, fn, items):
+                views.append((self.start_method, self.submit(worker_view).result()))
+                return super().map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", ObservedPool)
+        cfg = small_config(max_steps=20, eval_interval=10, seeds=(0, 1))
+        plan = SweepPlan.over_alpha(cfg, [1.0, 2.0], b_fixed=4)
+        assert len(plan.run(jobs=2).cells) == 2
         want = max(1, len(os.sched_getaffinity(0)) // 2)
-        with harness._worker_pool(2) as pool:
-            assert pool.submit(openblas_threads).result() == want
+        assert views == [("spawn", (want, 2))]
+        assert harness._worker_configs == ()  # nothing is set in this process
+
+    def test_one_pool_runs_every_cell_and_seed(self, monkeypatch):
+        pools = stub_pools(monkeypatch)
+        monkeypatch.setattr(
+            harness, "train_run", lambda cfg, seed, step_writer=None: rec(seed, acc=cfg.ne.alpha / 10)
+        )
+        cfg = small_config(train_data=blob_dataset(seed=1, n_per_class=100), seeds=(7, 3))
+        assert len(pickle.dumps(cfg)) > 1024  # so the stub's task-size check can fail
+        sweep = SweepPlan.over_alpha(cfg, [1.0, 1.5, 2.0], b_fixed=4).run(jobs=4)
+        assert pools == [(4, "spawn", 2)]
+        assert [[r.seed for r in cell.records] for cell in sweep.cells] == [[7, 3]] * 3
+        assert [cell.mean_accuracy for cell in sweep.cells] == [0.1, 0.15, 0.2]
 
     @pytest.mark.parametrize(
         "jobs, n_seeds, workers", [(8, 5, 5), (2, 3, 2), (3, 1, None), (1, 4, None)]
@@ -403,14 +445,14 @@ class TestWorkerPool:
         seeds = tuple(range(10, 10 + n_seeds))
         agg = repeat_runs(small_config(seeds=seeds), jobs=jobs)
         assert [r.seed for r in agg.records] == list(seeds)
-        assert pools == ([] if workers is None else [(workers, (8 // workers,))])
+        assert pools == ([] if workers is None else [(workers, "spawn", 8 // workers)])
 
     def test_pool_starts_with_step_logs_on(self, monkeypatch, tmp_path):
         # each seed's step log is written by whichever process runs the seed
         pools = stub_pools(monkeypatch)
         cfg = small_config(max_steps=40, eval_interval=20, seeds=(3, 5))
         agg = repeat_runs(cfg, jobs=2, step_dir=tmp_path)
-        assert pools == [(2, (4,))]
+        assert pools == [(2, "spawn", 4)]
         assert [r.seed for r in agg.records] == [3, 5]
         for seed in (3, 5):
             lines = (tmp_path / f"steps_seed{seed}.csv").read_text().splitlines()
