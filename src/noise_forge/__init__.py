@@ -17,7 +17,6 @@ from .harness import (
     RunRecord,
     SweepPlan,
     TrainConfig,
-    probe_run,
     repeat_runs,
     sweep_alpha,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "make_synthetic",
     "ne_combine",
     "probe_noise",
-    "probe_run",
     "repeat_runs",
     "sample_ne_noise",
     "split_holdout",

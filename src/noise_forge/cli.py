@@ -17,6 +17,7 @@ import copy
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import dataio, harness, oracles, report
@@ -277,6 +278,11 @@ def _print_sweep(sweep: harness.SweepPlan, label: str, best: float | None) -> No
 
 def _cmd_sweep(args) -> int:
     cfg = resolve_config(args.config, args.set or [])
+    if cfg["train.log_steps"]:
+        raise ConfigError(
+            f"train.log_steps is not supported by {args.command}: its cells share seeds, "
+            "so their steps_seed<N>.csv files would collide"
+        )
     tc = build_train_config(cfg)
     if args.command == "sweep-b":
         plan = harness.SweepPlan.over_batch(tc, cfg["sweep.b_grid"], tc.ne.alpha)
@@ -309,14 +315,15 @@ def _cmd_probe(args) -> int:
         interval=int(cfg["probe.interval"]),
         n_samples=int(cfg["probe.n_samples"]),
     )
+    tc = replace(tc, seeds=tc.seeds[:1], probe=plan)
     out = _out_dir(args, "probe")
     _dump_resolved(cfg, out)
-    seed = tc.seeds[0]
-    record, rows = harness.probe_run(tc, seed, plan)
-    harness.write_cells(out, [(tc, harness.aggregate([record]))])
-    harness.write_probe_csv(out / "probe.csv", rows)
+    agg = harness.repeat_runs(tc, jobs=args.jobs, step_dir=out if cfg["train.log_steps"] else None)
+    harness.write_cells(out, [(tc, agg)])
+    record = agg.records[0]
+    harness.write_probe_csv(out / "probe.csv", record.probes)
     print(_record_line(record))
-    for row in rows:
+    for row in record.probes:
         print(
             f"step {row.step}: trace {row.trace_cov:.6e}, ratio {row.enhancement_ratio:.4f} "
             f"(predicted {row.predicted_factor:.4f}), B_eff {row.b_eff:.1f}, "

@@ -6,7 +6,9 @@ eval_interval steps, one learning-rate halving the first time the loss
 reaches l_star, and a stop with status "converged" when it reaches
 l_star_star. Convergence time is counted in steps (one two-minibatch update
 is one step). Runs that exhaust max_steps are kept with their accuracy;
-runs whose gradients or loss go non-finite are marked diverged.
+runs whose gradients or loss go non-finite are marked diverged. Where the
+config's probe plan asks, a run also measures its gradient noise before a
+step, on the noise streams, so probing never moves the trajectory.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ STATUS_DIVERGED = "diverged"
 
 @dataclass(frozen=True, eq=False)
 class TrainConfig:
-    """Everything a run needs besides its seed."""
+    """Everything a run needs besides its seed, including where it probes
+    its noise (``probe``; None probes nowhere)."""
 
     model: MlpSpec
     ne: NEConfig
@@ -49,6 +52,7 @@ class TrainConfig:
     eval_interval: int = 50
     max_steps: int | None = None
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+    probe: ProbePlan | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.l_star_star < self.l_star):
@@ -126,7 +130,9 @@ class ProbePlan:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Outcome of one seeded run. wall_time_s is informational only."""
+    """Outcome of one seeded run, with its noise probes in step order.
+    wall_time_s is informational only, and probes is left out of equality
+    because a probe's kurtosis can be NaN."""
 
     seed: int
     status: str
@@ -136,14 +142,14 @@ class RunRecord:
     final_train_loss: float
     steps_taken: int
     wall_time_s: float = field(compare=False, default=0.0)
+    probes: tuple[ProbeRow, ...] = field(compare=False, default=())
 
 
-def _run(
-    cfg: TrainConfig,
-    seed: int,
-    step_writer: Callable[[StepLog], None] | None = None,
-    probe_plan: ProbePlan | None = None,
-) -> tuple[RunRecord, list[ProbeRow]]:
+def train_run(
+    cfg: TrainConfig, seed: int, step_writer: Callable[[StepLog], None] | None = None
+) -> RunRecord:
+    """Run the full protocol once from the given seed, probing the noise at
+    the steps ``cfg.probe`` plans."""
     n = cfg.train_data.n_samples
     w = glorot_init(replace(cfg.model, seed=seed))
     state = OptimizerState(learning_rate=cfg.learning_rate)
@@ -157,7 +163,7 @@ def _run(
     t0 = time.perf_counter()
     while True:
         step = state.step_count
-        if probe_plan is not None and probe_plan.should_probe(step):
+        if cfg.probe is not None and cfg.probe.should_probe(step):
             probe_rows.append(
                 probe_noise(
                     w,
@@ -165,7 +171,7 @@ def _run(
                     state.learning_rate,
                     cfg.ne.batch_size,
                     cfg.ne.alpha,
-                    probe_plan.n_samples,
+                    cfg.probe.n_samples,
                     seed,
                     step=step,
                     stream_index=step,
@@ -199,7 +205,7 @@ def _run(
         accuracy = float("nan")
     else:
         accuracy = evaluate_accuracy(w, cfg.test_data)
-    record = RunRecord(
+    return RunRecord(
         seed=seed,
         status=status,
         test_accuracy=accuracy,
@@ -208,23 +214,8 @@ def _run(
         final_train_loss=last_loss,
         steps_taken=state.step_count,
         wall_time_s=time.perf_counter() - t0,
+        probes=tuple(probe_rows),
     )
-    return record, probe_rows
-
-
-def train_run(
-    cfg: TrainConfig, seed: int, step_writer: Callable[[StepLog], None] | None = None
-) -> RunRecord:
-    """Run the full protocol once from the given seed."""
-    record, _ = _run(cfg, seed, step_writer=step_writer)
-    return record
-
-
-def probe_run(
-    cfg: TrainConfig, seed: int, plan: ProbePlan
-) -> tuple[RunRecord, list[ProbeRow]]:
-    """train_run plus noise probes at the planned checkpoints."""
-    return _run(cfg, seed, probe_plan=plan)
 
 
 @dataclass(frozen=True)

@@ -447,7 +447,7 @@ def test_c9_kurtosis_estimator_and_probe_pipeline():
         max_steps=120,
         seeds=(0,),
     )
-    _, rows = harness.probe_run(cfg, seed=0, plan=ProbePlan(steps=(0,), interval=50, n_samples=120))
+    rows = harness.train_run(replace(cfg, probe=ProbePlan(steps=(0,), interval=50, n_samples=120)), seed=0).probes
     pipeline_ok = len(rows) >= 2 and all(math.isfinite(r.median_excess_kurtosis) for r in rows)
 
     ok = worst <= 0.1 and pipeline_ok

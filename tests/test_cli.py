@@ -337,6 +337,24 @@ class TestSweepCommands:
         capsys.readouterr()
 
 
+class TestOneRunPath:
+    @pytest.mark.parametrize("command", ["train", "sweep-b", "sweep-alpha", "probe"])
+    def test_every_command_dispatches_its_runs_once(self, command, tmp_path, monkeypatch, capsys):
+        # every run goes through the one dispatcher, so no command grows its own run path
+        calls = []
+        dispatch = harness._dispatch
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return dispatch(*args, **kw)
+
+        monkeypatch.setattr(harness, "_dispatch", counted)
+        config = write_config(tmp_path, {"sweep.b_grid": [2, 4], "sweep.alpha_grid": [1.0, 2.0]})
+        assert parse_and_dispatch([command, "--config", config, "--out", str(tmp_path / command)]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+
+
 class TestBlasThreads:
     def test_train_and_probe_outputs_do_not_follow_the_blas_thread_count(self, tmp_path, capsys):
         # the desk net (P = 19,204) is long enough for OpenBLAS to split a dot product by thread
@@ -357,12 +375,17 @@ class TestBlasThreads:
                 out = tmp_path / str(threads)
                 assert parse_and_dispatch(["train", "--out", str(out / "train"), *sets]) == 0
                 assert parse_and_dispatch(["probe", "--out", str(out / "probe"), *sets]) == 0
-                names = ("train/runs.csv", "train/steps_seed0.csv", "probe/runs.csv", "probe/probe.csv")
+                names = (
+                    "train/runs.csv", "train/steps_seed0.csv",
+                    "probe/runs.csv", "probe/steps_seed0.csv", "probe/probe.csv",
+                )
                 outputs.append([(out / name).read_bytes() for name in names])
         finally:
             harness._set_blas_threads(before)
-        assert len(outputs[0][3].splitlines()) == 3  # header and steps 0 and 200
+        assert len(outputs[0][4].splitlines()) == 3  # header and steps 0 and 200
         assert outputs[0] == outputs[1]
+        # probing never moves the trajectory: the probed run logs the same steps as train
+        assert outputs[0][2:4] == outputs[0][0:2]
         capsys.readouterr()
 
 
@@ -381,6 +404,21 @@ class TestProbeCommand:
         out_text = capsys.readouterr().out
         assert "predicted 5.0000" in out_text
         assert "not reached" not in out_text
+
+    def test_one_seed_starts_no_pool(self, workspace, pool_starts, capsys):
+        # probe runs the first seed only, so --jobs 2 has one task and runs it in process
+        tmp, config = workspace
+        files = ("runs.csv", "probe.csv", "steps_seed0.csv")
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp / f"probe-jobs{jobs}"
+            argv = ["probe", "--config", config, "--out", str(out), "--jobs", jobs]
+            assert parse_and_dispatch(argv + ["--set", "train.seeds=[0,1]", "--set", "train.log_steps=true"]) == 0
+            outputs.append([(out / name).read_bytes() for name in files])
+        assert pool_starts == []
+        assert outputs[0] == outputs[1]
+        assert not (tmp / "probe-jobs2" / "steps_seed1.csv").exists()
+        capsys.readouterr()
 
     def test_steps_after_the_run_stops_are_reported(self, workspace, capsys):
         tmp, config = workspace
@@ -540,13 +578,13 @@ class TestUsageErrors:
         self, setting, message, tmp_path, monkeypatch, capsys
     ):
         runs = []
-        probe_run = harness.probe_run
+        train_run = harness.train_run
 
-        def counted(*args):
+        def counted(*args, **kw):
             runs.append(args)
-            return probe_run(*args)
+            return train_run(*args, **kw)
 
-        monkeypatch.setattr(harness, "probe_run", counted)
+        monkeypatch.setattr(harness, "train_run", counted)
         out = tmp_path / "out"
         config = write_config(tmp_path, {"probe.steps": [10], "probe.interval": 0})
         rc = parse_and_dispatch(["probe", "--config", config, "--out", str(out), "--set", setting])
@@ -560,6 +598,9 @@ class TestUsageErrors:
         [
             ("sweep-b", "sweep.b_grid=[16,100000]", "batch_size exceeds training set size"),
             ("sweep-alpha", "sweep.alpha_grid=[1.0,0.5]", "alpha must be >= 1"),
+            # a sweep's cells share seeds, so one steps_seed<N>.csv per seed would collide
+            ("sweep-b", "train.log_steps=true", "train.log_steps is not supported by sweep-b"),
+            ("sweep-alpha", "train.log_steps=true", "train.log_steps is not supported by sweep-alpha"),
         ],
     )
     def test_rejected_sweep_grid_leaves_no_output(
@@ -585,7 +626,6 @@ class TestUsageErrors:
             return lambda *args, **kw: runs.append(args) or real(*args, **kw)
 
         monkeypatch.setattr(harness, "train_run", counted(harness.train_run))
-        monkeypatch.setattr(harness, "probe_run", counted(harness.probe_run))
         out = tmp_path / "out"
         config = write_config(tmp_path, {"sweep.alpha_grid": [1.0]})
         argv = [command, "--config", config, "--out", str(out), "--set", "train.seeds=[0,-1]"]

@@ -3,6 +3,7 @@ import math
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from noise_forge.harness import (
     aggregate,
     aggregate_row,
     config_hash,
-    probe_run,
     repeat_runs,
     sweep_alpha,
     train_run,
@@ -257,7 +257,8 @@ class TestProbePlan:
         scripted_losses(monkeypatch, [0.5, 0.5, 0.5])
         scripted_steps(monkeypatch)
         cfg = small_config(max_steps=50, eval_interval=25)
-        record, rows = probe_run(cfg, seed=0, plan=ProbePlan(steps=(0,), interval=25, n_samples=10))
+        record = train_run(replace(cfg, probe=ProbePlan(steps=(0,), interval=25, n_samples=10)), seed=0)
+        rows = record.probes
         assert record.status == STATUS_DID_NOT_CONVERGE
         assert [r.step for r in rows] == [0, 25, 50]
         assert all(math.isfinite(r.trace_cov) for r in rows)
@@ -458,6 +459,20 @@ class TestWorkerPool:
             lines = (tmp_path / f"steps_seed{seed}.csv").read_text().splitlines()
             assert lines[0].startswith("step,epoch,minibatch_loss")
             assert len(lines) == 1 + 40
+
+    def test_probe_rows_cross_a_real_pool_intact(self, tmp_path):
+        # compared as probe.csv bytes, since a kurtosis can be NaN
+        plan = ProbePlan(steps=(0,), interval=20, n_samples=10)
+        cfg = replace(small_config(max_steps=40, eval_interval=20, seeds=(0, 1)), probe=plan)
+        probe_csvs = []
+        for jobs in (1, 2):
+            records = repeat_runs(cfg, jobs=jobs).records
+            assert [len(r.probes) for r in records] == [3, 3]  # steps 0, 20 and 40
+            for r in records:
+                write_probe_csv(tmp_path / f"jobs{jobs}_seed{r.seed}.csv", r.probes)
+            probe_csvs.append([(tmp_path / f"jobs{jobs}_seed{s}.csv").read_bytes() for s in (0, 1)])
+        assert probe_csvs[0] == probe_csvs[1]
+        assert probe_csvs[0][0] != probe_csvs[0][1]  # each seed keeps its own rows
 
     def test_parallel_runs_csv_is_byte_equal_to_serial(self, tmp_path):
         cfg = small_config(max_steps=40, eval_interval=20, seeds=(0, 1, 2))
