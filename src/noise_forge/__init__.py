@@ -17,7 +17,6 @@ from .harness import (
     RunRecord,
     SweepPlan,
     TrainConfig,
-    repeat_runs,
     sweep_alpha,
 )
 from .model import MlpSpec, ParamVector, glorot_init, loss_and_grad
@@ -53,7 +52,6 @@ __all__ = [
     "make_synthetic",
     "ne_combine",
     "probe_noise",
-    "repeat_runs",
     "sample_ne_noise",
     "split_holdout",
     "sweep_alpha",

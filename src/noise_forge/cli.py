@@ -243,100 +243,79 @@ def _record_line(record: harness.RunRecord) -> str:
     return f"seed {record.seed}: {tail}, test accuracy {record.test_accuracy:.4f}"
 
 
-def _cmd_train(args) -> int:
-    cfg = resolve_config(args.config, args.set or [])
-    tc = build_train_config(cfg)
-    out = _out_dir(args, "train")
-    _dump_resolved(cfg, out)
-    step_dir = out if cfg["train.log_steps"] else None
-    agg = harness.repeat_runs(tc, jobs=args.jobs, step_dir=step_dir)
-    harness.write_cells(out, [(tc, agg)])
-    for record in agg.records:
-        print(_record_line(record))
-    print(
-        f"B={tc.ne.batch_size} alpha={tc.ne.alpha:g}: "
-        f"accuracy {agg.mean_accuracy:.4f} +- {agg.std_accuracy:.4f}, "
+def _cell_line(label: str, agg: harness.AggregateResult) -> str:
+    return (
+        f"{label}: accuracy {agg.mean_accuracy:.4f} +- {agg.std_accuracy:.4f}, "
         f"steps {agg.mean_convergence:.1f} +- {agg.std_convergence:.1f} "
         f"({agg.n_converged}/{len(agg.records)} converged)"
     )
-    print(f"results written to {out}")
-    if agg.status == "all-diverged":
-        print("error: every run diverged", file=sys.stderr)
-        return 2
-    return 0
 
 
-def _print_sweep(sweep: harness.SweepPlan, label: str, best: float | None) -> None:
-    for value, cell in zip(sweep.values, sweep.cells):
-        print(
-            f"{label}={value:g}: accuracy {cell.mean_accuracy:.4f} +- {cell.std_accuracy:.4f}, "
-            f"steps {cell.mean_convergence:.1f} +- {cell.std_convergence:.1f} "
-            f"({cell.n_converged}/{len(cell.records)} converged)"
-        )
-    print(f"best {label}: {best:g}" if best is not None else f"best {label}: none (no finite cell)")
-
-
-def _cmd_sweep(args) -> int:
+def _cmd_run(args) -> int:
+    """train, sweep-b, sweep-alpha and probe: build one plan, run it once and
+    write its cells; a sweep adds sweep.json (sweep-alpha also scatter.csv)
+    and probe adds probe.csv."""
     cfg = resolve_config(args.config, args.set or [])
-    if cfg["train.log_steps"]:
+    if args.command.startswith("sweep") and cfg["train.log_steps"]:
         raise ConfigError(
             f"train.log_steps is not supported by {args.command}: its cells share seeds, "
             "so their steps_seed<N>.csv files would collide"
         )
     tc = build_train_config(cfg)
     if args.command == "sweep-b":
-        plan = harness.SweepPlan.over_batch(tc, cfg["sweep.b_grid"], tc.ne.alpha)
+        plan = harness.SweepPlan.over(tc, "batch_size", cfg["sweep.b_grid"])
+    elif args.command == "sweep-alpha":
+        plan = harness.SweepPlan.over(tc, "alpha", cfg["sweep.alpha_grid"])
+    elif args.command == "probe":
+        probe = harness.ProbePlan(
+            steps=tuple(int(s) for s in cfg["probe.steps"]),
+            interval=int(cfg["probe.interval"]),
+            n_samples=int(cfg["probe.n_samples"]),
+        )
+        plan = harness.SweepPlan("single", (replace(tc, seeds=tc.seeds[:1], probe=probe),))
     else:
-        plan = harness.SweepPlan.over_alpha(tc, cfg["sweep.alpha_grid"], tc.ne.batch_size)
+        plan = harness.SweepPlan("single", (tc,))
     out = _out_dir(args, args.command)
     _dump_resolved(cfg, out)
-    sweep = plan.run(args.jobs)
-    harness.write_cells(out, zip(sweep.configs, sweep.cells))
-    key = "B" if sweep.axis == "batch_size" else "alpha"
-    best_row = report.best_row(sweep.rows(), key)  # None when no cell has a finite accuracy
-    best = None if best_row is None else float(best_row[key])
-    meta = {"axis": sweep.axis, "values": list(sweep.values), "fixed_value": sweep.fixed_value, "best_value": best}
-    (out / "sweep.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    if args.command == "sweep-alpha":
-        report.write_tradeoff_csv(out / "scatter.csv", report.tradeoff_rows("increase-alpha", sweep.rows()))
-    _print_sweep(sweep, key, best)
+    plan = plan.run(args.jobs, out if cfg["train.log_steps"] else None)
+    harness.write_cells(out, zip(plan.configs, plan.cells))
+    if plan.axis == "single":
+        (tc,), (agg,) = plan.configs, plan.cells
+        for record in agg.records:
+            print(_record_line(record))
+        if tc.probe is None:
+            print(_cell_line(f"B={tc.ne.batch_size} alpha={tc.ne.alpha:g}", agg))
+        else:
+            record = agg.records[0]
+            harness.write_probe_csv(out / "probe.csv", record.probes)
+            for row in record.probes:
+                print(
+                    f"step {row.step}: trace {row.trace_cov:.6e}, ratio {row.enhancement_ratio:.4f} "
+                    f"(predicted {row.predicted_factor:.4f}), B_eff {row.b_eff:.1f}, "
+                    f"median excess kurtosis {row.median_excess_kurtosis:.4f}, "
+                    f"gradient diversity {row.grad_diversity:.4f}"
+                )
+            unreached = sorted({s for s in tc.probe.steps if s > record.steps_taken})
+            if unreached:
+                steps = ", ".join(str(s) for s in unreached)
+                print(f"probe steps {steps} not reached: run stopped at step {record.steps_taken}")
+        failed = all(r.status == harness.STATUS_DIVERGED for r in agg.records)
+        error = "every run diverged"
+    else:
+        key = "B" if plan.axis == "batch_size" else "alpha"
+        best_row = report.best_row(plan.rows(), key)  # None when no cell has a finite accuracy
+        best = None if best_row is None else float(best_row[key])
+        meta = {"axis": plan.axis, "values": list(plan.values), "fixed_value": plan.fixed_value, "best_value": best}
+        (out / "sweep.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+        if plan.axis == "alpha":
+            report.write_tradeoff_csv(out / "scatter.csv", report.tradeoff_rows("increase-alpha", plan.rows()))
+        for value, cell in zip(plan.values, plan.cells):
+            print(_cell_line(f"{key}={value:g}", cell))
+        print(f"best {key}: {best:g}" if best is not None else f"best {key}: none (no finite cell)")
+        failed, error = best is None, "no sweep cell produced a finite accuracy"
     print(f"results written to {out}")
-    if best is None:
-        print("error: no sweep cell produced a finite accuracy", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _cmd_probe(args) -> int:
-    cfg = resolve_config(args.config, args.set or [])
-    tc = build_train_config(cfg)
-    plan = harness.ProbePlan(
-        steps=tuple(int(s) for s in cfg["probe.steps"]),
-        interval=int(cfg["probe.interval"]),
-        n_samples=int(cfg["probe.n_samples"]),
-    )
-    tc = replace(tc, seeds=tc.seeds[:1], probe=plan)
-    out = _out_dir(args, "probe")
-    _dump_resolved(cfg, out)
-    agg = harness.repeat_runs(tc, jobs=args.jobs, step_dir=out if cfg["train.log_steps"] else None)
-    harness.write_cells(out, [(tc, agg)])
-    record = agg.records[0]
-    harness.write_probe_csv(out / "probe.csv", record.probes)
-    print(_record_line(record))
-    for row in record.probes:
-        print(
-            f"step {row.step}: trace {row.trace_cov:.6e}, ratio {row.enhancement_ratio:.4f} "
-            f"(predicted {row.predicted_factor:.4f}), B_eff {row.b_eff:.1f}, "
-            f"median excess kurtosis {row.median_excess_kurtosis:.4f}, "
-            f"gradient diversity {row.grad_diversity:.4f}"
-        )
-    unreached = sorted({s for s in plan.steps if s > record.steps_taken})
-    if unreached:
-        steps = ", ".join(str(s) for s in unreached)
-        print(f"probe steps {steps} not reached: run stopped at step {record.steps_taken}")
-    print(f"results written to {out}")
-    if record.status == harness.STATUS_DIVERGED:
-        print("error: probed run diverged", file=sys.stderr)
+    if failed:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     return 0
 
@@ -370,23 +349,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file of dotted keys")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
         p.add_argument("--out", help="output directory (default runs/<command>)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
+        p.add_argument("--jobs", type=int, default=1, help="parallel (cell, seed) runs")
 
     p_train = sub.add_parser("train", help="run the protocol over the configured seeds")
     common(p_train)
-    p_train.set_defaults(func=_cmd_train)
+    p_train.set_defaults(func=_cmd_run)
 
     p_sb = sub.add_parser("sweep-b", help="batch-size sweep at fixed alpha")
     common(p_sb)
-    p_sb.set_defaults(func=_cmd_sweep)
+    p_sb.set_defaults(func=_cmd_run)
 
     p_sa = sub.add_parser("sweep-alpha", help="alpha sweep at fixed batch size")
     common(p_sa)
-    p_sa.set_defaults(func=_cmd_sweep)
+    p_sa.set_defaults(func=_cmd_run)
 
     p_probe = sub.add_parser("probe", help="train one seed and measure noise at checkpoints")
     common(p_probe)
-    p_probe.set_defaults(func=_cmd_probe)
+    p_probe.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify-oracles", help="run the noise-lab oracle suite")
     p_verify.add_argument("--fast", action="store_true", help="smaller Monte Carlo sizes")

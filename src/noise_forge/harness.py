@@ -233,9 +233,6 @@ class AggregateResult:
     mean_convergence: float
     std_convergence: float
     n_converged: int
-    n_did_not_converge: int
-    n_diverged: int
-    status: str  # "ok" or "all-diverged"
 
 
 def aggregate(records: Iterable[RunRecord]) -> AggregateResult:
@@ -244,8 +241,6 @@ def aggregate(records: Iterable[RunRecord]) -> AggregateResult:
         raise ValueError("no records to aggregate")
     accs = [r.test_accuracy for r in records if r.status != STATUS_DIVERGED]
     convs = [r.convergence_steps for r in records if r.status == STATUS_CONVERGED]
-    n_div = sum(1 for r in records if r.status == STATUS_DIVERGED)
-    n_dnc = sum(1 for r in records if r.status == STATUS_DID_NOT_CONVERGE)
     return AggregateResult(
         records=records,
         mean_accuracy=float(np.mean(accs)) if accs else float("nan"),
@@ -253,9 +248,6 @@ def aggregate(records: Iterable[RunRecord]) -> AggregateResult:
         mean_convergence=float(np.mean(convs)) if convs else float("nan"),
         std_convergence=float(np.std(convs)) if convs else float("nan"),
         n_converged=len(convs),
-        n_did_not_converge=n_dnc,
-        n_diverged=n_div,
-        status="all-diverged" if n_div == len(records) else "ok",
     )
 
 
@@ -333,16 +325,11 @@ def _dispatch(configs: tuple[TrainConfig, ...], jobs: int, step_dir: Path | None
     return [aggregate([next(records) for _ in cfg.seeds]) for cfg in configs]
 
 
-def repeat_runs(cfg: TrainConfig, jobs: int = 1, step_dir: Path | None = None) -> AggregateResult:
-    """Run the protocol once per seed in cfg.seeds, in seed-list order, and
-    aggregate; ``jobs`` and ``step_dir`` as in ``_dispatch``."""
-    return _dispatch((cfg,), jobs, step_dir)[0]
-
-
 @dataclass(frozen=True)
 class SweepPlan:
-    """One TrainConfig per grid cell along one axis, the other setting fixed,
-    and, once run, one aggregate per cell.
+    """The plan of a run command: one TrainConfig per cell along ``axis``
+    ("batch_size" or "alpha" for a sweep, "single" for one config), and,
+    once run, one aggregate per cell.
 
     Building a plan builds, and so checks, every cell's config, so a bad
     grid is rejected before any run and before any output is written.
@@ -352,34 +339,35 @@ class SweepPlan:
     """
 
     axis: str
-    values: tuple[float, ...]
-    fixed_value: float
     configs: tuple[TrainConfig, ...]
     cells: tuple[AggregateResult, ...] = ()
 
     @classmethod
-    def over_batch(
-        cls, cfg: TrainConfig, b_grid: Iterable[int], alpha_fixed: float = 1.0
-    ) -> SweepPlan:
-        values = [int(b) for b in b_grid]
+    def over(cls, cfg: TrainConfig, axis: str, grid: Iterable[float]) -> SweepPlan:
+        """One cell per grid value of ``axis``, "batch_size" or "alpha"; the
+        other setting is the base config's."""
+        cast = int if axis == "batch_size" else float
+        values = [cast(v) for v in grid]
         if not values:
-            raise ValueError("b_grid must be non-empty")
-        configs = [replace(cfg, ne=replace(cfg.ne, batch_size=b, alpha=float(alpha_fixed))) for b in values]
-        return cls("batch_size", tuple(float(v) for v in values), float(alpha_fixed), tuple(configs))
+            raise ValueError(f"the {axis} grid must be non-empty")
+        return cls(axis, tuple(replace(cfg, ne=replace(cfg.ne, **{axis: v})) for v in values))
 
-    @classmethod
-    def over_alpha(
-        cls, cfg: TrainConfig, alpha_grid: Iterable[float], b_fixed: int
-    ) -> SweepPlan:
-        values = [float(a) for a in alpha_grid]
-        if not values:
-            raise ValueError("alpha_grid must be non-empty")
-        configs = [replace(cfg, ne=replace(cfg.ne, batch_size=int(b_fixed), alpha=a)) for a in values]
-        return cls("alpha", tuple(values), float(b_fixed), tuple(configs))
+    @property
+    def values(self) -> tuple[float, ...]:
+        """A sweep's grid: each cell's setting along the axis."""
+        return tuple(float(getattr(cfg.ne, self.axis)) for cfg in self.configs)
 
-    def run(self, jobs: int = 1) -> SweepPlan:
-        """Repeat the protocol for every cell, in grid order (see ``_dispatch``)."""
-        return replace(self, cells=tuple(_dispatch(self.configs, jobs)))
+    @property
+    def fixed_value(self) -> float:
+        """The setting a sweep holds fixed: alpha along B, B along alpha."""
+        ne = self.configs[0].ne
+        return float(ne.alpha if self.axis == "batch_size" else ne.batch_size)
+
+    def run(self, jobs: int = 1, step_dir: Path | None = None) -> SweepPlan:
+        """Repeat the protocol for every cell, in grid order, each over its
+        seeds in seed-list order (see ``_dispatch`` for ``jobs`` and
+        ``step_dir``)."""
+        return replace(self, cells=tuple(_dispatch(self.configs, jobs, step_dir)))
 
     def rows(self) -> list[dict]:
         """One aggregate row per run cell, in grid order (see aggregate_row)."""
@@ -392,8 +380,9 @@ class SweepPlan:
 def sweep_alpha(
     cfg: TrainConfig, alpha_grid: Iterable[float], b_fixed: int, jobs: int = 1
 ) -> SweepPlan:
-    """Repeat the protocol for each alpha at fixed batch size (see SweepPlan)."""
-    return SweepPlan.over_alpha(cfg, alpha_grid, b_fixed).run(jobs)
+    """Repeat the protocol for each alpha at batch size ``b_fixed`` (see SweepPlan)."""
+    cfg = replace(cfg, ne=replace(cfg.ne, batch_size=int(b_fixed)))
+    return SweepPlan.over(cfg, "alpha", alpha_grid).run(jobs)
 
 
 def _fmt(value) -> str:

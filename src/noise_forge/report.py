@@ -76,7 +76,7 @@ def load_unit(directory: Path, root: Path) -> ResultsUnit:
     else:
         axis = "single"
     name = directory.relative_to(root).as_posix()
-    return ResultsUnit(name="." if name == "." else name, rows=tuple(rows), totals=totals, axis=axis)
+    return ResultsUnit(name=name, rows=tuple(rows), totals=totals, axis=axis)
 
 
 def best_row(rows: tuple[dict, ...], key: str) -> dict | None:
@@ -234,7 +234,7 @@ def emit_report(results_dir: str | Path, out_dir: str | Path | None = None) -> P
         sections.append(render_unit(unit))
         if unit.axis in ("batch_size", "alpha"):
             key = "alpha" if unit.axis == "alpha" else "B"
-            stem = unit.name.replace("/", "_").replace(".", "root")
+            stem = "root" if unit.name == "." else unit.name.replace("/", "_")
             acc_rows = [
                 (row[key], row["mean_acc"], row["std_acc"])
                 for row in sorted(unit.rows, key=lambda r: r[key])

@@ -311,8 +311,8 @@ def test_c8_desk_scale_directional_run_synthetic(tmp_path):
     t0 = time.perf_counter()
     cfg = resolve_config(None, list(DESK_SCALE_SETS))
     tc = build_train_config(cfg)
-    alpha_plan = harness.SweepPlan.over_alpha(tc, [1.0, 1.5, 2.0], b_fixed=100)
-    batch_plan = harness.SweepPlan.over_batch(tc, [50, 100], alpha_fixed=1.0)
+    alpha_plan = harness.SweepPlan.over(tc, "alpha", [1.0, 1.5, 2.0])
+    batch_plan = harness.SweepPlan.over(tc, "batch_size", [50, 100])
     # The batch sweep's B = 100 cell is the alpha sweep's alpha = 1 cell: same
     # config, same seeds, so it is run once and shared.
     shared = alpha_plan.configs[0]
@@ -322,7 +322,8 @@ def test_c8_desk_scale_directional_run_synthetic(tmp_path):
     alpha_sweep = alpha_plan.run(jobs=jobs)
     assert [r.seed for r in alpha_sweep.cells[0].records] == list(shared.seeds)
     batch_sweep = replace(
-        batch_plan, cells=(harness.repeat_runs(batch_plan.configs[0], jobs=jobs), alpha_sweep.cells[0])
+        batch_plan,
+        cells=(harness.SweepPlan("single", batch_plan.configs[:1]).run(jobs=jobs).cells[0], alpha_sweep.cells[0]),
     )
     elapsed = time.perf_counter() - t0
 
@@ -405,7 +406,7 @@ def test_c8_desk_scale_directional_run_real_data(tmp_path):
     ]
     tc = build_train_config(resolve_config(None, sets))
     t0 = time.perf_counter()
-    plan = harness.SweepPlan.over_alpha(tc, [1.0, 1.5, 2.0], b_fixed=2000)
+    plan = harness.SweepPlan.over(tc, "alpha", [1.0, 1.5, 2.0])
     sweep = plan.run()
     elapsed = time.perf_counter() - t0
     flags = alpha_flags(sweep.rows())

@@ -24,7 +24,6 @@ from noise_forge.harness import (
     aggregate,
     aggregate_row,
     config_hash,
-    repeat_runs,
     sweep_alpha,
     train_run,
     write_cells,
@@ -285,7 +284,7 @@ class TestAggregate:
         assert agg.mean_convergence == pytest.approx(150.0)
         assert agg.std_convergence == pytest.approx(50.0)
         assert agg.n_converged == 2
-        assert agg.status == "ok"
+        assert not all(r.status == STATUS_DIVERGED for r in agg.records)
 
     def test_single_run_has_zero_spread(self):
         agg = aggregate([rec(0)])
@@ -304,13 +303,13 @@ class TestAggregate:
         assert agg.mean_accuracy == pytest.approx(0.8)
         assert agg.mean_convergence == pytest.approx(100.0)
         assert agg.n_converged == 1
-        assert agg.n_did_not_converge == 1
-        assert agg.n_diverged == 1
-        assert agg.status == "ok"
+        assert sum(r.status == STATUS_DID_NOT_CONVERGE for r in agg.records) == 1
+        assert sum(r.status == STATUS_DIVERGED for r in agg.records) == 1
+        assert not all(r.status == STATUS_DIVERGED for r in agg.records)
 
     def test_all_diverged_is_flagged(self):
         agg = aggregate([rec(0, status=STATUS_DIVERGED, acc=float("nan"))])
-        assert agg.status == "all-diverged"
+        assert all(r.status == STATUS_DIVERGED for r in agg.records)
         assert math.isnan(agg.mean_accuracy)
         assert math.isnan(agg.mean_convergence)
 
@@ -324,25 +323,25 @@ class TestRepeatRuns:
         monkeypatch.setattr(
             harness, "train_run", lambda cfg, seed, step_writer=None: rec(seed)
         )
-        agg = repeat_runs(small_config(seeds=(5, 1, 3)))
+        (agg,) = SweepPlan("single", (small_config(seeds=(5, 1, 3)),)).run().cells
         assert [r.seed for r in agg.records] == [5, 1, 3]
 
     def test_defaults_to_config_seeds(self, monkeypatch):
         monkeypatch.setattr(
             harness, "train_run", lambda cfg, seed, step_writer=None: rec(seed)
         )
-        agg = repeat_runs(small_config(seeds=(2, 4)))
+        (agg,) = SweepPlan("single", (small_config(seeds=(2, 4)),)).run().cells
         assert [r.seed for r in agg.records] == [2, 4]
 
     def test_empty_seed_list_rejected(self):
-        # repeat_runs runs cfg.seeds, which TrainConfig keeps non-empty
+        # a plan runs cfg.seeds, which TrainConfig keeps non-empty
         with pytest.raises(ValueError, match="need at least one seed"):
-            repeat_runs(small_config(seeds=()))
+            SweepPlan("single", (small_config(seeds=()),)).run()
 
     def test_parallel_jobs_match_serial(self):
         cfg = small_config(max_steps=40, eval_interval=20, seeds=(0, 1))
-        serial = repeat_runs(cfg, jobs=1)
-        parallel = repeat_runs(cfg, jobs=2)
+        (serial,) = SweepPlan("single", (cfg,)).run(jobs=1).cells
+        (parallel,) = SweepPlan("single", (cfg,)).run(jobs=2).cells
         assert serial.records == parallel.records
         for name in ("mean_accuracy", "std_accuracy", "mean_convergence", "std_convergence"):
             np.testing.assert_allclose(
@@ -418,7 +417,7 @@ class TestWorkerPool:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", ObservedPool)
         cfg = small_config(max_steps=20, eval_interval=10, seeds=(0, 1))
-        plan = SweepPlan.over_alpha(cfg, [1.0, 2.0], b_fixed=4)
+        plan = SweepPlan.over(cfg, "alpha", [1.0, 2.0])
         assert len(plan.run(jobs=2).cells) == 2
         want = max(1, len(os.sched_getaffinity(0)) // 2)
         assert views == [("spawn", (want, 2))]
@@ -431,7 +430,7 @@ class TestWorkerPool:
         )
         cfg = small_config(train_data=blob_dataset(seed=1, n_per_class=100), seeds=(7, 3))
         assert len(pickle.dumps(cfg)) > 1024  # so the stub's task-size check can fail
-        sweep = SweepPlan.over_alpha(cfg, [1.0, 1.5, 2.0], b_fixed=4).run(jobs=4)
+        sweep = SweepPlan.over(cfg, "alpha", [1.0, 1.5, 2.0]).run(jobs=4)
         assert pools == [(4, "spawn", 2)]
         assert [[r.seed for r in cell.records] for cell in sweep.cells] == [[7, 3]] * 3
         assert [cell.mean_accuracy for cell in sweep.cells] == [0.1, 0.15, 0.2]
@@ -440,11 +439,11 @@ class TestWorkerPool:
         "jobs, n_seeds, workers", [(8, 5, 5), (2, 3, 2), (3, 1, None), (1, 4, None)]
     )
     def test_pool_starts_at_most_one_worker_per_seed(self, monkeypatch, jobs, n_seeds, workers):
-        # a stub executor records what repeat_runs asks for; no process starts
+        # a stub executor records what the plan's run asks for; no process starts
         pools = stub_pools(monkeypatch)
         monkeypatch.setattr(harness, "train_run", lambda cfg, seed, step_writer=None: rec(seed))
         seeds = tuple(range(10, 10 + n_seeds))
-        agg = repeat_runs(small_config(seeds=seeds), jobs=jobs)
+        (agg,) = SweepPlan("single", (small_config(seeds=seeds),)).run(jobs=jobs).cells
         assert [r.seed for r in agg.records] == list(seeds)
         assert pools == ([] if workers is None else [(workers, "spawn", 8 // workers)])
 
@@ -452,7 +451,7 @@ class TestWorkerPool:
         # each seed's step log is written by whichever process runs the seed
         pools = stub_pools(monkeypatch)
         cfg = small_config(max_steps=40, eval_interval=20, seeds=(3, 5))
-        agg = repeat_runs(cfg, jobs=2, step_dir=tmp_path)
+        (agg,) = SweepPlan("single", (cfg,)).run(jobs=2, step_dir=tmp_path).cells
         assert pools == [(2, "spawn", 4)]
         assert [r.seed for r in agg.records] == [3, 5]
         for seed in (3, 5):
@@ -466,7 +465,7 @@ class TestWorkerPool:
         cfg = replace(small_config(max_steps=40, eval_interval=20, seeds=(0, 1)), probe=plan)
         probe_csvs = []
         for jobs in (1, 2):
-            records = repeat_runs(cfg, jobs=jobs).records
+            records = SweepPlan("single", (cfg,)).run(jobs=jobs).cells[0].records
             assert [len(r.probes) for r in records] == [3, 3]  # steps 0, 20 and 40
             for r in records:
                 write_probe_csv(tmp_path / f"jobs{jobs}_seed{r.seed}.csv", r.probes)
@@ -477,7 +476,8 @@ class TestWorkerPool:
     def test_parallel_runs_csv_is_byte_equal_to_serial(self, tmp_path):
         cfg = small_config(max_steps=40, eval_interval=20, seeds=(0, 1, 2))
         for jobs in (1, 2):
-            write_cells(tmp_path / str(jobs), [(cfg, repeat_runs(cfg, jobs=jobs))])
+            plan = SweepPlan("single", (cfg,)).run(jobs=jobs)
+            write_cells(tmp_path / str(jobs), zip(plan.configs, plan.cells))
         serial, parallel = ((tmp_path / j / "runs.csv").read_bytes() for j in ("1", "2"))
         assert serial == parallel
 
@@ -497,7 +497,7 @@ class TestSweeps:
         table = {(4, 1.0): (0.80, 100), (8, 1.0): (0.90, 200), (16, 1.0): (0.90, 400)}
         monkeypatch.setattr(harness, "train_run", fake_table_runner(table))
         cfg = small_config(seeds=(0, 1))
-        sweep = SweepPlan.over_batch(cfg, [4, 8, 16], alpha_fixed=1.0).run()
+        sweep = SweepPlan.over(cfg, "batch_size", [4, 8, 16]).run()
         assert sweep.axis == "batch_size"
         assert sweep.values == (4.0, 8.0, 16.0)
         assert [c.mean_accuracy for c in sweep.cells] == [0.80, 0.90, 0.90]
@@ -539,12 +539,12 @@ class TestSweeps:
         with pytest.raises(ValueError, match="alpha must be >= 1"):
             sweep_alpha(small_config(), [1.0, 0.5], b_fixed=4)
         with pytest.raises(ValueError, match="batch_size exceeds training set size"):
-            SweepPlan.over_batch(small_config(), [4, 100_000]).run()
+            SweepPlan.over(small_config(), "batch_size", [4, 100_000]).run()
         assert runs == []
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            SweepPlan.over_batch(small_config(), []).run()
+            SweepPlan.over(small_config(), "batch_size", []).run()
         with pytest.raises(ValueError):
             sweep_alpha(small_config(), [], b_fixed=4)
 
@@ -646,7 +646,7 @@ class TestCsvWriters:
         assert lines[1] == "4,1.0,0.9,0.0,100.0,0.0,1"
 
     def test_cells_carry_their_own_configs(self, tmp_path):
-        plan = harness.SweepPlan.over_alpha(small_config(), [1.0, 2.5], b_fixed=8)
+        plan = harness.SweepPlan.over(small_config(ne=NEConfig(batch_size=8, base="sgd")), "alpha", [1.0, 2.5])
         cells = [aggregate([rec(0, acc=0.75), rec(3, acc=0.5)]), aggregate([rec(1, acc=0.25)])]
         write_cells(tmp_path, zip(plan.configs, cells))
         runs = [line.split(",") for line in (tmp_path / "runs.csv").read_text().splitlines()[1:]]

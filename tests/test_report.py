@@ -1,4 +1,5 @@
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,13 @@ class TestEmitReport:
         ]
         # the single-configuration unit gets no figure files
         assert not (fig / "fig_train_accuracy.csv").exists()
+        # only the root unit, named ".", becomes "root"; a dotted directory keeps its dots
+        dotted = root / "lr0.003"
+        shutil.copytree(root / "sweep-alpha", dotted)
+        emit_report(root)
+        assert (fig / "fig_lr0.003_accuracy.csv").read_text().splitlines() == acc
+        emit_report(dotted)
+        assert (dotted / "figures" / "fig_root_accuracy.csv").read_text().splitlines() == acc
 
     def test_separate_output_directory(self, tmp_path):
         root = write_results_tree(tmp_path / "results")
