@@ -218,19 +218,10 @@ def build_train_config(cfg: dict) -> harness.TrainConfig:
             eval_interval=int(cfg["train.eval_interval"]),
             max_steps=None if int(cfg["train.max_steps"]) == 0 else int(cfg["train.max_steps"]),
             seeds=tuple(int(s) for s in cfg["train.seeds"]),
+            log_steps=cfg["train.log_steps"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _out_dir(args, command: str) -> Path:
-    out = Path(args.out) if args.out else Path("runs") / command
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _dump_resolved(cfg: dict, out: Path) -> None:
-    (out / "resolved_config.json").write_text(json.dumps(cfg, sort_keys=True, indent=2) + "\n")
 
 
 def _record_line(record: harness.RunRecord) -> str:
@@ -252,9 +243,9 @@ def _cell_line(label: str, agg: harness.AggregateResult) -> str:
 
 
 def _cmd_run(args) -> int:
-    """train, sweep-b, sweep-alpha and probe: build one plan, run it once and
-    write its cells; a sweep adds sweep.json (sweep-alpha also scatter.csv)
-    and probe adds probe.csv."""
+    """train, sweep-b, sweep-alpha and probe: build one plan, write
+    resolved_config.json, run the plan once, write its results with
+    report.write_results and print them."""
     cfg = resolve_config(args.config, args.set or [])
     if args.command.startswith("sweep") and cfg["train.log_steps"]:
         raise ConfigError(
@@ -275,10 +266,11 @@ def _cmd_run(args) -> int:
         plan = harness.SweepPlan("single", (replace(tc, seeds=tc.seeds[:1], probe=probe),))
     else:
         plan = harness.SweepPlan("single", (tc,))
-    out = _out_dir(args, args.command)
-    _dump_resolved(cfg, out)
-    plan = plan.run(args.jobs, out if cfg["train.log_steps"] else None)
-    harness.write_cells(out, zip(plan.configs, plan.cells))
+    out = Path(args.out) if args.out else Path("runs") / args.command
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "resolved_config.json").write_text(json.dumps(cfg, sort_keys=True, indent=2) + "\n")
+    plan = plan.run(args.jobs)
+    best = report.write_results(out, plan)
     if plan.axis == "single":
         (tc,), (agg,) = plan.configs, plan.cells
         for record in agg.records:
@@ -287,7 +279,6 @@ def _cmd_run(args) -> int:
             print(_cell_line(f"B={tc.ne.batch_size} alpha={tc.ne.alpha:g}", agg))
         else:
             record = agg.records[0]
-            harness.write_probe_csv(out / "probe.csv", record.probes)
             for row in record.probes:
                 print(
                     f"step {row.step}: trace {row.trace_cov:.6e}, ratio {row.enhancement_ratio:.4f} "
@@ -303,12 +294,6 @@ def _cmd_run(args) -> int:
         error = "every run diverged"
     else:
         key = "B" if plan.axis == "batch_size" else "alpha"
-        best_row = report.best_row(plan.rows(), key)  # None when no cell has a finite accuracy
-        best = None if best_row is None else float(best_row[key])
-        meta = {"axis": plan.axis, "values": list(plan.values), "fixed_value": plan.fixed_value, "best_value": best}
-        (out / "sweep.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-        if plan.axis == "alpha":
-            report.write_tradeoff_csv(out / "scatter.csv", report.tradeoff_rows("increase-alpha", plan.rows()))
         for value, cell in zip(plan.values, plan.cells):
             print(_cell_line(f"{key}={value:g}", cell))
         print(f"best {key}: {best:g}" if best is not None else f"best {key}: none (no finite cell)")

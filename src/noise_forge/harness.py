@@ -1,4 +1,4 @@
-"""Training protocol, multi-seed experiments, sweeps, and CSV output.
+"""Training protocol, multi-seed experiments and sweeps.
 
 A run follows a fixed script: Glorot init from the run seed, base optimizer
 on the combined two-minibatch gradient, full-train-loss evaluation every
@@ -8,12 +8,13 @@ l_star_star. Convergence time is counted in steps (one two-minibatch update
 is one step). Runs that exhaust max_steps are kept with their accuracy;
 runs whose gradients or loss go non-finite are marked diverged. Where the
 config's probe plan asks, a run also measures its gradient noise before a
-step, on the noise streams, so probing never moves the trajectory.
+step, on the noise streams, so probing never moves the trajectory. A run
+hands back everything it produced on its RunRecord; ``report.write_results``
+writes it to disk.
 """
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import hashlib
 import json
@@ -21,9 +22,8 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, field, fields, replace
-from pathlib import Path
-from typing import Callable, Iterable
+from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -40,7 +40,8 @@ STATUS_DIVERGED = "diverged"
 @dataclass(frozen=True, eq=False)
 class TrainConfig:
     """Everything a run needs besides its seed, including where it probes
-    its noise (``probe``; None probes nowhere)."""
+    its noise (``probe``; None probes nowhere) and whether it keeps a
+    StepLog of every step (``log_steps``)."""
 
     model: MlpSpec
     ne: NEConfig
@@ -53,6 +54,7 @@ class TrainConfig:
     max_steps: int | None = None
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     probe: ProbePlan | None = None
+    log_steps: bool = False
 
     def __post_init__(self) -> None:
         if not (0.0 < self.l_star_star < self.l_star):
@@ -67,6 +69,8 @@ class TrainConfig:
             raise ValueError("need at least one seed")
         if any(int(s) < 0 for s in self.seeds):
             raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must not repeat, got {list(self.seeds)}")
         if self.model.input_dim != self.train_data.input_dim:
             raise ValueError("model input_dim does not match training data")
         if self.model.num_classes != self.train_data.num_classes:
@@ -130,9 +134,16 @@ class ProbePlan:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Outcome of one seeded run, with its noise probes in step order.
-    wall_time_s is informational only, and probes is left out of equality
-    because a probe's kurtosis can be NaN."""
+    """Outcome of one seeded run, with its noise probes and, when the config
+    logs steps, its StepLog per step, both in step order. wall_time_s is
+    informational only. probes and steps are left out of equality: a
+    probe's kurtosis can be NaN, and a run is the same run whether or not it
+    logged its steps.
+
+    final_train_loss is the full-train loss at the last evaluation. A run
+    that stops at max_steps between evaluations takes its last steps after
+    that evaluation, so the loss is older than the final weights.
+    """
 
     seed: int
     status: str
@@ -143,13 +154,12 @@ class RunRecord:
     steps_taken: int
     wall_time_s: float = field(compare=False, default=0.0)
     probes: tuple[ProbeRow, ...] = field(compare=False, default=())
+    steps: tuple[StepLog, ...] = field(compare=False, default=())
 
 
-def train_run(
-    cfg: TrainConfig, seed: int, step_writer: Callable[[StepLog], None] | None = None
-) -> RunRecord:
+def train_run(cfg: TrainConfig, seed: int) -> RunRecord:
     """Run the full protocol once from the given seed, probing the noise at
-    the steps ``cfg.probe`` plans."""
+    the steps ``cfg.probe`` plans and logging every step if ``cfg.log_steps``."""
     n = cfg.train_data.n_samples
     w = glorot_init(replace(cfg.model, seed=seed))
     state = OptimizerState(learning_rate=cfg.learning_rate)
@@ -159,6 +169,7 @@ def train_run(
     conv: int | None = None
     status = STATUS_DID_NOT_CONVERGE
     probe_rows: list[ProbeRow] = []
+    step_logs: list[StepLog] = []
     last_loss = float("nan")
     t0 = time.perf_counter()
     while True:
@@ -193,14 +204,12 @@ def train_run(
             status = STATUS_DID_NOT_CONVERGE
             break
         try:
-            w, log = training_step(
-                w, cfg.train_data, cfg.ne, state, streams, log=step_writer is not None
-            )
+            w, log = training_step(w, cfg.train_data, cfg.ne, state, streams, log=cfg.log_steps)
         except FloatingPointError:
             status = STATUS_DIVERGED
             break
-        if step_writer is not None:
-            step_writer(log)
+        if cfg.log_steps:
+            step_logs.append(log)
     if status == STATUS_DIVERGED:
         accuracy = float("nan")
     else:
@@ -215,6 +224,7 @@ def train_run(
         steps_taken=state.step_count,
         wall_time_s=time.perf_counter() - t0,
         probes=tuple(probe_rows),
+        steps=tuple(step_logs),
     )
 
 
@@ -251,30 +261,6 @@ def aggregate(records: Iterable[RunRecord]) -> AggregateResult:
     )
 
 
-AGGREGATE_COLUMNS = ("B", "alpha", "mean_acc", "std_acc", "mean_steps", "std_steps", "n_converged")
-
-
-def aggregate_row(b: int, alpha: float, agg: AggregateResult) -> dict:
-    """One aggregate.csv row keyed by column: the dict report.load_unit reads back."""
-    return dict(
-        zip(
-            AGGREGATE_COLUMNS,
-            (b, alpha, agg.mean_accuracy, agg.std_accuracy, agg.mean_convergence, agg.std_convergence, agg.n_converged),
-        )
-    )
-
-
-def _train_one(cfg: TrainConfig, seed: int, step_dir: Path | None) -> RunRecord:
-    """One seed's run; with a step directory it also writes the run's
-    ``steps_seed<N>.csv`` there, in whichever process runs the seed."""
-    if step_dir is None:
-        return train_run(cfg, seed)
-    logs: list[StepLog] = []
-    record = train_run(cfg, seed, step_writer=logs.append)
-    write_step_log(step_dir / f"steps_seed{seed}.csv", logs)
-    return record
-
-
 def _set_blas_threads(n: int) -> None:
     """Set the loaded OpenBLAS's thread count to ``n``; do nothing when no
     OpenBLAS setter is found."""
@@ -302,18 +288,18 @@ def _init_worker(threads: int, configs: tuple[TrainConfig, ...]) -> None:
     _worker_configs = configs
 
 
-def _worker_task(task: tuple[int, int, Path | None]) -> RunRecord:
-    return _train_one(_worker_configs[task[0]], *task[1:])
+def _worker_task(task: tuple[int, int]) -> RunRecord:
+    return train_run(_worker_configs[task[0]], task[1])
 
 
-def _dispatch(configs: tuple[TrainConfig, ...], jobs: int, step_dir: Path | None = None) -> list[AggregateResult]:
+def _dispatch(configs: tuple[TrainConfig, ...], jobs: int) -> list[AggregateResult]:
     """One aggregate per config over its seeds. The (cell, seed) tasks run in
     this process, or in one pool of ``min(jobs, tasks)`` > 1 spawned workers
     that each get ``configs`` once (cells sharing a Dataset pickle it once)
     and a share of the CPUs for BLAS threads (each taking all, two workers ran
-    a 4-seed desk train 3x slower than one process on 2 CPUs). With
-    ``step_dir``, each run writes ``steps_seed<N>.csv`` there."""
-    tasks = [(cell, seed, step_dir) for cell, cfg in enumerate(configs) for seed in cfg.seeds]
+    a 4-seed desk train 3x slower than one process on 2 CPUs). Each record
+    comes back with its probes and step log, which the parent writes."""
+    tasks = [(cell, seed) for cell, cfg in enumerate(configs) for seed in cfg.seeds]
     workers = min(jobs, len(tasks))
     if workers > 1:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -321,7 +307,7 @@ def _dispatch(configs: tuple[TrainConfig, ...], jobs: int, step_dir: Path | None
         with ProcessPoolExecutor(workers, mp_context=spawn, initializer=_init_worker, initargs=initargs) as pool:
             records = iter(list(pool.map(_worker_task, tasks)))
     else:
-        records = (_train_one(configs[cell], seed, step_dir) for cell, seed, step_dir in tasks)
+        records = (train_run(configs[cell], seed) for cell, seed in tasks)
     return [aggregate([next(records) for _ in cfg.seeds]) for cfg in configs]
 
 
@@ -345,11 +331,14 @@ class SweepPlan:
     @classmethod
     def over(cls, cfg: TrainConfig, axis: str, grid: Iterable[float]) -> SweepPlan:
         """One cell per grid value of ``axis``, "batch_size" or "alpha"; the
-        other setting is the base config's."""
+        other setting is the base config's. A value repeated after the cast
+        to the axis's type (8 and 8.0 along B) is rejected."""
         cast = int if axis == "batch_size" else float
         values = [cast(v) for v in grid]
         if not values:
             raise ValueError(f"the {axis} grid must be non-empty")
+        if len(set(values)) < len(values):
+            raise ValueError(f"the {axis} grid must not repeat a value, got {values}")
         return cls(axis, tuple(replace(cfg, ne=replace(cfg.ne, **{axis: v})) for v in values))
 
     @property
@@ -363,18 +352,10 @@ class SweepPlan:
         ne = self.configs[0].ne
         return float(ne.alpha if self.axis == "batch_size" else ne.batch_size)
 
-    def run(self, jobs: int = 1, step_dir: Path | None = None) -> SweepPlan:
+    def run(self, jobs: int = 1) -> SweepPlan:
         """Repeat the protocol for every cell, in grid order, each over its
-        seeds in seed-list order (see ``_dispatch`` for ``jobs`` and
-        ``step_dir``)."""
-        return replace(self, cells=tuple(_dispatch(self.configs, jobs, step_dir)))
-
-    def rows(self) -> list[dict]:
-        """One aggregate row per run cell, in grid order (see aggregate_row)."""
-        return [
-            aggregate_row(cfg.ne.batch_size, cfg.ne.alpha, agg)
-            for cfg, agg in zip(self.configs, self.cells)
-        ]
+        seeds in seed-list order (see ``_dispatch`` for ``jobs``)."""
+        return replace(self, cells=tuple(_dispatch(self.configs, jobs)))
 
 
 def sweep_alpha(
@@ -383,62 +364,3 @@ def sweep_alpha(
     """Repeat the protocol for each alpha at batch size ``b_fixed`` (see SweepPlan)."""
     cfg = replace(cfg, ne=replace(cfg.ne, batch_size=int(b_fixed)))
     return SweepPlan.over(cfg, "alpha", alpha_grid).run(jobs)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def write_step_log(path: str | Path, logs: Iterable[StepLog]) -> None:
-    _write_csv(path, [f.name for f in fields(StepLog)], map(astuple, logs))
-
-
-def write_probe_csv(path: str | Path, rows: Iterable[ProbeRow]) -> None:
-    header = ["B" if f.name == "batch_size" else f.name for f in fields(ProbeRow)]
-    _write_csv(path, header, map(astuple, rows))
-
-
-def write_cells(out: str | Path, cells: Iterable[tuple[TrainConfig, AggregateResult]]) -> None:
-    """Write a results directory's runs.csv (one row per seed) and
-    aggregate.csv (one row per cell), cells in the given order.
-
-    Each cell's B, alpha and config_hash come from its own config, so these
-    two files are written here and nowhere else.
-    """
-    out = Path(out)
-    cells = list(cells)
-    runs = []
-    for cfg, agg in cells:
-        h, b, a = config_hash(cfg), cfg.ne.batch_size, cfg.ne.alpha
-        runs.extend(
-            (h, b, a, r.seed, r.test_accuracy, r.convergence_steps, r.lr_halved_at, r.status)
-            for r in agg.records
-        )
-    _write_csv(
-        out / "runs.csv",
-        ["config_hash", "B", "alpha", "seed", "test_accuracy", "convergence_steps", "lr_halved_at", "status"],
-        runs,
-    )
-    _write_csv(
-        out / "aggregate.csv",
-        AGGREGATE_COLUMNS,
-        (aggregate_row(cfg.ne.batch_size, cfg.ne.alpha, agg).values() for cfg, agg in cells),
-    )

@@ -1,16 +1,17 @@
-"""Deterministic markdown report and figure CSVs from saved results.
+"""The results directory: written from a run plan, read back, and rendered.
 
-The report command scans a results tree for directories containing an
-``aggregate.csv`` (as written by the train/sweep/probe commands), renders
-one summary table per directory, and, when the tree holds both a batch-size
-sweep and an alpha sweep, adds a comparison section with effective-batch
-annotations and directional flags. Output is a pure function of the input
-CSVs: units are visited in sorted order and no timestamps are embedded.
+``write_results`` writes every file a run command leaves in its results
+directory, from the plan it ran; no other module writes these files, and
+``load_unit`` reads them back. The report command scans a results tree for
+directories containing an ``aggregate.csv``, renders one summary table per
+directory, and, when the tree holds both a batch-size sweep and an alpha
+sweep, adds a comparison section with effective-batch annotations and
+directional flags. Output is a pure function of the input CSVs: units are
+visited in sorted order and no timestamps are embedded.
 
-This module also holds the sweep verdict, as pure functions over aggregate
-rows (the dicts ``load_unit`` builds, or ``SweepPlan.rows`` in memory):
-the best cell, the directional flags and the trade-off scatter rows. The
-command line tool and the report both call them.
+The sweep verdict is pure functions over aggregate rows (the dicts
+``aggregate_row`` builds and ``load_unit`` reads back): the best cell, the
+directional flags and the trade-off scatter rows.
 """
 
 from __future__ import annotations
@@ -18,15 +19,97 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
+from typing import Iterable
 
-from .harness import _write_csv
-from .noiselab import effective_batch
+import numpy as np
+
+from .harness import AggregateResult, SweepPlan, config_hash
+from .noiselab import ProbeRow, effective_batch
+from .optim import StepLog
+
+RUNS_COLUMNS = ("config_hash", "B", "alpha", "seed", "test_accuracy", "convergence_steps", "lr_halved_at", "status")
+AGGREGATE_COLUMNS = ("B", "alpha", "mean_acc", "std_acc", "mean_steps", "std_steps", "n_converged")
 
 
-def _to_float(text: str) -> float:
-    return float(text) if text not in ("", None) else math.nan
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+def aggregate_row(b: int, alpha: float, agg: AggregateResult) -> dict:
+    """One aggregate.csv row keyed by AGGREGATE_COLUMNS: the dict load_unit reads back."""
+    return dict(
+        zip(
+            AGGREGATE_COLUMNS,
+            (b, alpha, agg.mean_accuracy, agg.std_accuracy, agg.mean_convergence, agg.std_convergence, agg.n_converged),
+        )
+    )
+
+
+def write_results(out: str | Path, plan: SweepPlan) -> float | None:
+    """Write the results directory of a run plan: runs.csv (one row per
+    seed) and aggregate.csv (one row per cell), in grid order; each run's
+    steps_seed<N>.csv when its config logs steps; a probed config's
+    probe.csv from its first run; and, for a sweep, sweep.json, plus
+    scatter.csv along alpha. Each cell's B, alpha and config_hash come from
+    its own config.
+
+    Returns a sweep's best value (see best_row), or None for a single
+    config or a sweep with no finite cell.
+    """
+    out = Path(out)
+    cells = list(zip(plan.configs, plan.cells))
+    runs = []
+    for cfg, agg in cells:
+        h, b, a = config_hash(cfg), cfg.ne.batch_size, cfg.ne.alpha
+        runs.extend(
+            (h, b, a, r.seed, r.test_accuracy, r.convergence_steps, r.lr_halved_at, r.status)
+            for r in agg.records
+        )
+    _write_csv(out / "runs.csv", RUNS_COLUMNS, runs)
+    rows = [aggregate_row(cfg.ne.batch_size, cfg.ne.alpha, agg) for cfg, agg in cells]
+    _write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS, (row.values() for row in rows))
+    for cfg, agg in cells:
+        if cfg.log_steps:
+            for r in agg.records:
+                _write_csv(out / f"steps_seed{r.seed}.csv", [f.name for f in fields(StepLog)], map(astuple, r.steps))
+        if cfg.probe is not None:
+            header = ["B" if f.name == "batch_size" else f.name for f in fields(ProbeRow)]
+            _write_csv(out / "probe.csv", header, map(astuple, agg.records[0].probes))
+    if plan.axis == "single":
+        return None
+    key = "B" if plan.axis == "batch_size" else "alpha"
+    best = best_row(rows, key)
+    best_value = None if best is None else float(best[key])
+    meta = {"axis": plan.axis, "values": list(plan.values), "fixed_value": plan.fixed_value, "best_value": best_value}
+    (out / "sweep.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    if plan.axis == "alpha":
+        write_tradeoff_csv(out / "scatter.csv", tradeoff_rows("increase-alpha", rows))
+    return best_value
+
+
+def _parse(column: str, text: str) -> float:
+    if column in ("B", "n_converged"):
+        return int(float(text))
+    return float(text) if text else math.nan
 
 
 @dataclass(frozen=True)
@@ -45,19 +128,8 @@ def _read_rows(path: Path) -> list[dict[str, str]]:
 
 
 def load_unit(directory: Path, root: Path) -> ResultsUnit:
-    rows = []
-    for raw in _read_rows(directory / "aggregate.csv"):
-        rows.append(
-            {
-                "B": int(float(raw["B"])),
-                "alpha": float(raw["alpha"]),
-                "mean_acc": _to_float(raw["mean_acc"]),
-                "std_acc": _to_float(raw["std_acc"]),
-                "mean_steps": _to_float(raw["mean_steps"]),
-                "std_steps": _to_float(raw["std_steps"]),
-                "n_converged": int(float(raw["n_converged"])),
-            }
-        )
+    """The results directory ``directory``, named by its path under ``root``."""
+    rows = [{c: _parse(c, raw[c]) for c in AGGREGATE_COLUMNS} for raw in _read_rows(directory / "aggregate.csv")]
     totals: dict[tuple[float, float], int] = {}
     runs_path = directory / "runs.csv"
     if runs_path.exists():

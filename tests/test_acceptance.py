@@ -57,7 +57,7 @@ from noise_forge.optim import (
     sample_minibatch_pair,
     training_step,
 )
-from noise_forge.report import alpha_flags, emit_report
+from noise_forge.report import alpha_flags, emit_report, load_unit, write_results
 
 
 def blob_dataset(seed, n_per_class, classes, dim, noise=0.3):
@@ -285,8 +285,8 @@ def test_c7_protocol_halves_once_and_stops_at_threshold(monkeypatch):
         return w, StepLog(state.step_count, 0, 0.5, 1.0, None, 1.0, lr)
 
     monkeypatch.setattr(harness, "training_step", fake_step)
-    lrs = []
-    record = harness.train_run(cfg, seed=0, step_writer=lambda log: lrs.append(log.lr))
+    record = harness.train_run(replace(cfg, log_steps=True), seed=0)
+    lrs = [log.lr for log in record.steps]
     single_halving = lrs == [0.1] * 100 + [0.05] * 300
     ok = (
         record.status == STATUS_CONVERGED
@@ -331,11 +331,11 @@ def test_c8_desk_scale_directional_run_synthetic(tmp_path):
     all_converged = all(
         cell.n_converged == n_seeds for cell in alpha_sweep.cells + batch_sweep.cells
     )
-    flags = alpha_flags(alpha_sweep.rows())
 
     results = tmp_path / "results"
-    harness.write_cells(results / "sweep-alpha", zip(alpha_plan.configs, alpha_sweep.cells))
-    harness.write_cells(results / "sweep-b", zip(batch_plan.configs, batch_sweep.cells))
+    write_results(results / "sweep-alpha", alpha_sweep)
+    write_results(results / "sweep-b", batch_sweep)
+    flags = alpha_flags(load_unit(results / "sweep-alpha", results).rows)
     report_path = emit_report(results)
     text = report_path.read_text(encoding="utf-8")
     flags_in_report = (
@@ -409,9 +409,10 @@ def test_c8_desk_scale_directional_run_real_data(tmp_path):
     plan = harness.SweepPlan.over(tc, "alpha", [1.0, 1.5, 2.0])
     sweep = plan.run()
     elapsed = time.perf_counter() - t0
-    flags = alpha_flags(sweep.rows())
-    harness.write_cells(tmp_path / "results" / "sweep-alpha", zip(plan.configs, sweep.cells))
-    report_path = emit_report(tmp_path / "results")
+    results = tmp_path / "results"
+    write_results(results / "sweep-alpha", sweep)
+    flags = alpha_flags(load_unit(results / "sweep-alpha", results).rows)
+    report_path = emit_report(results)
     accs = [cell.mean_accuracy for cell in sweep.cells]
     detail = (
         f"acc {accs[0]:.4f}/{accs[1]:.4f}/{accs[2]:.4f} for alpha 1/1.5/2, "

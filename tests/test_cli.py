@@ -194,7 +194,7 @@ class TestTrainCommand:
         # here only the exit-code plumbing is under test
         from noise_forge import harness
 
-        def diverged_run(cfg, seed, step_writer=None):
+        def diverged_run(cfg, seed):
             return harness.RunRecord(
                 seed, harness.STATUS_DIVERGED, float("nan"), None, None, float("nan"), 7
             )
@@ -210,7 +210,7 @@ class TestTrainCommand:
     def test_sweep_without_any_finite_cell_exits_two(self, tmp_path, monkeypatch, capsys):
         from noise_forge import harness
 
-        def diverged_run(cfg, seed, step_writer=None):
+        def diverged_run(cfg, seed):
             return harness.RunRecord(
                 seed, harness.STATUS_DIVERGED, float("nan"), None, None, float("nan"), 7
             )
@@ -601,6 +601,10 @@ class TestUsageErrors:
             # a sweep's cells share seeds, so one steps_seed<N>.csv per seed would collide
             ("sweep-b", "train.log_steps=true", "train.log_steps is not supported by sweep-b"),
             ("sweep-alpha", "train.log_steps=true", "train.log_steps is not supported by sweep-alpha"),
+            # a repeated value would run its cell twice
+            ("sweep-b", "sweep.b_grid=[8,8,16]", "the batch_size grid must not repeat a value, got [8, 8, 16]"),
+            ("sweep-b", "sweep.b_grid=[8,8.0]", "the batch_size grid must not repeat a value, got [8, 8]"),
+            ("sweep-alpha", "sweep.alpha_grid=[1,2.0,1.0]", "the alpha grid must not repeat a value, got [1.0, 2.0, 1.0]"),
         ],
     )
     def test_rejected_sweep_grid_leaves_no_output(
@@ -616,8 +620,19 @@ class TestUsageErrors:
         assert runs == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "probe", "sweep-alpha"])
-    def test_negative_seed_leaves_no_output(self, command, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "command, seeds, message",
+        [
+            pytest.param(command, "[0,-1]", "seeds must be >= 0, got [0, -1]", id=command)
+            for command in ("train", "probe", "sweep-alpha")
+        ]
+        + [
+            # a repeated seed would repeat an identical run
+            pytest.param(command, "[1,0,1]", "seeds must not repeat, got [1, 0, 1]", id=f"{command}-repeated")
+            for command in ("train", "sweep-b")
+        ],
+    )
+    def test_negative_seed_leaves_no_output(self, command, seeds, message, tmp_path, monkeypatch, capsys):
         # the seed check used to fire only inside a run, after the output
         # directory and resolved_config.json were written
         runs = []
@@ -627,11 +642,11 @@ class TestUsageErrors:
 
         monkeypatch.setattr(harness, "train_run", counted(harness.train_run))
         out = tmp_path / "out"
-        config = write_config(tmp_path, {"sweep.alpha_grid": [1.0]})
-        argv = [command, "--config", config, "--out", str(out), "--set", "train.seeds=[0,-1]"]
+        config = write_config(tmp_path, {"sweep.alpha_grid": [1.0], "sweep.b_grid": [4]})
+        argv = [command, "--config", config, "--out", str(out), "--set", f"train.seeds={seeds}"]
         rc = parse_and_dispatch(argv)
         assert rc == 1
-        assert "config error: seeds must be >= 0, got [0, -1]" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
         assert runs == []
         assert not out.exists()
 

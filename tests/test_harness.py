@@ -22,20 +22,18 @@ from noise_forge.harness import (
     SweepPlan,
     TrainConfig,
     aggregate,
-    aggregate_row,
     config_hash,
     sweep_alpha,
     train_run,
-    write_cells,
-    write_probe_csv,
-    write_step_log,
 )
+from noise_forge.noiselab import ProbeRow
 from noise_forge.report import (
     ResultsUnit,
+    aggregate_row,
     alpha_flags,
-    best_row,
     render_comparison,
     tradeoff_rows,
+    write_results,
     write_tradeoff_csv,
 )
 
@@ -162,8 +160,8 @@ class TestProtocol:
     def test_learning_rate_halves_exactly_once(self, monkeypatch):
         scripted_losses(monkeypatch, [0.5, 0.009, 0.005, 0.002, 0.0009])
         scripted_steps(monkeypatch)
-        lrs = []
-        record = train_run(small_config(), seed=0, step_writer=lambda l: lrs.append(l.lr))
+        record = train_run(small_config(log_steps=True), seed=0)
+        lrs = [l.lr for l in record.steps]
         assert record.lr_halved_at == 100
         assert set(lrs) == {0.1, 0.05}
         assert lrs[:100] == [0.1] * 100
@@ -210,11 +208,11 @@ class TestProtocol:
         assert record.steps_taken == 4
         assert math.isnan(record.test_accuracy)
 
-    def test_step_writer_sees_every_step(self, monkeypatch):
+    def test_step_log_holds_every_step(self, monkeypatch):
         scripted_losses(monkeypatch, [0.5, 0.0005])
         scripted_steps(monkeypatch)
-        logs = []
-        record = train_run(small_config(), seed=0, step_writer=logs.append)
+        record = train_run(small_config(log_steps=True), seed=0)
+        logs = record.steps
         assert len(logs) == record.steps_taken == 100
         assert [l.step for l in logs] == list(range(1, 101))
 
@@ -321,14 +319,14 @@ class TestAggregate:
 class TestRepeatRuns:
     def test_records_follow_seed_order(self, monkeypatch):
         monkeypatch.setattr(
-            harness, "train_run", lambda cfg, seed, step_writer=None: rec(seed)
+            harness, "train_run", lambda cfg, seed: rec(seed)
         )
         (agg,) = SweepPlan("single", (small_config(seeds=(5, 1, 3)),)).run().cells
         assert [r.seed for r in agg.records] == [5, 1, 3]
 
     def test_defaults_to_config_seeds(self, monkeypatch):
         monkeypatch.setattr(
-            harness, "train_run", lambda cfg, seed, step_writer=None: rec(seed)
+            harness, "train_run", lambda cfg, seed: rec(seed)
         )
         (agg,) = SweepPlan("single", (small_config(seeds=(2, 4)),)).run().cells
         assert [r.seed for r in agg.records] == [2, 4]
@@ -426,7 +424,7 @@ class TestWorkerPool:
     def test_one_pool_runs_every_cell_and_seed(self, monkeypatch):
         pools = stub_pools(monkeypatch)
         monkeypatch.setattr(
-            harness, "train_run", lambda cfg, seed, step_writer=None: rec(seed, acc=cfg.ne.alpha / 10)
+            harness, "train_run", lambda cfg, seed: rec(seed, acc=cfg.ne.alpha / 10)
         )
         cfg = small_config(train_data=blob_dataset(seed=1, n_per_class=100), seeds=(7, 3))
         assert len(pickle.dumps(cfg)) > 1024  # so the stub's task-size check can fail
@@ -441,17 +439,19 @@ class TestWorkerPool:
     def test_pool_starts_at_most_one_worker_per_seed(self, monkeypatch, jobs, n_seeds, workers):
         # a stub executor records what the plan's run asks for; no process starts
         pools = stub_pools(monkeypatch)
-        monkeypatch.setattr(harness, "train_run", lambda cfg, seed, step_writer=None: rec(seed))
+        monkeypatch.setattr(harness, "train_run", lambda cfg, seed: rec(seed))
         seeds = tuple(range(10, 10 + n_seeds))
         (agg,) = SweepPlan("single", (small_config(seeds=seeds),)).run(jobs=jobs).cells
         assert [r.seed for r in agg.records] == list(seeds)
         assert pools == ([] if workers is None else [(workers, "spawn", 8 // workers)])
 
     def test_pool_starts_with_step_logs_on(self, monkeypatch, tmp_path):
-        # each seed's step log is written by whichever process runs the seed
+        # each seed's step log comes back on its record, and the parent writes it
         pools = stub_pools(monkeypatch)
-        cfg = small_config(max_steps=40, eval_interval=20, seeds=(3, 5))
-        (agg,) = SweepPlan("single", (cfg,)).run(jobs=2, step_dir=tmp_path).cells
+        cfg = small_config(max_steps=40, eval_interval=20, seeds=(3, 5), log_steps=True)
+        plan = SweepPlan("single", (cfg,)).run(jobs=2)
+        write_results(tmp_path, plan)
+        (agg,) = plan.cells
         assert pools == [(2, "spawn", 4)]
         assert [r.seed for r in agg.records] == [3, 5]
         for seed in (3, 5):
@@ -468,16 +468,16 @@ class TestWorkerPool:
             records = SweepPlan("single", (cfg,)).run(jobs=jobs).cells[0].records
             assert [len(r.probes) for r in records] == [3, 3]  # steps 0, 20 and 40
             for r in records:
-                write_probe_csv(tmp_path / f"jobs{jobs}_seed{r.seed}.csv", r.probes)
-            probe_csvs.append([(tmp_path / f"jobs{jobs}_seed{s}.csv").read_bytes() for s in (0, 1)])
+                one = SweepPlan("single", (replace(cfg, seeds=(r.seed,)),), (aggregate([r]),))
+                write_results(tmp_path / f"jobs{jobs}_seed{r.seed}", one)
+            probe_csvs.append([(tmp_path / f"jobs{jobs}_seed{s}" / "probe.csv").read_bytes() for s in (0, 1)])
         assert probe_csvs[0] == probe_csvs[1]
         assert probe_csvs[0][0] != probe_csvs[0][1]  # each seed keeps its own rows
 
     def test_parallel_runs_csv_is_byte_equal_to_serial(self, tmp_path):
         cfg = small_config(max_steps=40, eval_interval=20, seeds=(0, 1, 2))
         for jobs in (1, 2):
-            plan = SweepPlan("single", (cfg,)).run(jobs=jobs)
-            write_cells(tmp_path / str(jobs), zip(plan.configs, plan.cells))
+            write_results(tmp_path / str(jobs), SweepPlan("single", (cfg,)).run(jobs=jobs))
         serial, parallel = ((tmp_path / j / "runs.csv").read_bytes() for j in ("1", "2"))
         assert serial == parallel
 
@@ -485,7 +485,7 @@ class TestWorkerPool:
 def fake_table_runner(table):
     """train_run stand-in returning scripted outcomes per (B, alpha, seed)."""
 
-    def run(cfg, seed, step_writer=None):
+    def run(cfg, seed):
         acc, conv = table[(cfg.ne.batch_size, cfg.ne.alpha)]
         return rec(seed, acc=acc, conv=conv)
 
@@ -493,7 +493,7 @@ def fake_table_runner(table):
 
 
 class TestSweeps:
-    def test_batch_sweep_collects_cells_in_grid_order(self, monkeypatch):
+    def test_batch_sweep_collects_cells_in_grid_order(self, monkeypatch, tmp_path):
         table = {(4, 1.0): (0.80, 100), (8, 1.0): (0.90, 200), (16, 1.0): (0.90, 400)}
         monkeypatch.setattr(harness, "train_run", fake_table_runner(table))
         cfg = small_config(seeds=(0, 1))
@@ -502,23 +502,23 @@ class TestSweeps:
         assert sweep.values == (4.0, 8.0, 16.0)
         assert [c.mean_accuracy for c in sweep.cells] == [0.80, 0.90, 0.90]
         # tie on accuracy goes to the smaller grid value
-        assert best_row(sweep.rows(), "B")["B"] == 8
+        assert write_results(tmp_path, sweep) == 8
 
-    def test_alpha_sweep_fixes_batch(self, monkeypatch):
+    def test_alpha_sweep_fixes_batch(self, monkeypatch, tmp_path):
         table = {(16, 1.0): (0.85, 100), (16, 1.5): (0.87, 150), (16, 2.0): (0.86, 250)}
         monkeypatch.setattr(harness, "train_run", fake_table_runner(table))
         sweep = sweep_alpha(small_config(), [1.0, 1.5, 2.0], b_fixed=16)
         assert sweep.axis == "alpha"
         assert sweep.fixed_value == 16.0
-        assert best_row(sweep.rows(), "alpha")["alpha"] == 1.5
-        points = tradeoff_rows("increase-alpha", sweep.rows())
-        assert points[0] == ("increase-alpha", 100.0, 0.85)
+        assert write_results(tmp_path, sweep) == 1.5
+        points = (tmp_path / "scatter.csv").read_text().splitlines()
+        assert points[1] == "increase-alpha,100.0,0.85"
 
-    def test_best_value_skips_cells_without_accuracy(self, monkeypatch):
+    def test_best_value_skips_cells_without_accuracy(self, monkeypatch, tmp_path):
         table = {(16, 1.0): (float("nan"), 100), (16, 2.0): (0.7, 100)}
         monkeypatch.setattr(harness, "train_run", fake_table_runner(table))
 
-        def diverged_or_ok(cfg, seed, step_writer=None):
+        def diverged_or_ok(cfg, seed):
             acc, conv = table[(cfg.ne.batch_size, cfg.ne.alpha)]
             if math.isnan(acc):
                 return rec(seed, status=STATUS_DIVERGED, acc=acc)
@@ -526,12 +526,12 @@ class TestSweeps:
 
         monkeypatch.setattr(harness, "train_run", diverged_or_ok)
         sweep = sweep_alpha(small_config(), [1.0, 2.0], b_fixed=16)
-        assert best_row(sweep.rows(), "alpha")["alpha"] == 2.0
+        assert write_results(tmp_path, sweep) == 2.0
 
     def test_bad_cell_stops_the_sweep_before_any_run(self, monkeypatch):
         runs = []
 
-        def counted(cfg, seed, step_writer=None):
+        def counted(cfg, seed):
             runs.append((cfg.ne.batch_size, cfg.ne.alpha, seed))
             return rec(seed)
 
@@ -623,24 +623,29 @@ class TestComparison:
         assert series == ["reduce-batch", "reduce-batch", "increase-alpha", "increase-alpha"]
 
 
+def single(cfg, *records):
+    """A single-config plan that has run, its one cell holding ``records``."""
+    return SweepPlan("single", (cfg,), (aggregate(records),))
+
+
 class TestCsvWriters:
     def test_step_log_schema_and_blank_optional(self, tmp_path):
-        path = tmp_path / "steps.csv"
-        write_step_log(path, [StepLog(1, 0, 0.5, 1.25, None, 1.25, 0.001)])
-        lines = path.read_text().splitlines()
+        record = replace(rec(0), steps=(StepLog(1, 0, 0.5, 1.25, None, 1.25, 0.001),))
+        write_results(tmp_path, single(small_config(log_steps=True), record))
+        lines = (tmp_path / "steps_seed0.csv").read_text().splitlines()
         assert lines[0] == "step,epoch,minibatch_loss,grad_norm_b,grad_norm_bprime,combined_norm,lr"
         assert lines[1] == "1,0,0.5,1.25,,1.25,0.001"
 
     def test_runs_schema(self, tmp_path):
         cfg = small_config(ne=NEConfig(alpha=1.5, batch_size=4))
         record = RunRecord(0, STATUS_CONVERGED, 0.875, 300, 150, 0.0009, 300)
-        write_cells(tmp_path, [(cfg, aggregate([record]))])
+        write_results(tmp_path, single(cfg, record))
         lines = (tmp_path / "runs.csv").read_text().splitlines()
         assert lines[0] == "config_hash,B,alpha,seed,test_accuracy,convergence_steps,lr_halved_at,status"
         assert lines[1] == f"{config_hash(cfg)},4,1.5,0,0.875,300,150,converged"
 
     def test_aggregate_schema(self, tmp_path):
-        write_cells(tmp_path, [(small_config(), aggregate([rec(0, acc=0.9, conv=100)]))])
+        write_results(tmp_path, single(small_config(), rec(0, acc=0.9, conv=100)))
         lines = (tmp_path / "aggregate.csv").read_text().splitlines()
         assert lines[0] == "B,alpha,mean_acc,std_acc,mean_steps,std_steps,n_converged"
         assert lines[1] == "4,1.0,0.9,0.0,100.0,0.0,1"
@@ -648,7 +653,7 @@ class TestCsvWriters:
     def test_cells_carry_their_own_configs(self, tmp_path):
         plan = harness.SweepPlan.over(small_config(ne=NEConfig(batch_size=8, base="sgd")), "alpha", [1.0, 2.5])
         cells = [aggregate([rec(0, acc=0.75), rec(3, acc=0.5)]), aggregate([rec(1, acc=0.25)])]
-        write_cells(tmp_path, zip(plan.configs, cells))
+        write_results(tmp_path, replace(plan, cells=tuple(cells)))
         runs = [line.split(",") for line in (tmp_path / "runs.csv").read_text().splitlines()[1:]]
         h0, h1 = (config_hash(c) for c in plan.configs)
         assert h0 != h1
@@ -661,12 +666,9 @@ class TestCsvWriters:
         assert [line.split(",")[:3] for line in agg] == [["8", "1.0", "0.625"], ["8", "2.5", "0.25"]]
 
     def test_probe_schema(self, tmp_path):
-        from noise_forge.noiselab import ProbeRow
-
-        path = tmp_path / "probe.csv"
         row = ProbeRow(0, 2.0, 8, 0.5, 4.9, 5.0, 1.6, -0.25, 0.75)
-        write_probe_csv(path, [row])
-        lines = path.read_text().splitlines()
+        write_results(tmp_path, single(small_config(probe=ProbePlan()), replace(rec(0), probes=(row,))))
+        lines = (tmp_path / "probe.csv").read_text().splitlines()
         assert lines[0] == (
             "step,alpha,B,trace_cov,enhancement_ratio,predicted_factor,"
             "b_eff,median_excess_kurtosis,grad_diversity"
@@ -682,6 +684,6 @@ class TestCsvWriters:
         assert lines[1] == "reduce-batch,300.0,0.88"
 
     def test_parent_directories_created(self, tmp_path):
-        path = tmp_path / "a" / "b" / "steps.csv"
-        write_step_log(path, [])
+        path = tmp_path / "a" / "b" / "steps_seed0.csv"
+        write_results(path.parent, single(small_config(log_steps=True), rec(0)))
         assert path.exists()

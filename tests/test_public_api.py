@@ -7,6 +7,10 @@ callers are its own tests belongs in its module, not in the package's
 public surface. Likewise, a constructor argument with a default in an
 exported dataclass must be set somewhere in that code; one that no caller
 sets is a one-value knob, and belongs in the code as a constant.
+
+One module owns the results directory: ``report`` writes its files and reads
+them back. A run hands everything it produced back on its RunRecord, so the
+run functions take no writer and no output path.
 """
 
 import ast
@@ -15,6 +19,7 @@ import inspect
 from pathlib import Path
 
 import noise_forge
+from noise_forge import harness
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_DIR = ROOT / "src" / "noise_forge"
@@ -109,3 +114,46 @@ def test_every_defaulted_dataclass_argument_is_set_by_some_caller():
             ):
                 unset.append(f"{cls.__name__}.{f.name}")
     assert not unset, f"constructor arguments no package module or workload sets: {unset}"
+
+
+WRITER_CALLS = {"write_text", "write_bytes", "writerow", "writerows", "save", "savez", "savetxt", "tofile", "dump"}
+
+
+def file_writes(tree: ast.AST) -> list[ast.Call]:
+    """Calls that write a file: ``open`` with a mode other than reading, or a
+    writer method such as ``write_text``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open":
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            if any(not (isinstance(m, ast.Constant) and set(m.value) <= set("rbt")) for m in modes):
+                found.append(node)
+        elif name in WRITER_CALLS:
+            found.append(node)
+    return found
+
+
+def test_only_report_writes_the_results_directory():
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "report.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            imported = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if "csv" in imported or (isinstance(node, ast.ImportFrom) and node.module == "csv"):
+                offenders.append(f"{path.name}:{node.lineno}: imports csv")
+        for call in file_writes(tree):
+            # the command line writes the config it resolved, before any run
+            if path.name == "cli.py" and "resolved_config.json" in ast.unparse(call.func):
+                continue
+            offenders.append(f"{path.name}:{call.lineno}: {ast.unparse(call.func)}")
+    assert not offenders, f"files written outside report.write_results: {offenders}"
+
+
+def test_a_run_takes_only_its_config_and_seed():
+    assert list(inspect.signature(harness.train_run).parameters) == ["cfg", "seed"]

@@ -2,16 +2,22 @@ import math
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from noise_forge.harness import STATUS_DIVERGED, SweepPlan, aggregate
 from noise_forge.report import (
     ResultsUnit,
+    aggregate_row,
     alpha_flags,
+    best_row,
     emit_report,
     load_unit,
     render_comparison,
     render_unit,
+    write_results,
 )
+from test_harness import rec, small_config
 
 AGG_HEADER = "B,alpha,mean_acc,std_acc,mean_steps,std_steps,n_converged"
 RUNS_HEADER = "config_hash,B,alpha,seed,test_accuracy,convergence_steps,lr_halved_at,status"
@@ -126,6 +132,45 @@ class TestLoadUnit:
         unit = load_unit(d, tmp_path)
         assert math.isnan(unit.rows[0]["mean_acc"])
         assert math.isnan(unit.rows[0]["mean_steps"])
+
+
+def run_plan(plan):
+    """``plan`` with scripted cells: the alpha = 2 cell all diverged, every
+    other cell converged with its accuracy set by its B and alpha."""
+    cells = []
+    for cfg in plan.configs:
+        if cfg.ne.alpha == 2.0:
+            cells.append(aggregate([rec(s, status=STATUS_DIVERGED, acc=math.nan) for s in cfg.seeds]))
+        else:
+            cells.append(aggregate([rec(s, acc=0.5 + cfg.ne.batch_size / 100 + cfg.ne.alpha / 10, conv=100 + s) for s in cfg.seeds]))
+    return SweepPlan(plan.axis, plan.configs, tuple(cells))
+
+
+class TestWriteResults:
+    @pytest.mark.parametrize(
+        "axis, grid",
+        [
+            ("alpha", [1.0, 1.5, 2.0]),  # one all-diverged cell
+            ("batch_size", [8]),  # one value: only sweep.json tells its axis
+            ("single", None),
+        ],
+    )
+    def test_load_unit_reads_back_what_was_written(self, axis, grid, tmp_path):
+        cfg = small_config(seeds=(0, 3))
+        plan = SweepPlan("single", (cfg,)) if grid is None else SweepPlan.over(cfg, axis, grid)
+        plan = run_plan(plan)
+        best = write_results(tmp_path / "unit", plan)
+        unit = load_unit(tmp_path / "unit", tmp_path)
+        written = [aggregate_row(c.ne.batch_size, c.ne.alpha, agg) for c, agg in zip(plan.configs, plan.cells)]
+        np.testing.assert_equal(list(unit.rows), written)  # NaN equals NaN here
+        assert [type(r["B"]) for r in unit.rows] == [int] * len(written)
+        assert unit.totals == {(float(c.ne.batch_size), c.ne.alpha): 2 for c in plan.configs}
+        assert unit.axis == axis
+        if axis == "single":
+            assert best is None
+        else:
+            key = "alpha" if axis == "alpha" else "B"
+            assert best == best_row(unit.rows, key)[key]
 
 
 class TestRenderUnit:
