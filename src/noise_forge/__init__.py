@@ -17,7 +17,6 @@ from .harness import (
     RunRecord,
     SweepPlan,
     TrainConfig,
-    sweep_alpha,
 )
 from .model import MlpSpec, ParamVector, glorot_init, loss_and_grad
 from .noiselab import (
@@ -27,7 +26,7 @@ from .noiselab import (
     probe_noise,
     sample_ne_noise,
 )
-from .optim import NEConfig, OptimizerState, ne_combine, training_step
+from .optim import NEConfig, OptimizerState, training_step
 
 __version__ = "0.1.0"
 
@@ -50,11 +49,9 @@ __all__ = [
     "load_idx_pair",
     "loss_and_grad",
     "make_synthetic",
-    "ne_combine",
     "probe_noise",
     "sample_ne_noise",
     "split_holdout",
-    "sweep_alpha",
     "training_step",
     "__version__",
 ]

@@ -59,21 +59,6 @@ DEFAULTS: dict = {
     "probe.steps": [0],
     "probe.interval": 0,
     "probe.n_samples": 200,
-    "fullscale": False,
-}
-
-# Reference-protocol settings: the 10-class image task at full size
-# (fully connected 7 x 500 net, 10 seeds, the published grids). Applied on
-# top of the defaults when "fullscale" is set, without clobbering keys the
-# user set explicitly.
-FULLSCALE: dict = {
-    "data.source": "idx",
-    "data.subset": 0,
-    "model.hidden": [500, 500, 500, 500, 500, 500, 500],
-    "ne.batch_size": 5000,
-    "train.seeds": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
-    "sweep.b_grid": [100, 200, 300, 400, 500, 600, 700, 800, 900, 1000, 2000, 3000, 5000],
-    "sweep.alpha_grid": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0],
 }
 
 
@@ -128,7 +113,7 @@ def _check_type(key: str, value: object, default: object) -> object:
 
 
 def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
-    """Merge defaults, config file, fullscale preset, and --set overrides."""
+    """Merge the defaults, then the config file, then the --set overrides."""
     explicit: dict = {}
     if config_path is not None:
         path = Path(config_path)
@@ -149,10 +134,6 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"unknown config key: {key}")
     merged = copy.deepcopy(DEFAULTS)
     merged.update({k: _check_type(k, v, DEFAULTS[k]) for k, v in explicit.items()})
-    if merged["fullscale"]:
-        for key, value in FULLSCALE.items():
-            if key not in explicit:
-                merged[key] = copy.deepcopy(value)
     return merged
 
 
@@ -236,8 +217,8 @@ def _record_line(record: harness.RunRecord) -> str:
 
 def _cell_line(label: str, agg: harness.AggregateResult) -> str:
     return (
-        f"{label}: accuracy {agg.mean_accuracy:.4f} +- {agg.std_accuracy:.4f}, "
-        f"steps {agg.mean_convergence:.1f} +- {agg.std_convergence:.1f} "
+        f"{label}: accuracy {report.fmt_mean_std(agg.mean_accuracy, agg.std_accuracy, 4)}, "
+        f"steps {report.fmt_mean_std(agg.mean_convergence, agg.std_convergence, 1)} "
         f"({agg.n_converged}/{len(agg.records)} converged)"
     )
 
@@ -330,27 +311,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="noise-forge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name, help_text in (
+        ("train", "run the protocol over the configured seeds"),
+        ("sweep-b", "batch-size sweep at fixed alpha"),
+        ("sweep-alpha", "alpha sweep at fixed batch size"),
+        ("probe", "train one seed and measure noise at checkpoints"),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file of dotted keys")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
         p.add_argument("--out", help="output directory (default runs/<command>)")
         p.add_argument("--jobs", type=int, default=1, help="parallel (cell, seed) runs")
-
-    p_train = sub.add_parser("train", help="run the protocol over the configured seeds")
-    common(p_train)
-    p_train.set_defaults(func=_cmd_run)
-
-    p_sb = sub.add_parser("sweep-b", help="batch-size sweep at fixed alpha")
-    common(p_sb)
-    p_sb.set_defaults(func=_cmd_run)
-
-    p_sa = sub.add_parser("sweep-alpha", help="alpha sweep at fixed batch size")
-    common(p_sa)
-    p_sa.set_defaults(func=_cmd_run)
-
-    p_probe = sub.add_parser("probe", help="train one seed and measure noise at checkpoints")
-    common(p_probe)
-    p_probe.set_defaults(func=_cmd_run)
+        p.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify-oracles", help="run the noise-lab oracle suite")
     p_verify.add_argument("--fast", action="store_true", help="smaller Monte Carlo sizes")

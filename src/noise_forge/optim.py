@@ -138,6 +138,8 @@ def ne_combine(grad_b: ParamVector, grad_bprime: ParamVector, alpha: float) -> P
 
     alpha = 1 returns a copy of grad_b outright, so the enhanced path is
     bit-identical to the plain one there (no 0 * g' term to perturb signs).
+    Training uses the fused ``pair_rows`` pass; this stays for the oracles, the
+    tests' reference for ``pair_rows`` and the benchmark's tracer.
     """
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")

@@ -4,9 +4,9 @@
 directory, from the plan it ran; no other module writes these files, and
 ``load_unit`` reads them back. The report command scans a results tree for
 directories containing an ``aggregate.csv``, renders one summary table per
-directory, and, when the tree holds both a batch-size sweep and an alpha
-sweep, adds a comparison section with effective-batch annotations and
-directional flags. Output is a pure function of the input CSVs: units are
+directory, and, for each directory holding both a batch-size sweep and an
+alpha sweep, adds a comparison section with effective-batch annotations
+and directional flags. Output is a pure function of the input CSVs: units are
 visited in sorted order and no timestamps are embedded.
 
 The sweep verdict is pure functions over aggregate rows (the dicts
@@ -160,7 +160,10 @@ def best_row(rows: tuple[dict, ...], key: str) -> dict | None:
     return best
 
 
-def _fmt_mean_std(mean: float, std: float, digits: int) -> str:
+def fmt_mean_std(mean: float, std: float, digits: int) -> str:
+    """``mean +- std`` to ``digits`` decimals, or "n/a" when the mean is not
+    finite (a cell with no run behind the statistic). The command line prints
+    its cells with this too, so both views of a cell agree."""
     if not math.isfinite(mean):
         return "n/a"
     return f"{mean:.{digits}f} +- {std:.{digits}f}"
@@ -190,8 +193,8 @@ def render_unit(unit: ResultsUnit) -> str:
             "| {b} | {a:g} | {acc} | {steps} | {conv} |".format(
                 b=row["B"],
                 a=row["alpha"],
-                acc=_fmt_mean_std(row["mean_acc"], row["std_acc"], 4) + mark,
-                steps=_fmt_mean_std(row["mean_steps"], row["std_steps"], 1),
+                acc=fmt_mean_std(row["mean_acc"], row["std_acc"], 4) + mark,
+                steps=fmt_mean_std(row["mean_steps"], row["std_steps"], 1),
                 conv=_converged_text(unit, row),
             )
         )
@@ -245,10 +248,12 @@ def _flag_text(value: bool | None) -> str:
 
 
 def render_comparison(batch_unit: ResultsUnit, alpha_unit: ResultsUnit) -> tuple[str, list[tuple]]:
+    """Compare a batch sweep with an alpha sweep of one directory, named in the heading below the root."""
+    group = Path(batch_unit.name).parent.as_posix()
     best_b = best_row(batch_unit.rows, "B")
     best_a = best_row(alpha_unit.rows, "alpha")
     b_fixed = alpha_unit.rows[0]["B"]
-    lines = ["## Enhancement at fixed B vs reducing B", ""]
+    lines = ["## Enhancement at fixed B vs reducing B" + ("" if group == "." else f" ({group})"), ""]
     if best_b is None or best_a is None:
         lines.append("Not enough finite results to compare.")
         lines.append("")
@@ -256,14 +261,14 @@ def render_comparison(batch_unit: ResultsUnit, alpha_unit: ResultsUnit) -> tuple
     gap = best_a["mean_acc"] - best_b["mean_acc"]
     lines.append(
         f"- best reduced batch: B = {best_b['B']} at alpha = {best_b['alpha']:g}: "
-        f"accuracy {_fmt_mean_std(best_b['mean_acc'], best_b['std_acc'], 4)}, "
-        f"steps {_fmt_mean_std(best_b['mean_steps'], best_b['std_steps'], 1)}"
+        f"accuracy {fmt_mean_std(best_b['mean_acc'], best_b['std_acc'], 4)}, "
+        f"steps {fmt_mean_std(best_b['mean_steps'], best_b['std_steps'], 1)}"
     )
     lines.append(
         f"- best enhanced: alpha = {best_a['alpha']:g} at B = {best_a['B']} "
         f"(B_eff = {effective_batch(int(b_fixed), best_a['alpha']):.1f}): "
-        f"accuracy {_fmt_mean_std(best_a['mean_acc'], best_a['std_acc'], 4)}, "
-        f"steps {_fmt_mean_std(best_a['mean_steps'], best_a['std_steps'], 1)}"
+        f"accuracy {fmt_mean_std(best_a['mean_acc'], best_a['std_acc'], 4)}, "
+        f"steps {fmt_mean_std(best_a['mean_steps'], best_a['std_steps'], 1)}"
     )
     lines.append(f"- accuracy gap (enhanced - reduced): {gap:+.4f}")
     for name, value in sorted(alpha_flags(alpha_unit.rows).items()):
@@ -276,8 +281,8 @@ def render_comparison(batch_unit: ResultsUnit, alpha_unit: ResultsUnit) -> tuple
             "| {a:g} | {be:.1f} | {acc} | {steps} |".format(
                 a=row["alpha"],
                 be=effective_batch(int(b_fixed), row["alpha"]),
-                acc=_fmt_mean_std(row["mean_acc"], row["std_acc"], 4),
-                steps=_fmt_mean_std(row["mean_steps"], row["std_steps"], 1),
+                acc=fmt_mean_std(row["mean_acc"], row["std_acc"], 4),
+                steps=fmt_mean_std(row["mean_steps"], row["std_steps"], 1),
             )
         )
     lines.append("")
@@ -302,9 +307,11 @@ def emit_report(results_dir: str | Path, out_dir: str | Path | None = None) -> P
     units = [load_unit(d, results_dir) for d in unit_dirs]
     sections = ["# Training results", ""]
     fig_dir = out_dir / "figures"
+    groups: dict[str, dict[str, ResultsUnit]] = {}  # per directory, its first sweep along each axis
     for unit in units:
         sections.append(render_unit(unit))
         if unit.axis in ("batch_size", "alpha"):
+            groups.setdefault(Path(unit.name).parent.as_posix(), {}).setdefault(unit.axis, unit)
             key = "alpha" if unit.axis == "alpha" else "B"
             stem = "root" if unit.name == "." else unit.name.replace("/", "_")
             acc_rows = [
@@ -317,13 +324,13 @@ def emit_report(results_dir: str | Path, out_dir: str | Path | None = None) -> P
             ]
             _write_csv(fig_dir / f"fig_{stem}_accuracy.csv", [key, "mean_acc", "std_acc"], acc_rows)
             _write_csv(fig_dir / f"fig_{stem}_time.csv", [key, "mean_steps", "std_steps"], time_rows)
-    batch_units = [u for u in units if u.axis == "batch_size"]
-    alpha_units = [u for u in units if u.axis == "alpha"]
-    if batch_units and alpha_units:
-        section, scatter = render_comparison(batch_units[0], alpha_units[0])
-        sections.append(section)
-        if scatter:
-            write_tradeoff_csv(fig_dir / "fig_tradeoff_scatter.csv", scatter)
+    for group, pair in sorted(groups.items()):
+        if len(pair) == 2:
+            section, scatter = render_comparison(pair["batch_size"], pair["alpha"])
+            sections.append(section)
+            if scatter:
+                stem = "" if group == "." else group.replace("/", "_") + "_"
+                write_tradeoff_csv(fig_dir / f"fig_{stem}tradeoff_scatter.csv", scatter)
     report_path = out_dir / "report.md"
     report_path.write_text("\n".join(sections), encoding="utf-8")
     return report_path

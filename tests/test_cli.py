@@ -1,5 +1,7 @@
 import json
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,11 @@ from noise_forge.cli import (
     parse_and_dispatch,
     resolve_config,
 )
+from test_acceptance import DESK_SCALE_SETS
 from test_dataio import image_bytes, label_bytes
 from test_harness import openblas_threads
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, extra=None):
@@ -67,7 +72,7 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="integer"):
             resolve_config(None, ["ne.batch_size=4.5"])
         with pytest.raises(ConfigError, match="boolean"):
-            resolve_config(None, ["fullscale=1"])
+            resolve_config(None, ["train.log_steps=1"])
         with pytest.raises(ConfigError, match="list"):
             resolve_config(None, ["train.seeds=3"])
         with pytest.raises(ConfigError, match="number"):
@@ -78,20 +83,31 @@ class TestResolveConfig:
             resolve_config(None, ["ne.alpha"])
 
     def test_fullscale_preset_fills_unset_keys(self):
-        cfg = resolve_config(None, ["fullscale=true"])
-        assert cfg["model.hidden"] == [500] * 7
-        assert cfg["ne.batch_size"] == 5000
-        assert cfg["data.source"] == "idx"
-        assert len(cfg["sweep.b_grid"]) == 13
-        assert cfg["sweep.alpha_grid"] == [float(a) for a in range(1, 12)]
+        # the reference protocol: the 10-class image task at full size, a
+        # 7 x 500 net, 10 seeds and the published grids
+        preset = {
+            "data.source": "idx",
+            "data.subset": 0,
+            "model.hidden": [500, 500, 500, 500, 500, 500, 500],
+            "ne.batch_size": 5000,
+            "train.seeds": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+            "sweep.b_grid": [100, 200, 300, 400, 500, 600, 700, 800, 900, 1000, 2000, 3000, 5000],
+            "sweep.alpha_grid": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0],
+        }
+        assert json.loads((CONFIGS / "fullscale.json").read_text()) == preset
+        assert resolve_config(str(CONFIGS / "fullscale.json"), []) == {**DEFAULTS, **preset}
 
-    def test_explicit_keys_beat_the_preset(self, tmp_path):
-        path = write_config(tmp_path, {"fullscale": True})
-        cfg = resolve_config(path, ["data.source=synthetic"])
-        assert cfg["ne.batch_size"] == 4  # explicit in the file
-        assert cfg["data.source"] == "synthetic"  # explicit on the command line
-        assert cfg["model.hidden"] == [4]
-        assert cfg["sweep.b_grid"][-1] == 5000  # preset still fills the rest
+    def test_explicit_keys_beat_the_preset(self):
+        cfg = resolve_config(str(CONFIGS / "fullscale.json"), ["data.source=synthetic", "ne.batch_size=4"])
+        assert cfg["ne.batch_size"] == 4
+        assert cfg["data.source"] == "synthetic"
+        assert cfg["model.hidden"] == [500] * 7  # the file still fills the rest
+        assert cfg["sweep.b_grid"][-1] == 5000
+        with pytest.raises(ConfigError, match="unknown config key: fullscale"):
+            resolve_config(None, ["fullscale=true"])
+
+    def test_desk_config_is_check_8s(self):
+        assert resolve_config(str(CONFIGS / "desk.json"), []) == resolve_config(None, DESK_SCALE_SETS)
 
 
 class TestBuildTrainConfig:
@@ -160,6 +176,14 @@ class TestTrainCommand:
         assert len(runs) == 2  # header + one seed
         assert "results written to" in capsys.readouterr().out
 
+    def test_cell_without_a_converged_run_prints_no_steps(self, workspace, capsys):
+        tmp, config = workspace
+        rc = parse_and_dispatch(["train", "--config", config, "--out", str(tmp / "unconverged")])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "did not converge within 40 steps" in out
+        assert "steps n/a (0/1 converged)" in out
+
     def test_step_logging_writes_per_seed_files(self, workspace, capsys):
         tmp, config = workspace
         out = tmp / "steplog"
@@ -206,6 +230,19 @@ class TestTrainCommand:
         )
         assert rc == 2
         assert "diverged" in capsys.readouterr().err
+
+    def test_real_divergence_prints_no_numpy_warning(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            rc = parse_and_dispatch(
+                [
+                    "sweep-alpha", "--config", config, "--out", str(tmp_path / "out"),
+                    "--set", "optim.learning_rate=1e300", "--set", "sweep.alpha_grid=[1,2]",
+                ]
+            )
+        assert rc == 2
+        assert "no sweep cell produced a finite accuracy" in capsys.readouterr().err
 
     def test_sweep_without_any_finite_cell_exits_two(self, tmp_path, monkeypatch, capsys):
         from noise_forge import harness

@@ -2,6 +2,7 @@ import ctypes
 import math
 import os
 import pickle
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -206,6 +207,14 @@ class TestProtocol:
         record = train_run(small_config(), seed=0)
         assert record.status == STATUS_DIVERGED
         assert record.steps_taken == 4
+        assert math.isnan(record.test_accuracy)
+
+    def test_real_divergence_raises_no_numpy_warning(self):
+        # a learning rate this large overflows the weights within a few steps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = train_run(small_config(learning_rate=1e300, eval_interval=1), seed=0)
+        assert record.status == STATUS_DIVERGED
         assert math.isnan(record.test_accuracy)
 
     def test_step_log_holds_every_step(self, monkeypatch):

@@ -318,6 +318,33 @@ class TestEmitReport:
         emit_report(dotted)
         assert (dotted / "figures" / "fig_root_accuracy.csv").read_text().splitlines() == acc
 
+    def test_one_comparison_per_directory(self, tmp_path):
+        tree = write_results_tree(tmp_path / "tree")
+        emit_report(tree)  # the same pair at the tree root, for reference
+        root = tmp_path / "results"
+        for group in ("adam", "sgd"):
+            for name in ("sweep-b", "sweep-alpha"):
+                shutil.copytree(tree / name, root / group / name)
+        text = emit_report(root).read_text()
+        golden = EXPECTED_REPORT[EXPECTED_REPORT.index("## Enhancement") :]
+        for group in ("adam", "sgd"):
+            heading = f"## Enhancement at fixed B vs reducing B ({group})"
+            assert text.count(heading) == 1
+            section = text[text.index(heading) :]
+            assert section.startswith(golden.replace("reducing B", f"reducing B ({group})", 1))
+            scatter = root / "figures" / f"fig_{group}_tradeoff_scatter.csv"
+            assert scatter.read_text() == (tree / "figures" / "fig_tradeoff_scatter.csv").read_text()
+        assert text.count("## Enhancement") == 2
+        assert not (root / "figures" / "fig_tradeoff_scatter.csv").exists()
+
+    def test_sweeps_in_different_directories_are_not_compared(self, tmp_path):
+        tree = write_results_tree(tmp_path / "tree")
+        root = tmp_path / "results"
+        shutil.copytree(tree / "sweep-b", root / "adam" / "sweep-b")
+        shutil.copytree(tree / "sweep-alpha", root / "sgd" / "sweep-alpha")
+        assert "## Enhancement" not in emit_report(root).read_text()
+        assert not list((root / "figures").glob("*tradeoff_scatter.csv"))
+
     def test_separate_output_directory(self, tmp_path):
         root = write_results_tree(tmp_path / "results")
         out = tmp_path / "rendered"
