@@ -40,7 +40,6 @@ DEFAULTS: dict = {
     "synthetic.dim": 24,
     "synthetic.n_per_class": 320,
     "synthetic.noise_scale": 0.5,
-    "synthetic.center_spread": 1.0,
     "synthetic.label_noise": 0.0,
     "synthetic.test_fraction": 0.25,
     "model.hidden": [100, 100],
@@ -139,11 +138,11 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
 
 def _build_datasets(cfg: dict) -> tuple[dataio.Dataset, dataio.Dataset]:
     seed = cfg["root_seed"]
+    if cfg["data.subset"] < 0:
+        raise ConfigError(f"data.subset must be >= 0 (0 keeps the full set), got {cfg['data.subset']}")
     if cfg["data.source"] == "synthetic":
         rng = named_stream(seed, "synthetic", 2)
-        centers = cfg["synthetic.center_spread"] * rng.standard_normal(
-            (cfg["synthetic.classes"], cfg["synthetic.dim"])
-        )
+        centers = rng.standard_normal((cfg["synthetic.classes"], cfg["synthetic.dim"]))
         spec = dataio.SyntheticSpec(
             centers=centers,
             n_per_class=cfg["synthetic.n_per_class"],
@@ -343,7 +342,9 @@ def parse_and_dispatch(argv: list[str]) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:  # ConfigError is a ValueError
+    except (FileNotFoundError, FileExistsError, NotADirectoryError, ValueError) as exc:
+        # ConfigError is a ValueError; an --out path that names a file, or
+        # lies under one, fails mkdir with FileExistsError or NotADirectoryError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (ArithmeticError, RuntimeError) as exc:

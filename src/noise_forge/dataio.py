@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +23,7 @@ _LABEL_MAGIC = 0x00000801
 
 
 class IdxFormatError(ValueError):
-    """Raised for bad magic numbers, truncated payloads, or count mismatches."""
+    """Raised for bad magic numbers, truncated payloads, count mismatches, or broken gzip."""
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,11 @@ def _adopt(inputs: np.ndarray, labels: np.ndarray, num_classes: int) -> Dataset:
 
 def _read_maybe_gzip(path: Path) -> bytes:
     if path.suffix == ".gz":
-        with gzip.open(path, "rb") as fh:
-            return fh.read()
+        try:
+            with gzip.open(path, "rb") as fh:
+                return fh.read()
+        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:  # not gzip, truncated, corrupt
+            raise IdxFormatError(f"{path}: not a readable gzip file: {exc}") from exc
     return path.read_bytes()
 
 

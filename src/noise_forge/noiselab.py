@@ -184,28 +184,22 @@ def _index_pairs(
     n_draws: int,
     n_total: int,
     batch_size: int,
-    chunk_size: int,
 ):
-    """Yield (primary, enhancement) chunks of uniform without-replacement draws.
+    """Yield one (primary, enhancement) pair of (B,) index arrays per draw.
 
-    Each chunk is a (k, B) index matrix. Every row is one ``uniform_batch``
-    draw, the sampler training uses for B': a uniformly random B-subset in
-    random order, at O(B) cost for B small against N. Primary batches come
-    from the "noise-primary-v2" stream of ``seed``, enhancement batches from
-    the independent "noise-enhancement-v2" stream. Each stream is drawn once
-    per row, so the chunk size bounds memory only and never changes which
-    rows are drawn. At alpha = 1 no enhancement batch is needed, so that
-    stream is not drawn and None stands in for its chunks.
+    Each array is one ``uniform_batch`` draw, the sampler training uses for
+    B': a uniformly random B-subset in random order, at O(B) cost for B
+    small against N. Primary batches come from the "noise-primary-v2"
+    stream of ``seed``, enhancement batches from the independent
+    "noise-enhancement-v2" stream, each stream drawn once per draw. At
+    alpha = 1 no enhancement batch is needed, so that stream is not drawn
+    and None stands in for its batches.
     """
     rng_p = named_stream(seed, "noise-primary-v2", stream_index)
     rng_e = None if alpha == 1.0 else named_stream(seed, "noise-enhancement-v2", stream_index)
-
-    def batches(rng: np.random.Generator, k: int) -> np.ndarray:
-        return np.array([uniform_batch(rng, n_total, batch_size) for _ in range(k)])
-
-    for start in range(0, n_draws, chunk_size):
-        k = min(chunk_size, n_draws - start)
-        yield batches(rng_p, k), None if rng_e is None else batches(rng_e, k)
+    for _ in range(n_draws):
+        primary = uniform_batch(rng_p, n_total, batch_size)
+        yield primary, None if rng_e is None else uniform_batch(rng_e, n_total, batch_size)
 
 
 def sample_ne_noise(
@@ -221,8 +215,8 @@ def sample_ne_noise(
 
     Batches come from ``_index_pairs``: S from the "noise-primary-v2" stream
     of ``seed`` and S' from the independent "noise-enhancement-v2" stream,
-    one ``uniform_batch`` draw each per row. Rows are made in chunks of at
-    most 512, fewer when B * P is large, so that each (rows, B, P) gather
+    one ``uniform_batch`` draw each per row. Draws are stacked in chunks of
+    at most 512, fewer when B * P is large, so that each (rows, B, P) gather
     holds at most MAX_SAMPLE_ENTRIES doubles; the chunking never changes a
     row. At alpha = 1 the enhancement stream is not drawn and each row is the
     vanilla noise eta * (mean(G[S]) - g_bar).
@@ -243,15 +237,14 @@ def sample_ne_noise(
     g = per_sample_grad_matrix(w, ds)
     g_bar = g.mean(axis=0)
     out = np.empty((n_samples, g.shape[1]))
-    row = 0
     chunk = min(512, max(1, MAX_SAMPLE_ENTRIES // (batch_size * g.shape[1])))
-    pairs = _index_pairs(seed, 0, alpha, n_samples, ds.n_samples, batch_size, chunk)
-    for idx_p, idx_e in pairs:
-        xi = eta * (g[idx_p].mean(axis=1) - g_bar)
-        if idx_e is not None:
-            xi = alpha * xi + (1.0 - alpha) * (eta * (g[idx_e].mean(axis=1) - g_bar))
-        out[row : row + idx_p.shape[0]] = xi
-        row += idx_p.shape[0]
+    pairs = _index_pairs(seed, 0, alpha, n_samples, ds.n_samples, batch_size)
+    for start in range(0, n_samples, chunk):
+        idx_p, idx_e = zip(*itertools.islice(pairs, chunk))
+        xi = eta * (g[np.array(idx_p)].mean(axis=1) - g_bar)
+        if alpha != 1.0:
+            xi = alpha * xi + (1.0 - alpha) * (eta * (g[np.array(idx_e)].mean(axis=1) - g_bar))
+        out[start : start + len(idx_p)] = xi
     return out
 
 
@@ -350,20 +343,18 @@ def probe_noise(
     varies = np.zeros(p, dtype=bool)
     # alpha * xi + (1 - alpha) * xi' = eta * (combined - base), as the weights
     # sum to 1; one weighted pass over S ∪ S' gives the combined gradient
-    pairs = _index_pairs(seed, stream_index, alpha, n_samples, n, batch_size, 64)
-    for idx_p, idx_e in pairs:
-        for k, primary in enumerate(idx_p):
-            rows = (primary,) if idx_e is None else pair_rows(primary, idx_e[k], alpha, n)
-            _, g = loss_and_grad(w, ds, *rows)
-            xi = eta * (g.values - base)
-            if first is None:
-                first = xi
-            varies |= xi != first
-            s1 += xi
-            x2 = xi * xi
-            s2 += x2
-            s3 += x2 * xi
-            s4 += x2 * x2
+    for primary, second in _index_pairs(seed, stream_index, alpha, n_samples, n, batch_size):
+        rows = (primary,) if second is None else pair_rows(primary, second, alpha, n)
+        _, g = loss_and_grad(w, ds, *rows)
+        xi = eta * (g.values - base)
+        if first is None:
+            first = xi
+        varies |= xi != first
+        s1 += xi
+        x2 = xi * xi
+        s2 += x2
+        s3 += x2 * xi
+        s4 += x2 * x2
     r1 = s1 / n_samples
     r2 = s2 / n_samples
     r3 = s3 / n_samples

@@ -473,7 +473,9 @@ class TestProbeCommand:
 
 
 class TestIdxSource:
-    def test_training_from_idx_files(self, tmp_path, monkeypatch, capsys):
+    @staticmethod
+    def data_dir(tmp_path, monkeypatch):
+        """Uncompressed 40-row train and test IDX pairs, found through the environment."""
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, size=(40, 1, 6))
         labels = np.tile(np.arange(2), 20)
@@ -483,6 +485,10 @@ class TestIdxSource:
             (data_dir / f"{stem}-images-idx3-ubyte").write_bytes(image_bytes(images))
             (data_dir / f"{stem}-labels-idx1-ubyte").write_bytes(label_bytes(labels))
         monkeypatch.setenv(DATA_DIR_ENV, str(data_dir))
+        return data_dir
+
+    def test_training_from_idx_files(self, tmp_path, monkeypatch, capsys):
+        self.data_dir(tmp_path, monkeypatch)
         config = write_config(
             tmp_path,
             {
@@ -501,6 +507,25 @@ class TestIdxSource:
         resolved = json.loads((tmp_path / "idx-out" / "resolved_config.json").read_text())
         assert resolved["data.source"] == "idx"
         capsys.readouterr()
+
+    def test_broken_gzip_file_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        broken = self.data_dir(tmp_path, monkeypatch) / "train-images-idx3-ubyte.gz"
+        broken.write_bytes(b"not gzip")
+        out = tmp_path / "out"
+        rc = parse_and_dispatch(["train", "--set", "data.source=idx", "--out", str(out)])
+        assert rc == 1
+        assert f"config error: {broken}: not a readable gzip file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_subset_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        # a negative subset used to fall through to the full training set
+        self.data_dir(tmp_path, monkeypatch)
+        out = tmp_path / "out"
+        argv = ["train", "--set", "data.source=idx", "--set", "data.subset=-5", "--out", str(out)]
+        rc = parse_and_dispatch(argv)
+        assert rc == 1
+        assert "config error: data.subset must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyOraclesCommand:
@@ -686,6 +711,21 @@ class TestUsageErrors:
         assert f"config error: {message}" in capsys.readouterr().err
         assert runs == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_out_path_blocked_by_a_file_is_a_config_error(self, under, tmp_path, capsys):
+        config = write_config(tmp_path)
+        results = tmp_path / "results"
+        assert parse_and_dispatch(["train", "--config", config, "--out", str(results)]) == 0
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "sub" if under else blocker
+        capsys.readouterr()
+        for argv in (["train", "--config", config], ["report", "--results", str(results)]):
+            rc = parse_and_dispatch([*argv, "--out", str(out)])
+            assert rc == 1
+            assert "config error" in capsys.readouterr().err
+        assert blocker.read_text() == ""
 
     def test_unknown_set_key(self, capsys):
         rc = parse_and_dispatch(["train", "--set", "no.such.key=1"])

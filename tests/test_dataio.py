@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import pickle
+import re
 import struct
 import tracemalloc
 
@@ -77,6 +78,24 @@ class TestIdxLoading:
         ds = load_idx_pair(gi, gl)
         np.testing.assert_array_equal(ds.labels, labels.astype(np.int64))
         np.testing.assert_allclose(ds.inputs, images.reshape(4, 6) / 255.0)
+
+    @pytest.mark.parametrize(
+        "mangle, cause",
+        [
+            (lambda raw: raw, "Not a gzipped file"),
+            (lambda raw: gzip.compress(raw)[:-12], "ended before the end-of-stream marker"),
+            # a deflate block header of 0xFF holds the reserved block type 3
+            (lambda raw: gzip.compress(raw)[:10] + b"\xff" + gzip.compress(raw)[11:], "invalid block type"),
+        ],
+        ids=["not-gzip", "truncated", "corrupt"],
+    )
+    def test_broken_gzip_is_a_format_error(self, tmp_path, idx_pair, mangle, cause):
+        ipath, lpath, _, _ = idx_pair
+        broken = tmp_path / "imgs.gz"
+        broken.write_bytes(mangle(ipath.read_bytes()))
+        with pytest.raises(IdxFormatError, match=re.escape(f"{broken}: not a readable gzip file")) as exc:
+            load_idx_pair(broken, lpath)
+        assert cause in str(exc.value)
 
     def test_bad_magic_rejected(self, tmp_path, idx_pair):
         _, lpath, _, _ = idx_pair

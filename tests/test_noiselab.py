@@ -22,6 +22,7 @@ from noise_forge.noiselab import (
     probe_noise,
     sample_ne_noise,
 )
+from noise_forge.oracles import OracleCheck
 from noise_forge.rng import named_stream, uniform_batch
 
 # per-sample scalar "gradients" with known exact noise variance:
@@ -238,19 +239,6 @@ class TestNoiseSamplers:
         sampled = sample_ne_noise(self.w, self.ds, 0.1, 3, 2.0, 50, seed=7)
         assert np.array_equal(enhanced, sampled)
 
-    def test_chunk_size_is_transparent(self):
-        # chunks of 1 and 7 consume each stream exactly as one 50-draw block does
-        n = self.ds.n_samples
-        for alpha in (1.0, 2.0):
-            (block_p, block_e), = noiselab._index_pairs(9, 0, alpha, 50, n, 3, 50)
-            for chunk in (1, 7):
-                pairs = list(noiselab._index_pairs(9, 0, alpha, 50, n, 3, chunk))
-                assert np.array_equal(np.vstack([p for p, _ in pairs]), block_p)
-                if alpha == 1.0:
-                    assert block_e is None and all(e is None for _, e in pairs)
-                else:
-                    assert np.array_equal(np.vstack([e for _, e in pairs]), block_e)
-
     def test_chunks_bounded_by_the_sample_cap_are_transparent(self, monkeypatch):
         # N = 12 and P = 26: a cap of N * P allows 2 draws per chunk at B = 6
         # and 1 at B = 8, and every row stays byte-equal to the uncapped run
@@ -260,19 +248,10 @@ class TestNoiseSamplers:
             for b in (6, 8)
             for alpha in (1.0, 2.0)
         }
-        chunks = []
-        index_pairs = noiselab._index_pairs
-
-        def spy(*args):
-            chunks.append(args[-1])
-            return index_pairs(*args)
-
-        monkeypatch.setattr(noiselab, "_index_pairs", spy)
         monkeypatch.setattr(noiselab, "MAX_SAMPLE_ENTRIES", self.ds.n_samples * p)
         for (b, alpha), expected in reference.items():
             capped = sample_ne_noise(self.w, self.ds, 0.1, b, alpha, 12, seed=3)
             assert capped.tobytes() == expected.tobytes()
-        assert chunks == [2, 2, 1, 1]
 
     def test_gather_memory_is_bounded_by_the_sample_cap(self, monkeypatch):
         # G, the output and one chunk's (draws, B, P) gather each hold at most
@@ -321,9 +300,10 @@ class TestIndexPairs:
     N, B = 12, 3
 
     def draws(self, alpha, n_draws, seed=4, stream_index=0):
-        pairs = list(noiselab._index_pairs(seed, stream_index, alpha, n_draws, self.N, self.B, 64))
-        primary = np.vstack([p for p, _ in pairs])
-        enhancement = None if alpha == 1.0 else np.vstack([e for _, e in pairs])
+        pairs = list(noiselab._index_pairs(seed, stream_index, alpha, n_draws, self.N, self.B))
+        primary = np.array([p for p, _ in pairs])
+        second = [e for _, e in pairs]
+        enhancement = None if all(e is None for e in second) else np.array(second)
         return primary, enhancement
 
     def test_rows_hold_distinct_indices_in_range(self):
@@ -354,6 +334,14 @@ class TestIndexPairs:
         for batches in self.draws(2.0, draws, seed=11):
             counts = np.bincount(batches.ravel(), minlength=self.N)
             assert np.all(np.abs(counts - draws * p) <= bound), counts
+
+
+class TestOracleCheck:
+    # the oracle suite's one pass rule: measured <= bound
+    def test_nan_fails_and_zero_meets_a_zero_bound(self):
+        assert not OracleCheck("nan", float("nan"), 1.0, "").passed
+        assert OracleCheck("exact", 0.0, 0.0, "").passed
+        assert not OracleCheck("over", 1e-300, 0.0, "").passed
 
 
 class TestFirstByKey:
@@ -474,8 +462,8 @@ class TestProbe:
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     def test_chunk_size_is_transparent(self, alpha):
-        # 150 draws: the probe takes them in chunks of 64, the dense sampler in
-        # one block, and both see the same batches
+        # 150 draws: the probe takes them one at a time, the dense sampler
+        # stacks them in one block, and both see the same batches
         row = probe_noise(self.w, self.ds, 0.1, 3, alpha, 150, seed=5)
         samples = sample_ne_noise(self.w, self.ds, 0.1, 3, alpha, 150, seed=5)
         assert np.isfinite(row.median_excess_kurtosis)
@@ -517,8 +505,7 @@ class TestProbe:
         probe_noise(self.w, self.ds, 0.1, 3, 2.0, 20, seed=4)
         assert rows["norms"] == [self.ds.n_samples]
         # one weighted call per draw over the |S ∪ S'| rows, a shared row once
-        want = []
-        for idx_p, idx_e in noiselab._index_pairs(4, 0, 2.0, 20, self.ds.n_samples, 3, 64):
-            want.extend(len(np.union1d(p, e)) for p, e in zip(idx_p, idx_e))
+        pairs = noiselab._index_pairs(4, 0, 2.0, 20, self.ds.n_samples, 3)
+        want = [len(np.union1d(p, e)) for p, e in pairs]
         assert rows["grad"] == want
         assert min(want) < 6  # some draws share a row
