@@ -35,7 +35,7 @@ DEFAULTS: dict = {
     "data.train_labels": "train-labels-idx1-ubyte.gz",
     "data.test_images": "t10k-images-idx3-ubyte.gz",
     "data.test_labels": "t10k-labels-idx1-ubyte.gz",
-    "data.subset": 10000,  # 0 -> full training set
+    "data.subset": 10000,  # cap on training rows, either source; 0 -> all
     "synthetic.classes": 4,
     "synthetic.dim": 24,
     "synthetic.n_per_class": 320,
@@ -140,6 +140,8 @@ def _build_datasets(cfg: dict) -> tuple[dataio.Dataset, dataio.Dataset]:
     seed = cfg["root_seed"]
     if cfg["data.subset"] < 0:
         raise ConfigError(f"data.subset must be >= 0 (0 keeps the full set), got {cfg['data.subset']}")
+    if cfg["data.source"] not in ("synthetic", "idx"):
+        raise ConfigError(f"data.source must be 'synthetic' or 'idx', got {cfg['data.source']!r}")
     if cfg["data.source"] == "synthetic":
         rng = named_stream(seed, "synthetic", 2)
         centers = rng.standard_normal((cfg["synthetic.classes"], cfg["synthetic.dim"]))
@@ -151,24 +153,23 @@ def _build_datasets(cfg: dict) -> tuple[dataio.Dataset, dataio.Dataset]:
             label_noise=cfg["synthetic.label_noise"],
         )
         full = dataio.make_synthetic(spec)
-        return dataio.split_holdout(full, cfg["synthetic.test_fraction"], seed)
-    if cfg["data.source"] != "idx":
-        raise ConfigError(f"data.source must be 'synthetic' or 'idx', got {cfg['data.source']!r}")
-    data_dir = cfg["data.dir"] or os.environ.get(DATA_DIR_ENV, "")
-    if not data_dir:
-        raise ConfigError(f"data.source is 'idx' but neither data.dir nor ${DATA_DIR_ENV} is set")
-    root = Path(data_dir)
-    paths = {}
-    for key in ("train_images", "train_labels", "test_images", "test_labels"):
-        p = root / cfg[f"data.{key}"]
-        if not p.is_file() and p.suffix == ".gz" and p.with_suffix("").is_file():
-            p = p.with_suffix("")  # accept uncompressed files transparently
-        if not p.is_file():
-            raise ConfigError(f"IDX file not found: {p}")
-        paths[key] = p
-    train = dataio.load_idx_pair(paths["train_images"], paths["train_labels"])
-    test = dataio.load_idx_pair(paths["test_images"], paths["test_labels"])
-    if cfg["data.subset"] > 0 and cfg["data.subset"] < train.n_samples:
+        train, test = dataio.split_holdout(full, cfg["synthetic.test_fraction"], seed)
+    else:
+        data_dir = cfg["data.dir"] or os.environ.get(DATA_DIR_ENV, "")
+        if not data_dir:
+            raise ConfigError(f"data.source is 'idx' but neither data.dir nor ${DATA_DIR_ENV} is set")
+        root = Path(data_dir)
+        paths = {}
+        for key in ("train_images", "train_labels", "test_images", "test_labels"):
+            p = root / cfg[f"data.{key}"]
+            if not p.is_file() and p.suffix == ".gz" and p.with_suffix("").is_file():
+                p = p.with_suffix("")  # accept uncompressed files transparently
+            if not p.is_file():
+                raise ConfigError(f"IDX file not found: {p}")
+            paths[key] = p
+        train = dataio.load_idx_pair(paths["train_images"], paths["train_labels"])
+        test = dataio.load_idx_pair(paths["test_images"], paths["test_labels"])
+    if 0 < cfg["data.subset"] < train.n_samples:
         train = dataio.subset(train, cfg["data.subset"], seed)
     return train, test
 
@@ -179,7 +180,6 @@ def build_train_config(cfg: dict) -> harness.TrainConfig:
         input_dim=train.input_dim,
         hidden=tuple(cfg["model.hidden"]),
         num_classes=train.num_classes,
-        seed=cfg["root_seed"],
     )
     ne = NEConfig(
         alpha=float(cfg["ne.alpha"]),

@@ -185,7 +185,6 @@ def train_run(cfg: TrainConfig, seed: int) -> RunRecord:
                         cfg.ne.alpha,
                         cfg.probe.n_samples,
                         seed,
-                        step=step,
                         stream_index=step,
                     )
                 )

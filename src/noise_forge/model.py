@@ -152,8 +152,8 @@ def _resolve_index(ds: Dataset, idx: np.ndarray | None) -> np.ndarray:
 
 
 # The kernel's work arrays, one set per dims, shared by every pass:
-# (forward, backward), grown to the largest chunk any pass has needed and
-# never shrunk. "forward" holds the activations, the log-softmax, the softmax
+# (forward, backward), _chunk_rows(dims) rows, made on first use and kept.
+# "forward" holds the activations, the log-softmax, the softmax
 # exponentials and the row maxima/sums; "backward" the top dz, (rows,
 # classes), and one flat boolean ReLU mask with room for the widest hidden
 # layer. The other dz have no arrays of their own: _sweep writes each over
@@ -185,18 +185,14 @@ def _block(rows: int, widths: tuple[int, ...]) -> list[np.ndarray]:
     return [flat[end - rows * d : end].reshape(rows, d) for d, end in zip(widths, ends)]
 
 
-def _buffers(dims: tuple[int, ...], rows: int):
-    """The kept (forward, backward) set for ``dims``, at least ``rows`` rows.
-
-    A set too small grows to min(_chunk_rows(dims), max(rows, twice its
-    rows)), so index sets whose size varies from call to call re-allocate it
-    a few times, not on every new maximum, and it never holds more than one
-    chunk: at the full-scale shape 1,024 rows, about 34 MiB.
+def _buffers(dims: tuple[int, ...]):
+    """The kept (forward, backward) set for ``dims``: _chunk_rows(dims) rows,
+    made on first use. A chunk of fewer rows writes only its own, so rows no
+    pass reaches stay untouched; at the full-scale shape the set is 1,024
+    rows, about 34 MiB.
     """
-    have = _BUFFERS[dims][0][0].shape[0] if dims in _BUFFERS else 0
-    if have < rows:
-        rows = min(_chunk_rows(dims), max(rows, 2 * have))
-        _BUFFERS.pop(dims, None)  # free the old set before making the new one
+    if dims not in _BUFFERS:
+        rows = _chunk_rows(dims)
         fwd = _block(rows, _forward_widths(dims))
         bwd = (np.empty((rows, dims[-1])), np.empty(rows * max(dims[1:-1], default=0), dtype=bool))
         _BUFFERS[dims] = (fwd, bwd)
@@ -250,7 +246,7 @@ def _chunks(w: ParamVector, ds: Dataset, idx: np.ndarray, weights: np.ndarray | 
         raise ValueError(f"dataset has {ds.input_dim} columns, model expects {w.dims[0]}")
     last = w.n_layers - 1
     chunk = _chunk_rows(w.dims)
-    fwd, bwd = _buffers(w.dims, min(chunk, idx.shape[0]))
+    fwd, bwd = _buffers(w.dims)
     for start in range(0, idx.shape[0], chunk):
         rows = idx[start : start + chunk]
         n = rows.shape[0]

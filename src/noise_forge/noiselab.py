@@ -305,7 +305,6 @@ def probe_noise(
     alpha: float,
     n_samples: int,
     seed: int,
-    step: int = 0,
     stream_index: int = 0,
 ) -> ProbeRow:
     """Measure enhanced noise at frozen parameters without dense matrices.
@@ -314,14 +313,14 @@ def probe_noise(
     norms and the summed gradient, and from them the full gradient, the
     exact closed-form vanilla trace and the gradient diversity. Enhanced
     samples are then generated minibatch-pair by minibatch-pair (one
-    ``loss_and_grad`` call each; at alpha != 1 it is weighted over the rows
-    of S ∪ S' that ``optim.pair_rows`` gives, the training step's rule, so
-    it rounds differently from combining two gradients by about 1e-15 of
-    the noise) and folded into per-coordinate raw moment
-    accumulators, so memory stays at O(P) regardless of model size. The
-    pairs are ``_index_pairs`` draws on the v2 noise streams at
-    ``stream_index``, so each checkpoint gets fresh batches, and a draw costs
-    O(B) rather than O(N). The enhancement ratio divides the empirical
+    ``loss_and_grad`` call each over the rows ``optim.pair_rows`` gives, the
+    training step's rule: S alone at alpha = 1, else S ∪ S' weighted, which
+    rounds differently from combining two gradients by about 1e-15 of the
+    noise) and folded into per-coordinate raw moment accumulators, so memory
+    stays at O(P) regardless of model size. The pairs are ``_index_pairs``
+    draws on the v2 noise streams at ``stream_index``, the checkpoint's step
+    (``ProbeRow.step``), so each checkpoint gets fresh batches, and a draw
+    costs O(B) rather than O(N). The enhancement ratio divides the empirical
     enhanced trace by the vanilla trace. The median excess kurtosis skips
     coordinates whose sampled noise is the same in every draw.
     """
@@ -344,8 +343,7 @@ def probe_noise(
     # alpha * xi + (1 - alpha) * xi' = eta * (combined - base), as the weights
     # sum to 1; one weighted pass over S ∪ S' gives the combined gradient
     for primary, second in _index_pairs(seed, stream_index, alpha, n_samples, n, batch_size):
-        rows = (primary,) if second is None else pair_rows(primary, second, alpha, n)
-        _, g = loss_and_grad(w, ds, *rows)
+        _, g = loss_and_grad(w, ds, *pair_rows(primary, second, alpha, n))
         xi = eta * (g.values - base)
         if first is None:
             first = xi
@@ -368,7 +366,7 @@ def probe_noise(
     vanilla_trace = _noise_trace(sq_norms, total.values, eta, batch_size)
     ratio = trace / vanilla_trace if vanilla_trace > 0 else float("nan")
     return ProbeRow(
-        step=int(step),
+        step=int(stream_index),
         alpha=float(alpha),
         batch_size=int(batch_size),
         trace_cov=trace,

@@ -6,8 +6,8 @@ minibatch resampled uniformly each step. alpha = 1 reduces exactly to the
 base optimizer; alpha > 1 amplifies minibatch noise without changing the
 expected direction.
 
-A step with alpha != 1 forms that direction in one weighted gradient pass
-that visits each row of B ∪ B' once (``pair_rows``, ``training_step``).
+A step forms that direction in one gradient pass over ``pair_rows``: B alone
+at alpha = 1, else each row of B ∪ B' once, weighted (``training_step``).
 """
 
 from __future__ import annotations
@@ -151,19 +151,24 @@ def ne_combine(grad_b: ParamVector, grad_bprime: ParamVector, alpha: float) -> P
 
 
 def pair_rows(
-    primary: np.ndarray, second: np.ndarray, alpha: float, n: int
-) -> tuple[np.ndarray, np.ndarray]:
+    primary: np.ndarray, second: np.ndarray | None, alpha: float, n: int
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Rows and weights of one pass giving alpha * grad(B) + (1 - alpha) * grad(B').
 
     ``primary`` (B) and ``second`` (B') hold distinct indices in [0, n).
-    Each row of B ∪ B' appears once: the rows of B in draw order, weighted
-    alpha/|B|, plus (1 - alpha)/|B'| on those also in B'; then the rest of
-    B' in draw order, weighted (1 - alpha)/|B'|. Backprop is linear in the
-    row weights, so ``loss_and_grad(w, ds, rows, weights)`` returns that
-    direction, and the weighted loss alpha * L_B + (1 - alpha) * L_B'. A
-    shared row costs one row of work instead of two. One boolean mark array
-    of length n finds the shared rows in O(n + |B| + |B'|).
+    At alpha = 1 the pass is over B alone, unweighted: (primary, None), so
+    ``loss_and_grad`` takes the plain mean and the result is grad(B) bit for
+    bit; ``second`` is not read and may be None. Otherwise each row of
+    B ∪ B' appears once: the rows of B in draw order, weighted alpha/|B|,
+    plus (1 - alpha)/|B'| on those also in B'; then the rest of B' in draw
+    order, weighted (1 - alpha)/|B'|. Backprop is linear in the row weights,
+    so ``loss_and_grad(w, ds, rows, weights)`` returns that direction, and
+    the weighted loss alpha * L_B + (1 - alpha) * L_B'. A shared row costs
+    one row of work instead of two. One boolean mark array of length n
+    finds the shared rows in O(n + |B| + |B'|).
     """
+    if alpha == 1.0:
+        return primary, None
     b, b2 = primary.shape[0], second.shape[0]
     mark = np.zeros(n, dtype=bool)
     mark[second] = True
@@ -254,34 +259,27 @@ def training_step(
 ) -> tuple[ParamVector, StepLog | None]:
     """One full step: sample the pair, form the direction, apply the base rule.
 
-    Each step makes one ``loss_and_grad`` call. At alpha = 1 it runs over B
-    alone, unweighted, so the run is bit-identical to plain descent on
-    grad(B); B' is still drawn so the streams stay aligned. Otherwise it
-    runs once over ``pair_rows(B, B', alpha, N)``, each row of B ∪ B' once.
-    That direction is alpha * grad(B) + (1 - alpha) * grad(B') to about
+    Each step makes one ``loss_and_grad`` call, over ``pair_rows(B, B',
+    alpha, N)``. At alpha = 1 that is B alone, unweighted, so the run is
+    bit-identical to plain descent on grad(B); B' is still drawn so the
+    streams stay aligned. Otherwise it visits each row of B ∪ B' once, and
+    the direction is alpha * grad(B) + (1 - alpha) * grad(B') to about
     1e-15 of its norm (tests hold it to 1e-12).
 
-    With ``log`` the step also returns its StepLog, computing grad(B),
-    grad(B') and their norms where the update did not need them; without it
-    it returns None in its place. The update never depends on ``log``.
-    Raises DivergenceError, before any state changes, when the direction is
+    With ``log`` the step also returns its StepLog, computing grad(B) and
+    grad(B') and their norms in two more passes; without it it returns None
+    in its place. The update never depends on ``log``. Raises
+    DivergenceError, before any state changes, when the direction is
     non-finite.
     """
     lr = state.learning_rate
     primary, enhancement = sample_minibatch_pair(streams)
-    alpha = config.alpha
-    grad_b = None
-    if alpha == 1.0:
-        loss_b, grad_b = loss_and_grad(w, ds, primary)
-        direction = grad_b
-    else:
-        _, direction = loss_and_grad(w, ds, *pair_rows(primary, enhancement, alpha, ds.n_samples))
+    _, direction = loss_and_grad(w, ds, *pair_rows(primary, enhancement, config.alpha, ds.n_samples))
     step_fn = adam_step if config.base == "adam" else sgd_step
     w_next = step_fn(w, direction, state)
     if not log:
         return w_next, None
-    if grad_b is None:
-        loss_b, grad_b = loss_and_grad(w, ds, primary)
+    loss_b, grad_b = loss_and_grad(w, ds, primary)
     _, grad_bprime = loss_and_grad(w, ds, enhancement)
     return w_next, StepLog(
         step=state.step_count,

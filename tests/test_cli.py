@@ -130,6 +130,21 @@ class TestBuildTrainConfig:
         c = build_train_config(resolve_config(write_config(tmp_path), ["root_seed=5"]))
         assert not np.array_equal(a.train_data.inputs, c.train_data.inputs)
 
+    def test_subset_caps_synthetic_training_rows(self, tmp_path):
+        # 80 synthetic samples split 75/25: 60 training rows, of which
+        # data.subset keeps at most that many; 0 or a cap of 60 or more keeps all
+        path = write_config(tmp_path, {"synthetic.n_per_class": 40})
+        full = build_train_config(resolve_config(path, ["data.subset=0"]))
+        assert full.train_data.n_samples == 60
+        capped = build_train_config(resolve_config(path, ["data.subset=20"]))
+        assert capped.train_data.n_samples == 20
+        np.testing.assert_array_equal(capped.test_data.inputs, full.test_data.inputs)
+        kept = {tuple(row) for row in full.train_data.inputs}
+        assert all(tuple(row) in kept for row in capped.train_data.inputs)
+        for cap in (60, 100):
+            same = build_train_config(resolve_config(path, [f"data.subset={cap}"]))
+            np.testing.assert_array_equal(same.train_data.inputs, full.train_data.inputs)
+
     def test_idx_source_requires_a_directory(self, monkeypatch):
         monkeypatch.delenv(DATA_DIR_ENV, raising=False)
         with pytest.raises(ConfigError, match=DATA_DIR_ENV):

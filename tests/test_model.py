@@ -19,6 +19,14 @@ from noise_forge.model import (
 )
 
 
+@pytest.fixture(autouse=True)
+def own_kept_buffers(monkeypatch):
+    # the kernel makes one work set per net shape, sized by _chunk_rows when
+    # first used, and keeps it: a set made under a test's lowered _MAX_ROWS or
+    # _PASS_BYTES must not outlive that test
+    monkeypatch.setattr(model, "_BUFFERS", {})
+
+
 def blob_dataset(seed=0, n_per_class=4, classes=3, dim=4, noise=0.3):
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.2, 0.8, size=(classes, dim))
@@ -274,8 +282,8 @@ class TestWeightedLossAndGrad:
         assert loss_and_grad(self.w, self.ds, self.idx, self.weights)[0] == loss
 
     def test_every_pass_grows_and_reuses_the_one_kept_set(self, monkeypatch):
-        # one set per dims serves all five entry points; a pass that needs more
-        # rows grows it to at most one chunk, and a smaller pass reuses it
+        # one set per dims serves all five entry points: the first pass makes
+        # it, one chunk of rows, and every later pass reuses it
         dims = self.w.dims
         passes = [
             lambda: loss_and_grad(self.w, self.ds),
@@ -287,7 +295,7 @@ class TestWeightedLossAndGrad:
         ]
         for max_rows in (model._MAX_ROWS, 7):
             monkeypatch.setattr(model, "_MAX_ROWS", max_rows)
-            want = min(self.ds.n_samples, model._chunk_rows(dims))
+            want = model._chunk_rows(dims)
             for run in passes:
                 monkeypatch.setattr(model, "_BUFFERS", {})
                 run()
@@ -297,23 +305,20 @@ class TestWeightedLossAndGrad:
                 mean_loss(self.w, self.ds, self.idx[:3])
                 assert model._BUFFERS[dims] is kept
 
-    def test_kept_buffers_grow_geometrically(self, monkeypatch):
-        # training passes over B ∪ B' vary in size from step to step; the kept
-        # set grows to min(chunk, max(rows, 2 * old rows)) when it must grow
-        monkeypatch.setattr(model, "_BUFFERS", {})
+    @pytest.mark.parametrize("max_rows", [1024, 6])
+    def test_kept_set_is_one_chunk_made_once(self, monkeypatch, max_rows):
+        # training passes over B ∪ B' vary in size from step to step; none of
+        # them, nor a full-data pass, remakes or resizes the set
+        monkeypatch.setattr(model, "_MAX_ROWS", max_rows)
         dims = self.w.dims
-
-        def kept_after(n_rows):
-            loss_and_grad(self.w, self.ds, np.arange(n_rows))
-            return model._BUFFERS[dims][0][0].shape[0]
-
-        assert [kept_after(r) for r in (2, 3, 4, 5, 17)] == [2, 4, 4, 8, 17]
-        monkeypatch.setattr(model, "_BUFFERS", {})
-        monkeypatch.setattr(model, "_MAX_ROWS", 6)
-        assert [kept_after(r) for r in (4, 5, 18)] == [4, 6, 6]
+        loss_and_grad(self.w, self.ds, np.arange(2))
+        kept = model._BUFFERS[dims]
+        assert kept[0][0].shape[0] == model._chunk_rows(dims) == min(max_rows, 1024)
+        for rows in (3, 17, 5):
+            loss_and_grad(self.w, self.ds, np.arange(rows))
         per_sample_grad_norms(self.w, self.ds)
-        mean_loss(self.w, self.ds, np.arange(5))
-        assert model._BUFFERS[dims][0][0].shape[0] == 6
+        mean_loss(self.w, self.ds)
+        assert model._BUFFERS[dims] is kept and kept[0][0].shape[0] == model._chunk_rows(dims)
 
 
 class TestPassBudget:
@@ -346,7 +351,6 @@ class TestPassBudget:
                 [grad.values, wgrad.values, sq, total.values, per_sample_grad_matrix(w, ds, idx)],
             )
 
-        monkeypatch.setattr(model, "_BUFFERS", {})
         whole_scalars, whole_arrays = outputs()
         assert model._BUFFERS[w.dims][0][0].shape[0] >= ds.n_samples  # every pass in one chunk
         budget = 5 * (8 * (4 + 6 + 5 + 3 + 3 + 3 + 1 + 3) + 6)  # five rows
@@ -381,6 +385,7 @@ class TestPerSampleGradients:
         monkeypatch.setattr(model, "_MAX_ROWS", 4)
         a = per_sample_grad_matrix(self.w, self.ds)
         monkeypatch.setattr(model, "_MAX_ROWS", 64)
+        monkeypatch.setattr(model, "_BUFFERS", {})  # the kept set has the 4-row chunks
         b = per_sample_grad_matrix(self.w, self.ds)
         np.testing.assert_array_equal(a, b)
 
@@ -515,12 +520,11 @@ class TestKernelMemory:
         self.idx = np.arange(400)
 
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_warm_gradient_pass_allocates_little_beyond_its_result(self, monkeypatch, weighted):
-        # once the kept buffers fit, a call allocates its gradient, a few
+    def test_warm_gradient_pass_allocates_little_beyond_its_result(self, weighted):
+        # once the kept buffers exist, a call allocates its gradient, a few
         # (rows,) and (rows, classes) temporaries and numpy's fixed-size
         # casting buffer for the float * bool mask product; nothing as
         # large as rows x hidden width (400 x 1024 here)
-        monkeypatch.setattr(model, "_BUFFERS", {})
         weights = np.linspace(-1.0, 1.0, len(self.idx)) if weighted else None
         loss_and_grad(self.w, self.ds, self.idx, weights)
         tracemalloc.start()
@@ -535,12 +539,11 @@ class TestKernelMemory:
         assert peak <= allowed, f"peak {peak} bytes, allowed {allowed}"
 
     @pytest.mark.parametrize("entry", [mean_loss, per_sample_grad_norms], ids=lambda f: f.__name__)
-    def test_warm_pass_over_more_rows_than_training_allocates_no_work_arrays(self, monkeypatch, entry):
-        # a full-data pass (450 rows) needs more rows than the training pass's
-        # set (400); once it has grown the one kept set it allocates its
-        # results, (rows,) temporaries and, for the norms, one summed weight
-        # block at a time, but nothing of rows x hidden width (450 x 1024)
-        monkeypatch.setattr(model, "_BUFFERS", {})
+    def test_warm_pass_over_more_rows_than_training_allocates_no_work_arrays(self, entry):
+        # a full-data pass (450 rows) takes more rows than the training pass
+        # (400), and the one kept set of a 1,024-row chunk serves both: it
+        # allocates its results, (rows,) temporaries and, for the norms, one
+        # summed weight block at a time, but nothing of rows x hidden width
         loss_and_grad(self.w, self.ds, self.idx)
         entry(self.w, self.ds)
         tracemalloc.start()
@@ -556,12 +559,11 @@ class TestKernelMemory:
         results = 0 if entry is mean_loss else 8 * len(self.w) + self.w.weights(1).nbytes
         assert peak <= results + slack, f"peak {peak} bytes, allowed {results + slack}"
 
-    def test_matrix_pass_writes_outer_products_into_its_output(self, monkeypatch):
+    def test_matrix_pass_writes_outer_products_into_its_output(self):
         # a one-hidden-layer net whose first weight block is 73% of P: a
         # (rows, in, out) temporary would add 0.73 of the output to the peak
         ds = blob_dataset(seed=3, n_per_class=100, classes=2, dim=8)  # N = 200
         w = glorot_init(MlpSpec(8, (256,), 2, seed=3))
-        monkeypatch.setattr(model, "_BUFFERS", {})
         per_sample_grad_matrix(w, ds)
         tracemalloc.start()
         try:
@@ -576,13 +578,13 @@ class TestKernelMemory:
         allowed = mat.nbytes + 3 * 8 * np.getbufsize() + 64 * ds.n_samples
         assert peak <= allowed, f"peak {peak} bytes, allowed {allowed}"
 
-    def test_kept_backward_set_has_no_hidden_width_floats(self, monkeypatch):
-        monkeypatch.setattr(model, "_BUFFERS", {})
+    def test_kept_backward_set_has_no_hidden_width_floats(self):
         loss_and_grad(self.w, self.ds, self.idx)
         _, backward = model._BUFFERS[self.w.dims]
+        rows = model._chunk_rows(self.w.dims)
         floats = [a for a in backward if a.dtype.kind == "f"]
-        assert floats and all(a.shape == (len(self.idx), self.w.dims[-1]) for a in floats)
-        assert sum(a.nbytes for a in backward if a.dtype.kind != "f") <= len(self.idx) * 1024
+        assert floats and all(a.shape == (rows, self.w.dims[-1]) for a in floats)
+        assert sum(a.nbytes for a in backward if a.dtype.kind != "f") <= rows * 1024
 
 
 class TestAccuracy:

@@ -441,7 +441,7 @@ class TestProbe:
         assert row.grad_diversity == pytest.approx(gradient_diversity(self.w, self.ds), rel=1e-12)
 
     def test_reports_predictions_alongside_measurements(self):
-        row = probe_noise(self.w, self.ds, 0.1, 3, 3.0, 20, seed=2, step=7)
+        row = probe_noise(self.w, self.ds, 0.1, 3, 3.0, 20, seed=2, stream_index=7)
         assert row.step == 7
         assert row.alpha == 3.0
         assert row.batch_size == 3

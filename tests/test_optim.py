@@ -430,18 +430,21 @@ class TestTrainingStep:
         assert [r.step for r in rows_on] == list(range(1, 31))
         assert all(isinstance(r.grad_norm_bprime, float) for r in rows_on)
 
-    def test_logged_norms_are_those_of_the_step_gradients(self):
-        ds, w, cfg, state, streams = self.make_parts(2.0)
+    @pytest.mark.parametrize("alpha", [2.0, 1.0])
+    def test_logged_norms_are_those_of_the_step_gradients(self, alpha):
+        ds, w, cfg, state, streams = self.make_parts(alpha)
         twin = BatchStreams.from_seed(ds.n_samples, cfg.batch_size, 17)
         primary, enhancement = sample_minibatch_pair(twin)
         loss_b, g_b = loss_and_grad(w, ds, primary)
         _, g_bp = loss_and_grad(w, ds, enhancement)
-        combined = ne_combine(g_b, g_bp, 2.0)
+        combined = ne_combine(g_b, g_bp, alpha)
         _, log = training_step(w, ds, cfg, state, streams, log=True)
         assert log.minibatch_loss == loss_b
         assert log.grad_norm_b == np.linalg.norm(g_b.values)
         assert log.grad_norm_bprime == np.linalg.norm(g_bp.values)
         assert log.combined_norm == pytest.approx(np.linalg.norm(combined.values), rel=1e-12)
+        if alpha == 1.0:  # the direction is grad(B) itself
+            assert log.combined_norm == log.grad_norm_b
 
 
 def _relative_error(got, want):
@@ -538,6 +541,21 @@ class TestPairRows:
     def parts():
         ds = tiny_dataset(seed=4, n_per_class=30, classes=3, dim=5)
         return ds, glorot_init(MlpSpec(5, (16, 8), 3, seed=2))
+
+    def test_alpha_one_is_a_plain_pass_over_b(self):
+        # B' is not read at alpha = 1: the rows of B, unweighted, so the pass
+        # is loss_and_grad(w, ds, B) bit for bit
+        ds, w = self.parts()
+        rng = np.random.default_rng(7)
+        primary = rng.choice(ds.n_samples, size=20, replace=False)
+        second = rng.choice(ds.n_samples, size=20, replace=False)
+        want_loss, want = loss_and_grad(w, ds, primary)
+        for other in (second, None):
+            rows, weights = pair_rows(primary, other, 1.0, ds.n_samples)
+            assert rows is primary and weights is None
+            loss, got = loss_and_grad(w, ds, rows, weights)
+            assert loss == want_loss
+            np.testing.assert_array_equal(got.values, want.values)
 
     def test_second_a_permutation_of_primary_gives_grad_b(self):
         ds, w = self.parts()
