@@ -93,17 +93,18 @@ class Dataset:
         return _adopt, (self.inputs, self.labels, self.num_classes)
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        """New dataset holding the given rows, in the given order.
-
-        ``indices`` must be 1-D integers in [0, n_samples); anything else
-        (negative, floats, out of range) raises ValueError.
-        """
-        idx = np.asarray(indices)
-        if idx.ndim != 1 or idx.shape[0] == 0 or idx.dtype.kind not in "iu":
-            raise ValueError("row indices must be a non-empty 1-D integer array")
-        if idx.min() < 0 or idx.max() >= self.n_samples:
-            raise ValueError("row index out of range for dataset")
+        """New dataset holding the given rows (see ``check_rows``), in the given order."""
+        idx = check_rows(indices, self.n_samples)
         return _adopt(self.inputs[idx], self.labels[idx], self.num_classes)
+
+
+def check_rows(indices, n: int) -> np.ndarray:
+    """``indices`` as int64 after the row-index rule: a non-empty 1-D integer
+    array inside [0, n), else ValueError (empty, 2-D, float, bool, out of range)."""
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or idx.shape[0] == 0 or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n:
+        raise ValueError(f"row indices must be a non-empty 1-D array of integers in the range [0, {n})")
+    return idx.astype(np.int64, copy=False)
 
 
 def _adopt(inputs: np.ndarray, labels: np.ndarray, num_classes: int) -> Dataset:

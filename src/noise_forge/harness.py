@@ -30,7 +30,7 @@ import numpy as np
 from .dataio import Dataset
 from .model import MlpSpec, glorot_init, evaluate_accuracy, mean_loss
 from .noiselab import ProbeRow, probe_noise
-from .optim import BatchStreams, NEConfig, OptimizerState, StepLog, training_step
+from .optim import BatchStreams, NEConfig, OptimizerState, StepLog, check_batch_size, training_step
 
 STATUS_CONVERGED = "converged"
 STATUS_DID_NOT_CONVERGE = "did-not-converge"
@@ -79,8 +79,7 @@ class TrainConfig:
             raise ValueError("model num_classes does not match test data")
         if self.train_data.input_dim != self.test_data.input_dim:
             raise ValueError("train/test input_dim mismatch")
-        if self.ne.batch_size > self.train_data.n_samples:
-            raise ValueError("batch_size exceeds training set size")
+        check_batch_size(self.ne.batch_size, self.train_data.n_samples)
 
     def resolved_max_steps(self) -> int:
         """max_steps, defaulting to 200 epochs worth of steps."""
@@ -112,7 +111,7 @@ def config_hash(cfg: TrainConfig) -> str:
 
 @dataclass(frozen=True)
 class ProbePlan:
-    """Which steps to probe noise at, and how hard."""
+    """Which steps to probe noise at (at least one; TrainConfig.probe = None probes nowhere), and how hard."""
 
     steps: tuple[int, ...] = (0,)
     interval: int = 0
@@ -123,6 +122,8 @@ class ProbePlan:
             raise ValueError(f"probe.steps entries must be >= 0, got {list(self.steps)}")
         if self.interval < 0:
             raise ValueError(f"probe.interval must be >= 0, got {self.interval}")
+        if not self.steps and self.interval == 0:
+            raise ValueError("the probe plan names no checkpoint: give probe.steps or a probe.interval > 0")
         if self.n_samples < 2:
             raise ValueError(f"probe.n_samples must be >= 2, got {self.n_samples}")
 

@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .dataio import Dataset
+from .dataio import Dataset, check_rows
 from .rng import named_stream
 
 # Most rows in one chunk of any pass; _chunk_rows lowers it so a chunk's work
@@ -139,16 +139,7 @@ def glorot_init(spec: MlpSpec) -> ParamVector:
 
 
 def _resolve_index(ds: Dataset, idx: np.ndarray | None) -> np.ndarray:
-    if idx is None:
-        return np.arange(ds.n_samples, dtype=np.int64)
-    idx = np.asarray(idx)
-    if idx.ndim != 1 or idx.shape[0] == 0:
-        raise ValueError("index set must be 1-D and non-empty")
-    if idx.dtype.kind not in "iu":
-        raise ValueError(f"index set must hold integers, not {idx.dtype}")
-    if idx.min() < 0 or idx.max() >= ds.n_samples:
-        raise ValueError("index out of range for dataset")
-    return idx.astype(np.int64, copy=False)
+    return np.arange(ds.n_samples, dtype=np.int64) if idx is None else check_rows(idx, ds.n_samples)
 
 
 # The kernel's work arrays, one set per dims, shared by every pass:
@@ -254,7 +245,7 @@ def _chunks(w: ParamVector, ds: Dataset, idx: np.ndarray, weights: np.ndarray | 
         labels = ds.labels[rows]
         acts = [a[:n] for a in fwd[: last + 2]]
         logp, expd, col = (a[:n] for a in fwd[last + 2 :])
-        # idx is checked by _resolve_index; "clip" lets take write to out unbuffered
+        # idx is checked by check_rows; "clip" lets take write to out unbuffered
         np.take(ds.inputs, rows, axis=0, out=acts[0], mode="clip")
         for layer in range(w.n_layers):
             z = acts[layer + 1]

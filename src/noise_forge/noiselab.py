@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataio import Dataset
 from .model import ParamVector, loss_and_grad, per_sample_grad_matrix, per_sample_grad_norms
-from .optim import pair_rows
+from .optim import check_alpha, check_batch_size, pair_rows
 from .rng import named_stream, uniform_batch
 
 MAX_DENSE_PARAMS = 2000
@@ -46,22 +46,18 @@ def enhancement_factor(alpha: float) -> float:
     to a minimum of 0.5 at alpha = 0.5 (weights between 0 and 1 average the
     two batches and damp noise instead of enhancing it).
     """
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+    check_alpha(alpha)
     return float(alpha**2 + (1.0 - alpha) ** 2)
 
 
 def effective_batch(batch_size: int, alpha: float) -> float:
     """Batch size whose vanilla noise level matches enhanced noise at (B, alpha):
     B / (alpha^2 + (1 - alpha)^2)."""
-    if int(batch_size) < 1:
-        raise ValueError("batch_size must be >= 1")
+    check_batch_size(batch_size)
     return float(batch_size) / enhancement_factor(alpha)
 
 
 def _finite_population_factor(n: int, b: int) -> float:
-    if not (1 <= b <= n):
-        raise ValueError("need 1 <= batch_size <= n_samples")
     if n == 1:
         # B = N = 1: the only minibatch is the dataset, noise is identically 0.
         return 0.0
@@ -76,8 +72,7 @@ def _dense_grads(grads: np.ndarray, batch_size: int) -> np.ndarray:
     if g.ndim != 2:
         raise ValueError("grads must be (n_samples, n_params)")
     n, p = g.shape
-    if not (1 <= batch_size <= n):
-        raise ValueError("need 1 <= batch_size <= n_samples")
+    check_batch_size(batch_size, n)
     if p > MAX_DENSE_PARAMS:
         raise CapabilityError(f"dense noise routines need P <= {MAX_DENSE_PARAMS}, got {p}; use probe_noise")
     return g
@@ -138,8 +133,7 @@ def enumerate_ne_noise_covariance_from_grads(
     enumeration scaled by the enhancement factor.
     """
     g = _dense_grads(grads, batch_size)
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+    check_alpha(alpha)
     n, p = g.shape
     m = math.comb(n, batch_size)
     if m * m > MAX_ENUM_PAIRS:
@@ -173,6 +167,7 @@ def exact_noise_trace(w: ParamVector, ds: Dataset, eta: float, batch_size: int) 
     Per-sample squared norms come from the rank-one layer structure, so no
     (N, P) matrix is formed.
     """
+    check_batch_size(batch_size, ds.n_samples)
     sq_norms, total = per_sample_grad_norms(w, ds)
     return _noise_trace(sq_norms, total.values, eta, batch_size)
 
@@ -221,10 +216,8 @@ def sample_ne_noise(
     row. At alpha = 1 the enhancement stream is not drawn and each row is the
     vanilla noise eta * (mean(G[S]) - g_bar).
     """
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-    if not (1 <= batch_size <= ds.n_samples):
-        raise ValueError("need 1 <= batch_size <= n_samples")
+    check_alpha(alpha)
+    check_batch_size(batch_size, ds.n_samples)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if ds.n_samples * len(w) > MAX_SAMPLE_ENTRIES:
@@ -324,13 +317,11 @@ def probe_noise(
     enhanced trace by the vanilla trace. The median excess kurtosis skips
     coordinates whose sampled noise is the same in every draw.
     """
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+    check_alpha(alpha)
     if n_samples < 2:
         raise ValueError("need at least 2 noise samples")
     n = ds.n_samples
-    if not (1 <= batch_size <= n):
-        raise ValueError("need 1 <= batch_size <= n_samples")
+    check_batch_size(batch_size, n)
     sq_norms, total = per_sample_grad_norms(w, ds)
     base = total.values / n
     p = len(w)

@@ -25,6 +25,18 @@ class DivergenceError(FloatingPointError):
     """A gradient or update became non-finite; the run cannot continue."""
 
 
+def check_alpha(alpha: float) -> None:
+    """The finite-alpha rule: ValueError unless alpha is a finite number."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+
+
+def check_batch_size(batch_size: int, n_samples: int | None = None) -> None:
+    """The minibatch-size rule: ValueError unless 1 <= batch_size (<= n_samples where known)."""
+    if not (1 <= batch_size and (n_samples is None or batch_size <= n_samples)):
+        raise ValueError(f"batch_size must lie in [1, n_samples], got {batch_size} for n_samples = {n_samples}")
+
+
 @dataclass(frozen=True)
 class NEConfig:
     """Noise-enhancement settings for a training run.
@@ -41,12 +53,10 @@ class NEConfig:
     mode: str = "pairwise"
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+        check_alpha(self.alpha)
         if self.alpha < 1.0:
             raise ValueError("alpha must be >= 1 (1 disables enhancement)")
-        if int(self.batch_size) < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_batch_size(self.batch_size)
         if self.base not in ("sgd", "adam"):
             raise ValueError(f"unknown base optimizer {self.base!r}")
         if self.mode != "pairwise":
@@ -102,8 +112,7 @@ class BatchStreams:
     epoch: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        if not (1 <= int(self.batch_size) <= int(self.n_samples)):
-            raise ValueError("need 1 <= batch_size <= n_samples")
+        check_batch_size(self.batch_size, self.n_samples)
         self.order = self.primary_rng.permutation(self.n_samples)
 
     @classmethod
@@ -141,8 +150,7 @@ def ne_combine(grad_b: ParamVector, grad_bprime: ParamVector, alpha: float) -> P
     Training uses the fused ``pair_rows`` pass; this stays for the oracles, the
     tests' reference for ``pair_rows`` and the benchmark's tracer.
     """
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+    check_alpha(alpha)
     if grad_b.dims != grad_bprime.dims:
         raise ValueError("gradient shapes disagree")
     if alpha == 1.0:

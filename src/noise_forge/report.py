@@ -122,25 +122,39 @@ class ResultsUnit:
     axis: str  # "batch_size", "alpha", or "single"
 
 
-def _read_rows(path: Path) -> list[dict[str, str]]:
+def _read_rows(path: Path, columns: tuple[str, ...]) -> list[dict]:
+    """The ``columns`` of each row of the CSV at ``path``, parsed; ValueError naming
+    the file if it has no row, lacks a column or holds a value that does not parse."""
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        raws = list(reader)
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing or not raws:
+        raise ValueError(f"{path}: " + (f"missing column {', '.join(missing)}" if missing else "no rows"))
+    try:
+        return [{c: _parse(c, raw[c]) for c in columns} for raw in raws]
+    except (TypeError, ValueError) as exc:  # a short row reads None
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_unit(directory: Path, root: Path) -> ResultsUnit:
-    """The results directory ``directory``, named by its path under ``root``."""
-    rows = [{c: _parse(c, raw[c]) for c in AGGREGATE_COLUMNS} for raw in _read_rows(directory / "aggregate.csv")]
+    """The results directory ``directory``, named by its path under ``root``.
+    A malformed file in it raises ValueError naming the file."""
+    rows = _read_rows(directory / "aggregate.csv", AGGREGATE_COLUMNS)
     totals: dict[tuple[float, float], int] = {}
     runs_path = directory / "runs.csv"
     if runs_path.exists():
-        for raw in _read_rows(runs_path):
-            key = (float(raw["B"]), float(raw["alpha"]))
+        for run in _read_rows(runs_path, ("B", "alpha")):
+            key = (float(run["B"]), run["alpha"])
             totals[key] = totals.get(key, 0) + 1
     alphas = {r["alpha"] for r in rows}
     batches = {r["B"] for r in rows}
     sweep_path = directory / "sweep.json"
     if sweep_path.exists():  # a sweep names its axis, even over a one-value grid
-        axis = json.loads(sweep_path.read_text())["axis"]
+        meta = json.loads(sweep_path.read_text())
+        axis = meta.get("axis") if isinstance(meta, dict) else None
+        if axis not in ("batch_size", "alpha"):
+            raise ValueError(f"{sweep_path}: needs a JSON object whose axis is 'batch_size' or 'alpha'")
     elif len(alphas) > 1 and len(batches) == 1:
         axis = "alpha"
     elif len(batches) > 1 and len(alphas) == 1:
@@ -302,9 +316,9 @@ def emit_report(results_dir: str | Path, out_dir: str | Path | None = None) -> P
     )
     if not unit_dirs:
         raise ValueError(f"no aggregate.csv found under {results_dir}")
+    units = [load_unit(d, results_dir) for d in unit_dirs]  # a malformed file stops the report before any output
     out_dir = Path(out_dir) if out_dir is not None else results_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    units = [load_unit(d, results_dir) for d in unit_dirs]
     sections = ["# Training results", ""]
     fig_dir = out_dir / "figures"
     groups: dict[str, dict[str, ResultsUnit]] = {}  # per directory, its first sweep along each axis
@@ -314,16 +328,9 @@ def emit_report(results_dir: str | Path, out_dir: str | Path | None = None) -> P
             groups.setdefault(Path(unit.name).parent.as_posix(), {}).setdefault(unit.axis, unit)
             key = "alpha" if unit.axis == "alpha" else "B"
             stem = "root" if unit.name == "." else unit.name.replace("/", "_")
-            acc_rows = [
-                (row[key], row["mean_acc"], row["std_acc"])
-                for row in sorted(unit.rows, key=lambda r: r[key])
-            ]
-            time_rows = [
-                (row[key], row["mean_steps"], row["std_steps"])
-                for row in sorted(unit.rows, key=lambda r: r[key])
-            ]
-            _write_csv(fig_dir / f"fig_{stem}_accuracy.csv", [key, "mean_acc", "std_acc"], acc_rows)
-            _write_csv(fig_dir / f"fig_{stem}_time.csv", [key, "mean_steps", "std_steps"], time_rows)
+            for kind, mean, std in (("accuracy", "mean_acc", "std_acc"), ("time", "mean_steps", "std_steps")):
+                rows = [(row[key], row[mean], row[std]) for row in sorted(unit.rows, key=lambda r: r[key])]
+                _write_csv(fig_dir / f"fig_{stem}_{kind}.csv", [key, mean, std], rows)
     for group, pair in sorted(groups.items()):
         if len(pair) == 2:
             section, scatter = render_comparison(pair["batch_size"], pair["alpha"])

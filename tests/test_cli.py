@@ -577,6 +577,16 @@ class TestReportCommand:
         assert rc == 1
         capsys.readouterr()
 
+    def test_malformed_results_are_a_config_error(self, tmp_path, capsys):
+        unit = tmp_path / "results" / "train"
+        unit.mkdir(parents=True)
+        (unit / "aggregate.csv").write_text("B,alpha,mean_acc,std_acc,mean_steps,std_steps,n_converged\n")
+        out = tmp_path / "out"
+        rc = parse_and_dispatch(["report", "--results", str(tmp_path / "results"), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"config error: {unit / 'aggregate.csv'}: no rows\n"
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_missing_config_file(self, capsys):
@@ -649,6 +659,8 @@ class TestUsageErrors:
         [
             ("probe.steps=[-3]", "probe.steps entries must be >= 0"),
             ("probe.n_samples=1", "probe.n_samples must be >= 2"),
+            # probe.interval is 0 here, so this plan would train the run and probe nowhere
+            ("probe.steps=[]", "the probe plan names no checkpoint"),
         ],
     )
     def test_rejected_probe_plan_stops_before_training_and_output(
@@ -673,7 +685,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "command, setting, message",
         [
-            ("sweep-b", "sweep.b_grid=[16,100000]", "batch_size exceeds training set size"),
+            ("sweep-b", "sweep.b_grid=[16,100000]", "batch_size must lie in [1, n_samples], got 100000"),
             ("sweep-alpha", "sweep.alpha_grid=[1.0,0.5]", "alpha must be >= 1"),
             # a sweep's cells share seeds, so one steps_seed<N>.csv per seed would collide
             ("sweep-b", "train.log_steps=true", "train.log_steps is not supported by sweep-b"),

@@ -253,6 +253,12 @@ class TestProbePlan:
         assert plan.should_probe(3)
         assert not plan.should_probe(0)
 
+    def test_a_plan_without_checkpoints_is_rejected(self):
+        message = "^the probe plan names no checkpoint: give probe.steps or a probe.interval > 0$"
+        with pytest.raises(ValueError, match=message):
+            ProbePlan(steps=(), interval=0)
+        assert ProbePlan(steps=(), interval=25).should_probe(50)
+
     @pytest.mark.parametrize("n_samples", [1, 0])
     def test_too_few_samples_rejected(self, n_samples):
         with pytest.raises(ValueError, match="probe.n_samples must be >= 2"):
@@ -547,7 +553,7 @@ class TestSweeps:
         monkeypatch.setattr(harness, "train_run", counted)
         with pytest.raises(ValueError, match="alpha must be >= 1"):
             sweep_alpha(small_config(), [1.0, 0.5], b_fixed=4)
-        with pytest.raises(ValueError, match="batch_size exceeds training set size"):
+        with pytest.raises(ValueError, match=r"batch_size must lie in \[1, n_samples\], got 100000"):
             SweepPlan.over(small_config(), "batch_size", [4, 100_000]).run()
         assert runs == []
 

@@ -205,6 +205,23 @@ class TestLoss:
             with pytest.raises(ValueError, match="integers"):
                 call(w, ds, idx)
 
+    @pytest.mark.parametrize(
+        "idx",
+        [np.array([], dtype=int), np.array([[0, 1]]), np.array([0.0, 1.0]), np.array([-1, 0]), np.array([0, 12])],
+        ids=["empty", "2-D", "float", "negative", "out-of-range"],
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [lambda w, ds, idx: ds.take(idx), mean_loss, loss_and_grad, per_sample_grad_matrix, per_sample_grad_norms],
+        ids=["Dataset.take", "mean_loss", "loss_and_grad", "per_sample_grad_matrix", "per_sample_grad_norms"],
+    )
+    def test_every_entry_point_states_the_one_row_rule(self, entry, idx):
+        ds = blob_dataset()  # 12 rows
+        w = glorot_init(MlpSpec(4, (5,), 3, seed=7))
+        message = r"^row indices must be a non-empty 1-D array of integers in the range \[0, 12\)$"
+        with pytest.raises(ValueError, match=message):
+            entry(w, ds, idx)
+
     def test_unsigned_and_list_index_sets_are_accepted(self):
         ds = blob_dataset()
         w = glorot_init(MlpSpec(4, (5,), 3, seed=7))

@@ -1,11 +1,12 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from noise_forge import optim
+from noise_forge import noiselab, optim
 from noise_forge.dataio import SyntheticSpec, make_synthetic
 from noise_forge.model import MlpSpec, ParamVector, glorot_init, loss_and_grad
 from noise_forge.optim import (
@@ -21,6 +22,7 @@ from noise_forge.optim import (
     training_step,
 )
 from noise_forge.rng import named_stream
+from test_harness import small_config
 
 
 def tiny_dataset(seed=0, n_per_class=5, classes=2, dim=3):
@@ -325,6 +327,72 @@ class TestConfigValidation:
     def test_bad_learning_rate_rejected(self):
         with pytest.raises(ValueError, match="learning_rate"):
             OptimizerState(learning_rate=-0.1)
+
+
+def rule_w():
+    """Weights for tiny_dataset(), which has 10 rows of 3 columns and 2 classes."""
+    return glorot_init(MlpSpec(3, (4,), 2, seed=0))
+
+
+# Every entry point that takes a minibatch size: the rows it checks B against
+# (None where it cannot know them), and a call at a given B.
+BATCH_ENTRIES = {
+    "NEConfig": (None, lambda b: NEConfig(batch_size=b)),
+    "effective_batch": (None, lambda b: noiselab.effective_batch(b, 2.0)),
+    "BatchStreams": (10, lambda b: BatchStreams.from_seed(10, b, 0)),
+    "TrainConfig": (16, lambda b: small_config(ne=NEConfig(batch_size=b, base="sgd"))),
+    "noise_covariance_from_grads": (10, lambda b: noiselab.noise_covariance_from_grads(np.zeros((10, 3)), 1.0, b)),
+    "enumerate_noise_covariance_from_grads": (
+        10, lambda b: noiselab.enumerate_noise_covariance_from_grads(np.zeros((10, 3)), 1.0, b)
+    ),
+    "enumerate_ne_noise_covariance_from_grads": (
+        10, lambda b: noiselab.enumerate_ne_noise_covariance_from_grads(np.zeros((10, 3)), 1.0, b, 2.0)
+    ),
+    "exact_noise_trace": (10, lambda b: noiselab.exact_noise_trace(rule_w(), tiny_dataset(), 0.1, b)),
+    "sample_ne_noise": (10, lambda b: noiselab.sample_ne_noise(rule_w(), tiny_dataset(), 0.1, b, 2.0, 10, seed=0)),
+    "probe_noise": (10, lambda b: noiselab.probe_noise(rule_w(), tiny_dataset(), 0.1, b, 2.0, 10, seed=0)),
+}
+
+# Every entry point that takes alpha, called at a given alpha.
+ALPHA_ENTRIES = {
+    "NEConfig": lambda a: NEConfig(alpha=a),
+    "ne_combine": lambda a: ne_combine(pv([0.0, 0.0], (1, 1)), pv([0.0, 0.0], (1, 1)), a),
+    "enhancement_factor": noiselab.enhancement_factor,
+    "effective_batch": lambda a: noiselab.effective_batch(4, a),
+    "enumerate_ne_noise_covariance_from_grads": (
+        lambda a: noiselab.enumerate_ne_noise_covariance_from_grads(np.zeros((4, 3)), 1.0, 2, a)
+    ),
+    "sample_ne_noise": lambda a: noiselab.sample_ne_noise(rule_w(), tiny_dataset(), 0.1, 2, a, 10, seed=0),
+    "probe_noise": lambda a: noiselab.probe_noise(rule_w(), tiny_dataset(), 0.1, 2, a, 10, seed=0),
+}
+
+
+class TestInputRules:
+    """The minibatch-size and finite-alpha rules each have one check and one
+    message, which every entry point raises for the same bad values."""
+
+    @pytest.mark.parametrize(
+        "name, b",
+        [
+            pytest.param(name, b, id=f"{name}-B={b}")
+            for name, (n, _) in BATCH_ENTRIES.items()
+            for b in ([0] if n is None else [0, n + 1])
+        ],
+    )
+    def test_every_entry_point_states_the_one_batch_rule(self, name, b):
+        with pytest.raises(ValueError, match=rf"^batch_size must lie in \[1, n_samples\], got {b} for n_samples = "):
+            BATCH_ENTRIES[name][1](b)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ALPHA_ENTRIES)
+    def test_every_entry_point_states_the_one_alpha_rule(self, name, alpha):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'alpha must be finite, got {alpha}')}$"):
+            ALPHA_ENTRIES[name](alpha)
+
+    def test_batch_bounds_are_inclusive(self):
+        optim.check_batch_size(1, 1)
+        optim.check_batch_size(10, 10)
+        optim.check_batch_size(10**6)
 
 
 class TestTrainingStep:

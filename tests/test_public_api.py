@@ -11,12 +11,17 @@ sets is a one-value knob, and belongs in the code as a constant.
 One module owns the results directory: ``report`` writes its files and reads
 them back. A run hands everything it produced back on its RunRecord, so the
 run functions take no writer and no output path.
+
+Each input rule of the update (the rows a batch picks, the minibatch size and
+a finite alpha) is checked by one function with one message.
 """
 
 import ast
 import dataclasses
 import inspect
 from pathlib import Path
+
+import pytest
 
 import noise_forge
 from noise_forge import harness
@@ -157,3 +162,31 @@ def test_only_report_writes_the_results_directory():
 
 def test_a_run_takes_only_its_config_and_seed():
     assert list(inspect.signature(harness.train_run).parameters) == ["cfg", "seed"]
+
+
+# Each input rule of alpha * grad(B) + (1 - alpha) * grad(B'): its message,
+# and the one function that raises it.
+INPUT_RULES = {
+    "row indices must be a non-empty 1-D array of integers": ("dataio.py", "check_rows"),
+    "batch_size must lie in [1, n_samples]": ("optim.py", "check_batch_size"),
+    "alpha must be finite": ("optim.py", "check_alpha"),
+}
+
+
+def raise_sites(message: str) -> list[tuple[str, str | None]]:
+    """(file, innermost enclosing function) of every ``raise`` in the package
+    whose source holds ``message``."""
+    sites = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and message in ast.unparse(node):
+                around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                sites.append((path.name, max(around, key=lambda f: f.lineno).name if around else None))
+    return sites
+
+
+@pytest.mark.parametrize("message", INPUT_RULES)
+def test_each_input_rule_is_raised_from_one_place(message):
+    assert raise_sites(message) == [INPUT_RULES[message]]

@@ -133,6 +133,36 @@ class TestLoadUnit:
         assert math.isnan(unit.rows[0]["mean_acc"])
         assert math.isnan(unit.rows[0]["mean_steps"])
 
+    @staticmethod
+    def broken(root, name, text):
+        """The sweep-alpha unit of a results tree, with ``name`` replaced by ``text``."""
+        unit = write_results_tree(root) / "sweep-alpha"
+        (unit / name).write_text(text)
+        return unit
+
+    def test_aggregate_without_rows_is_named(self, tmp_path):
+        unit = self.broken(tmp_path, "aggregate.csv", AGG_HEADER + "\n")
+        with pytest.raises(ValueError, match=r"sweep-alpha/aggregate\.csv: no rows$"):
+            load_unit(unit, tmp_path)
+
+    def test_aggregate_missing_a_column_is_named(self, tmp_path):
+        header = AGG_HEADER.replace(",std_acc", "")
+        unit = self.broken(tmp_path, "aggregate.csv", header + "\n16,1.0,0.88,120.0,5.0,2\n")
+        with pytest.raises(ValueError, match=r"sweep-alpha/aggregate\.csv: missing column std_acc$"):
+            load_unit(unit, tmp_path)
+
+    def test_runs_missing_a_column_is_named(self, tmp_path):
+        header = RUNS_HEADER.replace(",alpha", "")
+        unit = self.broken(tmp_path, "runs.csv", header + "\nh3,16,0,0.88,120,,converged\n")
+        with pytest.raises(ValueError, match=r"sweep-alpha/runs\.csv: missing column alpha$"):
+            load_unit(unit, tmp_path)
+
+    @pytest.mark.parametrize("meta", ['{"axis": "lr"}', "[1]"], ids=["unknown-axis", "not-an-object"])
+    def test_sweep_json_without_a_known_axis_is_named(self, meta, tmp_path):
+        unit = self.broken(tmp_path, "sweep.json", meta)
+        with pytest.raises(ValueError, match=r"sweep-alpha/sweep\.json: needs a JSON object whose axis is"):
+            load_unit(unit, tmp_path)
+
 
 def run_plan(plan):
     """``plan`` with scripted cells: the alpha = 2 cell all diverged, every
