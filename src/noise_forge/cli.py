@@ -227,16 +227,10 @@ def _cmd_run(args) -> int:
     resolved_config.json, run the plan once, write its results with
     report.write_results and print them."""
     cfg = resolve_config(args.config, args.set or [])
-    if args.command.startswith("sweep") and cfg["train.log_steps"]:
-        raise ConfigError(
-            f"train.log_steps is not supported by {args.command}: its cells share seeds, "
-            "so their steps_seed<N>.csv files would collide"
-        )
     tc = build_train_config(cfg)
-    if args.command == "sweep-b":
-        plan = harness.SweepPlan.over(tc, "batch_size", cfg["sweep.b_grid"])
-    elif args.command == "sweep-alpha":
-        plan = harness.SweepPlan.over(tc, "alpha", cfg["sweep.alpha_grid"])
+    if args.sweep is not None:
+        axis, grid_key = args.sweep
+        plan = harness.SweepPlan.over(tc, axis, cfg[grid_key])
     elif args.command == "probe":
         probe = harness.ProbePlan(
             steps=tuple(int(s) for s in cfg["probe.steps"]),
@@ -273,10 +267,9 @@ def _cmd_run(args) -> int:
         failed = all(r.status == harness.STATUS_DIVERGED for r in agg.records)
         error = "every run diverged"
     else:
-        key = "B" if plan.axis == "batch_size" else "alpha"
         for value, cell in zip(plan.values, plan.cells):
-            print(_cell_line(f"{key}={value:g}", cell))
-        print(f"best {key}: {best:g}" if best is not None else f"best {key}: none (no finite cell)")
+            print(_cell_line(f"{plan.column}={value:g}", cell))
+        print(f"best {plan.column}: {best:g}" if best is not None else f"best {plan.column}: none (no finite cell)")
         failed, error = best is None, "no sweep cell produced a finite accuracy"
     print(f"results written to {out}")
     if failed:
@@ -310,18 +303,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="noise-forge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("train", "run the protocol over the configured seeds"),
-        ("sweep-b", "batch-size sweep at fixed alpha"),
-        ("sweep-alpha", "alpha sweep at fixed batch size"),
-        ("probe", "train one seed and measure noise at checkpoints"),
+    # the run commands; a sweep names its harness.SWEEP_AXES field and its grid key
+    for name, help_text, sweep in (
+        ("train", "run the protocol over the configured seeds", None),
+        ("sweep-b", "batch-size sweep at fixed alpha", ("batch_size", "sweep.b_grid")),
+        ("sweep-alpha", "alpha sweep at fixed batch size", ("alpha", "sweep.alpha_grid")),
+        ("probe", "train one seed and measure noise at checkpoints", None),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file of dotted keys")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
         p.add_argument("--out", help="output directory (default runs/<command>)")
         p.add_argument("--jobs", type=int, default=1, help="parallel (cell, seed) runs")
-        p.set_defaults(func=_cmd_run)
+        p.set_defaults(func=_cmd_run, sweep=sweep)
 
     p_verify = sub.add_parser("verify-oracles", help="run the noise-lab oracle suite")
     p_verify.add_argument("--fast", action="store_true", help="smaller Monte Carlo sizes")

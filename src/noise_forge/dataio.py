@@ -189,8 +189,8 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         centers = np.array(self.centers, dtype=np.float64, copy=True)
-        if centers.ndim != 2 or centers.shape[0] < 1:
-            raise ValueError("centers must be 2-D with at least one row")
+        if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] < 1:
+            raise ValueError("centers must be 2-D with at least one row and one column")
         if int(self.n_per_class) < 1:
             raise ValueError("n_per_class must be >= 1")
         if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0.0):

@@ -36,6 +36,9 @@ STATUS_CONVERGED = "converged"
 STATUS_DID_NOT_CONVERGE = "did-not-converge"
 STATUS_DIVERGED = "diverged"
 
+# What a sweep may vary: each NEConfig field, with its results column and grid value type.
+SWEEP_AXES: dict[str, tuple[str, type]] = {"batch_size": ("B", int), "alpha": ("alpha", float)}
+
 
 @dataclass(frozen=True, eq=False)
 class TrainConfig:
@@ -67,7 +70,9 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and positive")
         if len(self.seeds) < 1:
             raise ValueError("need at least one seed")
-        if any(int(s) < 0 for s in self.seeds):
+        if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in self.seeds):
+            raise ValueError(f"seeds must be integers, got {list(self.seeds)}")
+        if any(s < 0 for s in self.seeds):
             raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
         if len(set(self.seeds)) < len(self.seeds):
             raise ValueError(f"seeds must not repeat, got {list(self.seeds)}")
@@ -315,8 +320,8 @@ def _dispatch(configs: tuple[TrainConfig, ...], jobs: int) -> list[AggregateResu
 @dataclass(frozen=True)
 class SweepPlan:
     """The plan of a run command: one TrainConfig per cell along ``axis``
-    ("batch_size" or "alpha" for a sweep, "single" for one config), and,
-    once run, one aggregate per cell.
+    (a SWEEP_AXES field for a sweep, "single" for one config), and, once
+    run, one aggregate per cell.
 
     Building a plan builds, and so checks, every cell's config, so a bad
     grid is rejected before any run and before any output is written.
@@ -331,16 +336,27 @@ class SweepPlan:
 
     @classmethod
     def over(cls, cfg: TrainConfig, axis: str, grid: Iterable[float]) -> SweepPlan:
-        """One cell per grid value of ``axis``, "batch_size" or "alpha"; the
-        other setting is the base config's. A value repeated after the cast
-        to the axis's type (8 and 8.0 along B) is rejected."""
-        cast = int if axis == "batch_size" else float
-        values = [cast(v) for v in grid]
+        """One cell per grid value of ``axis``, a SWEEP_AXES field, over the base
+        config. Rejected: an unknown axis, a base config that logs steps or
+        probes, and a value repeated after the axis's cast (8 and 8.0 along B)."""
+        if axis not in SWEEP_AXES:
+            raise ValueError(f"unknown sweep axis {axis!r}: sweeps vary {' or '.join(SWEEP_AXES)}")
+        if cfg.log_steps or cfg.probe is not None:
+            raise ValueError(
+                "a sweep cannot log steps or probe: its cells share seeds, "
+                "so their steps_seed<N>.csv and probe.csv files would collide"
+            )
+        values = [SWEEP_AXES[axis][1](v) for v in grid]
         if not values:
             raise ValueError(f"the {axis} grid must be non-empty")
         if len(set(values)) < len(values):
             raise ValueError(f"the {axis} grid must not repeat a value, got {values}")
         return cls(axis, tuple(replace(cfg, ne=replace(cfg.ne, **{axis: v})) for v in values))
+
+    @property
+    def column(self) -> str:
+        """A sweep's results column (see SWEEP_AXES)."""
+        return SWEEP_AXES[self.axis][0]
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -349,9 +365,9 @@ class SweepPlan:
 
     @property
     def fixed_value(self) -> float:
-        """The setting a sweep holds fixed: alpha along B, B along alpha."""
-        ne = self.configs[0].ne
-        return float(ne.alpha if self.axis == "batch_size" else ne.batch_size)
+        """The setting a sweep holds fixed: the other SWEEP_AXES field."""
+        other = next(a for a in SWEEP_AXES if a != self.axis)
+        return float(getattr(self.configs[0].ne, other))
 
     def run(self, jobs: int = 1) -> SweepPlan:
         """Repeat the protocol for every cell, in grid order, each over its

@@ -130,7 +130,9 @@ def enumerate_ne_noise_covariance_from_grads(
 
     Enumerates every ordered pair of size-B subsets (M^2 pairs for
     M = C(N, B)), so it is exact and directly comparable to the vanilla
-    enumeration scaled by the enhancement factor.
+    enumeration scaled by the enhancement factor. CapabilityError, before
+    any allocation, when M^2 exceeds MAX_ENUM_PAIRS or the (M^2, P) pairs
+    array would exceed MAX_SAMPLE_ENTRIES.
     """
     g = _dense_grads(grads, batch_size)
     check_alpha(alpha)
@@ -138,6 +140,8 @@ def enumerate_ne_noise_covariance_from_grads(
     m = math.comb(n, batch_size)
     if m * m > MAX_ENUM_PAIRS:
         raise CapabilityError(f"{m}^2 subset pairs exceed {MAX_ENUM_PAIRS}")
+    if m * m * p > MAX_SAMPLE_ENTRIES:  # the pairs array below holds m^2 * P doubles
+        raise CapabilityError(f"{m}^2 subset pairs x {p} parameters exceed {MAX_SAMPLE_ENTRIES} entries")
     g_bar = g.mean(axis=0)
     idx = np.array(list(itertools.combinations(range(n), batch_size)), dtype=np.int64)
     xi = eta * (g[idx].mean(axis=1) - g_bar)

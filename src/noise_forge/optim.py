@@ -31,10 +31,17 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be finite, got {alpha}")
 
 
-def check_batch_size(batch_size: int, n_samples: int | None = None) -> None:
-    """The minibatch-size rule: ValueError unless 1 <= batch_size (<= n_samples where known)."""
-    if not (1 <= batch_size and (n_samples is None or batch_size <= n_samples)):
+def check_batch_size(batch_size: int, n_samples: int | None = None) -> int:
+    """The minibatch-size rule: ValueError unless batch_size is an integer
+    (Python or numpy; not a float or bool) with 1 <= batch_size (<= n_samples
+    where known). Returns it as a plain int."""
+    if (
+        isinstance(batch_size, bool)
+        or not isinstance(batch_size, (int, np.integer))
+        or not (1 <= batch_size and (n_samples is None or batch_size <= n_samples))
+    ):
         raise ValueError(f"batch_size must lie in [1, n_samples], got {batch_size} for n_samples = {n_samples}")
+    return int(batch_size)
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,7 @@ class NEConfig:
         check_alpha(self.alpha)
         if self.alpha < 1.0:
             raise ValueError("alpha must be >= 1 (1 disables enhancement)")
-        check_batch_size(self.batch_size)
+        object.__setattr__(self, "batch_size", check_batch_size(self.batch_size))
         if self.base not in ("sgd", "adam"):
             raise ValueError(f"unknown base optimizer {self.base!r}")
         if self.mode != "pairwise":
@@ -112,7 +119,7 @@ class BatchStreams:
     epoch: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        check_batch_size(self.batch_size, self.n_samples)
+        self.batch_size = check_batch_size(self.batch_size, self.n_samples)
         self.order = self.primary_rng.permutation(self.n_samples)
 
     @classmethod

@@ -3,7 +3,8 @@
 Each check recomputes a quantity two independent ways (closed form vs
 enumeration, prediction vs Monte Carlo) on small bundled instances and
 reports the measured discrepancy against a fixed bound. The CLI's
-verify-oracles subcommand renders these; tests assert them individually.
+verify-oracles subcommand renders these; the tests run its fast suite, both
+as is (every check passes) and with a broken ``pair_rows`` (its check fails).
 """
 
 from __future__ import annotations

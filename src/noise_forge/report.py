@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .harness import AggregateResult, SweepPlan, config_hash
+from .harness import SWEEP_AXES, AggregateResult, SweepPlan, config_hash
 from .noiselab import ProbeRow, effective_batch
 from .optim import StepLog
 
@@ -36,8 +36,6 @@ AGGREGATE_COLUMNS = ("B", "alpha", "mean_acc", "std_acc", "mean_steps", "std_ste
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -92,13 +90,12 @@ def write_results(out: str | Path, plan: SweepPlan) -> float | None:
             for r in agg.records:
                 _write_csv(out / f"steps_seed{r.seed}.csv", [f.name for f in fields(StepLog)], map(astuple, r.steps))
         if cfg.probe is not None:
-            header = ["B" if f.name == "batch_size" else f.name for f in fields(ProbeRow)]
+            header = [SWEEP_AXES[f.name][0] if f.name in SWEEP_AXES else f.name for f in fields(ProbeRow)]
             _write_csv(out / "probe.csv", header, map(astuple, agg.records[0].probes))
     if plan.axis == "single":
         return None
-    key = "B" if plan.axis == "batch_size" else "alpha"
-    best = best_row(rows, key)
-    best_value = None if best is None else float(best[key])
+    best = best_row(rows, plan.column)
+    best_value = None if best is None else float(best[plan.column])
     meta = {"axis": plan.axis, "values": list(plan.values), "fixed_value": plan.fixed_value, "best_value": best_value}
     (out / "sweep.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     if plan.axis == "alpha":
@@ -119,7 +116,7 @@ class ResultsUnit:
     name: str
     rows: tuple[dict, ...]
     totals: dict[tuple[float, float], int]
-    axis: str  # "batch_size", "alpha", or "single"
+    axis: str  # a SWEEP_AXES field, or "single"
 
 
 def _read_rows(path: Path, columns: tuple[str, ...]) -> list[dict]:
@@ -147,20 +144,18 @@ def load_unit(directory: Path, root: Path) -> ResultsUnit:
         for run in _read_rows(runs_path, ("B", "alpha")):
             key = (float(run["B"]), run["alpha"])
             totals[key] = totals.get(key, 0) + 1
-    alphas = {r["alpha"] for r in rows}
-    batches = {r["B"] for r in rows}
     sweep_path = directory / "sweep.json"
     if sweep_path.exists():  # a sweep names its axis, even over a one-value grid
-        meta = json.loads(sweep_path.read_text())
+        try:
+            meta = json.loads(sweep_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{sweep_path}: {exc}") from exc
         axis = meta.get("axis") if isinstance(meta, dict) else None
-        if axis not in ("batch_size", "alpha"):
-            raise ValueError(f"{sweep_path}: needs a JSON object whose axis is 'batch_size' or 'alpha'")
-    elif len(alphas) > 1 and len(batches) == 1:
-        axis = "alpha"
-    elif len(batches) > 1 and len(alphas) == 1:
-        axis = "batch_size"
-    else:
-        axis = "single"
+        if axis not in SWEEP_AXES:
+            raise ValueError(f"{sweep_path}: needs a JSON object whose axis is {' or '.join(map(repr, SWEEP_AXES))}")
+    else:  # hand-written results: the one column that varies, if only one does
+        varying = [a for a, (column, _) in SWEEP_AXES.items() if len({r[column] for r in rows}) > 1]
+        axis = varying[0] if len(varying) == 1 else "single"
     name = directory.relative_to(root).as_posix()
     return ResultsUnit(name=name, rows=tuple(rows), totals=totals, axis=axis)
 
@@ -196,8 +191,7 @@ def render_unit(unit: ResultsUnit) -> str:
         "batch_size": f"batch-size sweep at alpha = {unit.rows[0]['alpha']:g}",
         "single": "single configuration",
     }[unit.axis]
-    key = "alpha" if unit.axis == "alpha" else "B"
-    best = best_row(unit.rows, key) if unit.axis != "single" else None
+    best = best_row(unit.rows, SWEEP_AXES[unit.axis][0]) if unit.axis in SWEEP_AXES else None
     lines = [f"## {unit.name}", "", f"{axis_note}.", ""]
     lines.append("| B | alpha | test accuracy | steps to stop | converged |")
     lines.append("|---|-------|---------------|---------------|-----------|")
@@ -230,10 +224,8 @@ def alpha_flags(rows: tuple[dict, ...]) -> dict[str, bool | None]:
     enhanced = [r for r in by_alpha if r["alpha"] > 1.0]
     flags: dict[str, bool | None] = {}
     if base and enhanced and math.isfinite(base[0]["mean_acc"]):
-        finite_enh = [r["mean_acc"] for r in enhanced if math.isfinite(r["mean_acc"])]
-        flags["accuracy-best-enhanced-not-worse"] = bool(
-            finite_enh and max(finite_enh) >= base[0]["mean_acc"]
-        )
+        best = best_row(enhanced, "alpha")
+        flags["accuracy-best-enhanced-not-worse"] = bool(best and best["mean_acc"] >= base[0]["mean_acc"])
     else:
         flags["accuracy-best-enhanced-not-worse"] = None
     times = [r["mean_steps"] for r in by_alpha]
@@ -324,9 +316,9 @@ def emit_report(results_dir: str | Path, out_dir: str | Path | None = None) -> P
     groups: dict[str, dict[str, ResultsUnit]] = {}  # per directory, its first sweep along each axis
     for unit in units:
         sections.append(render_unit(unit))
-        if unit.axis in ("batch_size", "alpha"):
+        if unit.axis in SWEEP_AXES:
             groups.setdefault(Path(unit.name).parent.as_posix(), {}).setdefault(unit.axis, unit)
-            key = "alpha" if unit.axis == "alpha" else "B"
+            key = SWEEP_AXES[unit.axis][0]
             stem = "root" if unit.name == "." else unit.name.replace("/", "_")
             for kind, mean, std in (("accuracy", "mean_acc", "std_acc"), ("time", "mean_steps", "std_steps")):
                 rows = [(row[key], row[mean], row[std]) for row in sorted(unit.rows, key=lambda r: r[key])]

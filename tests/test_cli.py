@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noise_forge import harness
+from noise_forge import harness, oracles
 from noise_forge.cli import (
     DATA_DIR_ENV,
     DEFAULTS,
@@ -551,6 +551,17 @@ class TestVerifyOraclesCommand:
         assert "oracle checks passed" in out
         assert "FAIL" not in out
 
+    def test_a_biased_pair_pass_fails_its_check(self, monkeypatch, capsys):
+        # the pass keeps alpha/|B| on B but drops (1 - alpha) * grad(B'), so it
+        # averages to alpha * grad; grad(B) alone would be unbiased and pass
+        def without_second(primary, second, alpha, n):
+            return primary, np.full(primary.shape[0], alpha / primary.shape[0])
+
+        monkeypatch.setattr(oracles, "pair_rows", without_second)
+        rc = parse_and_dispatch(["verify-oracles", "--fast"])
+        assert rc == 3
+        assert "FAIL  ne-direction-unbiased" in capsys.readouterr().out
+
 
 class TestReportCommand:
     def test_report_renders_from_results(self, workspace, capsys):
@@ -586,6 +597,16 @@ class TestReportCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"config error: {unit / 'aggregate.csv'}: no rows\n"
         assert not out.exists()
+
+    def test_sweep_json_that_is_not_json_is_named(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"sweep.alpha_grid": [1.0, 2.0]})
+        unit = tmp_path / "results" / "sweep-alpha"
+        assert parse_and_dispatch(["sweep-alpha", "--config", config, "--out", str(unit)]) == 0
+        (unit / "sweep.json").write_text("{\n")
+        capsys.readouterr()
+        rc = parse_and_dispatch(["report", "--results", str(tmp_path / "results")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"config error: {unit / 'sweep.json'}: Expecting property name")
 
 
 class TestUsageErrors:
@@ -688,8 +709,8 @@ class TestUsageErrors:
             ("sweep-b", "sweep.b_grid=[16,100000]", "batch_size must lie in [1, n_samples], got 100000"),
             ("sweep-alpha", "sweep.alpha_grid=[1.0,0.5]", "alpha must be >= 1"),
             # a sweep's cells share seeds, so one steps_seed<N>.csv per seed would collide
-            ("sweep-b", "train.log_steps=true", "train.log_steps is not supported by sweep-b"),
-            ("sweep-alpha", "train.log_steps=true", "train.log_steps is not supported by sweep-alpha"),
+            ("sweep-b", "train.log_steps=true", "a sweep cannot log steps or probe: its cells share seeds"),
+            ("sweep-alpha", "train.log_steps=true", "a sweep cannot log steps or probe: its cells share seeds"),
             # a repeated value would run its cell twice
             ("sweep-b", "sweep.b_grid=[8,8,16]", "the batch_size grid must not repeat a value, got [8, 8, 16]"),
             ("sweep-b", "sweep.b_grid=[8,8.0]", "the batch_size grid must not repeat a value, got [8, 8]"),
@@ -753,6 +774,13 @@ class TestUsageErrors:
             assert rc == 1
             assert "config error" in capsys.readouterr().err
         assert blocker.read_text() == ""
+
+    def test_synthetic_data_without_a_column_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["train", "--config", write_config(tmp_path), "--set", "synthetic.dim=0", "--out", str(out)]
+        assert parse_and_dispatch(argv) == 1
+        assert "config error: centers must be 2-D with at least one row and one column" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_set_key(self, capsys):
         rc = parse_and_dispatch(["train", "--set", "no.such.key=1"])

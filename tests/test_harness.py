@@ -114,6 +114,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(seeds=())
 
+    def test_non_integer_seeds_rejected(self):
+        # named_stream would truncate 1.5 and rerun seed 1's streams as a second seed
+        with pytest.raises(ValueError, match=r"seeds must be integers, got \[1, 1\.5\]"):
+            small_config(seeds=(1, 1.5))
+        assert small_config(seeds=(np.int64(1), 2)).seeds == (1, 2)
+
+    def test_numpy_integer_batch_is_stored_as_an_int(self):
+        # an np.int64 B used to pass every check and then break config_hash's JSON
+        cfg = small_config(ne=NEConfig(alpha=1.0, batch_size=np.int64(4), base="sgd"))
+        assert type(cfg.ne.batch_size) is int
+        assert config_hash(cfg) == config_hash(small_config())
+
     def test_negative_seeds_rejected(self):
         # named_stream would reject them only once a run starts
         with pytest.raises(ValueError, match=r"seeds must be >= 0, got \[0, -1\]"):
@@ -513,7 +525,7 @@ class TestSweeps:
         monkeypatch.setattr(harness, "train_run", fake_table_runner(table))
         cfg = small_config(seeds=(0, 1))
         sweep = SweepPlan.over(cfg, "batch_size", [4, 8, 16]).run()
-        assert sweep.axis == "batch_size"
+        assert (sweep.axis, sweep.column, sweep.fixed_value) == ("batch_size", "B", 1.0)
         assert sweep.values == (4.0, 8.0, 16.0)
         assert [c.mean_accuracy for c in sweep.cells] == [0.80, 0.90, 0.90]
         # tie on accuracy goes to the smaller grid value
@@ -523,8 +535,7 @@ class TestSweeps:
         table = {(16, 1.0): (0.85, 100), (16, 1.5): (0.87, 150), (16, 2.0): (0.86, 250)}
         monkeypatch.setattr(harness, "train_run", fake_table_runner(table))
         sweep = sweep_alpha(small_config(), [1.0, 1.5, 2.0], b_fixed=16)
-        assert sweep.axis == "alpha"
-        assert sweep.fixed_value == 16.0
+        assert (sweep.axis, sweep.column, sweep.fixed_value) == ("alpha", "alpha", 16.0)
         assert write_results(tmp_path, sweep) == 1.5
         points = (tmp_path / "scatter.csv").read_text().splitlines()
         assert points[1] == "increase-alpha,100.0,0.85"
@@ -556,6 +567,28 @@ class TestSweeps:
         with pytest.raises(ValueError, match=r"batch_size must lie in \[1, n_samples\], got 100000"):
             SweepPlan.over(small_config(), "batch_size", [4, 100_000]).run()
         assert runs == []
+
+    @pytest.mark.parametrize(
+        "overrides, axis, message",
+        [
+            pytest.param({}, "learning_rate", "unknown sweep axis 'learning_rate'", id="unknown-axis"),
+            pytest.param({"log_steps": True}, "alpha", "a sweep cannot log steps or probe", id="log-steps"),
+            pytest.param({"probe": ProbePlan()}, "batch_size", "a sweep cannot log steps or probe", id="probe"),
+        ],
+    )
+    def test_plan_rejected_before_any_run(self, overrides, axis, message, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "train_run", lambda *args: runs.append(args))
+        with pytest.raises(ValueError, match=message):
+            SweepPlan.over(small_config(**overrides), axis, [1, 2]).run()
+        assert runs == []
+
+    def test_sweep_of_a_logging_config_writes_nothing(self, tmp_path):
+        # both cells run seed 0, so each would write steps_seed0.csv over the other's
+        cfg = small_config(log_steps=True, seeds=(0,), max_steps=5)
+        with pytest.raises(ValueError, match="steps_seed<N>.csv"):
+            write_results(tmp_path, sweep_alpha(cfg, [1.0, 2.0], b_fixed=4))
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -179,6 +179,19 @@ class TestEnumerationOracle:
                 np.zeros((15, 1)), eta=1.0, batch_size=7, alpha=2.0
             )
 
+    def test_pair_array_budget_enforced_before_allocating(self):
+        # C(30, 2)^2 = 189,225 pairs pass the pair budget, but x 400 parameters
+        # the pairs array would hold 75.7M doubles (606 MB)
+        grads = np.zeros((30, 400))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapabilityError, match="exceed 50000000 entries"):
+                enumerate_ne_noise_covariance_from_grads(grads, eta=1.0, batch_size=2, alpha=2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestModelLevelWrappers:
     def setup_method(self):

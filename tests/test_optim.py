@@ -376,7 +376,8 @@ class TestInputRules:
         [
             pytest.param(name, b, id=f"{name}-B={b}")
             for name, (n, _) in BATCH_ENTRIES.items()
-            for b in ([0] if n is None else [0, n + 1])
+            # a B that is not an integer (2.5 used to pass and fail at the first slice)
+            for b in ([0] if n is None else [0, n + 1]) + [2.5, 4.0, True]
         ],
     )
     def test_every_entry_point_states_the_one_batch_rule(self, name, b):

@@ -199,8 +199,7 @@ class TestWriteResults:
         if axis == "single":
             assert best is None
         else:
-            key = "alpha" if axis == "alpha" else "B"
-            assert best == best_row(unit.rows, key)[key]
+            assert best == best_row(unit.rows, plan.column)[plan.column]
 
 
 class TestRenderUnit:
