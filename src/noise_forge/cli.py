@@ -181,23 +181,19 @@ def build_train_config(cfg: dict) -> harness.TrainConfig:
         hidden=tuple(cfg["model.hidden"]),
         num_classes=train.num_classes,
     )
-    ne = NEConfig(
-        alpha=float(cfg["ne.alpha"]),
-        batch_size=int(cfg["ne.batch_size"]),
-        base=cfg["optim.base"],
-    )
+    ne = NEConfig(alpha=cfg["ne.alpha"], batch_size=cfg["ne.batch_size"], base=cfg["optim.base"])
     try:
         return harness.TrainConfig(
             model=model,
             ne=ne,
             train_data=train,
             test_data=test,
-            learning_rate=float(cfg["optim.learning_rate"]),
-            l_star=float(cfg["train.l_star"]),
-            l_star_star=float(cfg["train.l_star_star"]),
-            eval_interval=int(cfg["train.eval_interval"]),
-            max_steps=None if int(cfg["train.max_steps"]) == 0 else int(cfg["train.max_steps"]),
-            seeds=tuple(int(s) for s in cfg["train.seeds"]),
+            learning_rate=cfg["optim.learning_rate"],
+            l_star=cfg["train.l_star"],
+            l_star_star=cfg["train.l_star_star"],
+            eval_interval=cfg["train.eval_interval"],
+            max_steps=cfg["train.max_steps"] or None,
+            seeds=tuple(cfg["train.seeds"]),
             log_steps=cfg["train.log_steps"],
         )
     except ValueError as exc:
@@ -232,11 +228,7 @@ def _cmd_run(args) -> int:
         axis, grid_key = args.sweep
         plan = harness.SweepPlan.over(tc, axis, cfg[grid_key])
     elif args.command == "probe":
-        probe = harness.ProbePlan(
-            steps=tuple(int(s) for s in cfg["probe.steps"]),
-            interval=int(cfg["probe.interval"]),
-            n_samples=int(cfg["probe.n_samples"]),
-        )
+        probe = harness.ProbePlan(tuple(cfg["probe.steps"]), cfg["probe.interval"], cfg["probe.n_samples"])
         plan = harness.SweepPlan("single", (replace(tc, seeds=tc.seeds[:1], probe=probe),))
     else:
         plan = harness.SweepPlan("single", (tc,))

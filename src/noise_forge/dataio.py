@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import named_stream
+from .rng import check_count, named_stream
 
 _IMAGE_MAGIC = 0x00000803
 _LABEL_MAGIC = 0x00000801
@@ -62,8 +62,7 @@ class Dataset:
             )
         if inputs.shape[0] < 1:
             raise ValueError("dataset must contain at least one sample")
-        if int(self.num_classes) < 1:
-            raise ValueError("num_classes must be >= 1")
+        num_classes = check_count("num_classes", self.num_classes, 1)
         if inputs.size:
             # min and max propagate NaN, so no n x d boolean array is needed
             lo, hi = inputs.min(), inputs.max()
@@ -71,13 +70,13 @@ class Dataset:
                 raise ValueError("inputs contain non-finite entries")
             if lo < 0.0 or hi > 1.0:
                 raise ValueError("inputs must lie in [0, 1]")
-        if labels.size and (labels.min() < 0 or labels.max() >= int(self.num_classes)):
+        if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             raise ValueError("labels out of range for num_classes")
         inputs.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "num_classes", int(self.num_classes))
+        object.__setattr__(self, "num_classes", num_classes)
 
     @property
     def n_samples(self) -> int:
@@ -191,8 +190,7 @@ class SyntheticSpec:
         centers = np.array(self.centers, dtype=np.float64, copy=True)
         if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] < 1:
             raise ValueError("centers must be 2-D with at least one row and one column")
-        if int(self.n_per_class) < 1:
-            raise ValueError("n_per_class must be >= 1")
+        object.__setattr__(self, "n_per_class", check_count("n_per_class", self.n_per_class, 1))
         if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0.0):
             raise ValueError("noise_scale must be finite and >= 0")
         if not (0.0 <= float(self.label_noise) <= 1.0):
@@ -263,7 +261,6 @@ def split_holdout(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset
 
 def subset(ds: Dataset, n_keep: int, seed: int) -> Dataset:
     """Random n_keep-row subset (shuffled, without replacement)."""
-    if not (1 <= int(n_keep) <= ds.n_samples):
-        raise ValueError(f"n_keep must lie in [1, {ds.n_samples}]")
+    n_keep = check_count("n_keep", n_keep, 1, ds.n_samples)
     perm = named_stream(seed, "subset").permutation(ds.n_samples)
-    return ds.take(perm[: int(n_keep)])
+    return ds.take(perm[:n_keep])

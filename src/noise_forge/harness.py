@@ -23,21 +23,23 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .dataio import Dataset
 from .model import MlpSpec, glorot_init, evaluate_accuracy, mean_loss
 from .noiselab import ProbeRow, probe_noise
-from .optim import BatchStreams, NEConfig, OptimizerState, StepLog, check_batch_size, training_step
+from .optim import BatchStreams, NEConfig, OptimizerState, StepLog, check_batch_size, check_learning_rate, training_step
+from .rng import check_count
 
 STATUS_CONVERGED = "converged"
 STATUS_DID_NOT_CONVERGE = "did-not-converge"
 STATUS_DIVERGED = "diverged"
 
-# What a sweep may vary: each NEConfig field, with its results column and grid value type.
-SWEEP_AXES: dict[str, tuple[str, type]] = {"batch_size": ("B", int), "alpha": ("alpha", float)}
+# What a sweep may vary: each NEConfig field, with its results column and the
+# rule that turns a grid value into the field's value.
+SWEEP_AXES: dict[str, tuple[str, Callable]] = {"batch_size": ("B", check_batch_size), "alpha": ("alpha", float)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,18 +64,13 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.l_star_star < self.l_star):
             raise ValueError("need 0 < l_star_star < l_star")
-        if int(self.eval_interval) < 1:
-            raise ValueError("eval_interval must be >= 1")
-        if self.max_steps is not None and int(self.max_steps) < 1:
-            raise ValueError("max_steps must be >= 1 when given")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and positive")
+        object.__setattr__(self, "eval_interval", check_count("eval_interval", self.eval_interval, 1))
+        if self.max_steps is not None:
+            object.__setattr__(self, "max_steps", check_count("max_steps", self.max_steps, 1))
+        check_learning_rate(self.learning_rate)
         if len(self.seeds) < 1:
             raise ValueError("need at least one seed")
-        if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in self.seeds):
-            raise ValueError(f"seeds must be integers, got {list(self.seeds)}")
-        if any(s < 0 for s in self.seeds):
-            raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
+        object.__setattr__(self, "seeds", tuple(check_count("seed", s, 0) for s in self.seeds))
         if len(set(self.seeds)) < len(self.seeds):
             raise ValueError(f"seeds must not repeat, got {list(self.seeds)}")
         if self.model.input_dim != self.train_data.input_dim:
@@ -89,7 +86,7 @@ class TrainConfig:
     def resolved_max_steps(self) -> int:
         """max_steps, defaulting to 200 epochs worth of steps."""
         if self.max_steps is not None:
-            return int(self.max_steps)
+            return self.max_steps
         return 200 * max(1, self.train_data.n_samples // self.ne.batch_size)
 
 
@@ -123,14 +120,11 @@ class ProbePlan:
     n_samples: int = 200
 
     def __post_init__(self) -> None:
-        if any(s < 0 for s in self.steps):
-            raise ValueError(f"probe.steps entries must be >= 0, got {list(self.steps)}")
-        if self.interval < 0:
-            raise ValueError(f"probe.interval must be >= 0, got {self.interval}")
+        object.__setattr__(self, "steps", tuple(check_count("probe.steps entry", s, 0) for s in self.steps))
+        object.__setattr__(self, "interval", check_count("probe.interval", self.interval, 0))
         if not self.steps and self.interval == 0:
             raise ValueError("the probe plan names no checkpoint: give probe.steps or a probe.interval > 0")
-        if self.n_samples < 2:
-            raise ValueError(f"probe.n_samples must be >= 2, got {self.n_samples}")
+        object.__setattr__(self, "n_samples", check_count("probe.n_samples", self.n_samples, 2))
 
     def should_probe(self, step: int) -> bool:
         if step in self.steps:
@@ -338,7 +332,8 @@ class SweepPlan:
     def over(cls, cfg: TrainConfig, axis: str, grid: Iterable[float]) -> SweepPlan:
         """One cell per grid value of ``axis``, a SWEEP_AXES field, over the base
         config. Rejected: an unknown axis, a base config that logs steps or
-        probes, and a value repeated after the axis's cast (8 and 8.0 along B)."""
+        probes, a value the axis's rule rejects (2.5 along B), and a value
+        repeated after that rule (8 and np.int64(8) along B, 2 and 2.0 along alpha)."""
         if axis not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {axis!r}: sweeps vary {' or '.join(SWEEP_AXES)}")
         if cfg.log_steps or cfg.probe is not None:
@@ -381,5 +376,5 @@ def sweep_alpha(
     """Repeat the protocol for each alpha at batch size ``b_fixed`` (see SweepPlan).
     Kept for the benchmark's desk-sweep workload and the harness tests; the run
     commands build their plan with ``SweepPlan.over``."""
-    cfg = replace(cfg, ne=replace(cfg.ne, batch_size=int(b_fixed)))
+    cfg = replace(cfg, ne=replace(cfg.ne, batch_size=b_fixed))
     return SweepPlan.over(cfg, "alpha", alpha_grid).run(jobs)

@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from .dataio import Dataset, check_rows
-from .rng import named_stream
+from .rng import check_count, named_stream
 
 # Most rows in one chunk of any pass; _chunk_rows lowers it so a chunk's work
 # arrays fit _PASS_BYTES. One chunk is live at a time, so no pass holds more
@@ -26,9 +26,10 @@ _PASS_BYTES = 48 << 20
 
 
 def param_count(dims: tuple[int, ...]) -> int:
-    """Total parameters for the given layer widths."""
-    if len(dims) < 2 or any(int(d) < 1 for d in dims):
-        raise ValueError("dims needs >= 2 entries, all positive")
+    """Total parameters for the given layer widths: two or more, each a count >= 1."""
+    if len(dims) < 2:
+        raise ValueError("dims needs >= 2 entries")
+    dims = [check_count("layer width", d, 1) for d in dims]
     return sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(len(dims) - 1))
 
 
@@ -48,15 +49,15 @@ class ParamVector:
     """Flat float64 parameter vector plus the layer widths that shape it.
 
     ``weights(i)`` and ``bias(i)`` return live views into ``values``;
-    mutating a view mutates the vector. Construction validates only the
-    length, not finiteness: gradient vectors are built on the hot path and
-    divergence is checked where the contracts demand it (optimizer steps).
+    mutating a view mutates the vector. Construction checks only the length
+    (``_layout`` checks each shape's widths once), not finiteness: gradient
+    vectors are built on the hot path and divergence is checked where the
+    contracts demand it (optimizer steps).
     """
 
     __slots__ = ("values", "dims", "_offsets")
 
     def __init__(self, values: np.ndarray, dims: tuple[int, ...]):
-        dims = tuple(int(d) for d in dims)
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1:
             raise ValueError("values must be 1-D")
@@ -70,7 +71,6 @@ class ParamVector:
 
     @classmethod
     def zeros(cls, dims: tuple[int, ...]) -> "ParamVector":
-        dims = tuple(int(d) for d in dims)
         return cls(np.zeros(_layout(dims)[0]), dims)
 
     @property
@@ -111,15 +111,13 @@ class MlpSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if int(self.input_dim) < 1 or int(self.num_classes) < 1:
-            raise ValueError("input_dim and num_classes must be >= 1")
-        if any(h < 1 for h in self.hidden):
-            raise ValueError("hidden widths must be >= 1")
+        object.__setattr__(self, "input_dim", check_count("input_dim", self.input_dim, 1))
+        object.__setattr__(self, "hidden", tuple(check_count("hidden width", h, 1) for h in self.hidden))
+        object.__setattr__(self, "num_classes", check_count("num_classes", self.num_classes, 1))
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return (int(self.input_dim), *self.hidden, int(self.num_classes))
+        return (self.input_dim, *self.hidden, self.num_classes)
 
 
 def glorot_init(spec: MlpSpec) -> ParamVector:

@@ -27,7 +27,7 @@ import numpy as np
 from .dataio import Dataset
 from .model import ParamVector, loss_and_grad, per_sample_grad_matrix, per_sample_grad_norms
 from .optim import check_alpha, check_batch_size, pair_rows
-from .rng import named_stream, uniform_batch
+from .rng import check_count, named_stream, uniform_batch
 
 MAX_DENSE_PARAMS = 2000
 MAX_ENUM_SUBSETS = 1_000_000
@@ -222,8 +222,7 @@ def sample_ne_noise(
     """
     check_alpha(alpha)
     check_batch_size(batch_size, ds.n_samples)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_samples = check_count("n_samples", n_samples, 1)
     if ds.n_samples * len(w) > MAX_SAMPLE_ENTRIES:
         raise CapabilityError(
             f"per-sample gradient matrix would hold {ds.n_samples * len(w)} doubles; "
@@ -322,10 +321,10 @@ def probe_noise(
     coordinates whose sampled noise is the same in every draw.
     """
     check_alpha(alpha)
-    if n_samples < 2:
-        raise ValueError("need at least 2 noise samples")
+    n_samples = check_count("n_samples", n_samples, 2)
+    stream_index = check_count("stream index", stream_index, 0)
     n = ds.n_samples
-    check_batch_size(batch_size, n)
+    batch_size = check_batch_size(batch_size, n)
     sq_norms, total = per_sample_grad_norms(w, ds)
     base = total.values / n
     p = len(w)
@@ -361,9 +360,9 @@ def probe_noise(
     vanilla_trace = _noise_trace(sq_norms, total.values, eta, batch_size)
     ratio = trace / vanilla_trace if vanilla_trace > 0 else float("nan")
     return ProbeRow(
-        step=int(stream_index),
+        step=stream_index,
         alpha=float(alpha),
-        batch_size=int(batch_size),
+        batch_size=batch_size,
         trace_cov=trace,
         enhancement_ratio=float(ratio),
         predicted_factor=enhancement_factor(alpha),

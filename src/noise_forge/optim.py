@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataio import Dataset
 from .model import ParamVector, loss_and_grad
-from .rng import named_stream, uniform_batch
+from .rng import is_integer, named_stream, uniform_batch
 
 
 class DivergenceError(FloatingPointError):
@@ -31,15 +31,17 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be finite, got {alpha}")
 
 
+def check_learning_rate(learning_rate: float) -> None:
+    """The learning-rate rule: ValueError unless it is finite and positive."""
+    if not (np.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError("learning_rate must be finite and positive")
+
+
 def check_batch_size(batch_size: int, n_samples: int | None = None) -> int:
     """The minibatch-size rule: ValueError unless batch_size is an integer
-    (Python or numpy; not a float or bool) with 1 <= batch_size (<= n_samples
-    where known). Returns it as a plain int."""
-    if (
-        isinstance(batch_size, bool)
-        or not isinstance(batch_size, (int, np.integer))
-        or not (1 <= batch_size and (n_samples is None or batch_size <= n_samples))
-    ):
+    (``rng.is_integer``) with 1 <= batch_size (<= n_samples where known).
+    Returns it as a plain int."""
+    if not (is_integer(batch_size) and 1 <= batch_size and (n_samples is None or batch_size <= n_samples)):
         raise ValueError(f"batch_size must lie in [1, n_samples], got {batch_size} for n_samples = {n_samples}")
     return int(batch_size)
 
@@ -95,8 +97,7 @@ class OptimizerState:
     )
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and positive")
+        check_learning_rate(self.learning_rate)
 
 
 @dataclass

@@ -104,8 +104,11 @@ def write_results(out: str | Path, plan: SweepPlan) -> float | None:
 
 
 def _parse(column: str, text: str) -> float:
-    if column in ("B", "n_converged"):
-        return int(float(text))
+    if column in ("B", "n_converged"):  # "8" or "8.0", as the command line reads an integer key
+        value = float(text)
+        if not value.is_integer():
+            raise ValueError(f"column {column} holds {text!r}, not an integer")
+        return int(value)
     return float(text) if text else math.nan
 
 
@@ -272,7 +275,7 @@ def render_comparison(batch_unit: ResultsUnit, alpha_unit: ResultsUnit) -> tuple
     )
     lines.append(
         f"- best enhanced: alpha = {best_a['alpha']:g} at B = {best_a['B']} "
-        f"(B_eff = {effective_batch(int(b_fixed), best_a['alpha']):.1f}): "
+        f"(B_eff = {effective_batch(b_fixed, best_a['alpha']):.1f}): "
         f"accuracy {fmt_mean_std(best_a['mean_acc'], best_a['std_acc'], 4)}, "
         f"steps {fmt_mean_std(best_a['mean_steps'], best_a['std_steps'], 1)}"
     )
@@ -286,7 +289,7 @@ def render_comparison(batch_unit: ResultsUnit, alpha_unit: ResultsUnit) -> tuple
         lines.append(
             "| {a:g} | {be:.1f} | {acc} | {steps} |".format(
                 a=row["alpha"],
-                be=effective_batch(int(b_fixed), row["alpha"]),
+                be=effective_batch(b_fixed, row["alpha"]),
                 acc=fmt_mean_std(row["mean_acc"], row["std_acc"], 4),
                 steps=fmt_mean_std(row["mean_steps"], row["std_steps"], 1),
             )

@@ -50,11 +50,26 @@ def stream_names() -> tuple[str, ...]:
     return tuple(sorted(_STREAM_IDS))
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_count(name: str, value, low: int, high: int | None = None) -> int:
+    """The count rule, where each count or seed enters: ValueError naming the
+    setting unless ``value`` is an integer (``is_integer``) with low <= value
+    (<= high when given). Returns it as a plain int, for the caller to store."""
+    if not (is_integer(value) and low <= value and (high is None or value <= high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
 def named_stream(root_seed: int, name: str, index: int = 0) -> np.random.Generator:
     """Return the deterministic generator for ``name`` under ``root_seed``.
 
     ``index`` selects a sub-stream (used e.g. for per-checkpoint noise
-    probes) and defaults to 0.
+    probes) and defaults to 0. Both are counts (``check_count``) >= 0.
     """
     if name in _RETIRED_STREAMS:
         raise ValueError(
@@ -64,12 +79,9 @@ def named_stream(root_seed: int, name: str, index: int = 0) -> np.random.Generat
         raise ValueError(
             f"unknown stream name {name!r}; expected one of {stream_names()}"
         )
-    root_seed = int(root_seed)
-    if root_seed < 0:
-        raise ValueError("root_seed must be non-negative")
-    if int(index) < 0:
-        raise ValueError("stream index must be non-negative")
-    ss = np.random.SeedSequence(root_seed, spawn_key=(_STREAM_IDS[name], int(index)))
+    root_seed = check_count("root_seed", root_seed, 0)
+    index = check_count("stream index", index, 0)
+    ss = np.random.SeedSequence(root_seed, spawn_key=(_STREAM_IDS[name], index))
     return np.random.default_rng(ss)
 
 

@@ -664,8 +664,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "setting, message",
         [
-            ("probe.steps=[-3]", "probe.steps entries must be >= 0"),
-            ("probe.interval=-5", "probe.interval must be >= 0"),
+            ("probe.steps=[-3]", "probe.steps entry must be an integer >= 0, got -3"),
+            ("probe.interval=-5", "probe.interval must be an integer >= 0, got -5"),
         ],
     )
     def test_negative_probe_plan_is_a_config_error(self, setting, message, tmp_path, capsys):
@@ -678,8 +678,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "setting, message",
         [
-            ("probe.steps=[-3]", "probe.steps entries must be >= 0"),
-            ("probe.n_samples=1", "probe.n_samples must be >= 2"),
+            ("probe.steps=[-3]", "probe.steps entry must be an integer >= 0, got -3"),
+            ("probe.n_samples=1", "probe.n_samples must be an integer >= 2, got 1"),
             # probe.interval is 0 here, so this plan would train the run and probe nowhere
             ("probe.steps=[]", "the probe plan names no checkpoint"),
         ],
@@ -733,7 +733,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "command, seeds, message",
         [
-            pytest.param(command, "[0,-1]", "seeds must be >= 0, got [0, -1]", id=command)
+            pytest.param(command, "[0,-1]", "seed must be an integer >= 0, got -1", id=command)
             for command in ("train", "probe", "sweep-alpha")
         ]
         + [

@@ -116,7 +116,7 @@ class TestConfig:
 
     def test_non_integer_seeds_rejected(self):
         # named_stream would truncate 1.5 and rerun seed 1's streams as a second seed
-        with pytest.raises(ValueError, match=r"seeds must be integers, got \[1, 1\.5\]"):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got 1\.5$"):
             small_config(seeds=(1, 1.5))
         assert small_config(seeds=(np.int64(1), 2)).seeds == (1, 2)
 
@@ -126,9 +126,15 @@ class TestConfig:
         assert type(cfg.ne.batch_size) is int
         assert config_hash(cfg) == config_hash(small_config())
 
+    def test_numpy_integer_counts_are_hashed_as_ints(self):
+        # an np.int64 eval_interval or max_steps used to pass every check and run,
+        # then break config_hash's JSON
+        cfg = small_config(eval_interval=np.int64(100), max_steps=np.int64(1000))
+        assert config_hash(cfg) == config_hash(small_config())
+
     def test_negative_seeds_rejected(self):
         # named_stream would reject them only once a run starts
-        with pytest.raises(ValueError, match=r"seeds must be >= 0, got \[0, -1\]"):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
             small_config(seeds=(0, -1))
 
 
@@ -273,7 +279,7 @@ class TestProbePlan:
 
     @pytest.mark.parametrize("n_samples", [1, 0])
     def test_too_few_samples_rejected(self, n_samples):
-        with pytest.raises(ValueError, match="probe.n_samples must be >= 2"):
+        with pytest.raises(ValueError, match=rf"^probe\.n_samples must be an integer >= 2, got {n_samples}$"):
             ProbePlan(n_samples=n_samples)
         assert ProbePlan(n_samples=2).n_samples == 2
 
@@ -589,6 +595,13 @@ class TestSweeps:
         with pytest.raises(ValueError, match="steps_seed<N>.csv"):
             write_results(tmp_path, sweep_alpha(cfg, [1.0, 2.0], b_fixed=4))
         assert list(tmp_path.iterdir()) == []
+
+    def test_non_integer_batch_grid_rejected(self):
+        # the grid used to be cast with int, so [2.5, 4] ran B = 2
+        with pytest.raises(ValueError, match=r"^batch_size must lie in \[1, n_samples\], got 2\.5 for n_samples = None$"):
+            SweepPlan.over(small_config(), "batch_size", [2.5, 4])
+        plan = SweepPlan.over(small_config(), "batch_size", [np.int64(4), 8])
+        assert [type(cfg.ne.batch_size) for cfg in plan.configs] == [int, int]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

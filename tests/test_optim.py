@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from noise_forge import noiselab, optim
-from noise_forge.dataio import SyntheticSpec, make_synthetic
-from noise_forge.model import MlpSpec, ParamVector, glorot_init, loss_and_grad
+from noise_forge.dataio import Dataset, SyntheticSpec, make_synthetic, subset
+from noise_forge.harness import ProbePlan
+from noise_forge.model import MlpSpec, ParamVector, glorot_init, loss_and_grad, param_count
 from noise_forge.optim import (
     BatchStreams,
     DivergenceError,
@@ -366,10 +367,64 @@ ALPHA_ENTRIES = {
     "probe_noise": lambda a: noiselab.probe_noise(rule_w(), tiny_dataset(), 0.1, 2, a, 10, seed=0),
 }
 
+# Every entry point where a count or seed enters: the setting its message
+# names, its bounds (high None where there is none), a call at a given
+# value, and what of the result keeps the value (None where nothing does).
+COUNT_ENTRIES = {
+    "named_stream-seed": ("root_seed", 0, None, lambda v: named_stream(v, "init"), None),
+    "named_stream-index": ("stream index", 0, None, lambda v: named_stream(0, "init", v), None),
+    "glorot_init-seed": ("root_seed", 0, None, lambda v: glorot_init(MlpSpec(3, (4,), 2, seed=v)), None),
+    "make_synthetic-seed": (
+        "root_seed", 0, None, lambda v: make_synthetic(SyntheticSpec(np.eye(2), 3, 0.1, v)), None
+    ),
+    "Dataset-num_classes": (
+        "num_classes", 1, None, lambda v: Dataset(np.zeros((2, 1)), np.zeros(2), v), lambda ds: ds.num_classes
+    ),
+    "SyntheticSpec-n_per_class": (
+        "n_per_class", 1, None, lambda v: SyntheticSpec(np.eye(2), v, 0.1, 0), lambda spec: spec.n_per_class
+    ),
+    "subset-n_keep": ("n_keep", 1, 10, lambda v: subset(tiny_dataset(), v, 0), None),
+    "MlpSpec-input_dim": ("input_dim", 1, None, lambda v: MlpSpec(v, (4,), 2), lambda spec: spec.dims[0]),
+    "MlpSpec-hidden": ("hidden width", 1, None, lambda v: MlpSpec(3, (v,), 2), lambda spec: spec.dims[1]),
+    "MlpSpec-num_classes": ("num_classes", 1, None, lambda v: MlpSpec(3, (4,), v), lambda spec: spec.dims[2]),
+    "param_count": ("layer width", 1, None, lambda v: param_count((3, v, 2)), None),
+    "TrainConfig-eval_interval": (
+        "eval_interval", 1, None, lambda v: small_config(eval_interval=v), lambda cfg: cfg.eval_interval
+    ),
+    "TrainConfig-max_steps": ("max_steps", 1, None, lambda v: small_config(max_steps=v), lambda cfg: cfg.max_steps),
+    "TrainConfig-seeds": ("seed", 0, None, lambda v: small_config(seeds=(v,)), lambda cfg: cfg.seeds[0]),
+    "ProbePlan-steps": ("probe.steps entry", 0, None, lambda v: ProbePlan(steps=(v,)), lambda plan: plan.steps[0]),
+    "ProbePlan-interval": ("probe.interval", 0, None, lambda v: ProbePlan(interval=v), lambda plan: plan.interval),
+    "ProbePlan-n_samples": ("probe.n_samples", 2, None, lambda v: ProbePlan(n_samples=v), lambda plan: plan.n_samples),
+    "sample_ne_noise-n_samples": (
+        "n_samples", 1, None, lambda v: noiselab.sample_ne_noise(rule_w(), tiny_dataset(), 0.1, 2, 2.0, v, 0), None
+    ),
+    "probe_noise-n_samples": (
+        "n_samples", 2, None, lambda v: noiselab.probe_noise(rule_w(), tiny_dataset(), 0.1, 2, 2.0, v, 0), None
+    ),
+    "probe_noise-stream_index": (
+        "stream index",
+        0,
+        None,
+        lambda v: noiselab.probe_noise(rule_w(), tiny_dataset(), 0.1, 2, 2.0, 4, 0, stream_index=v),
+        lambda row: row.step,
+    ),
+    "probe_noise-seed": (
+        "root_seed", 0, None, lambda v: noiselab.probe_noise(rule_w(), tiny_dataset(), 0.1, 2, 2.0, 4, v), None
+    ),
+}
+
+# Every entry point that takes a learning rate, called at a given rate.
+LEARNING_RATE_ENTRIES = {
+    "OptimizerState": lambda lr: OptimizerState(learning_rate=lr),
+    "TrainConfig": lambda lr: small_config(learning_rate=lr),
+}
+
 
 class TestInputRules:
-    """The minibatch-size and finite-alpha rules each have one check and one
-    message, which every entry point raises for the same bad values."""
+    """The minibatch-size, finite-alpha, count and learning-rate rules each
+    have one check and one message, which every entry point raises for the
+    same bad values."""
 
     @pytest.mark.parametrize(
         "name, b",
@@ -389,6 +444,33 @@ class TestInputRules:
     def test_every_entry_point_states_the_one_alpha_rule(self, name, alpha):
         with pytest.raises(ValueError, match=f"^{re.escape(f'alpha must be finite, got {alpha}')}$"):
             ALPHA_ENTRIES[name](alpha)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            pytest.param(name, value, id=f"{name}={value!r}")
+            for name, (_, low, high, _, _) in COUNT_ENTRIES.items()
+            # 2.5 used to be truncated (seed 1.5 reran seed 1) and True read as 1
+            for value in [2.5, True, low - 1] + ([] if high is None else [high + 1])
+        ],
+    )
+    def test_every_count_entry_states_the_one_count_rule(self, name, value):
+        setting, low, high, call, _ = COUNT_ENTRIES[name]
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{setting} must be an integer {bound}, got {value!r}')}$"):
+            call(value)
+
+    @pytest.mark.parametrize("name", [name for name, entry in COUNT_ENTRIES.items() if entry[4] is not None])
+    def test_numpy_integer_counts_are_stored_as_ints(self, name):
+        _, low, _, call, kept = COUNT_ENTRIES[name]
+        value = kept(call(np.int64(low + 2)))
+        assert value == low + 2 and type(value) is int
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -1e-3], ids=["nan", "inf", "0", "-1e-3"])
+    @pytest.mark.parametrize("name", LEARNING_RATE_ENTRIES)
+    def test_every_entry_point_states_the_one_learning_rate_rule(self, name, lr):
+        with pytest.raises(ValueError, match="^learning_rate must be finite and positive$"):
+            LEARNING_RATE_ENTRIES[name](lr)
 
     def test_batch_bounds_are_inclusive(self):
         optim.check_batch_size(1, 1)

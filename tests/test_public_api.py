@@ -170,6 +170,8 @@ INPUT_RULES = {
     "row indices must be a non-empty 1-D array of integers": ("dataio.py", "check_rows"),
     "batch_size must lie in [1, n_samples]": ("optim.py", "check_batch_size"),
     "alpha must be finite": ("optim.py", "check_alpha"),
+    "must be an integer": ("rng.py", "check_count"),
+    "learning_rate must be finite and positive": ("optim.py", "check_learning_rate"),
 }
 
 

@@ -140,6 +140,19 @@ class TestLoadUnit:
         (unit / name).write_text(text)
         return unit
 
+    @pytest.mark.parametrize(
+        "column, text, row", [("B", "8.5", "8.5,1.0,0.9,0.0,,,2"), ("n_converged", "2.7", "8,1.0,0.9,0.0,,,2.7")]
+    )
+    def test_count_columns_must_hold_integers(self, column, text, row, tmp_path):
+        # these used to read as B = 8 and 2 converged; "8.0" still reads as 8
+        d = tmp_path / "unit"
+        d.mkdir()
+        (d / "aggregate.csv").write_text(AGG_HEADER + "\n8.0,1.0,0.9,0.0,,,2.0\n")
+        assert [load_unit(d, tmp_path).rows[0][c] for c in ("B", "n_converged")] == [8, 2]
+        (d / "aggregate.csv").write_text(AGG_HEADER + "\n" + row + "\n")
+        with pytest.raises(ValueError, match=rf"unit/aggregate\.csv: column {column} holds '{text}', not an integer$"):
+            load_unit(d, tmp_path)
+
     def test_aggregate_without_rows_is_named(self, tmp_path):
         unit = self.broken(tmp_path, "aggregate.csv", AGG_HEADER + "\n")
         with pytest.raises(ValueError, match=r"sweep-alpha/aggregate\.csv: no rows$"):
