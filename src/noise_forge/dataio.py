@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import check_count, named_stream
+from .rng import check_count, is_number, named_stream
 
 _IMAGE_MAGIC = 0x00000803
 _LABEL_MAGIC = 0x00000801
@@ -191,10 +191,12 @@ class SyntheticSpec:
         if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] < 1:
             raise ValueError("centers must be 2-D with at least one row and one column")
         object.__setattr__(self, "n_per_class", check_count("n_per_class", self.n_per_class, 1))
-        if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0.0):
+        if not (is_number(self.noise_scale) and self.noise_scale >= 0.0):
             raise ValueError("noise_scale must be finite and >= 0")
-        if not (0.0 <= float(self.label_noise) <= 1.0):
+        if not (is_number(self.label_noise) and 0.0 <= self.label_noise <= 1.0):
             raise ValueError("label_noise must lie in [0, 1]")
+        object.__setattr__(self, "noise_scale", float(self.noise_scale))
+        object.__setattr__(self, "label_noise", float(self.label_noise))
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
 
@@ -246,10 +248,10 @@ def split_holdout(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset
     Train size is floor(n * (1 - test_fraction)); the remaining rows form
     the test set. Both splits must be non-empty.
     """
-    if not (0.0 < float(test_fraction) < 1.0):
+    if not (is_number(test_fraction) and 0.0 < test_fraction < 1.0):
         raise ValueError("test_fraction must lie strictly between 0 and 1")
     n = ds.n_samples
-    n_train = int(np.floor(n * (1.0 - test_fraction)))
+    n_train = int(np.floor(n * (1.0 - float(test_fraction))))
     if n_train < 1 or n - n_train < 1:
         raise ValueError(
             f"split of {n} samples at test_fraction={test_fraction} "

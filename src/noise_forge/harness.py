@@ -23,7 +23,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -31,15 +31,15 @@ from .dataio import Dataset
 from .model import MlpSpec, glorot_init, evaluate_accuracy, mean_loss
 from .noiselab import ProbeRow, probe_noise
 from .optim import BatchStreams, NEConfig, OptimizerState, StepLog, check_batch_size, check_learning_rate, training_step
-from .rng import check_count
+from .rng import check_count, is_number
 
 STATUS_CONVERGED = "converged"
 STATUS_DID_NOT_CONVERGE = "did-not-converge"
 STATUS_DIVERGED = "diverged"
 
-# What a sweep may vary: each NEConfig field, with its results column and the
-# rule that turns a grid value into the field's value.
-SWEEP_AXES: dict[str, tuple[str, Callable]] = {"batch_size": ("B", check_batch_size), "alpha": ("alpha", float)}
+# What a sweep may vary: each NEConfig field, with its results column. A grid
+# value becomes the field's value by the field's own rule.
+SWEEP_AXES: dict[str, str] = {"batch_size": "B", "alpha": "alpha"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,12 +62,14 @@ class TrainConfig:
     log_steps: bool = False
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.l_star_star < self.l_star):
+        if not (is_number(self.l_star) and is_number(self.l_star_star) and 0.0 < self.l_star_star < self.l_star):
             raise ValueError("need 0 < l_star_star < l_star")
+        object.__setattr__(self, "l_star", float(self.l_star))
+        object.__setattr__(self, "l_star_star", float(self.l_star_star))
         object.__setattr__(self, "eval_interval", check_count("eval_interval", self.eval_interval, 1))
         if self.max_steps is not None:
             object.__setattr__(self, "max_steps", check_count("max_steps", self.max_steps, 1))
-        check_learning_rate(self.learning_rate)
+        object.__setattr__(self, "learning_rate", check_learning_rate(self.learning_rate))
         if len(self.seeds) < 1:
             raise ValueError("need at least one seed")
         object.__setattr__(self, "seeds", tuple(check_count("seed", s, 0) for s in self.seeds))
@@ -332,8 +334,8 @@ class SweepPlan:
     def over(cls, cfg: TrainConfig, axis: str, grid: Iterable[float]) -> SweepPlan:
         """One cell per grid value of ``axis``, a SWEEP_AXES field, over the base
         config. Rejected: an unknown axis, a base config that logs steps or
-        probes, a value the axis's rule rejects (2.5 along B), and a value
-        repeated after that rule (8 and np.int64(8) along B, 2 and 2.0 along alpha)."""
+        probes, a value the NEConfig field's rule rejects (2.5 along B), and a
+        value repeated as stored (8 and np.int64(8) along B, 2 and 2.0 along alpha)."""
         if axis not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {axis!r}: sweeps vary {' or '.join(SWEEP_AXES)}")
         if cfg.log_steps or cfg.probe is not None:
@@ -341,17 +343,18 @@ class SweepPlan:
                 "a sweep cannot log steps or probe: its cells share seeds, "
                 "so their steps_seed<N>.csv and probe.csv files would collide"
             )
-        values = [SWEEP_AXES[axis][1](v) for v in grid]
+        configs = tuple(replace(cfg, ne=replace(cfg.ne, **{axis: v})) for v in grid)
+        values = [getattr(c.ne, axis) for c in configs]
         if not values:
             raise ValueError(f"the {axis} grid must be non-empty")
         if len(set(values)) < len(values):
             raise ValueError(f"the {axis} grid must not repeat a value, got {values}")
-        return cls(axis, tuple(replace(cfg, ne=replace(cfg.ne, **{axis: v})) for v in values))
+        return cls(axis, configs)
 
     @property
     def column(self) -> str:
         """A sweep's results column (see SWEEP_AXES)."""
-        return SWEEP_AXES[self.axis][0]
+        return SWEEP_AXES[self.axis]
 
     @property
     def values(self) -> tuple[float, ...]:

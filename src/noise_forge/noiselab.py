@@ -46,15 +46,14 @@ def enhancement_factor(alpha: float) -> float:
     to a minimum of 0.5 at alpha = 0.5 (weights between 0 and 1 average the
     two batches and damp noise instead of enhancing it).
     """
-    check_alpha(alpha)
-    return float(alpha**2 + (1.0 - alpha) ** 2)
+    alpha = check_alpha(alpha)
+    return alpha**2 + (1.0 - alpha) ** 2
 
 
 def effective_batch(batch_size: int, alpha: float) -> float:
     """Batch size whose vanilla noise level matches enhanced noise at (B, alpha):
     B / (alpha^2 + (1 - alpha)^2)."""
-    check_batch_size(batch_size)
-    return float(batch_size) / enhancement_factor(alpha)
+    return check_batch_size(batch_size) / enhancement_factor(alpha)
 
 
 def _finite_population_factor(n: int, b: int) -> float:
@@ -135,7 +134,7 @@ def enumerate_ne_noise_covariance_from_grads(
     array would exceed MAX_SAMPLE_ENTRIES.
     """
     g = _dense_grads(grads, batch_size)
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     n, p = g.shape
     m = math.comb(n, batch_size)
     if m * m > MAX_ENUM_PAIRS:
@@ -184,21 +183,22 @@ def _index_pairs(
     n_total: int,
     batch_size: int,
 ):
-    """Yield one (primary, enhancement) pair of (B,) index arrays per draw.
+    """One (primary, enhancement) pair of (B,) index arrays per draw.
 
     Each array is one ``uniform_batch`` draw, the sampler training uses for
     B': a uniformly random B-subset in random order, at O(B) cost for B
     small against N. Primary batches come from the "noise-primary-v2"
     stream of ``seed``, enhancement batches from the independent
-    "noise-enhancement-v2" stream, each stream drawn once per draw. At
-    alpha = 1 no enhancement batch is needed, so that stream is not drawn
-    and None stands in for its batches.
+    "noise-enhancement-v2" stream, each drawn once per draw and built on the
+    call, so a bad seed fails before the caller's data pass. At alpha = 1 the
+    enhancement stream is not drawn and None stands in for its batches.
     """
     rng_p = named_stream(seed, "noise-primary-v2", stream_index)
     rng_e = None if alpha == 1.0 else named_stream(seed, "noise-enhancement-v2", stream_index)
-    for _ in range(n_draws):
-        primary = uniform_batch(rng_p, n_total, batch_size)
-        yield primary, None if rng_e is None else uniform_batch(rng_e, n_total, batch_size)
+    return (
+        (uniform_batch(rng_p, n_total, batch_size), None if rng_e is None else uniform_batch(rng_e, n_total, batch_size))
+        for _ in range(n_draws)
+    )
 
 
 def sample_ne_noise(
@@ -220,7 +220,7 @@ def sample_ne_noise(
     row. At alpha = 1 the enhancement stream is not drawn and each row is the
     vanilla noise eta * (mean(G[S]) - g_bar).
     """
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     check_batch_size(batch_size, ds.n_samples)
     n_samples = check_count("n_samples", n_samples, 1)
     if ds.n_samples * len(w) > MAX_SAMPLE_ENTRIES:
@@ -230,11 +230,11 @@ def sample_ne_noise(
         )
     if n_samples * len(w) > MAX_SAMPLE_ENTRIES:
         raise CapabilityError("sample matrix too large; use probe_noise")
+    pairs = _index_pairs(seed, 0, alpha, n_samples, ds.n_samples, batch_size)
     g = per_sample_grad_matrix(w, ds)
     g_bar = g.mean(axis=0)
     out = np.empty((n_samples, g.shape[1]))
     chunk = min(512, max(1, MAX_SAMPLE_ENTRIES // (batch_size * g.shape[1])))
-    pairs = _index_pairs(seed, 0, alpha, n_samples, ds.n_samples, batch_size)
     for start in range(0, n_samples, chunk):
         idx_p, idx_e = zip(*itertools.islice(pairs, chunk))
         xi = eta * (g[np.array(idx_p)].mean(axis=1) - g_bar)
@@ -320,11 +320,12 @@ def probe_noise(
     enhanced trace by the vanilla trace. The median excess kurtosis skips
     coordinates whose sampled noise is the same in every draw.
     """
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     n_samples = check_count("n_samples", n_samples, 2)
     stream_index = check_count("stream index", stream_index, 0)
     n = ds.n_samples
     batch_size = check_batch_size(batch_size, n)
+    pairs = _index_pairs(seed, stream_index, alpha, n_samples, n, batch_size)
     sq_norms, total = per_sample_grad_norms(w, ds)
     base = total.values / n
     p = len(w)
@@ -336,7 +337,7 @@ def probe_noise(
     varies = np.zeros(p, dtype=bool)
     # alpha * xi + (1 - alpha) * xi' = eta * (combined - base), as the weights
     # sum to 1; one weighted pass over S ∪ S' gives the combined gradient
-    for primary, second in _index_pairs(seed, stream_index, alpha, n_samples, n, batch_size):
+    for primary, second in pairs:
         _, g = loss_and_grad(w, ds, *pair_rows(primary, second, alpha, n))
         xi = eta * (g.values - base)
         if first is None:
@@ -361,10 +362,10 @@ def probe_noise(
     ratio = trace / vanilla_trace if vanilla_trace > 0 else float("nan")
     return ProbeRow(
         step=stream_index,
-        alpha=float(alpha),
+        alpha=alpha,
         batch_size=batch_size,
         trace_cov=trace,
-        enhancement_ratio=float(ratio),
+        enhancement_ratio=ratio,
         predicted_factor=enhancement_factor(alpha),
         b_eff=effective_batch(batch_size, alpha),
         median_excess_kurtosis=float(np.nanmedian(kurt)),

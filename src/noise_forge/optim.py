@@ -18,23 +18,25 @@ import numpy as np
 
 from .dataio import Dataset
 from .model import ParamVector, loss_and_grad
-from .rng import is_integer, named_stream, uniform_batch
+from .rng import is_integer, is_number, named_stream, uniform_batch
 
 
 class DivergenceError(FloatingPointError):
     """A gradient or update became non-finite; the run cannot continue."""
 
 
-def check_alpha(alpha: float) -> None:
-    """The finite-alpha rule: ValueError unless alpha is a finite number."""
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+def check_alpha(alpha: float) -> float:
+    """The finite-alpha rule: ValueError unless alpha is a number (``rng.is_number``). Returns it as a float."""
+    if not is_number(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    return float(alpha)
 
 
-def check_learning_rate(learning_rate: float) -> None:
-    """The learning-rate rule: ValueError unless it is finite and positive."""
-    if not (np.isfinite(learning_rate) and learning_rate > 0):
+def check_learning_rate(learning_rate: float) -> float:
+    """The learning-rate rule: ValueError unless it is a number (``rng.is_number``) > 0. Returns it as a float."""
+    if not (is_number(learning_rate) and learning_rate > 0):
         raise ValueError("learning_rate must be finite and positive")
+    return float(learning_rate)
 
 
 def check_batch_size(batch_size: int, n_samples: int | None = None) -> int:
@@ -62,7 +64,7 @@ class NEConfig:
     mode: str = "pairwise"
 
     def __post_init__(self) -> None:
-        check_alpha(self.alpha)
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         if self.alpha < 1.0:
             raise ValueError("alpha must be >= 1 (1 disables enhancement)")
         object.__setattr__(self, "batch_size", check_batch_size(self.batch_size))
@@ -97,7 +99,7 @@ class OptimizerState:
     )
 
     def __post_init__(self) -> None:
-        check_learning_rate(self.learning_rate)
+        self.learning_rate = check_learning_rate(self.learning_rate)
 
 
 @dataclass
@@ -158,7 +160,7 @@ def ne_combine(grad_b: ParamVector, grad_bprime: ParamVector, alpha: float) -> P
     Training uses the fused ``pair_rows`` pass; this stays for the oracles, the
     tests' reference for ``pair_rows`` and the benchmark's tracer.
     """
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     if grad_b.dims != grad_bprime.dims:
         raise ValueError("gradient shapes disagree")
     if alpha == 1.0:

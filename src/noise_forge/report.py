@@ -90,7 +90,7 @@ def write_results(out: str | Path, plan: SweepPlan) -> float | None:
             for r in agg.records:
                 _write_csv(out / f"steps_seed{r.seed}.csv", [f.name for f in fields(StepLog)], map(astuple, r.steps))
         if cfg.probe is not None:
-            header = [SWEEP_AXES[f.name][0] if f.name in SWEEP_AXES else f.name for f in fields(ProbeRow)]
+            header = [SWEEP_AXES.get(f.name, f.name) for f in fields(ProbeRow)]
             _write_csv(out / "probe.csv", header, map(astuple, agg.records[0].probes))
     if plan.axis == "single":
         return None
@@ -118,7 +118,7 @@ class ResultsUnit:
 
     name: str
     rows: tuple[dict, ...]
-    totals: dict[tuple[float, float], int]
+    totals: dict[tuple[int, float], int]
     axis: str  # a SWEEP_AXES field, or "single"
 
 
@@ -141,11 +141,11 @@ def load_unit(directory: Path, root: Path) -> ResultsUnit:
     """The results directory ``directory``, named by its path under ``root``.
     A malformed file in it raises ValueError naming the file."""
     rows = _read_rows(directory / "aggregate.csv", AGGREGATE_COLUMNS)
-    totals: dict[tuple[float, float], int] = {}
+    totals: dict[tuple[int, float], int] = {}
     runs_path = directory / "runs.csv"
     if runs_path.exists():
         for run in _read_rows(runs_path, ("B", "alpha")):
-            key = (float(run["B"]), run["alpha"])
+            key = (run["B"], run["alpha"])
             totals[key] = totals.get(key, 0) + 1
     sweep_path = directory / "sweep.json"
     if sweep_path.exists():  # a sweep names its axis, even over a one-value grid
@@ -157,7 +157,7 @@ def load_unit(directory: Path, root: Path) -> ResultsUnit:
         if axis not in SWEEP_AXES:
             raise ValueError(f"{sweep_path}: needs a JSON object whose axis is {' or '.join(map(repr, SWEEP_AXES))}")
     else:  # hand-written results: the one column that varies, if only one does
-        varying = [a for a, (column, _) in SWEEP_AXES.items() if len({r[column] for r in rows}) > 1]
+        varying = [a for a, column in SWEEP_AXES.items() if len({r[column] for r in rows}) > 1]
         axis = varying[0] if len(varying) == 1 else "single"
     name = directory.relative_to(root).as_posix()
     return ResultsUnit(name=name, rows=tuple(rows), totals=totals, axis=axis)
@@ -182,7 +182,7 @@ def fmt_mean_std(mean: float, std: float, digits: int) -> str:
 
 
 def _converged_text(unit: ResultsUnit, row: dict) -> str:
-    total = unit.totals.get((float(row["B"]), float(row["alpha"])))
+    total = unit.totals.get((row["B"], row["alpha"]))
     if total is None:
         return str(row["n_converged"])
     return f"{row['n_converged']}/{total}"
@@ -194,7 +194,7 @@ def render_unit(unit: ResultsUnit) -> str:
         "batch_size": f"batch-size sweep at alpha = {unit.rows[0]['alpha']:g}",
         "single": "single configuration",
     }[unit.axis]
-    best = best_row(unit.rows, SWEEP_AXES[unit.axis][0]) if unit.axis in SWEEP_AXES else None
+    best = best_row(unit.rows, SWEEP_AXES[unit.axis]) if unit.axis in SWEEP_AXES else None
     lines = [f"## {unit.name}", "", f"{axis_note}.", ""]
     lines.append("| B | alpha | test accuracy | steps to stop | converged |")
     lines.append("|---|-------|---------------|---------------|-----------|")
@@ -321,7 +321,7 @@ def emit_report(results_dir: str | Path, out_dir: str | Path | None = None) -> P
         sections.append(render_unit(unit))
         if unit.axis in SWEEP_AXES:
             groups.setdefault(Path(unit.name).parent.as_posix(), {}).setdefault(unit.axis, unit)
-            key = SWEEP_AXES[unit.axis][0]
+            key = SWEEP_AXES[unit.axis]
             stem = "root" if unit.name == "." else unit.name.replace("/", "_")
             for kind, mean, std in (("accuracy", "mean_acc", "std_acc"), ("time", "mean_steps", "std_steps")):
                 rows = [(row[key], row[mean], row[std]) for row in sorted(unit.rows, key=lambda r: r[key])]

@@ -55,6 +55,11 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_number(value) -> bool:
+    """Whether ``value`` is a finite Python or numpy real number; an integer is one, a bool is not."""
+    return is_integer(value) or (isinstance(value, (float, np.floating)) and bool(np.isfinite(value)))
+
+
 def check_count(name: str, value, low: int, high: int | None = None) -> int:
     """The count rule, where each count or seed enters: ValueError naming the
     setting unless ``value`` is an integer (``is_integer``) with low <= value

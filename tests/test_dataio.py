@@ -261,6 +261,25 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             self.spec(label_noise=1.5)
 
+    # "0.1" used to be accepted and then break make_synthetic; True was kept as True
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("noise_scale", True, "noise_scale must be finite and >= 0"),
+            ("noise_scale", "0.3", "noise_scale must be finite and >= 0"),
+            ("label_noise", True, "label_noise must lie in [0, 1]"),
+            ("label_noise", "0.1", "label_noise must lie in [0, 1]"),
+        ],
+    )
+    def test_real_settings_take_only_numbers(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.spec(**{field: value})
+
+    def test_numpy_real_settings_are_stored_as_floats(self):
+        spec = self.spec(noise_scale=np.float32(0.5), label_noise=np.int64(0))
+        assert (spec.noise_scale, spec.label_noise) == (0.5, 0.0)
+        assert type(spec.noise_scale) is float and type(spec.label_noise) is float
+
 
 class TestSplits:
     def make(self, n=10):
@@ -297,6 +316,10 @@ class TestSplits:
             split_holdout(self.make(), 0.0, seed=0)
         with pytest.raises(ValueError):
             split_holdout(self.make(), 1.0, seed=0)
+        # "0.25" used to pass the check and then break the split
+        for fraction in ("0.25", True, None):
+            with pytest.raises(ValueError, match="^test_fraction must lie strictly between 0 and 1$"):
+                split_holdout(self.make(), fraction, seed=0)
 
     def test_degenerate_split_rejected(self):
         # floor(2 * 0.4) leaves no training row

@@ -1,10 +1,12 @@
 import ctypes
+import json
 import math
 import os
 import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -161,6 +163,56 @@ class TestConfigHash:
         # runs.csv rows are keyed by this digest; a change to the hashed
         # payload (dropping "mode", say) would re-key every results directory
         assert config_hash(small_config()) == "6584d0b7c7dc"
+
+
+# Each number in config_hash's payload: a config holding a given value of it,
+# its plain value, and whether its rule takes a real number (else an integer).
+HASHED_NUMBERS = {
+    "alpha": (lambda v: small_config(ne=NEConfig(alpha=v, batch_size=4, base="sgd")), 2.0, True),
+    "batch_size": (lambda v: small_config(ne=NEConfig(batch_size=v, base="sgd")), 4, False),
+    "learning_rate": (lambda v: small_config(learning_rate=v), 1.0, True),
+    "l_star": (lambda v: small_config(l_star=v), 1.0, True),
+    "l_star_star": (lambda v: small_config(l_star=2.0, l_star_star=v), 1.0, True),
+    "eval_interval": (lambda v: small_config(eval_interval=v), 100, False),
+    "max_steps": (lambda v: small_config(max_steps=v), 1000, False),
+}
+SPELLINGS = {"int": int, "np.int64": np.int64, "np.float32": np.float32, "np.float64": np.float64}
+
+
+class TestHashIgnoresNumberTypes:
+    """config_hash depends on the run, not on how its numbers were typed: an
+    int or numpy alpha used to hash apart from 2.0, and an np.float32 one to
+    raise in write_results after the run."""
+
+    @pytest.mark.parametrize(
+        "name, spelling",
+        [
+            pytest.param(name, spelling, id=f"{name}-{spelling}")
+            for name, (_, _, real) in HASHED_NUMBERS.items()
+            for spelling in (SPELLINGS if real else ["np.int64"])
+        ],
+    )
+    def test_every_spelling_gives_the_plain_digest(self, name, spelling):
+        build, plain, _ = HASHED_NUMBERS[name]
+        assert config_hash(build(SPELLINGS[spelling](plain))) == config_hash(build(plain))
+
+    def test_payload_holds_only_json_native_values(self):
+        # a numpy spelling of every number: a field added without a storing rule fails here
+        cfg = small_config(
+            ne=NEConfig(alpha=np.float32(2), batch_size=np.int64(4), base="sgd"),
+            learning_rate=np.float32(0.5),
+            l_star=np.float64(0.5),
+            l_star_star=np.float32(0.25),
+            eval_interval=np.int64(100),
+            max_steps=np.int64(1000),
+        )
+        with mock.patch.object(harness.json, "dumps", wraps=json.dumps) as dumps:
+            config_hash(cfg)
+        payload = dumps.call_args.args[0]
+        assert set(HASHED_NUMBERS) <= set(payload)
+        for key, value in payload.items():
+            items = value if isinstance(value, list) else [value]
+            assert all(type(v) in (int, float, str, type(None)) for v in items), (key, value)
 
 
 class TestProtocol:
@@ -725,6 +777,14 @@ class TestCsvWriters:
         ]
         agg = (tmp_path / "aggregate.csv").read_text().splitlines()[1:]
         assert [line.split(",")[:3] for line in agg] == [["8", "1.0", "0.625"], ["8", "2.5", "0.25"]]
+
+    def test_numpy_alpha_is_written_as_its_float(self, tmp_path):
+        # config_hash used to raise on an np.float32 alpha, after every run had finished
+        cfg = small_config(ne=NEConfig(alpha=np.float32(2), batch_size=4))
+        write_results(tmp_path, single(cfg, RunRecord(0, STATUS_CONVERGED, 0.875, 300, 150, 0.0009, 300)))
+        line = (tmp_path / "runs.csv").read_text().splitlines()[1]
+        h = config_hash(small_config(ne=NEConfig(alpha=2.0, batch_size=4)))
+        assert line == f"{h},4,2.0,0,0.875,300,150,converged"
 
     def test_probe_schema(self, tmp_path):
         row = ProbeRow(0, 2.0, 8, 0.5, 4.9, 5.0, 1.6, -0.25, 0.75)

@@ -226,6 +226,19 @@ class TestNoiseSamplers:
         c = sample_ne_noise(self.w, self.ds, 0.1, 3, 1.0, 40, seed=6)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    @pytest.mark.parametrize(
+        "entry, full_pass", [(sample_ne_noise, "per_sample_grad_matrix"), (probe_noise, "per_sample_grad_norms")]
+    )
+    def test_bad_seed_is_rejected_before_the_full_data_pass(self, monkeypatch, entry, full_pass, seed, alpha):
+        # the noise streams used to be built at the first draw, after the pass
+        calls = []
+        monkeypatch.setattr(noiselab, full_pass, lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"^root_seed must be an integer >= 0, got {seed}$"):
+            entry(self.w, self.ds, 0.1, 3, alpha, 10, seed=seed)
+        assert calls == []
+
     def test_stream_index_gives_fresh_draws(self):
         for alpha in (1.0, 2.0):
             a = probe_noise(self.w, self.ds, 0.1, 3, alpha, 40, seed=5, stream_index=0)

@@ -8,7 +8,7 @@ import pytest
 
 from noise_forge import noiselab, optim
 from noise_forge.dataio import Dataset, SyntheticSpec, make_synthetic, subset
-from noise_forge.harness import ProbePlan
+from noise_forge.harness import ProbePlan, SweepPlan
 from noise_forge.model import MlpSpec, ParamVector, glorot_init, loss_and_grad, param_count
 from noise_forge.optim import (
     BatchStreams,
@@ -365,6 +365,7 @@ ALPHA_ENTRIES = {
     ),
     "sample_ne_noise": lambda a: noiselab.sample_ne_noise(rule_w(), tiny_dataset(), 0.1, 2, a, 10, seed=0),
     "probe_noise": lambda a: noiselab.probe_noise(rule_w(), tiny_dataset(), 0.1, 2, a, 10, seed=0),
+    "SweepPlan.over": lambda a: SweepPlan.over(small_config(), "alpha", [a]),
 }
 
 # Every entry point where a count or seed enters: the setting its message
@@ -439,11 +440,17 @@ class TestInputRules:
         with pytest.raises(ValueError, match=rf"^batch_size must lie in \[1, n_samples\], got {b} for n_samples = "):
             BATCH_ENTRIES[name][1](b)
 
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    # True used to pass as 1; "2" and None to fail with a TypeError
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, True, "2", None], ids=repr)
     @pytest.mark.parametrize("name", ALPHA_ENTRIES)
     def test_every_entry_point_states_the_one_alpha_rule(self, name, alpha):
-        with pytest.raises(ValueError, match=f"^{re.escape(f'alpha must be finite, got {alpha}')}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'alpha must be finite, got {alpha!r}')}$"):
             ALPHA_ENTRIES[name](alpha)
+
+    def test_numpy_alpha_is_stored_as_a_float(self):
+        alpha = NEConfig(alpha=np.float32(2)).alpha
+        assert alpha == 2.0 and type(alpha) is float
+        assert type(NEConfig(alpha=2).alpha) is float
 
     @pytest.mark.parametrize(
         "name, value",
@@ -466,11 +473,32 @@ class TestInputRules:
         value = kept(call(np.int64(low + 2)))
         assert value == low + 2 and type(value) is int
 
-    @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -1e-3], ids=["nan", "inf", "0", "-1e-3"])
+    # True used to pass as 1, "0.1" to fail with a TypeError
+    @pytest.mark.parametrize(
+        "lr", [math.nan, math.inf, 0.0, -1e-3, True, "0.1"], ids=["nan", "inf", "0", "-1e-3", "True", "'0.1'"]
+    )
     @pytest.mark.parametrize("name", LEARNING_RATE_ENTRIES)
     def test_every_entry_point_states_the_one_learning_rate_rule(self, name, lr):
         with pytest.raises(ValueError, match="^learning_rate must be finite and positive$"):
             LEARNING_RATE_ENTRIES[name](lr)
+
+    @pytest.mark.parametrize("name", LEARNING_RATE_ENTRIES)
+    def test_numpy_learning_rates_are_stored_as_floats(self, name):
+        lr = LEARNING_RATE_ENTRIES[name](np.float32(0.5)).learning_rate
+        assert lr == 0.5 and type(lr) is float
+        assert type(LEARNING_RATE_ENTRIES[name](1).learning_rate) is float
+
+    # True used to pass as 1, "0.01" and None to fail with a TypeError
+    @pytest.mark.parametrize("value", [True, "0.01", None], ids=repr)
+    @pytest.mark.parametrize("threshold", ["l_star", "l_star_star"])
+    def test_both_thresholds_follow_the_one_threshold_rule(self, threshold, value):
+        with pytest.raises(ValueError, match=r"^need 0 < l_star_star < l_star$"):
+            small_config(**{threshold: value})
+
+    def test_numpy_thresholds_are_stored_as_floats(self):
+        cfg = small_config(l_star=np.float32(0.5), l_star_star=np.float64(0.25))
+        assert (cfg.l_star, cfg.l_star_star) == (0.5, 0.25)
+        assert type(cfg.l_star) is float and type(cfg.l_star_star) is float
 
     def test_batch_bounds_are_inclusive(self):
         optim.check_batch_size(1, 1)

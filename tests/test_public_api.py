@@ -172,6 +172,7 @@ INPUT_RULES = {
     "alpha must be finite": ("optim.py", "check_alpha"),
     "must be an integer": ("rng.py", "check_count"),
     "learning_rate must be finite and positive": ("optim.py", "check_learning_rate"),
+    "need 0 < l_star_star < l_star": ("harness.py", "__post_init__"),
 }
 
 
