@@ -23,7 +23,7 @@ from pathlib import Path
 from . import dataio, harness, oracles, report
 from .model import MlpSpec
 from .optim import NEConfig
-from .rng import named_stream
+from .rng import check_count, named_stream
 
 DATA_DIR_ENV = "NOISE_FORGE_DATA_DIR"
 
@@ -325,8 +325,8 @@ def parse_and_dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "jobs", 1) < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        # SweepPlan.run checks jobs too, but only after resolved_config.json is written
+        check_count("--jobs", getattr(args, "jobs", 1), 1)
         return args.func(args)
     except (FileNotFoundError, FileExistsError, NotADirectoryError, ValueError) as exc:
         # ConfigError is a ValueError; an --out path that names a file, or

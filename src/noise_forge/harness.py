@@ -369,7 +369,8 @@ class SweepPlan:
 
     def run(self, jobs: int = 1) -> SweepPlan:
         """Repeat the protocol for every cell, in grid order, each over its
-        seeds in seed-list order (see ``_dispatch`` for ``jobs``)."""
+        seeds in seed-list order (see ``_dispatch`` for ``jobs``, a count >= 1)."""
+        jobs = check_count("jobs", jobs, 1)
         return replace(self, cells=tuple(_dispatch(self.configs, jobs)))
 
 

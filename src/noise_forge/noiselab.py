@@ -4,12 +4,15 @@ Conventions used throughout:
 
 * At frozen parameters w, the per-sample gradient matrix G is (N, P), row mu
   holding the gradient of sample mu's loss; g_bar is the full gradient.
-* Vanilla noise for a minibatch S of size B is xi = eta * (mean(G[S]) - g_bar).
+* Vanilla gradient noise for a minibatch S of size B is xi = mean(G[S]) - g_bar.
   Its exact covariance over uniform draws without replacement is
-      (eta^2 / B) * (N - B) / (N - 1) * [ (1/N) sum_mu g_mu g_mu^T - g_bar g_bar^T ].
+      (1 / B) * (N - B) / (N - 1) * [ (1/N) sum_mu g_mu g_mu^T - g_bar g_bar^T ].
 * Enhanced noise with weight alpha over an independent pair (S, S') is
   xi_ne = alpha * xi + (1 - alpha) * xi', whose covariance is the vanilla
   covariance scaled by alpha^2 + (1 - alpha)^2.
+* The routines are step-free: an update with step size eta carries the noise
+  eta * xi, with eta^2 times its covariance, and only probe_noise, which
+  reports a run's update noise, takes eta.
 * Noise samples are realized as rows of an (n_samples, P) float64 matrix.
 
 Dense routines guard their own cost and raise CapabilityError rather than
@@ -26,7 +29,7 @@ import numpy as np
 
 from .dataio import Dataset
 from .model import ParamVector, loss_and_grad, per_sample_grad_matrix, per_sample_grad_norms
-from .optim import check_alpha, check_batch_size, pair_rows
+from .optim import check_alpha, check_batch_size, check_learning_rate, pair_rows
 from .rng import check_count, named_stream, uniform_batch
 
 MAX_DENSE_PARAMS = 2000
@@ -77,19 +80,17 @@ def _dense_grads(grads: np.ndarray, batch_size: int) -> np.ndarray:
     return g
 
 
-def noise_covariance_from_grads(grads: np.ndarray, eta: float, batch_size: int) -> np.ndarray:
+def noise_covariance_from_grads(grads: np.ndarray, batch_size: int) -> np.ndarray:
     """Exact (P, P) vanilla noise covariance from a per-sample gradient matrix."""
     g = _dense_grads(grads, batch_size)
     n = g.shape[0]
     factor = _finite_population_factor(n, batch_size)
     g_bar = g.mean(axis=0)
     second = g.T @ g / n - np.outer(g_bar, g_bar)
-    return (eta**2 / batch_size) * factor * second
+    return factor / batch_size * second
 
 
-def enumerate_noise_covariance_from_grads(
-    grads: np.ndarray, eta: float, batch_size: int
-) -> np.ndarray:
+def enumerate_noise_covariance_from_grads(grads: np.ndarray, batch_size: int) -> np.ndarray:
     """Population covariance of xi over every size-B subset, by enumeration.
 
     Also asserts the enumerated noise mean is zero (absolute tolerance
@@ -111,7 +112,7 @@ def enumerate_noise_covariance_from_grads(
         if not block:
             break
         idx = np.array(block, dtype=np.int64)
-        xi = eta * (g[idx].mean(axis=1) - g_bar)
+        xi = g[idx].mean(axis=1) - g_bar
         second += xi.T @ xi
         mean_acc += xi.sum(axis=0)
     mean = mean_acc / n_subsets
@@ -123,7 +124,7 @@ def enumerate_noise_covariance_from_grads(
 
 
 def enumerate_ne_noise_covariance_from_grads(
-    grads: np.ndarray, eta: float, batch_size: int, alpha: float
+    grads: np.ndarray, batch_size: int, alpha: float
 ) -> np.ndarray:
     """Population covariance of alpha*xi + (1-alpha)*xi' over all subset pairs.
 
@@ -143,7 +144,7 @@ def enumerate_ne_noise_covariance_from_grads(
         raise CapabilityError(f"{m}^2 subset pairs x {p} parameters exceed {MAX_SAMPLE_ENTRIES} entries")
     g_bar = g.mean(axis=0)
     idx = np.array(list(itertools.combinations(range(n), batch_size)), dtype=np.int64)
-    xi = eta * (g[idx].mean(axis=1) - g_bar)
+    xi = g[idx].mean(axis=1) - g_bar
     pairs = alpha * xi[:, None, :] + (1.0 - alpha) * xi[None, :, :]
     flat = pairs.reshape(m * m, p)
     mean = flat.mean(axis=0)
@@ -164,7 +165,7 @@ def _noise_trace(sq_norms: np.ndarray, total: np.ndarray, eta: float, batch_size
     return float((eta**2 / batch_size) * factor * (sq_norms.mean() - g_bar_sq))
 
 
-def exact_noise_trace(w: ParamVector, ds: Dataset, eta: float, batch_size: int) -> float:
+def exact_noise_trace(w: ParamVector, ds: Dataset, batch_size: int) -> float:
     """Trace of the exact vanilla covariance, streamed at any parameter count.
 
     Per-sample squared norms come from the rank-one layer structure, so no
@@ -172,7 +173,7 @@ def exact_noise_trace(w: ParamVector, ds: Dataset, eta: float, batch_size: int) 
     """
     check_batch_size(batch_size, ds.n_samples)
     sq_norms, total = per_sample_grad_norms(w, ds)
-    return _noise_trace(sq_norms, total.values, eta, batch_size)
+    return _noise_trace(sq_norms, total.values, 1.0, batch_size)
 
 
 def _index_pairs(
@@ -204,7 +205,6 @@ def _index_pairs(
 def sample_ne_noise(
     w: ParamVector,
     ds: Dataset,
-    eta: float,
     batch_size: int,
     alpha: float,
     n_samples: int,
@@ -218,7 +218,7 @@ def sample_ne_noise(
     at most 512, fewer when B * P is large, so that each (rows, B, P) gather
     holds at most MAX_SAMPLE_ENTRIES doubles; the chunking never changes a
     row. At alpha = 1 the enhancement stream is not drawn and each row is the
-    vanilla noise eta * (mean(G[S]) - g_bar).
+    vanilla noise mean(G[S]) - g_bar.
     """
     alpha = check_alpha(alpha)
     check_batch_size(batch_size, ds.n_samples)
@@ -237,9 +237,9 @@ def sample_ne_noise(
     chunk = min(512, max(1, MAX_SAMPLE_ENTRIES // (batch_size * g.shape[1])))
     for start in range(0, n_samples, chunk):
         idx_p, idx_e = zip(*itertools.islice(pairs, chunk))
-        xi = eta * (g[np.array(idx_p)].mean(axis=1) - g_bar)
+        xi = g[np.array(idx_p)].mean(axis=1) - g_bar
         if alpha != 1.0:
-            xi = alpha * xi + (1.0 - alpha) * (eta * (g[np.array(idx_e)].mean(axis=1) - g_bar))
+            xi = alpha * xi + (1.0 - alpha) * (g[np.array(idx_e)].mean(axis=1) - g_bar)
         out[start : start + len(idx_p)] = xi
     return out
 
@@ -303,7 +303,11 @@ def probe_noise(
     seed: int,
     stream_index: int = 0,
 ) -> ProbeRow:
-    """Measure enhanced noise at frozen parameters without dense matrices.
+    """Measure a run's enhanced update noise at frozen parameters.
+
+    ``eta`` is the run's step size (the learning-rate rule): ``trace_cov`` is
+    the trace of the update noise eta * xi, and the enhancement ratio does
+    not depend on eta.
 
     One streamed pass over the dataset gives the per-sample squared gradient
     norms and the summed gradient, and from them the full gradient, the
@@ -321,6 +325,7 @@ def probe_noise(
     coordinates whose sampled noise is the same in every draw.
     """
     alpha = check_alpha(alpha)
+    eta = check_learning_rate(eta)
     n_samples = check_count("n_samples", n_samples, 2)
     stream_index = check_count("stream index", stream_index, 0)
     n = ds.n_samples
@@ -335,7 +340,7 @@ def probe_noise(
     s4 = np.zeros(p)
     first = None
     varies = np.zeros(p, dtype=bool)
-    # alpha * xi + (1 - alpha) * xi' = eta * (combined - base), as the weights
+    # eta * (alpha * xi + (1 - alpha) * xi') = eta * (combined - base), as the weights
     # sum to 1; one weighted pass over S ∪ S' gives the combined gradient
     for primary, second in pairs:
         _, g = loss_and_grad(w, ds, *pair_rows(primary, second, alpha, n))

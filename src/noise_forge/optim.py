@@ -185,6 +185,7 @@ def pair_rows(
     one row of work instead of two. One boolean mark array of length n
     finds the shared rows in O(n + |B| + |B'|).
     """
+    alpha = check_alpha(alpha)
     if alpha == 1.0:
         return primary, None
     b, b2 = primary.shape[0], second.shape[0]

@@ -90,7 +90,6 @@ def _batch_grid(n: int) -> list[int]:
 def run_oracle_suite(fast: bool = False) -> list[OracleCheck]:
     """Run every oracle check; ``fast`` shrinks the Monte Carlo sizes."""
     checks: list[OracleCheck] = []
-    eta = 0.1
 
     # Closed-form covariance vs full minibatch enumeration, per toy instance,
     # across a batch grid that includes B = N (zero covariance on both sides).
@@ -100,8 +99,8 @@ def run_oracle_suite(fast: bool = False) -> list[OracleCheck]:
         worst = 0.0
         grid = _batch_grid(ds.n_samples)
         for b in grid:
-            exact = noise_covariance_from_grads(grads, eta, b)
-            enum = enumerate_noise_covariance_from_grads(grads, eta, b)
+            exact = noise_covariance_from_grads(grads, b)
+            enum = enumerate_noise_covariance_from_grads(grads, b)
             worst = max(worst, rel_frobenius(exact, enum))
         checks.append(
             OracleCheck(
@@ -118,7 +117,7 @@ def run_oracle_suite(fast: bool = False) -> list[OracleCheck]:
     g_bar = grads.mean(axis=0)
     means = []
     for combo in itertools.combinations(range(ds.n_samples), 2):
-        means.append(eta * (grads[list(combo)].mean(axis=0) - g_bar))
+        means.append(grads[list(combo)].mean(axis=0) - g_bar)
     mean_norm = float(np.abs(np.mean(means, axis=0)).max())
     checks.append(
         OracleCheck(
@@ -132,10 +131,10 @@ def run_oracle_suite(fast: bool = False) -> list[OracleCheck]:
     # Exact pair enumeration: enhanced covariance = factor * vanilla covariance.
     _, w8, ds8 = toys[1]
     grads8 = per_sample_grad_matrix(w8, ds8)
-    vanilla = enumerate_noise_covariance_from_grads(grads8, eta, 2)
+    vanilla = enumerate_noise_covariance_from_grads(grads8, 2)
     worst_pair = 0.0
     for alpha in (1.5, 2.0, 2.5):
-        enhanced = enumerate_ne_noise_covariance_from_grads(grads8, eta, 2, alpha)
+        enhanced = enumerate_ne_noise_covariance_from_grads(grads8, 2, alpha)
         factor = enhancement_factor(alpha)
         ratio_err = abs(np.trace(enhanced) / np.trace(vanilla) / factor - 1.0)
         matrix_err = rel_frobenius(enhanced, factor * vanilla)
@@ -168,8 +167,8 @@ def run_oracle_suite(fast: bool = False) -> list[OracleCheck]:
     w_mc, ds_mc = toy_instance(21, 10, 4, 5, (8,))
     n_mc = 20_000 if fast else 100_000
     alpha_mc = 2.0
-    van = sample_ne_noise(w_mc, ds_mc, 0.05, 5, 1.0, n_mc, seed=33)
-    enh = sample_ne_noise(w_mc, ds_mc, 0.05, 5, alpha_mc, n_mc, seed=33)
+    van = sample_ne_noise(w_mc, ds_mc, 5, 1.0, n_mc, seed=33)
+    enh = sample_ne_noise(w_mc, ds_mc, 5, alpha_mc, n_mc, seed=33)
     trace_van = float(van.var(axis=0, ddof=1).sum())
     trace_enh = float(enh.var(axis=0, ddof=1).sum())
     mc_err = abs(trace_enh / trace_van / enhancement_factor(alpha_mc) - 1.0)

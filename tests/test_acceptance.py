@@ -100,14 +100,13 @@ def test_c1_enumeration_matches_closed_form_covariance():
         (blob_dataset(seed=4, n_per_class=3, classes=4, dim=5), MlpSpec(5, (), 4, seed=4)),
         (blob_dataset(seed=5, n_per_class=2, classes=3, dim=3), MlpSpec(3, (4, 3), 3, seed=5)),
     ]
-    eta = 0.05
     t0 = time.perf_counter()
     worst = 0.0
     for ds, spec in toys:
         grads = per_sample_grad_matrix(glorot_init(spec), ds)
         for b in (1, 2, 4, ds.n_samples):
-            enum = enumerate_noise_covariance_from_grads(grads, eta, b)
-            exact = noise_covariance_from_grads(grads, eta, b)
+            enum = enumerate_noise_covariance_from_grads(grads, b)
+            exact = noise_covariance_from_grads(grads, b)
             worst = max(worst, rel_fro(enum, exact))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 10.0
@@ -129,11 +128,11 @@ def test_c2_enhanced_noise_scales_by_predicted_factor():
     # Monte Carlo: trace ratio against the exact vanilla trace.
     ds_mc = blob_dataset(seed=6, n_per_class=16, classes=4, dim=6)
     w_mc = glorot_init(MlpSpec(6, (8,), 4, seed=6))
-    eta, b = 0.1, 8
-    baseline = exact_noise_trace(w_mc, ds_mc, eta, b)
+    b = 8
+    baseline = exact_noise_trace(w_mc, ds_mc, b)
     worst_mc = 0.0
     for alpha in alphas:
-        samples = sample_ne_noise(w_mc, ds_mc, eta, b, alpha, n_samples=100_000, seed=17)
+        samples = sample_ne_noise(w_mc, ds_mc, b, alpha, n_samples=100_000, seed=17)
         ratio = samples.var(axis=0, ddof=1).sum() / baseline
         worst_mc = max(worst_mc, abs(ratio / enhancement_factor(alpha) - 1.0))
 
@@ -141,10 +140,10 @@ def test_c2_enhanced_noise_scales_by_predicted_factor():
     ds_en = blob_dataset(seed=1, n_per_class=4, classes=2, dim=3)
     w_en = glorot_init(MlpSpec(3, (), 2, seed=1))
     grads_en = per_sample_grad_matrix(w_en, ds_en)
-    vanilla = noise_covariance_from_grads(grads_en, eta, 2)
+    vanilla = noise_covariance_from_grads(grads_en, 2)
     worst_en = 0.0
     for alpha in alphas:
-        pair = enumerate_ne_noise_covariance_from_grads(grads_en, eta, 2, alpha)
+        pair = enumerate_ne_noise_covariance_from_grads(grads_en, 2, alpha)
         worst_en = max(worst_en, rel_fro(pair, enhancement_factor(alpha) * vanilla))
 
     elapsed = time.perf_counter() - t0

@@ -659,7 +659,8 @@ class TestUsageErrors:
         config = write_config(tmp_path, {"sweep.b_grid": [4], "sweep.alpha_grid": [1.0]})
         rc = parse_and_dispatch([command, "--config", config, "--out", str(tmp_path), "--jobs", jobs])
         assert rc == 1
-        assert "config error: --jobs must be >= 1" in capsys.readouterr().err
+        assert f"config error: --jobs must be an integer >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "resolved_config.json").exists()
 
     @pytest.mark.parametrize(
         "setting, message",

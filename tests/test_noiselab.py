@@ -26,7 +26,7 @@ from noise_forge.oracles import OracleCheck
 from noise_forge.rng import named_stream, uniform_batch
 
 # per-sample scalar "gradients" with known exact noise variance:
-# N=4, B=2, eta=1 gives (1/2) * (2/3) * var([1,2,3,6]) = (1/2)(2/3)(3.5) = 7/6
+# N=4, B=2 gives (1/2) * (2/3) * var([1,2,3,6]) = (1/2)(2/3)(3.5) = 7/6
 HAND_GRADS = np.array([[1.0], [2.0], [3.0], [6.0]])
 HAND_VAR = 7.0 / 6.0
 
@@ -86,40 +86,34 @@ class TestEffectiveBatch:
 
 class TestExactCovariance:
     def test_hand_scalar_value(self):
-        cov = noise_covariance_from_grads(HAND_GRADS, eta=1.0, batch_size=2)
+        cov = noise_covariance_from_grads(HAND_GRADS, batch_size=2)
         assert cov.shape == (1, 1)
         assert cov[0, 0] == pytest.approx(HAND_VAR, rel=1e-15)
 
-    def test_learning_rate_enters_squared(self):
-        cov = noise_covariance_from_grads(HAND_GRADS, eta=0.5, batch_size=2)
-        assert cov[0, 0] == pytest.approx(0.25 * HAND_VAR, rel=1e-15)
-
     def test_full_batch_noise_is_zero(self):
-        cov = noise_covariance_from_grads(HAND_GRADS, eta=1.0, batch_size=4)
+        cov = noise_covariance_from_grads(HAND_GRADS, batch_size=4)
         np.testing.assert_array_equal(cov, np.zeros((1, 1)))
 
     def test_single_sample_dataset_has_zero_noise(self):
-        cov = noise_covariance_from_grads(np.array([[3.0, -1.0]]), eta=1.0, batch_size=1)
+        cov = noise_covariance_from_grads(np.array([[3.0, -1.0]]), batch_size=1)
         np.testing.assert_array_equal(cov, np.zeros((2, 2)))
 
     def test_matrix_is_symmetric_psd(self):
         g = np.random.default_rng(3).standard_normal((12, 5))
-        cov = noise_covariance_from_grads(g, eta=0.1, batch_size=3)
+        cov = noise_covariance_from_grads(g, batch_size=3)
         np.testing.assert_allclose(cov, cov.T, atol=1e-15)
         assert np.linalg.eigvalsh(cov).min() > -1e-12
 
     def test_too_many_params_rejected(self):
         with pytest.raises(CapabilityError):
-            noise_covariance_from_grads(
-                np.zeros((3, MAX_DENSE_PARAMS + 1)), eta=1.0, batch_size=2
-            )
+            noise_covariance_from_grads(np.zeros((3, MAX_DENSE_PARAMS + 1)), batch_size=2)
 
     @pytest.mark.parametrize(
         "dense",
         [
-            lambda g, b: noise_covariance_from_grads(g, 1.0, b),
-            lambda g, b: enumerate_noise_covariance_from_grads(g, 1.0, b),
-            lambda g, b: enumerate_ne_noise_covariance_from_grads(g, 1.0, b, 2.0),
+            lambda g, b: noise_covariance_from_grads(g, b),
+            lambda g, b: enumerate_noise_covariance_from_grads(g, b),
+            lambda g, b: enumerate_ne_noise_covariance_from_grads(g, b, 2.0),
         ],
         ids=["closed-form", "enumeration", "pair-enumeration"],
     )
@@ -135,14 +129,14 @@ class TestExactCovariance:
 
 class TestEnumerationOracle:
     def test_hand_scalar_value(self):
-        cov = enumerate_noise_covariance_from_grads(HAND_GRADS, eta=1.0, batch_size=2)
+        cov = enumerate_noise_covariance_from_grads(HAND_GRADS, batch_size=2)
         assert cov[0, 0] == pytest.approx(HAND_VAR, rel=1e-14)
 
     def test_matches_closed_form_on_random_grads(self):
         g = np.random.default_rng(7).standard_normal((9, 4))
         for b in (1, 3, 9):
-            exact = noise_covariance_from_grads(g, eta=0.2, batch_size=b)
-            enum = enumerate_noise_covariance_from_grads(g, eta=0.2, batch_size=b)
+            exact = noise_covariance_from_grads(g, batch_size=b)
+            enum = enumerate_noise_covariance_from_grads(g, batch_size=b)
             assert rel_fro(enum, exact) < 1e-12
 
     def test_chunking_does_not_change_result(self):
@@ -151,33 +145,27 @@ class TestEnumerationOracle:
         idx = np.array(list(itertools.combinations(range(16), 5)))
         xi = g[idx].mean(axis=1) - g.mean(axis=0)
         one_block = xi.T @ xi / idx.shape[0]
-        chunked = enumerate_noise_covariance_from_grads(g, eta=1.0, batch_size=5)
+        chunked = enumerate_noise_covariance_from_grads(g, batch_size=5)
         np.testing.assert_allclose(chunked, one_block, rtol=1e-12, atol=1e-15)
 
     def test_subset_budget_enforced(self):
         with pytest.raises(CapabilityError):
-            enumerate_noise_covariance_from_grads(np.zeros((40, 1)), eta=1.0, batch_size=10)
+            enumerate_noise_covariance_from_grads(np.zeros((40, 1)), batch_size=10)
 
     def test_pair_enumeration_hand_value(self):
-        cov = enumerate_ne_noise_covariance_from_grads(
-            HAND_GRADS, eta=1.0, batch_size=2, alpha=2.0
-        )
+        cov = enumerate_ne_noise_covariance_from_grads(HAND_GRADS, batch_size=2, alpha=2.0)
         assert cov[0, 0] == pytest.approx(5.0 * HAND_VAR, rel=1e-13)
 
     def test_pair_enumeration_equals_scaled_vanilla(self):
         g = np.random.default_rng(11).standard_normal((7, 3))
-        vanilla = enumerate_noise_covariance_from_grads(g, eta=0.3, batch_size=2)
+        vanilla = enumerate_noise_covariance_from_grads(g, batch_size=2)
         for alpha in (1.0, 1.5, 2.0, 3.0):
-            enhanced = enumerate_ne_noise_covariance_from_grads(
-                g, eta=0.3, batch_size=2, alpha=alpha
-            )
+            enhanced = enumerate_ne_noise_covariance_from_grads(g, batch_size=2, alpha=alpha)
             assert rel_fro(enhanced, enhancement_factor(alpha) * vanilla) < 1e-12
 
     def test_pair_budget_enforced(self):
         with pytest.raises(CapabilityError):
-            enumerate_ne_noise_covariance_from_grads(
-                np.zeros((15, 1)), eta=1.0, batch_size=7, alpha=2.0
-            )
+            enumerate_ne_noise_covariance_from_grads(np.zeros((15, 1)), batch_size=7, alpha=2.0)
 
     def test_pair_array_budget_enforced_before_allocating(self):
         # C(30, 2)^2 = 189,225 pairs pass the pair budget, but x 400 parameters
@@ -186,7 +174,7 @@ class TestEnumerationOracle:
         tracemalloc.start()
         try:
             with pytest.raises(CapabilityError, match="exceed 50000000 entries"):
-                enumerate_ne_noise_covariance_from_grads(grads, eta=1.0, batch_size=2, alpha=2.0)
+                enumerate_ne_noise_covariance_from_grads(grads, batch_size=2, alpha=2.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -201,15 +189,15 @@ class TestModelLevelWrappers:
     def test_enumeration_matches_closed_form_at_the_model(self):
         grads = per_sample_grad_matrix(self.w, self.ds)
         for b in (1, 2, 8):
-            exact = noise_covariance_from_grads(grads, eta=0.1, batch_size=b)
-            enum = enumerate_noise_covariance_from_grads(grads, eta=0.1, batch_size=b)
+            exact = noise_covariance_from_grads(grads, batch_size=b)
+            enum = enumerate_noise_covariance_from_grads(grads, batch_size=b)
             assert rel_fro(enum, exact) < 1e-10
 
     def test_trace_shortcut_matches_dense_trace(self):
         grads = per_sample_grad_matrix(self.w, self.ds)
         for b in (1, 3, 8):
-            dense = noise_covariance_from_grads(grads, eta=0.1, batch_size=b)
-            streamed = exact_noise_trace(self.w, self.ds, eta=0.1, batch_size=b)
+            dense = noise_covariance_from_grads(grads, batch_size=b)
+            streamed = exact_noise_trace(self.w, self.ds, batch_size=b)
             assert streamed == pytest.approx(np.trace(dense), rel=1e-12, abs=1e-18)
 
 
@@ -219,24 +207,40 @@ class TestNoiseSamplers:
         self.w = glorot_init(MlpSpec(3, (4,), 2, seed=8))
 
     def test_shapes_and_determinism(self):
-        a = sample_ne_noise(self.w, self.ds, 0.1, 3, 1.0, 40, seed=5)
-        b = sample_ne_noise(self.w, self.ds, 0.1, 3, 1.0, 40, seed=5)
+        a = sample_ne_noise(self.w, self.ds, 3, 1.0, 40, seed=5)
+        b = sample_ne_noise(self.w, self.ds, 3, 1.0, 40, seed=5)
         assert a.shape == (40, len(self.w))
         np.testing.assert_array_equal(a, b)
-        c = sample_ne_noise(self.w, self.ds, 0.1, 3, 1.0, 40, seed=6)
+        c = sample_ne_noise(self.w, self.ds, 3, 1.0, 40, seed=6)
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     @pytest.mark.parametrize("seed", [1.5, -1])
     @pytest.mark.parametrize(
-        "entry, full_pass", [(sample_ne_noise, "per_sample_grad_matrix"), (probe_noise, "per_sample_grad_norms")]
+        "entry, full_pass",
+        [
+            (lambda w, ds, alpha, seed: sample_ne_noise(w, ds, 3, alpha, 10, seed), "per_sample_grad_matrix"),
+            (lambda w, ds, alpha, seed: probe_noise(w, ds, 0.1, 3, alpha, 10, seed), "per_sample_grad_norms"),
+        ],
     )
     def test_bad_seed_is_rejected_before_the_full_data_pass(self, monkeypatch, entry, full_pass, seed, alpha):
         # the noise streams used to be built at the first draw, after the pass
         calls = []
         monkeypatch.setattr(noiselab, full_pass, lambda *args: calls.append(args))
         with pytest.raises(ValueError, match=f"^root_seed must be an integer >= 0, got {seed}$"):
-            entry(self.w, self.ds, 0.1, 3, alpha, 10, seed=seed)
+            entry(self.w, self.ds, alpha, seed)
+        assert calls == []
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("eta", [math.nan, 0.0, -1.0, True, "0.1"], ids=repr)
+    def test_bad_step_size_is_rejected_before_the_full_data_pass(self, monkeypatch, eta, alpha):
+        # eta=-1.0 and True used to give the trace and ratio of eta=1, and
+        # "0.1" to fail only after the full-data pass
+        calls = []
+        for name in ("_index_pairs", "per_sample_grad_norms", "loss_and_grad"):
+            monkeypatch.setattr(noiselab, name, lambda *args, name=name: calls.append(name))
+        with pytest.raises(ValueError, match="^learning_rate must be finite and positive$"):
+            probe_noise(self.w, self.ds, eta, 3, alpha, 10, seed=0)
         assert calls == []
 
     def test_stream_index_gives_fresh_draws(self):
@@ -248,7 +252,7 @@ class TestNoiseSamplers:
             assert b == again
 
     def test_alpha_one_reproduces_vanilla_bitwise(self):
-        # alpha = 1 is the vanilla sampler: eta * (mean(G[S]) - g_bar) over the
+        # alpha = 1 is the vanilla sampler: mean(G[S]) - g_bar over the
         # "noise-primary-v2" draws, one choice(n, 3, replace=False) per row;
         # alpha = 2 adds the "noise-enhancement-v2" draws.
         g = per_sample_grad_matrix(self.w, self.ds)
@@ -257,12 +261,12 @@ class TestNoiseSamplers:
         def vanilla(stream):
             rng = named_stream(7, stream, 0)
             idx = np.array([rng.choice(n, 3, replace=False) for _ in range(50)])
-            return 0.1 * (g[idx].mean(axis=1) - g.mean(axis=0))
+            return g[idx].mean(axis=1) - g.mean(axis=0)
 
         xi = vanilla("noise-primary-v2")
-        assert np.array_equal(xi, sample_ne_noise(self.w, self.ds, 0.1, 3, 1.0, 50, seed=7))
+        assert np.array_equal(xi, sample_ne_noise(self.w, self.ds, 3, 1.0, 50, seed=7))
         enhanced = 2.0 * xi + (1.0 - 2.0) * vanilla("noise-enhancement-v2")
-        sampled = sample_ne_noise(self.w, self.ds, 0.1, 3, 2.0, 50, seed=7)
+        sampled = sample_ne_noise(self.w, self.ds, 3, 2.0, 50, seed=7)
         assert np.array_equal(enhanced, sampled)
 
     def test_chunks_bounded_by_the_sample_cap_are_transparent(self, monkeypatch):
@@ -270,13 +274,13 @@ class TestNoiseSamplers:
         # and 1 at B = 8, and every row stays byte-equal to the uncapped run
         p = len(self.w)
         reference = {
-            (b, alpha): sample_ne_noise(self.w, self.ds, 0.1, b, alpha, 12, seed=3)
+            (b, alpha): sample_ne_noise(self.w, self.ds, b, alpha, 12, seed=3)
             for b in (6, 8)
             for alpha in (1.0, 2.0)
         }
         monkeypatch.setattr(noiselab, "MAX_SAMPLE_ENTRIES", self.ds.n_samples * p)
         for (b, alpha), expected in reference.items():
-            capped = sample_ne_noise(self.w, self.ds, 0.1, b, alpha, 12, seed=3)
+            capped = sample_ne_noise(self.w, self.ds, b, alpha, 12, seed=3)
             assert capped.tobytes() == expected.tobytes()
 
     def test_gather_memory_is_bounded_by_the_sample_cap(self, monkeypatch):
@@ -290,33 +294,35 @@ class TestNoiseSamplers:
         for alpha in (1.0, 2.0):
             tracemalloc.start()
             try:
-                sample_ne_noise(w, ds, 0.1, b, alpha, n_draws, seed=4)
+                sample_ne_noise(w, ds, b, alpha, n_draws, seed=4)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak < 4 * 8 * cap
 
     def test_full_batch_noise_is_exactly_zero(self):
-        xi = sample_ne_noise(self.w, self.ds, 0.1, self.ds.n_samples, 1.0, 5, seed=1)
-        np.testing.assert_allclose(xi, np.zeros_like(xi), atol=1e-16)
+        # zero up to the roundoff of two means: the 1e-16 bound this held on the
+        # update noise at eta = 0.1 is 1e-15 on the gradient noise
+        xi = sample_ne_noise(self.w, self.ds, self.ds.n_samples, 1.0, 5, seed=1)
+        np.testing.assert_allclose(xi, np.zeros_like(xi), atol=1e-15)
 
     def test_sample_budget_enforced(self):
         with pytest.raises(CapabilityError):
-            sample_ne_noise(self.w, self.ds, 0.1, 3, 1.0, 30_000_000, seed=0)
+            sample_ne_noise(self.w, self.ds, 3, 1.0, 30_000_000, seed=0)
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
-            sample_ne_noise(self.w, self.ds, 0.1, 0, 1.0, 10, seed=0)
+            sample_ne_noise(self.w, self.ds, 0, 1.0, 10, seed=0)
         with pytest.raises(ValueError):
-            sample_ne_noise(self.w, self.ds, 0.1, 100, 1.0, 10, seed=0)
+            sample_ne_noise(self.w, self.ds, 100, 1.0, 10, seed=0)
         with pytest.raises(ValueError):
-            sample_ne_noise(self.w, self.ds, 0.1, 3, float("nan"), 10, seed=0)
+            sample_ne_noise(self.w, self.ds, 3, float("nan"), 10, seed=0)
 
     def test_sample_covariance_approaches_prediction(self):
         # Monte Carlo check of the enhancement ratio at alpha = 2 (factor 5)
-        eta, b, alpha, n = 0.1, 3, 2.0, 20_000
-        samples = sample_ne_noise(self.w, self.ds, eta, b, alpha, n, seed=13)
-        baseline = exact_noise_trace(self.w, self.ds, eta, b)
+        b, alpha, n = 3, 2.0, 20_000
+        samples = sample_ne_noise(self.w, self.ds, b, alpha, n, seed=13)
+        baseline = exact_noise_trace(self.w, self.ds, b)
         ratio = samples.var(axis=0, ddof=1).sum() / baseline
         assert ratio == pytest.approx(5.0, rel=0.10)
 
@@ -454,17 +460,28 @@ class TestProbe:
 
     def test_matches_dense_sampling_path(self):
         # same seed, same index streams: the streamed probe must agree with
-        # explicit sample matrices up to accumulation roundoff
+        # explicit sample matrices up to accumulation roundoff; the probe
+        # reports the update noise eta * xi, the samples the gradient noise xi
         eta, b, alpha, n, seed = 0.1, 3, 2.0, 50, 15
         row = probe_noise(self.w, self.ds, eta, b, alpha, n, seed=seed)
-        samples = sample_ne_noise(self.w, self.ds, eta, b, alpha, n, seed=seed)
-        baseline = exact_noise_trace(self.w, self.ds, eta, b)
+        samples = sample_ne_noise(self.w, self.ds, b, alpha, n, seed=seed)
+        baseline = exact_noise_trace(self.w, self.ds, b)
         trace = samples.var(axis=0, ddof=1).sum()
-        assert row.trace_cov == pytest.approx(trace, rel=1e-9)
+        assert row.trace_cov == pytest.approx(eta**2 * trace, rel=1e-9)
         assert row.enhancement_ratio == pytest.approx(trace / baseline, rel=1e-9)
         expected_kurt = float(np.nanmedian(excess_kurtosis(samples)))
         assert row.median_excess_kurtosis == pytest.approx(expected_kurt, abs=1e-6)
         assert row.grad_diversity == pytest.approx(gradient_diversity(self.w, self.ds), rel=1e-12)
+
+    def test_learning_rate_enters_squared(self):
+        # the same seed and stream at eta and 2 * eta: the update noise's trace
+        # scales by 4, and the enhancement ratio does not move
+        eta = 0.05
+        for alpha in (1.0, 2.0):
+            row = probe_noise(self.w, self.ds, eta, 3, alpha, 40, seed=9, stream_index=2)
+            doubled = probe_noise(self.w, self.ds, 2 * eta, 3, alpha, 40, seed=9, stream_index=2)
+            assert doubled.trace_cov / row.trace_cov == pytest.approx(4.0, rel=1e-12)
+            assert doubled.enhancement_ratio == row.enhancement_ratio
 
     def test_reports_predictions_alongside_measurements(self):
         row = probe_noise(self.w, self.ds, 0.1, 3, 3.0, 20, seed=2, stream_index=7)
@@ -491,23 +508,23 @@ class TestProbe:
         # 150 draws: the probe takes them one at a time, the dense sampler
         # stacks them in one block, and both see the same batches
         row = probe_noise(self.w, self.ds, 0.1, 3, alpha, 150, seed=5)
-        samples = sample_ne_noise(self.w, self.ds, 0.1, 3, alpha, 150, seed=5)
+        samples = sample_ne_noise(self.w, self.ds, 3, alpha, 150, seed=5)
         assert np.isfinite(row.median_excess_kurtosis)
-        assert row.trace_cov == pytest.approx(samples.var(axis=0, ddof=1).sum(), rel=1e-9)
+        assert row.trace_cov == pytest.approx(0.1**2 * samples.var(axis=0, ddof=1).sum(), rel=1e-9)
         expected_kurt = float(np.nanmedian(excess_kurtosis(samples)))
         assert row.median_excess_kurtosis == pytest.approx(expected_kurt, abs=1e-6)
 
     def test_constant_nonzero_noise_is_left_out_of_the_median(self):
         # one-hot inputs, and hidden unit k fires only on row k: unit k's
         # gradient is nonzero only on row k, so when no draw picks row k its
-        # coordinates hold -eta * g_bar in every draw, constant but not zero
+        # coordinates hold -g_bar in every draw, constant but not zero
         n = 40
         ds = Dataset(np.eye(n), np.arange(n) % 2, 2)
         w = glorot_init(MlpSpec(n, (n,), 2, seed=4))
         w.weights(0)[:] = np.eye(n)
         w.bias(0)[:] = -0.5
         eta, b, alpha, n_draws, seed = 0.1, 2, 2.0, 20, 1
-        samples = sample_ne_noise(w, ds, eta, b, alpha, n_draws, seed=seed)
+        samples = sample_ne_noise(w, ds, b, alpha, n_draws, seed=seed)
         constant = np.ptp(samples, axis=0) == 0.0
         assert (constant & (samples[0] != 0.0)).any()
         row = probe_noise(w, ds, eta, b, alpha, n_draws, seed=seed)

@@ -342,15 +342,15 @@ BATCH_ENTRIES = {
     "effective_batch": (None, lambda b: noiselab.effective_batch(b, 2.0)),
     "BatchStreams": (10, lambda b: BatchStreams.from_seed(10, b, 0)),
     "TrainConfig": (16, lambda b: small_config(ne=NEConfig(batch_size=b, base="sgd"))),
-    "noise_covariance_from_grads": (10, lambda b: noiselab.noise_covariance_from_grads(np.zeros((10, 3)), 1.0, b)),
+    "noise_covariance_from_grads": (10, lambda b: noiselab.noise_covariance_from_grads(np.zeros((10, 3)), b)),
     "enumerate_noise_covariance_from_grads": (
-        10, lambda b: noiselab.enumerate_noise_covariance_from_grads(np.zeros((10, 3)), 1.0, b)
+        10, lambda b: noiselab.enumerate_noise_covariance_from_grads(np.zeros((10, 3)), b)
     ),
     "enumerate_ne_noise_covariance_from_grads": (
-        10, lambda b: noiselab.enumerate_ne_noise_covariance_from_grads(np.zeros((10, 3)), 1.0, b, 2.0)
+        10, lambda b: noiselab.enumerate_ne_noise_covariance_from_grads(np.zeros((10, 3)), b, 2.0)
     ),
-    "exact_noise_trace": (10, lambda b: noiselab.exact_noise_trace(rule_w(), tiny_dataset(), 0.1, b)),
-    "sample_ne_noise": (10, lambda b: noiselab.sample_ne_noise(rule_w(), tiny_dataset(), 0.1, b, 2.0, 10, seed=0)),
+    "exact_noise_trace": (10, lambda b: noiselab.exact_noise_trace(rule_w(), tiny_dataset(), b)),
+    "sample_ne_noise": (10, lambda b: noiselab.sample_ne_noise(rule_w(), tiny_dataset(), b, 2.0, 10, seed=0)),
     "probe_noise": (10, lambda b: noiselab.probe_noise(rule_w(), tiny_dataset(), 0.1, b, 2.0, 10, seed=0)),
 }
 
@@ -361,11 +361,12 @@ ALPHA_ENTRIES = {
     "enhancement_factor": noiselab.enhancement_factor,
     "effective_batch": lambda a: noiselab.effective_batch(4, a),
     "enumerate_ne_noise_covariance_from_grads": (
-        lambda a: noiselab.enumerate_ne_noise_covariance_from_grads(np.zeros((4, 3)), 1.0, 2, a)
+        lambda a: noiselab.enumerate_ne_noise_covariance_from_grads(np.zeros((4, 3)), 2, a)
     ),
-    "sample_ne_noise": lambda a: noiselab.sample_ne_noise(rule_w(), tiny_dataset(), 0.1, 2, a, 10, seed=0),
+    "sample_ne_noise": lambda a: noiselab.sample_ne_noise(rule_w(), tiny_dataset(), 2, a, 10, seed=0),
     "probe_noise": lambda a: noiselab.probe_noise(rule_w(), tiny_dataset(), 0.1, 2, a, 10, seed=0),
     "SweepPlan.over": lambda a: SweepPlan.over(small_config(), "alpha", [a]),
+    "pair_rows": lambda a: pair_rows(np.array([0, 1]), np.array([2, 3]), a, 4),
 }
 
 # Every entry point where a count or seed enters: the setting its message
@@ -398,7 +399,7 @@ COUNT_ENTRIES = {
     "ProbePlan-interval": ("probe.interval", 0, None, lambda v: ProbePlan(interval=v), lambda plan: plan.interval),
     "ProbePlan-n_samples": ("probe.n_samples", 2, None, lambda v: ProbePlan(n_samples=v), lambda plan: plan.n_samples),
     "sample_ne_noise-n_samples": (
-        "n_samples", 1, None, lambda v: noiselab.sample_ne_noise(rule_w(), tiny_dataset(), 0.1, 2, 2.0, v, 0), None
+        "n_samples", 1, None, lambda v: noiselab.sample_ne_noise(rule_w(), tiny_dataset(), 2, 2.0, v, 0), None
     ),
     "probe_noise-n_samples": (
         "n_samples", 2, None, lambda v: noiselab.probe_noise(rule_w(), tiny_dataset(), 0.1, 2, 2.0, v, 0), None
@@ -413,13 +414,18 @@ COUNT_ENTRIES = {
     "probe_noise-seed": (
         "root_seed", 0, None, lambda v: noiselab.probe_noise(rule_w(), tiny_dataset(), 0.1, 2, 2.0, 4, v), None
     ),
+    "SweepPlan.run": ("jobs", 1, None, lambda v: SweepPlan("single", (small_config(),)).run(v), None),
 }
 
-# Every entry point that takes a learning rate, called at a given rate.
+# Every entry point that takes a learning rate, called at a given rate. The
+# probe takes it as the step size eta whose update noise it reports.
 LEARNING_RATE_ENTRIES = {
     "OptimizerState": lambda lr: OptimizerState(learning_rate=lr),
     "TrainConfig": lambda lr: small_config(learning_rate=lr),
+    "probe_noise": lambda lr: noiselab.probe_noise(rule_w(), tiny_dataset(), lr, 2, 2.0, 4, seed=0),
 }
+# The entry points above that keep the rate, as ``learning_rate``.
+LEARNING_RATE_KEEPERS = ("OptimizerState", "TrainConfig")
 
 
 class TestInputRules:
@@ -482,7 +488,7 @@ class TestInputRules:
         with pytest.raises(ValueError, match="^learning_rate must be finite and positive$"):
             LEARNING_RATE_ENTRIES[name](lr)
 
-    @pytest.mark.parametrize("name", LEARNING_RATE_ENTRIES)
+    @pytest.mark.parametrize("name", LEARNING_RATE_KEEPERS)
     def test_numpy_learning_rates_are_stored_as_floats(self, name):
         lr = LEARNING_RATE_ENTRIES[name](np.float32(0.5)).learning_rate
         assert lr == 0.5 and type(lr) is float
