@@ -144,19 +144,21 @@ class RunRecord:
 
     final_train_loss is the full-train loss at the last evaluation. A run
     that stops at max_steps between evaluations takes its last steps after
-    that evaluation, so the loss is older than the final weights.
+    that evaluation, so the loss is older than the final weights. Derived:
+    convergence_steps, the steps taken by a converged run (None otherwise).
     """
 
     seed: int
     status: str
     test_accuracy: float
-    convergence_steps: int | None
     lr_halved_at: int | None
     final_train_loss: float
     steps_taken: int
     wall_time_s: float = field(compare=False, default=0.0)
     probes: tuple[ProbeRow, ...] = field(compare=False, default=())
     steps: tuple[StepLog, ...] = field(compare=False, default=())
+
+    convergence_steps = property(lambda self: self.steps_taken if self.status == STATUS_CONVERGED else None)
 
 
 def train_run(cfg: TrainConfig, seed: int) -> RunRecord:
@@ -168,7 +170,6 @@ def train_run(cfg: TrainConfig, seed: int) -> RunRecord:
     streams = BatchStreams.from_seed(n, cfg.ne.batch_size, seed)
     max_steps = cfg.resolved_max_steps()
     halved_at: int | None = None
-    conv: int | None = None
     status = STATUS_DID_NOT_CONVERGE
     probe_rows: list[ProbeRow] = []
     step_logs: list[StepLog] = []
@@ -197,7 +198,6 @@ def train_run(cfg: TrainConfig, seed: int) -> RunRecord:
                     break
                 if last_loss <= cfg.l_star_star:
                     status = STATUS_CONVERGED
-                    conv = step
                     break
                 if halved_at is None and last_loss <= cfg.l_star:
                     state.learning_rate *= 0.5
@@ -220,7 +220,6 @@ def train_run(cfg: TrainConfig, seed: int) -> RunRecord:
         seed=seed,
         status=status,
         test_accuracy=accuracy,
-        convergence_steps=conv,
         lr_halved_at=halved_at,
         final_train_loss=last_loss,
         steps_taken=state.step_count,
@@ -230,37 +229,33 @@ def train_run(cfg: TrainConfig, seed: int) -> RunRecord:
     )
 
 
+def _stat(fn, values: list) -> float:
+    return float(fn(values)) if values else float("nan")
+
+
 @dataclass(frozen=True)
 class AggregateResult:
-    """Multi-seed summary.
-
-    Accuracy statistics cover non-diverged runs (did-not-converge runs keep
-    their accuracy); convergence statistics cover converged runs only.
-    Standard deviations use ddof=0, so a single run reports 0.
+    """Multi-seed summary of one or more records. Derived: mean_accuracy and
+    std_accuracy over non-diverged runs (did-not-converge runs keep their
+    accuracy); mean_convergence, std_convergence and n_converged over
+    converged runs only. Standard deviations use ddof=0, so a single run
+    reports 0; a statistic over no run is NaN.
     """
 
     records: tuple[RunRecord, ...]
-    mean_accuracy: float
-    std_accuracy: float
-    mean_convergence: float
-    std_convergence: float
-    n_converged: int
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "records", tuple(self.records))
+        if not self.records:
+            raise ValueError("no records to aggregate")
 
-def aggregate(records: Iterable[RunRecord]) -> AggregateResult:
-    records = tuple(records)
-    if not records:
-        raise ValueError("no records to aggregate")
-    accs = [r.test_accuracy for r in records if r.status != STATUS_DIVERGED]
-    convs = [r.convergence_steps for r in records if r.status == STATUS_CONVERGED]
-    return AggregateResult(
-        records=records,
-        mean_accuracy=float(np.mean(accs)) if accs else float("nan"),
-        std_accuracy=float(np.std(accs)) if accs else float("nan"),
-        mean_convergence=float(np.mean(convs)) if convs else float("nan"),
-        std_convergence=float(np.std(convs)) if convs else float("nan"),
-        n_converged=len(convs),
-    )
+    _accuracies = property(lambda self: [r.test_accuracy for r in self.records if r.status != STATUS_DIVERGED])
+    _convergences = property(lambda self: [r.convergence_steps for r in self.records if r.status == STATUS_CONVERGED])
+    mean_accuracy = property(lambda self: _stat(np.mean, self._accuracies))
+    std_accuracy = property(lambda self: _stat(np.std, self._accuracies))
+    mean_convergence = property(lambda self: _stat(np.mean, self._convergences))
+    std_convergence = property(lambda self: _stat(np.std, self._convergences))
+    n_converged = property(lambda self: len(self._convergences))
 
 
 def _set_blas_threads(n: int) -> None:
@@ -310,7 +305,7 @@ def _dispatch(configs: tuple[TrainConfig, ...], jobs: int) -> list[AggregateResu
             records = iter(list(pool.map(_worker_task, tasks)))
     else:
         records = (train_run(configs[cell], seed) for cell, seed in tasks)
-    return [aggregate([next(records) for _ in cfg.seeds]) for cfg in configs]
+    return [AggregateResult([next(records) for _ in cfg.seeds]) for cfg in configs]
 
 
 @dataclass(frozen=True)
@@ -319,9 +314,10 @@ class SweepPlan:
     (a SWEEP_AXES field for a sweep, "single" for one config), and, once
     run, one aggregate per cell.
 
-    Building a plan builds, and so checks, every cell's config, so a bad
-    grid is rejected before any run and before any output is written.
-    ``run`` returns a copy of the plan holding its ``cells``. Cell statistics
+    A plan checks itself however it is built, before any run or output: a
+    single plan holds one config, a sweep one or more that differ along its
+    axis and neither log steps nor probe, and ``cells`` is empty or one per
+    config. ``run`` returns a copy holding its ``cells``. Cell statistics
     are meant to be read with >= 2 completed runs behind them; that is a
     reporting convention, not a hard precondition.
     """
@@ -330,26 +326,35 @@ class SweepPlan:
     configs: tuple[TrainConfig, ...]
     cells: tuple[AggregateResult, ...] = ()
 
-    @classmethod
-    def over(cls, cfg: TrainConfig, axis: str, grid: Iterable[float]) -> SweepPlan:
-        """One cell per grid value of ``axis``, a SWEEP_AXES field, over the base
-        config. Rejected: an unknown axis, a base config that logs steps or
-        probes, a value the NEConfig field's rule rejects (2.5 along B), and a
-        value repeated as stored (8 and np.int64(8) along B, 2 and 2.0 along alpha)."""
-        if axis not in SWEEP_AXES:
-            raise ValueError(f"unknown sweep axis {axis!r}: sweeps vary {' or '.join(SWEEP_AXES)}")
-        if cfg.log_steps or cfg.probe is not None:
+    def __post_init__(self) -> None:
+        n = len(self.configs)
+        if self.axis == "single":
+            if n != 1:
+                raise ValueError(f"a single plan holds exactly one config, got {n}")
+        elif self.axis not in SWEEP_AXES:
+            raise ValueError(f"unknown plan axis {self.axis!r}: a plan is 'single' or sweeps {' or '.join(SWEEP_AXES)}")
+        elif n == 0:
+            raise ValueError(f"the {self.axis} grid must be non-empty")
+        elif any(c.log_steps or c.probe is not None for c in self.configs):
             raise ValueError(
                 "a sweep cannot log steps or probe: its cells share seeds, "
                 "so their steps_seed<N>.csv and probe.csv files would collide"
             )
-        configs = tuple(replace(cfg, ne=replace(cfg.ne, **{axis: v})) for v in grid)
-        values = [getattr(c.ne, axis) for c in configs]
-        if not values:
-            raise ValueError(f"the {axis} grid must be non-empty")
-        if len(set(values)) < len(values):
-            raise ValueError(f"the {axis} grid must not repeat a value, got {values}")
-        return cls(axis, configs)
+        elif len(set(values := [getattr(c.ne, self.axis) for c in self.configs])) < n:
+            raise ValueError(f"the {self.axis} grid must not repeat a value, got {values}")
+        if self.cells and len(self.cells) != n:
+            raise ValueError(f"a plan holds one cell per config: {n} configs, {len(self.cells)} cells")
+
+    @classmethod
+    def over(cls, cfg: TrainConfig, axis: str, grid: Iterable[float]) -> SweepPlan:
+        """One cell per grid value of ``axis``, a SWEEP_AXES field, over the base
+        config. Rejected: an unknown axis, a value the NEConfig field's rule
+        rejects (2.5 along B), and what the plan rejects (an empty grid, a base
+        config that logs steps or probes, a value repeated as stored)."""
+        if axis not in SWEEP_AXES:
+            raise ValueError(f"unknown sweep axis {axis!r}: sweeps vary {' or '.join(SWEEP_AXES)}")
+        cls(axis, (cfg,))  # the plan's rules on the base config, before any grid value is built
+        return cls(axis, tuple(replace(cfg, ne=replace(cfg.ne, **{axis: v})) for v in grid))
 
     @property
     def column(self) -> str:

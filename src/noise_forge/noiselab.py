@@ -280,17 +280,19 @@ def gradient_diversity(w: ParamVector, ds: Dataset) -> float:
 
 @dataclass(frozen=True)
 class ProbeRow:
-    """One noise-probe measurement at a training checkpoint (probe CSV schema)."""
+    """One noise-probe measurement at a training checkpoint (a probe.csv row).
+    Derived: predicted_factor, f(alpha), and b_eff, the effective batch."""
 
     step: int
     alpha: float
     batch_size: int
     trace_cov: float
     enhancement_ratio: float
-    predicted_factor: float
-    b_eff: float
     median_excess_kurtosis: float
     grad_diversity: float
+
+    predicted_factor = property(lambda self: enhancement_factor(self.alpha))
+    b_eff = property(lambda self: effective_batch(self.batch_size, self.alpha))
 
 
 def probe_noise(
@@ -371,8 +373,6 @@ def probe_noise(
         batch_size=batch_size,
         trace_cov=trace,
         enhancement_ratio=ratio,
-        predicted_factor=enhancement_factor(alpha),
-        b_eff=effective_batch(batch_size, alpha),
         median_excess_kurtosis=float(np.nanmedian(kurt)),
         grad_diversity=_grad_diversity(sq_norms, total.values),
     )

@@ -26,11 +26,13 @@ from typing import Iterable
 import numpy as np
 
 from .harness import SWEEP_AXES, AggregateResult, SweepPlan, config_hash
-from .noiselab import ProbeRow, effective_batch
+from .noiselab import effective_batch
 from .optim import StepLog
 
 RUNS_COLUMNS = ("config_hash", "B", "alpha", "seed", "test_accuracy", "convergence_steps", "lr_halved_at", "status")
 AGGREGATE_COLUMNS = ("B", "alpha", "mean_acc", "std_acc", "mean_steps", "std_steps", "n_converged")
+PROBE_COLUMNS = ("step", "alpha", "B", "trace_cov", "enhancement_ratio", "predicted_factor", "b_eff",
+                 "median_excess_kurtosis", "grad_diversity")
 
 
 def _fmt(value) -> str:
@@ -71,8 +73,10 @@ def write_results(out: str | Path, plan: SweepPlan) -> float | None:
     its own config.
 
     Returns a sweep's best value (see best_row), or None for a single
-    config or a sweep with no finite cell.
+    config or a sweep with no finite cell. An un-run plan raises ValueError.
     """
+    if not plan.cells:
+        raise ValueError("the plan has not run: it holds no cells to write")
     out = Path(out)
     cells = list(zip(plan.configs, plan.cells))
     runs = []
@@ -90,8 +94,9 @@ def write_results(out: str | Path, plan: SweepPlan) -> float | None:
             for r in agg.records:
                 _write_csv(out / f"steps_seed{r.seed}.csv", [f.name for f in fields(StepLog)], map(astuple, r.steps))
         if cfg.probe is not None:
-            header = [SWEEP_AXES.get(f.name, f.name) for f in fields(ProbeRow)]
-            _write_csv(out / "probe.csv", header, map(astuple, agg.records[0].probes))
+            probes = [(p.step, p.alpha, p.batch_size, p.trace_cov, p.enhancement_ratio, p.predicted_factor, p.b_eff,
+                       p.median_excess_kurtosis, p.grad_diversity) for p in agg.records[0].probes]
+            _write_csv(out / "probe.csv", PROBE_COLUMNS, probes)
     if plan.axis == "single":
         return None
     best = best_row(rows, plan.column)

@@ -235,7 +235,7 @@ class TestTrainCommand:
 
         def diverged_run(cfg, seed):
             return harness.RunRecord(
-                seed, harness.STATUS_DIVERGED, float("nan"), None, None, float("nan"), 7
+                seed, harness.STATUS_DIVERGED, float("nan"), None, float("nan"), 7
             )
 
         monkeypatch.setattr(harness, "train_run", diverged_run)
@@ -264,7 +264,7 @@ class TestTrainCommand:
 
         def diverged_run(cfg, seed):
             return harness.RunRecord(
-                seed, harness.STATUS_DIVERGED, float("nan"), None, None, float("nan"), 7
+                seed, harness.STATUS_DIVERGED, float("nan"), None, float("nan"), 7
             )
 
         monkeypatch.setattr(harness, "train_run", diverged_run)

@@ -24,7 +24,6 @@ from noise_forge.harness import (
     RunRecord,
     SweepPlan,
     TrainConfig,
-    aggregate,
     config_hash,
     sweep_alpha,
     train_run,
@@ -304,9 +303,33 @@ class TestProtocol:
         assert a.steps_taken <= 60
 
     def test_record_equality_ignores_wall_time(self):
-        a = RunRecord(0, STATUS_CONVERGED, 0.9, 100, 50, 0.0005, 100, wall_time_s=1.0)
-        b = RunRecord(0, STATUS_CONVERGED, 0.9, 100, 50, 0.0005, 100, wall_time_s=9.9)
+        a = RunRecord(0, STATUS_CONVERGED, 0.9, 50, 0.0005, 100, wall_time_s=1.0)
+        b = RunRecord(0, STATUS_CONVERGED, 0.9, 50, 0.0005, 100, wall_time_s=9.9)
         assert a == b
+
+    def test_record_rejects_convergence_steps(self):
+        # derived from status and steps_taken, so it cannot disagree with them
+        with pytest.raises(TypeError, match="convergence_steps"):
+            RunRecord(
+                seed=0, status=STATUS_CONVERGED, test_accuracy=0.9, convergence_steps=7,
+                lr_halved_at=None, final_train_loss=0.0005, steps_taken=100,
+            )
+
+    @pytest.mark.parametrize(
+        "overrides, status",
+        [
+            ({"l_star": 0.5, "l_star_star": 0.4, "eval_interval": 10}, STATUS_CONVERGED),
+            ({"max_steps": 30, "eval_interval": 10}, STATUS_DID_NOT_CONVERGE),
+            ({"learning_rate": 1e300}, STATUS_DIVERGED),
+        ],
+        ids=["converged", "max-steps", "diverged"],
+    )
+    def test_convergence_steps_are_the_steps_of_a_converged_run(self, overrides, status):
+        record = train_run(small_config(**overrides), seed=0)
+        assert record.status == status
+        assert record.steps_taken > 0
+        expected = record.steps_taken if status == STATUS_CONVERGED else None
+        assert record.convergence_steps == expected
 
 
 class TestProbePlan:
@@ -351,7 +374,6 @@ def rec(seed=0, status=STATUS_CONVERGED, acc=0.9, conv=100):
         seed=seed,
         status=status,
         test_accuracy=acc,
-        convergence_steps=conv if status == STATUS_CONVERGED else None,
         lr_halved_at=None,
         final_train_loss=0.0005,
         steps_taken=conv or 0,
@@ -361,7 +383,7 @@ def rec(seed=0, status=STATUS_CONVERGED, acc=0.9, conv=100):
 
 class TestAggregate:
     def test_hand_statistics(self):
-        agg = aggregate([rec(0, acc=0.9, conv=100), rec(1, acc=0.8, conv=200)])
+        agg = AggregateResult([rec(0, acc=0.9, conv=100), rec(1, acc=0.8, conv=200)])
         assert agg.mean_accuracy == pytest.approx(0.85)
         assert agg.std_accuracy == pytest.approx(0.05)  # ddof=0
         assert agg.mean_convergence == pytest.approx(150.0)
@@ -370,12 +392,12 @@ class TestAggregate:
         assert not all(r.status == STATUS_DIVERGED for r in agg.records)
 
     def test_single_run_has_zero_spread(self):
-        agg = aggregate([rec(0)])
+        agg = AggregateResult([rec(0)])
         assert agg.std_accuracy == 0.0
         assert agg.std_convergence == 0.0
 
     def test_statuses_partition_the_runs(self):
-        agg = aggregate(
+        agg = AggregateResult(
             [
                 rec(0, acc=0.9, conv=100),
                 rec(1, status=STATUS_DID_NOT_CONVERGE, acc=0.7),
@@ -391,14 +413,19 @@ class TestAggregate:
         assert not all(r.status == STATUS_DIVERGED for r in agg.records)
 
     def test_all_diverged_is_flagged(self):
-        agg = aggregate([rec(0, status=STATUS_DIVERGED, acc=float("nan"))])
+        agg = AggregateResult([rec(0, status=STATUS_DIVERGED, acc=float("nan"))])
         assert all(r.status == STATUS_DIVERGED for r in agg.records)
         assert math.isnan(agg.mean_accuracy)
         assert math.isnan(agg.mean_convergence)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([])
+            AggregateResult([])
+
+    def test_all_diverged_summaries_compare_equal(self):
+        # the statistics are NaN; they are derived, not stored, so equality holds
+        recs = [rec(0, status=STATUS_DIVERGED, acc=float("nan")), rec(1, status=STATUS_DIVERGED, acc=float("nan"))]
+        assert AggregateResult(recs) == AggregateResult(recs)
 
 
 class TestRepeatRuns:
@@ -553,7 +580,7 @@ class TestWorkerPool:
             records = SweepPlan("single", (cfg,)).run(jobs=jobs).cells[0].records
             assert [len(r.probes) for r in records] == [3, 3]  # steps 0, 20 and 40
             for r in records:
-                one = SweepPlan("single", (replace(cfg, seeds=(r.seed,)),), (aggregate([r]),))
+                one = SweepPlan("single", (replace(cfg, seeds=(r.seed,)),), (AggregateResult([r]),))
                 write_results(tmp_path / f"jobs{jobs}_seed{r.seed}", one)
             probe_csvs.append([(tmp_path / f"jobs{jobs}_seed{s}" / "probe.csv").read_bytes() for s in (0, 1)])
         assert probe_csvs[0] == probe_csvs[1]
@@ -662,6 +689,51 @@ class TestSweeps:
             sweep_alpha(small_config(), [], b_fixed=4)
 
 
+def plan_of(axis, *overrides, cells=()):
+    """A SweepPlan built directly, one small_config per override dict."""
+    return SweepPlan(axis, tuple(small_config(**o) for o in overrides), cells)
+
+
+class TestPlanRules:
+    """A plan built directly is held to the rules SweepPlan.over and the
+    command line build by; each bad plan raises before anything runs."""
+
+    def test_unknown_axis_rejected(self):
+        message = r"^unknown plan axis 'bogus': a plan is 'single' or sweeps batch_size or alpha$"
+        with pytest.raises(ValueError, match=message):
+            plan_of("bogus", {})
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_single_plan_holds_one_config(self, count):
+        with pytest.raises(ValueError, match=rf"^a single plan holds exactly one config, got {count}$"):
+            plan_of("single", *[{"seeds": (s,)} for s in range(count)])
+
+    def test_sweep_holds_a_config(self):
+        with pytest.raises(ValueError, match=r"^the alpha grid must be non-empty$"):
+            plan_of("alpha")
+
+    def test_sweep_configs_differ_along_the_axis(self):
+        with pytest.raises(ValueError, match=r"^the batch_size grid must not repeat a value, got \[4, 8, 4\]$"):
+            plan_of("batch_size", *[{"ne": NEConfig(batch_size=b)} for b in (4, 8, 4)])
+
+    @pytest.mark.parametrize("overrides", [{"log_steps": True}, {"probe": ProbePlan()}], ids=["log-steps", "probe"])
+    def test_sweep_configs_neither_log_nor_probe(self, overrides):
+        with pytest.raises(ValueError, match="^a sweep cannot log steps or probe"):
+            plan_of("alpha", {"ne": NEConfig(alpha=1.0, batch_size=4)},
+                    {"ne": NEConfig(alpha=2.0, batch_size=4), **overrides})
+
+    def test_cells_match_the_configs(self):
+        cell = AggregateResult([rec(0)])
+        with pytest.raises(ValueError, match=r"^a plan holds one cell per config: 1 configs, 2 cells$"):
+            plan_of("single", {}, cells=(cell, cell))
+        assert plan_of("single", {}, cells=(cell,)).cells == (cell,)
+
+    def test_an_unrun_plan_writes_nothing(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^the plan has not run: it holds no cells to write$"):
+            write_results(tmp_path, plan_of("single", {}))
+        assert list(tmp_path.iterdir()) == []
+
+
 def sweep_from_cells(axis, values, cells, fixed=1.0):
     """The aggregate rows of a sweep along ``axis``. Built from the rows, not
     a SweepPlan, because TestComparison's B = 32 and 64 exceed
@@ -672,7 +744,7 @@ def sweep_from_cells(axis, values, cells, fixed=1.0):
 
 
 def cell(acc, conv, status=STATUS_CONVERGED):
-    return aggregate([rec(0, status=status, acc=acc, conv=conv)])
+    return AggregateResult([rec(0, status=status, acc=acc, conv=conv)])
 
 
 def flags_of(values, cells):
@@ -738,7 +810,7 @@ class TestComparison:
 
 def single(cfg, *records):
     """A single-config plan that has run, its one cell holding ``records``."""
-    return SweepPlan("single", (cfg,), (aggregate(records),))
+    return SweepPlan("single", (cfg,), (AggregateResult(records),))
 
 
 class TestCsvWriters:
@@ -751,7 +823,7 @@ class TestCsvWriters:
 
     def test_runs_schema(self, tmp_path):
         cfg = small_config(ne=NEConfig(alpha=1.5, batch_size=4))
-        record = RunRecord(0, STATUS_CONVERGED, 0.875, 300, 150, 0.0009, 300)
+        record = RunRecord(0, STATUS_CONVERGED, 0.875, 150, 0.0009, 300)
         write_results(tmp_path, single(cfg, record))
         lines = (tmp_path / "runs.csv").read_text().splitlines()
         assert lines[0] == "config_hash,B,alpha,seed,test_accuracy,convergence_steps,lr_halved_at,status"
@@ -765,7 +837,7 @@ class TestCsvWriters:
 
     def test_cells_carry_their_own_configs(self, tmp_path):
         plan = harness.SweepPlan.over(small_config(ne=NEConfig(batch_size=8, base="sgd")), "alpha", [1.0, 2.5])
-        cells = [aggregate([rec(0, acc=0.75), rec(3, acc=0.5)]), aggregate([rec(1, acc=0.25)])]
+        cells = [AggregateResult([rec(0, acc=0.75), rec(3, acc=0.5)]), AggregateResult([rec(1, acc=0.25)])]
         write_results(tmp_path, replace(plan, cells=tuple(cells)))
         runs = [line.split(",") for line in (tmp_path / "runs.csv").read_text().splitlines()[1:]]
         h0, h1 = (config_hash(c) for c in plan.configs)
@@ -781,13 +853,13 @@ class TestCsvWriters:
     def test_numpy_alpha_is_written_as_its_float(self, tmp_path):
         # config_hash used to raise on an np.float32 alpha, after every run had finished
         cfg = small_config(ne=NEConfig(alpha=np.float32(2), batch_size=4))
-        write_results(tmp_path, single(cfg, RunRecord(0, STATUS_CONVERGED, 0.875, 300, 150, 0.0009, 300)))
+        write_results(tmp_path, single(cfg, RunRecord(0, STATUS_CONVERGED, 0.875, 150, 0.0009, 300)))
         line = (tmp_path / "runs.csv").read_text().splitlines()[1]
         h = config_hash(small_config(ne=NEConfig(alpha=2.0, batch_size=4)))
         assert line == f"{h},4,2.0,0,0.875,300,150,converged"
 
     def test_probe_schema(self, tmp_path):
-        row = ProbeRow(0, 2.0, 8, 0.5, 4.9, 5.0, 1.6, -0.25, 0.75)
+        row = ProbeRow(0, 2.0, 8, 0.5, 4.9, -0.25, 0.75)
         write_results(tmp_path, single(small_config(probe=ProbePlan()), replace(rec(0), probes=(row,))))
         lines = (tmp_path / "probe.csv").read_text().splitlines()
         assert lines[0] == (
@@ -798,7 +870,7 @@ class TestCsvWriters:
 
     def test_scatter_schema_drops_value_column(self, tmp_path):
         path = tmp_path / "scatter.csv"
-        rows = [aggregate_row(32, 1.0, aggregate([rec(0, acc=0.88, conv=300)]))]
+        rows = [aggregate_row(32, 1.0, AggregateResult([rec(0, acc=0.88, conv=300)]))]
         write_tradeoff_csv(path, tradeoff_rows("reduce-batch", rows))
         lines = path.read_text().splitlines()
         assert lines[0] == "series,convergence_steps,accuracy"

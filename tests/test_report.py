@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noise_forge.harness import STATUS_DIVERGED, SweepPlan, aggregate
+from noise_forge.harness import STATUS_DIVERGED, AggregateResult, SweepPlan
 from noise_forge.report import (
     ResultsUnit,
     aggregate_row,
@@ -183,9 +183,9 @@ def run_plan(plan):
     cells = []
     for cfg in plan.configs:
         if cfg.ne.alpha == 2.0:
-            cells.append(aggregate([rec(s, status=STATUS_DIVERGED, acc=math.nan) for s in cfg.seeds]))
+            cells.append(AggregateResult([rec(s, status=STATUS_DIVERGED, acc=math.nan) for s in cfg.seeds]))
         else:
-            cells.append(aggregate([rec(s, acc=0.5 + cfg.ne.batch_size / 100 + cfg.ne.alpha / 10, conv=100 + s) for s in cfg.seeds]))
+            cells.append(AggregateResult([rec(s, acc=0.5 + cfg.ne.batch_size / 100 + cfg.ne.alpha / 10, conv=100 + s) for s in cfg.seeds]))
     return SweepPlan(plan.axis, plan.configs, tuple(cells))
 
 
