@@ -224,21 +224,18 @@ def _cmd_run(args) -> int:
     report.write_results and print them."""
     cfg = resolve_config(args.config, args.set or [])
     tc = build_train_config(cfg)
-    if args.sweep is not None:
-        axis, grid_key = args.sweep
-        plan = harness.SweepPlan.over(tc, axis, cfg[grid_key])
-    elif args.command == "probe":
+    axis, grid_key = args.sweep or ("single", None)
+    if args.command == "probe":
         probe = harness.ProbePlan(tuple(cfg["probe.steps"]), cfg["probe.interval"], cfg["probe.n_samples"])
-        plan = harness.SweepPlan("single", (replace(tc, seeds=tc.seeds[:1], probe=probe),))
-    else:
-        plan = harness.SweepPlan("single", (tc,))
+        tc = replace(tc, seeds=tc.seeds[:1], probe=probe)
+    plan = harness.SweepPlan(tc, axis, cfg[grid_key] if grid_key else ())
     out = Path(args.out) if args.out else Path("runs") / args.command
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.json").write_text(json.dumps(cfg, sort_keys=True, indent=2) + "\n")
     plan = plan.run(args.jobs)
     best = report.write_results(out, plan)
     if plan.axis == "single":
-        (tc,), (agg,) = plan.configs, plan.cells
+        (agg,) = plan.cells
         for record in agg.records:
             print(_record_line(record))
         if tc.probe is None:

@@ -190,6 +190,8 @@ class SyntheticSpec:
         centers = np.array(self.centers, dtype=np.float64, copy=True)
         if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] < 1:
             raise ValueError("centers must be 2-D with at least one row and one column")
+        if not np.isfinite(centers).all():
+            raise ValueError("centers must be finite")
         object.__setattr__(self, "n_per_class", check_count("n_per_class", self.n_per_class, 1))
         if not (is_number(self.noise_scale) and self.noise_scale >= 0.0):
             raise ValueError("noise_scale must be finite and >= 0")

@@ -84,6 +84,9 @@ class TrainConfig:
         if self.train_data.input_dim != self.test_data.input_dim:
             raise ValueError("train/test input_dim mismatch")
         check_batch_size(self.ne.batch_size, self.train_data.n_samples)
+        if not isinstance(self.log_steps, (bool, np.bool_)):
+            raise ValueError(f"log_steps must be a bool, got {self.log_steps!r}")
+        object.__setattr__(self, "log_steps", bool(self.log_steps))
 
     def resolved_max_steps(self) -> int:
         """max_steps, defaulting to 200 epochs worth of steps."""
@@ -310,51 +313,47 @@ def _dispatch(configs: tuple[TrainConfig, ...], jobs: int) -> list[AggregateResu
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """The plan of a run command: one TrainConfig per cell along ``axis``
-    (a SWEEP_AXES field for a sweep, "single" for one config), and, once
-    run, one aggregate per cell.
-
-    A plan checks itself however it is built, before any run or output: a
-    single plan holds one config, a sweep one or more that differ along its
-    axis and neither log steps nor probe, and ``cells`` is empty or one per
-    config. ``run`` returns a copy holding its ``cells``. Cell statistics
-    are meant to be read with >= 2 completed runs behind them; that is a
-    reporting convention, not a hard precondition.
+    """The plan of a run command: one base TrainConfig and a grid along
+    ``axis``, a SWEEP_AXES field ("single" runs the base alone, with no
+    grid). ``configs`` is derived, one per cell: the base set to each grid
+    value by its NEConfig field's rule (``grid`` keeps the values that rule
+    returns), so a sweep's cells differ only along its axis. ``run`` returns
+    a copy holding one aggregate per cell. Rejected before any run: an unknown
+    axis, a grid on a single plan, a sweep base that logs steps or probes,
+    an empty or repeating grid, and cells other than one per config. Cell
+    statistics want >= 2 completed runs each (a convention, not a check).
     """
 
-    axis: str
-    configs: tuple[TrainConfig, ...]
+    base: TrainConfig
+    axis: str = "single"
+    grid: tuple[float, ...] = ()
     cells: tuple[AggregateResult, ...] = ()
+    configs: tuple[TrainConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.configs)
+        grid = tuple(self.grid)
         if self.axis == "single":
-            if n != 1:
-                raise ValueError(f"a single plan holds exactly one config, got {n}")
+            if grid:
+                raise ValueError(f"a single plan takes no grid, got {list(grid)}")
+            configs = (self.base,)
         elif self.axis not in SWEEP_AXES:
             raise ValueError(f"unknown plan axis {self.axis!r}: a plan is 'single' or sweeps {' or '.join(SWEEP_AXES)}")
-        elif n == 0:
-            raise ValueError(f"the {self.axis} grid must be non-empty")
-        elif any(c.log_steps or c.probe is not None for c in self.configs):
+        elif self.base.log_steps or self.base.probe is not None:
             raise ValueError(
                 "a sweep cannot log steps or probe: its cells share seeds, "
                 "so their steps_seed<N>.csv and probe.csv files would collide"
             )
-        elif len(set(values := [getattr(c.ne, self.axis) for c in self.configs])) < n:
-            raise ValueError(f"the {self.axis} grid must not repeat a value, got {values}")
-        if self.cells and len(self.cells) != n:
-            raise ValueError(f"a plan holds one cell per config: {n} configs, {len(self.cells)} cells")
-
-    @classmethod
-    def over(cls, cfg: TrainConfig, axis: str, grid: Iterable[float]) -> SweepPlan:
-        """One cell per grid value of ``axis``, a SWEEP_AXES field, over the base
-        config. Rejected: an unknown axis, a value the NEConfig field's rule
-        rejects (2.5 along B), and what the plan rejects (an empty grid, a base
-        config that logs steps or probes, a value repeated as stored)."""
-        if axis not in SWEEP_AXES:
-            raise ValueError(f"unknown sweep axis {axis!r}: sweeps vary {' or '.join(SWEEP_AXES)}")
-        cls(axis, (cfg,))  # the plan's rules on the base config, before any grid value is built
-        return cls(axis, tuple(replace(cfg, ne=replace(cfg.ne, **{axis: v})) for v in grid))
+        elif not grid:
+            raise ValueError(f"the {self.axis} grid must be non-empty")
+        else:
+            configs = tuple(replace(self.base, ne=replace(self.base.ne, **{self.axis: v})) for v in grid)
+            grid = tuple(getattr(cfg.ne, self.axis) for cfg in configs)
+            if len(set(grid)) < len(grid):
+                raise ValueError(f"the {self.axis} grid must not repeat a value, got {list(grid)}")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "configs", configs)
+        if self.cells and len(self.cells) != len(configs):
+            raise ValueError(f"a plan holds one cell per config: {len(configs)} configs, {len(self.cells)} cells")
 
     @property
     def column(self) -> str:
@@ -364,13 +363,13 @@ class SweepPlan:
     @property
     def values(self) -> tuple[float, ...]:
         """A sweep's grid: each cell's setting along the axis."""
-        return tuple(float(getattr(cfg.ne, self.axis)) for cfg in self.configs)
+        return tuple(float(v) for v in self.grid)
 
     @property
     def fixed_value(self) -> float:
-        """The setting a sweep holds fixed: the other SWEEP_AXES field."""
+        """The setting a sweep holds fixed: the base's other SWEEP_AXES field."""
         other = next(a for a in SWEEP_AXES if a != self.axis)
-        return float(getattr(self.configs[0].ne, other))
+        return float(getattr(self.base.ne, other))
 
     def run(self, jobs: int = 1) -> SweepPlan:
         """Repeat the protocol for every cell, in grid order, each over its
@@ -382,8 +381,8 @@ class SweepPlan:
 def sweep_alpha(
     cfg: TrainConfig, alpha_grid: Iterable[float], b_fixed: int, jobs: int = 1
 ) -> SweepPlan:
-    """Repeat the protocol for each alpha at batch size ``b_fixed`` (see SweepPlan).
-    Kept for the benchmark's desk-sweep workload and the harness tests; the run
-    commands build their plan with ``SweepPlan.over``."""
+    """Run the plan whose base is ``cfg`` at batch size ``b_fixed`` and whose
+    grid is ``alpha_grid`` along alpha (see SweepPlan). Kept for the
+    benchmark's desk-sweep workload and the harness tests."""
     cfg = replace(cfg, ne=replace(cfg.ne, batch_size=b_fixed))
-    return SweepPlan.over(cfg, "alpha", alpha_grid).run(jobs)
+    return SweepPlan(cfg, "alpha", alpha_grid).run(jobs)

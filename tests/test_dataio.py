@@ -275,6 +275,12 @@ class TestSynthetic:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             self.spec(**{field: value})
 
+    # a NaN centre used to give a dataset of all 0.5 inputs; an inf one to fail later, in Dataset
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_centers_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^centers must be finite$"):
+            self.spec(centers=np.array([[0.0, 0.0], [1.0, bad], [0.0, 1.0]]))
+
     def test_numpy_real_settings_are_stored_as_floats(self):
         spec = self.spec(noise_scale=np.float32(0.5), label_noise=np.int64(0))
         assert (spec.noise_scale, spec.label_noise) == (0.5, 0.0)

@@ -3,9 +3,10 @@ import json
 import math
 import os
 import pickle
+import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -132,6 +133,16 @@ class TestConfig:
         # then break config_hash's JSON
         cfg = small_config(eval_interval=np.int64(100), max_steps=np.int64(1000))
         assert config_hash(cfg) == config_hash(small_config())
+
+    # a truthy "no" used to log every step
+    @pytest.mark.parametrize("value", ["no", 1, 0, None])
+    def test_log_steps_takes_only_a_bool(self, value):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'log_steps must be a bool, got {value!r}')}$"):
+            small_config(log_steps=value)
+
+    def test_numpy_bool_log_steps_is_stored_as_a_bool(self):
+        assert small_config(log_steps=np.True_).log_steps is True
+        assert small_config(log_steps=np.False_).log_steps is False
 
     def test_negative_seeds_rejected(self):
         # named_stream would reject them only once a run starts
@@ -433,25 +444,25 @@ class TestRepeatRuns:
         monkeypatch.setattr(
             harness, "train_run", lambda cfg, seed: rec(seed)
         )
-        (agg,) = SweepPlan("single", (small_config(seeds=(5, 1, 3)),)).run().cells
+        (agg,) = SweepPlan(small_config(seeds=(5, 1, 3))).run().cells
         assert [r.seed for r in agg.records] == [5, 1, 3]
 
     def test_defaults_to_config_seeds(self, monkeypatch):
         monkeypatch.setattr(
             harness, "train_run", lambda cfg, seed: rec(seed)
         )
-        (agg,) = SweepPlan("single", (small_config(seeds=(2, 4)),)).run().cells
+        (agg,) = SweepPlan(small_config(seeds=(2, 4))).run().cells
         assert [r.seed for r in agg.records] == [2, 4]
 
     def test_empty_seed_list_rejected(self):
         # a plan runs cfg.seeds, which TrainConfig keeps non-empty
         with pytest.raises(ValueError, match="need at least one seed"):
-            SweepPlan("single", (small_config(seeds=()),)).run()
+            SweepPlan(small_config(seeds=())).run()
 
     def test_parallel_jobs_match_serial(self):
         cfg = small_config(max_steps=40, eval_interval=20, seeds=(0, 1))
-        (serial,) = SweepPlan("single", (cfg,)).run(jobs=1).cells
-        (parallel,) = SweepPlan("single", (cfg,)).run(jobs=2).cells
+        (serial,) = SweepPlan(cfg).run(jobs=1).cells
+        (parallel,) = SweepPlan(cfg).run(jobs=2).cells
         assert serial.records == parallel.records
         for name in ("mean_accuracy", "std_accuracy", "mean_convergence", "std_convergence"):
             np.testing.assert_allclose(
@@ -527,7 +538,7 @@ class TestWorkerPool:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", ObservedPool)
         cfg = small_config(max_steps=20, eval_interval=10, seeds=(0, 1))
-        plan = SweepPlan.over(cfg, "alpha", [1.0, 2.0])
+        plan = SweepPlan(cfg, "alpha", [1.0, 2.0])
         assert len(plan.run(jobs=2).cells) == 2
         want = max(1, len(os.sched_getaffinity(0)) // 2)
         assert views == [("spawn", (want, 2))]
@@ -540,7 +551,7 @@ class TestWorkerPool:
         )
         cfg = small_config(train_data=blob_dataset(seed=1, n_per_class=100), seeds=(7, 3))
         assert len(pickle.dumps(cfg)) > 1024  # so the stub's task-size check can fail
-        sweep = SweepPlan.over(cfg, "alpha", [1.0, 1.5, 2.0]).run(jobs=4)
+        sweep = SweepPlan(cfg, "alpha", [1.0, 1.5, 2.0]).run(jobs=4)
         assert pools == [(4, "spawn", 2)]
         assert [[r.seed for r in cell.records] for cell in sweep.cells] == [[7, 3]] * 3
         assert [cell.mean_accuracy for cell in sweep.cells] == [0.1, 0.15, 0.2]
@@ -553,7 +564,7 @@ class TestWorkerPool:
         pools = stub_pools(monkeypatch)
         monkeypatch.setattr(harness, "train_run", lambda cfg, seed: rec(seed))
         seeds = tuple(range(10, 10 + n_seeds))
-        (agg,) = SweepPlan("single", (small_config(seeds=seeds),)).run(jobs=jobs).cells
+        (agg,) = SweepPlan(small_config(seeds=seeds)).run(jobs=jobs).cells
         assert [r.seed for r in agg.records] == list(seeds)
         assert pools == ([] if workers is None else [(workers, "spawn", 8 // workers)])
 
@@ -561,7 +572,7 @@ class TestWorkerPool:
         # each seed's step log comes back on its record, and the parent writes it
         pools = stub_pools(monkeypatch)
         cfg = small_config(max_steps=40, eval_interval=20, seeds=(3, 5), log_steps=True)
-        plan = SweepPlan("single", (cfg,)).run(jobs=2)
+        plan = SweepPlan(cfg).run(jobs=2)
         write_results(tmp_path, plan)
         (agg,) = plan.cells
         assert pools == [(2, "spawn", 4)]
@@ -577,10 +588,10 @@ class TestWorkerPool:
         cfg = replace(small_config(max_steps=40, eval_interval=20, seeds=(0, 1)), probe=plan)
         probe_csvs = []
         for jobs in (1, 2):
-            records = SweepPlan("single", (cfg,)).run(jobs=jobs).cells[0].records
+            records = SweepPlan(cfg).run(jobs=jobs).cells[0].records
             assert [len(r.probes) for r in records] == [3, 3]  # steps 0, 20 and 40
             for r in records:
-                one = SweepPlan("single", (replace(cfg, seeds=(r.seed,)),), (AggregateResult([r]),))
+                one = SweepPlan(replace(cfg, seeds=(r.seed,)), cells=(AggregateResult([r]),))
                 write_results(tmp_path / f"jobs{jobs}_seed{r.seed}", one)
             probe_csvs.append([(tmp_path / f"jobs{jobs}_seed{s}" / "probe.csv").read_bytes() for s in (0, 1)])
         assert probe_csvs[0] == probe_csvs[1]
@@ -589,7 +600,7 @@ class TestWorkerPool:
     def test_parallel_runs_csv_is_byte_equal_to_serial(self, tmp_path):
         cfg = small_config(max_steps=40, eval_interval=20, seeds=(0, 1, 2))
         for jobs in (1, 2):
-            write_results(tmp_path / str(jobs), SweepPlan("single", (cfg,)).run(jobs=jobs))
+            write_results(tmp_path / str(jobs), SweepPlan(cfg).run(jobs=jobs))
         serial, parallel = ((tmp_path / j / "runs.csv").read_bytes() for j in ("1", "2"))
         assert serial == parallel
 
@@ -609,7 +620,7 @@ class TestSweeps:
         table = {(4, 1.0): (0.80, 100), (8, 1.0): (0.90, 200), (16, 1.0): (0.90, 400)}
         monkeypatch.setattr(harness, "train_run", fake_table_runner(table))
         cfg = small_config(seeds=(0, 1))
-        sweep = SweepPlan.over(cfg, "batch_size", [4, 8, 16]).run()
+        sweep = SweepPlan(cfg, "batch_size", [4, 8, 16]).run()
         assert (sweep.axis, sweep.column, sweep.fixed_value) == ("batch_size", "B", 1.0)
         assert sweep.values == (4.0, 8.0, 16.0)
         assert [c.mean_accuracy for c in sweep.cells] == [0.80, 0.90, 0.90]
@@ -650,13 +661,13 @@ class TestSweeps:
         with pytest.raises(ValueError, match="alpha must be >= 1"):
             sweep_alpha(small_config(), [1.0, 0.5], b_fixed=4)
         with pytest.raises(ValueError, match=r"batch_size must lie in \[1, n_samples\], got 100000"):
-            SweepPlan.over(small_config(), "batch_size", [4, 100_000]).run()
+            SweepPlan(small_config(), "batch_size", [4, 100_000]).run()
         assert runs == []
 
     @pytest.mark.parametrize(
         "overrides, axis, message",
         [
-            pytest.param({}, "learning_rate", "unknown sweep axis 'learning_rate'", id="unknown-axis"),
+            pytest.param({}, "learning_rate", "unknown plan axis 'learning_rate'", id="unknown-axis"),
             pytest.param({"log_steps": True}, "alpha", "a sweep cannot log steps or probe", id="log-steps"),
             pytest.param({"probe": ProbePlan()}, "batch_size", "a sweep cannot log steps or probe", id="probe"),
         ],
@@ -665,7 +676,7 @@ class TestSweeps:
         runs = []
         monkeypatch.setattr(harness, "train_run", lambda *args: runs.append(args))
         with pytest.raises(ValueError, match=message):
-            SweepPlan.over(small_config(**overrides), axis, [1, 2]).run()
+            SweepPlan(small_config(**overrides), axis, [1, 2]).run()
         assert runs == []
 
     def test_sweep_of_a_logging_config_writes_nothing(self, tmp_path):
@@ -678,59 +689,78 @@ class TestSweeps:
     def test_non_integer_batch_grid_rejected(self):
         # the grid used to be cast with int, so [2.5, 4] ran B = 2
         with pytest.raises(ValueError, match=r"^batch_size must lie in \[1, n_samples\], got 2\.5 for n_samples = None$"):
-            SweepPlan.over(small_config(), "batch_size", [2.5, 4])
-        plan = SweepPlan.over(small_config(), "batch_size", [np.int64(4), 8])
+            SweepPlan(small_config(), "batch_size", [2.5, 4])
+        plan = SweepPlan(small_config(), "batch_size", [np.int64(4), 8])
         assert [type(cfg.ne.batch_size) for cfg in plan.configs] == [int, int]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            SweepPlan.over(small_config(), "batch_size", []).run()
+            SweepPlan(small_config(), "batch_size", []).run()
         with pytest.raises(ValueError):
             sweep_alpha(small_config(), [], b_fixed=4)
 
 
-def plan_of(axis, *overrides, cells=()):
-    """A SweepPlan built directly, one small_config per override dict."""
-    return SweepPlan(axis, tuple(small_config(**o) for o in overrides), cells)
-
-
 class TestPlanRules:
-    """A plan built directly is held to the rules SweepPlan.over and the
-    command line build by; each bad plan raises before anything runs."""
+    """A plan is one base config and a grid along its axis; each bad plan
+    raises before anything runs."""
 
     def test_unknown_axis_rejected(self):
         message = r"^unknown plan axis 'bogus': a plan is 'single' or sweeps batch_size or alpha$"
         with pytest.raises(ValueError, match=message):
-            plan_of("bogus", {})
+            SweepPlan(small_config(), "bogus", [1.0])
 
-    @pytest.mark.parametrize("count", [0, 2])
-    def test_single_plan_holds_one_config(self, count):
-        with pytest.raises(ValueError, match=rf"^a single plan holds exactly one config, got {count}$"):
-            plan_of("single", *[{"seeds": (s,)} for s in range(count)])
+    def test_single_plan_takes_no_grid(self):
+        with pytest.raises(ValueError, match=r"^a single plan takes no grid, got \[1\.0, 2\.0\]$"):
+            SweepPlan(small_config(), "single", [1.0, 2.0])
+        assert SweepPlan(small_config()).grid == ()
 
     def test_sweep_holds_a_config(self):
         with pytest.raises(ValueError, match=r"^the alpha grid must be non-empty$"):
-            plan_of("alpha")
+            SweepPlan(small_config(), "alpha")
 
     def test_sweep_configs_differ_along_the_axis(self):
         with pytest.raises(ValueError, match=r"^the batch_size grid must not repeat a value, got \[4, 8, 4\]$"):
-            plan_of("batch_size", *[{"ne": NEConfig(batch_size=b)} for b in (4, 8, 4)])
+            SweepPlan(small_config(), "batch_size", [4, 8, np.int64(4)])
 
     @pytest.mark.parametrize("overrides", [{"log_steps": True}, {"probe": ProbePlan()}], ids=["log-steps", "probe"])
     def test_sweep_configs_neither_log_nor_probe(self, overrides):
         with pytest.raises(ValueError, match="^a sweep cannot log steps or probe"):
-            plan_of("alpha", {"ne": NEConfig(alpha=1.0, batch_size=4)},
-                    {"ne": NEConfig(alpha=2.0, batch_size=4), **overrides})
+            SweepPlan(small_config(**overrides), "alpha", [1.0, 2.0])
+
+    @pytest.mark.parametrize("axis, grid", [("alpha", [2, 1.0, np.float32(1.5)]), ("batch_size", [np.int64(8), 4])])
+    def test_cells_differ_from_the_base_only_along_the_axis(self, axis, grid, tmp_path):
+        base = small_config(
+            ne=NEConfig(alpha=1.5, batch_size=16, base="sgd"), learning_rate=0.5, seeds=(7, 2), eval_interval=5
+        )
+        plan = SweepPlan(base, axis, grid)
+        assert plan.grid == tuple(getattr(c.ne, axis) for c in plan.configs)
+        assert [type(v) for v in plan.grid] == [type(getattr(base.ne, axis))] * len(grid)
+        assert plan.values == tuple(float(v) for v in grid)
+        for cfg, value in zip(plan.configs, plan.grid):
+            assert cfg.ne == replace(base.ne, **{axis: value})
+            for f in fields(TrainConfig):
+                if f.name in ("train_data", "test_data"):
+                    assert getattr(cfg, f.name) is getattr(base, f.name)
+                elif f.name != "ne":
+                    assert getattr(cfg, f.name) == getattr(base, f.name)
+        cells = tuple(AggregateResult([rec(s) for s in base.seeds]) for _ in grid)
+        write_results(tmp_path, replace(plan, cells=cells))
+        meta = json.loads((tmp_path / "sweep.json").read_text())
+        other = "alpha" if axis == "batch_size" else "batch_size"
+        assert meta["fixed_value"] == plan.fixed_value == float(getattr(base.ne, other))
+        assert meta["values"] == list(plan.values)
 
     def test_cells_match_the_configs(self):
         cell = AggregateResult([rec(0)])
         with pytest.raises(ValueError, match=r"^a plan holds one cell per config: 1 configs, 2 cells$"):
-            plan_of("single", {}, cells=(cell, cell))
-        assert plan_of("single", {}, cells=(cell,)).cells == (cell,)
+            SweepPlan(small_config(), cells=(cell, cell))
+        with pytest.raises(ValueError, match=r"^a plan holds one cell per config: 2 configs, 1 cells$"):
+            SweepPlan(small_config(), "alpha", [1.0, 2.0], cells=(cell,))
+        assert SweepPlan(small_config(), cells=(cell,)).cells == (cell,)
 
     def test_an_unrun_plan_writes_nothing(self, tmp_path):
         with pytest.raises(ValueError, match=r"^the plan has not run: it holds no cells to write$"):
-            write_results(tmp_path, plan_of("single", {}))
+            write_results(tmp_path, SweepPlan(small_config()))
         assert list(tmp_path.iterdir()) == []
 
 
@@ -810,7 +840,7 @@ class TestComparison:
 
 def single(cfg, *records):
     """A single-config plan that has run, its one cell holding ``records``."""
-    return SweepPlan("single", (cfg,), (AggregateResult(records),))
+    return SweepPlan(cfg, cells=(AggregateResult(records),))
 
 
 class TestCsvWriters:
@@ -836,7 +866,7 @@ class TestCsvWriters:
         assert lines[1] == "4,1.0,0.9,0.0,100.0,0.0,1"
 
     def test_cells_carry_their_own_configs(self, tmp_path):
-        plan = harness.SweepPlan.over(small_config(ne=NEConfig(batch_size=8, base="sgd")), "alpha", [1.0, 2.5])
+        plan = SweepPlan(small_config(ne=NEConfig(batch_size=8, base="sgd")), "alpha", [1.0, 2.5])
         cells = [AggregateResult([rec(0, acc=0.75), rec(3, acc=0.5)]), AggregateResult([rec(1, acc=0.25)])]
         write_results(tmp_path, replace(plan, cells=tuple(cells)))
         runs = [line.split(",") for line in (tmp_path / "runs.csv").read_text().splitlines()[1:]]

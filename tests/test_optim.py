@@ -365,7 +365,7 @@ ALPHA_ENTRIES = {
     ),
     "sample_ne_noise": lambda a: noiselab.sample_ne_noise(rule_w(), tiny_dataset(), 2, a, 10, seed=0),
     "probe_noise": lambda a: noiselab.probe_noise(rule_w(), tiny_dataset(), 0.1, 2, a, 10, seed=0),
-    "SweepPlan.over": lambda a: SweepPlan.over(small_config(), "alpha", [a]),
+    "SweepPlan": lambda a: SweepPlan(small_config(), "alpha", [a]),
     "pair_rows": lambda a: pair_rows(np.array([0, 1]), np.array([2, 3]), a, 4),
 }
 
@@ -414,7 +414,7 @@ COUNT_ENTRIES = {
     "probe_noise-seed": (
         "root_seed", 0, None, lambda v: noiselab.probe_noise(rule_w(), tiny_dataset(), 0.1, 2, 2.0, 4, v), None
     ),
-    "SweepPlan.run": ("jobs", 1, None, lambda v: SweepPlan("single", (small_config(),)).run(v), None),
+    "SweepPlan.run": ("jobs", 1, None, lambda v: SweepPlan(small_config()).run(v), None),
 }
 
 # Every entry point that takes a learning rate, called at a given rate. The

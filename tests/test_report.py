@@ -1,5 +1,6 @@
 import math
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -186,7 +187,7 @@ def run_plan(plan):
             cells.append(AggregateResult([rec(s, status=STATUS_DIVERGED, acc=math.nan) for s in cfg.seeds]))
         else:
             cells.append(AggregateResult([rec(s, acc=0.5 + cfg.ne.batch_size / 100 + cfg.ne.alpha / 10, conv=100 + s) for s in cfg.seeds]))
-    return SweepPlan(plan.axis, plan.configs, tuple(cells))
+    return replace(plan, cells=tuple(cells))
 
 
 class TestWriteResults:
@@ -200,7 +201,7 @@ class TestWriteResults:
     )
     def test_load_unit_reads_back_what_was_written(self, axis, grid, tmp_path):
         cfg = small_config(seeds=(0, 3))
-        plan = SweepPlan("single", (cfg,)) if grid is None else SweepPlan.over(cfg, axis, grid)
+        plan = SweepPlan(cfg, axis, grid or ())
         plan = run_plan(plan)
         best = write_results(tmp_path / "unit", plan)
         unit = load_unit(tmp_path / "unit", tmp_path)
