@@ -104,10 +104,8 @@ def _check_type(key: str, value: object, default: object) -> object:
         if not isinstance(value, list):
             raise ConfigError(f"config key {key} expects a list, got {value!r}")
         return [_check_type(key, item, default[0]) for item in value]
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigError(f"config key {key} expects a string, got {value!r}")
-        return value
+    if not isinstance(value, str):  # every other default is a string
+        raise ConfigError(f"config key {key} expects a string, got {value!r}")
     return value
 
 

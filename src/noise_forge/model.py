@@ -18,7 +18,7 @@ import numpy as np
 from .dataio import Dataset, check_rows
 from .rng import check_count, named_stream
 
-# Most rows in one chunk of any pass; _chunk_rows lowers it so a chunk's work
+# Most rows in one chunk of any pass; _work_set lowers it so a chunk's work
 # arrays fit _PASS_BYTES. One chunk is live at a time, so no pass holds more
 # than that, whatever the index set.
 _MAX_ROWS = 1024
@@ -140,52 +140,29 @@ def _resolve_index(ds: Dataset, idx: np.ndarray | None) -> np.ndarray:
     return np.arange(ds.n_samples, dtype=np.int64) if idx is None else check_rows(idx, ds.n_samples)
 
 
-# The kernel's work arrays, one set per dims, shared by every pass:
-# (forward, backward), _chunk_rows(dims) rows, made on first use and kept.
-# "forward" holds the activations, the log-softmax, the softmax
-# exponentials and the row maxima/sums; "backward" the top dz, (rows,
-# classes), and one flat boolean ReLU mask with room for the widest hidden
-# layer. The other dz have no arrays of their own: _sweep writes each over
-# the activation it replaces.
-_BUFFERS: dict[tuple[int, ...], tuple[list[np.ndarray], tuple[np.ndarray, ...]]] = {}
+@cache
+def _work_set(dims: tuple[int, ...]) -> tuple[list[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The kernel's work arrays for ``dims``, (forward, backward), made on first
+    use and kept: every pass over a net of this shape shares the one set.
 
-
-def _forward_widths(dims: tuple[int, ...]) -> tuple[int, ...]:
-    """Float columns per row of the forward block: the activations, the
-    log-softmax, the softmax exponentials and the row maxima/sums."""
-    return (*dims, dims[-1], dims[-1], 1)
-
-
-def _chunk_rows(dims: tuple[int, ...]) -> int:
-    """Rows per chunk for ``dims``: as many as fit _PASS_BYTES, at most _MAX_ROWS.
-
-    A row takes its forward block, its top dz and its ReLU mask bytes. The
-    desk net (16-128-128-4), 784-100-100-10 and the full-scale shape
-    (784-dim input, 7x500 hidden, 10 classes; 35.1 KB a row) all get 1,024.
+    A chunk holds as many rows as fit _PASS_BYTES, at most _MAX_ROWS, and a
+    chunk of fewer rows writes only its own. "forward" holds the activations,
+    the log-softmax, the softmax exponentials and the row maxima/sums, carved
+    from one allocation; "backward" the top dz, (rows, classes), and one flat
+    boolean ReLU mask with room for the widest hidden layer. The other dz have
+    no arrays of their own: _sweep writes each over the activation it
+    replaces. The desk net (16-128-128-4), 784-100-100-10 and the full-scale
+    shape (784-dim input, 7x500 hidden, 10 classes; 35.1 KB a row, 34 MiB a
+    set) all get 1,024 rows.
     """
-    row_bytes = 8 * (sum(_forward_widths(dims)) + dims[-1]) + max(dims[1:-1], default=0)
-    return min(_MAX_ROWS, max(1, _PASS_BYTES // row_bytes))
-
-
-def _block(rows: int, widths: tuple[int, ...]) -> list[np.ndarray]:
-    """One (rows, width) array per width, carved from a single allocation."""
+    widths = (*dims, dims[-1], dims[-1], 1)
+    mask = max(dims[1:-1], default=0)
+    # a row takes its forward floats, its top dz and its mask bytes
+    rows = min(_MAX_ROWS, max(1, _PASS_BYTES // (8 * (sum(widths) + dims[-1]) + mask)))
     flat = np.empty(rows * sum(widths))
     ends = np.cumsum(widths) * rows
-    return [flat[end - rows * d : end].reshape(rows, d) for d, end in zip(widths, ends)]
-
-
-def _buffers(dims: tuple[int, ...]):
-    """The kept (forward, backward) set for ``dims``: _chunk_rows(dims) rows,
-    made on first use. A chunk of fewer rows writes only its own, so rows no
-    pass reaches stay untouched; at the full-scale shape the set is 1,024
-    rows, about 34 MiB.
-    """
-    if dims not in _BUFFERS:
-        rows = _chunk_rows(dims)
-        fwd = _block(rows, _forward_widths(dims))
-        bwd = (np.empty((rows, dims[-1])), np.empty(rows * max(dims[1:-1], default=0), dtype=bool))
-        _BUFFERS[dims] = (fwd, bwd)
-    return _BUFFERS[dims]
+    forward = [flat[end - rows * d : end].reshape(rows, d) for d, end in zip(widths, ends)]
+    return forward, (np.empty((rows, dims[-1])), np.empty(rows * mask, dtype=bool))
 
 
 def _sweep(w: ParamVector, acts: list[np.ndarray], logp: np.ndarray, labels: np.ndarray, weights, bwd):
@@ -221,12 +198,12 @@ def _sweep(w: ParamVector, acts: list[np.ndarray], logp: np.ndarray, labels: np.
 
 
 def _chunks(w: ParamVector, ds: Dataset, idx: np.ndarray, weights: np.ndarray | None = None):
-    """The one forward/backward pass over the resolved ``idx``, _chunk_rows rows at a time.
+    """The one forward/backward pass over the resolved ``idx``, one _work_set chunk at a time.
 
     Yields (part, labels, acts, logp, layers) per chunk: ``part`` slices ``idx``
     and ``weights`` (one per row), ``acts`` is [input, relu outputs..., logits],
     ``logp`` the log-softmax and ``layers`` the chunk's _sweep. All are views of
-    the kept _buffers that the next chunk or call overwrites: a consumer finishes
+    the kept _work_set that the next chunk or call overwrites: a consumer finishes
     with a chunk before it advances, copies what it returns, and calls no other
     entry point while it iterates. ``Dataset`` inputs are finite float64, so only
     the width is checked.
@@ -234,8 +211,8 @@ def _chunks(w: ParamVector, ds: Dataset, idx: np.ndarray, weights: np.ndarray | 
     if ds.input_dim != w.dims[0]:
         raise ValueError(f"dataset has {ds.input_dim} columns, model expects {w.dims[0]}")
     last = w.n_layers - 1
-    chunk = _chunk_rows(w.dims)
-    fwd, bwd = _buffers(w.dims)
+    fwd, bwd = _work_set(w.dims)
+    chunk = fwd[0].shape[0]
     for start in range(0, idx.shape[0], chunk):
         rows = idx[start : start + chunk]
         n = rows.shape[0]
@@ -288,7 +265,7 @@ def loss_and_grad(
     1e-15 of its norm.
 
     Rows go through the kernel in chunks of up to 1,024 (fewer for nets
-    wider than the full-scale shape; see _chunk_rows), so an unweighted
+    wider than the full-scale shape; see _work_set), so an unweighted
     index set of up to one chunk gets acts.T @ dz / len(idx) from one GEMM
     per layer; larger sets sum the chunks' products. The reduction order is
     fixed, so results are deterministic for given (w, ds, idx, weights). The

@@ -86,17 +86,13 @@ class OptimizerState:
     """Mutable per-run optimizer state; accumulators allocate lazily.
 
     Only the learning rate is set by the caller. ``adam_m`` and ``adam_v``
-    are updated in place, with one work vector of the same length that the
-    state keeps between steps.
+    are updated in place.
     """
 
     learning_rate: float
     step_count: int = field(default=0, init=False)
     adam_m: np.ndarray | None = field(default=None, init=False)
     adam_v: np.ndarray | None = field(default=None, init=False)
-    _work: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         self.learning_rate = check_learning_rate(self.learning_rate)
@@ -218,10 +214,10 @@ def sgd_step(w: ParamVector, g: ParamVector, state: OptimizerState) -> ParamVect
 def adam_step(w: ParamVector, g: ParamVector, state: OptimizerState) -> ParamVector:
     """Bias-corrected Adam step: w - lr * m_hat / (sqrt(v_hat) + eps).
 
-    The moments are updated in place and the rest runs in the state's work
+    The moments are updated in place and the rest runs in one scratch
     vector and in the returned vector, which first holds sqrt(v_hat) + eps,
     with the operations and their order of the textbook form, so the result
-    is bit for bit that form's. Only the returned vector is new.
+    is bit for bit that form's.
     """
     if w.dims != g.dims:
         raise ValueError("parameter/gradient shapes disagree")
@@ -229,12 +225,10 @@ def adam_step(w: ParamVector, g: ParamVector, state: OptimizerState) -> ParamVec
     if state.adam_m is None:
         state.adam_m = np.zeros(len(w))
         state.adam_v = np.zeros(len(w))
-    if state._work is None:
-        state._work = np.empty(len(w))
-    m, v, s = state.adam_m, state.adam_v, state._work
+    m, v = state.adam_m, state.adam_v
     t = state.step_count + 1
     m *= ADAM_BETA1  # m = beta1 * m + (1 - beta1) * g
-    np.multiply(g.values, 1.0 - ADAM_BETA1, out=s)
+    s = np.multiply(g.values, 1.0 - ADAM_BETA1)
     m += s
     v *= ADAM_BETA2  # v = beta2 * v + (1 - beta2) * g**2
     np.multiply(g.values, g.values, out=s)
@@ -287,10 +281,16 @@ def training_step(
 
     With ``log`` the step also returns its StepLog, computing grad(B) and
     grad(B') and their norms in two more passes; without it it returns None
-    in its place. The update never depends on ``log``. Raises
-    DivergenceError, before any state changes, when the direction is
-    non-finite.
+    in its place. The update never depends on ``log``. Raises ValueError
+    when ``streams`` disagrees with ``config``'s batch size or ``ds``'s row
+    count, and DivergenceError, before any state changes, when the direction
+    is non-finite.
     """
+    if (streams.batch_size, streams.n_samples) != (config.batch_size, ds.n_samples):
+        raise ValueError(
+            f"streams draw {streams.batch_size} of {streams.n_samples} rows, "
+            f"config and data need {config.batch_size} of {ds.n_samples}"
+        )
     lr = state.learning_rate
     primary, enhancement = sample_minibatch_pair(streams)
     _, direction = loss_and_grad(w, ds, *pair_rows(primary, enhancement, config.alpha, ds.n_samples))

@@ -41,7 +41,7 @@ class OracleCheck:
         return self.measured <= self.bound
 
 
-def rel_frobenius(a: np.ndarray, b: np.ndarray) -> float:
+def _rel_frobenius(a: np.ndarray, b: np.ndarray) -> float:
     """Relative Frobenius distance |a - b| / max(|a|, |b|); 0 when both are zero."""
     num = float(np.linalg.norm(a - b))
     den = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
@@ -50,7 +50,7 @@ def rel_frobenius(a: np.ndarray, b: np.ndarray) -> float:
     return num / den
 
 
-def toy_instance(
+def _toy_instance(
     seed: int,
     n_per_class: int,
     num_classes: int,
@@ -75,10 +75,10 @@ _TOY_TABLE = (
 )
 
 
-def standard_toys() -> list[tuple[str, ParamVector, Dataset]]:
+def _standard_toys() -> list[tuple[str, ParamVector, Dataset]]:
     """The bundled toy instances used by every enumeration check."""
     return [
-        (name, *toy_instance(seed, npc, c, d, hidden))
+        (name, *_toy_instance(seed, npc, c, d, hidden))
         for name, seed, npc, c, d, hidden in _TOY_TABLE
     ]
 
@@ -93,7 +93,7 @@ def run_oracle_suite(fast: bool = False) -> list[OracleCheck]:
 
     # Closed-form covariance vs full minibatch enumeration, per toy instance,
     # across a batch grid that includes B = N (zero covariance on both sides).
-    toys = standard_toys()
+    toys = _standard_toys()
     for name, w, ds in toys:
         grads = per_sample_grad_matrix(w, ds)
         worst = 0.0
@@ -101,7 +101,7 @@ def run_oracle_suite(fast: bool = False) -> list[OracleCheck]:
         for b in grid:
             exact = noise_covariance_from_grads(grads, b)
             enum = enumerate_noise_covariance_from_grads(grads, b)
-            worst = max(worst, rel_frobenius(exact, enum))
+            worst = max(worst, _rel_frobenius(exact, enum))
         checks.append(
             OracleCheck(
                 name=f"covariance-equivalence/{name}",
@@ -137,7 +137,7 @@ def run_oracle_suite(fast: bool = False) -> list[OracleCheck]:
         enhanced = enumerate_ne_noise_covariance_from_grads(grads8, 2, alpha)
         factor = enhancement_factor(alpha)
         ratio_err = abs(np.trace(enhanced) / np.trace(vanilla) / factor - 1.0)
-        matrix_err = rel_frobenius(enhanced, factor * vanilla)
+        matrix_err = _rel_frobenius(enhanced, factor * vanilla)
         worst_pair = max(worst_pair, ratio_err, matrix_err)
     checks.append(
         OracleCheck(
@@ -164,7 +164,7 @@ def run_oracle_suite(fast: bool = False) -> list[OracleCheck]:
     )
 
     # Monte Carlo enhancement ratio on a larger toy.
-    w_mc, ds_mc = toy_instance(21, 10, 4, 5, (8,))
+    w_mc, ds_mc = _toy_instance(21, 10, 4, 5, (8,))
     n_mc = 20_000 if fast else 100_000
     alpha_mc = 2.0
     van = sample_ne_noise(w_mc, ds_mc, 5, 1.0, n_mc, seed=33)

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -63,6 +64,14 @@ class TestResolveConfig:
     def test_bare_strings_fall_back_from_json(self):
         cfg = resolve_config(None, ["optim.base=sgd"])
         assert cfg["optim.base"] == "sgd"
+
+    def test_every_default_is_a_kind_the_type_rule_knows(self):
+        # _check_type treats any default that is not a bool, int, float or
+        # list as a string
+        for key, value in DEFAULTS.items():
+            assert isinstance(value, (bool, int, float, list, str)), key
+            if isinstance(value, list):
+                assert value and all(isinstance(v, (int, float)) for v in value), key
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -227,6 +236,30 @@ class TestTrainCommand:
             outputs.append([(out / name).read_bytes() for name in files])
         assert pool_starts == [(2, "spawn")]
         assert outputs[0] == outputs[1]
+
+    def test_converging_run_prints_its_steps(self, tmp_path, capsys):
+        extra = {
+            "synthetic.noise_scale": 0.2,
+            "optim.learning_rate": 0.05,
+            "train.l_star": 0.5,
+            "train.l_star_star": 0.3,
+            "train.max_steps": 400,
+        }
+        argv = ["train", "--config", write_config(tmp_path, extra), "--out", str(tmp_path / "out")]
+        assert parse_and_dispatch(argv) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^seed 0: converged at \d+ steps, test accuracy ", out, re.M)
+        assert "(1/1 converged)" in out
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError("divided by zero"), RuntimeError("worker lost")])
+    def test_runtime_errors_exit_two(self, error, tmp_path, monkeypatch, capsys):
+        def failing_run(cfg, seed):
+            raise error
+
+        monkeypatch.setattr(harness, "train_run", failing_run)
+        argv = ["train", "--config", write_config(tmp_path), "--out", str(tmp_path / "out")]
+        assert parse_and_dispatch(argv) == 2
+        assert capsys.readouterr().err == f"runtime error: {error}\n"
 
     def test_all_diverged_exits_two(self, tmp_path, monkeypatch, capsys):
         # the divergence detection itself is covered by the protocol tests;
@@ -523,6 +556,15 @@ class TestIdxSource:
         assert resolved["data.source"] == "idx"
         capsys.readouterr()
 
+    def test_missing_idx_file_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        missing = self.data_dir(tmp_path, monkeypatch) / "t10k-labels-idx1-ubyte"
+        missing.unlink()
+        out = tmp_path / "out"
+        rc = parse_and_dispatch(["train", "--set", "data.source=idx", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"config error: IDX file not found: {missing}.gz\n"
+        assert not out.exists()
+
     def test_broken_gzip_file_is_a_config_error(self, tmp_path, monkeypatch, capsys):
         broken = self.data_dir(tmp_path, monkeypatch) / "train-images-idx3-ubyte.gz"
         broken.write_bytes(b"not gzip")
@@ -621,6 +663,18 @@ class TestUsageErrors:
         rc = parse_and_dispatch(["train", "--config", str(bad)])
         assert rc == 1
         assert "valid JSON" in capsys.readouterr().err
+
+    def test_config_file_holding_an_array(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert parse_and_dispatch(["train", "--config", str(path)]) == 1
+        assert f"config error: config file {path} must hold a JSON object" in capsys.readouterr().err
+
+    def test_unknown_data_source(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert parse_and_dispatch(["train", "--set", "data.source=csv", "--out", str(out)]) == 1
+        assert "config error: data.source must be 'synthetic' or 'idx', got 'csv'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "setting",

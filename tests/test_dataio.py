@@ -156,6 +156,12 @@ class TestDataset:
         with pytest.raises(ValueError, match="n_samples"):
             Dataset(np.zeros((2, 2)), np.array([0]), 1)
 
+    def test_array_ranks_rejected(self):
+        with pytest.raises(ValueError, match="^inputs must be 2-D"):
+            Dataset(np.zeros(3), np.zeros(3, dtype=int), 1)
+        with pytest.raises(ValueError, match="^labels must be 1-D$"):
+            Dataset(np.zeros((3, 2)), np.zeros((3, 1), dtype=int), 1)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 1)

@@ -102,6 +102,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="num_classes does not match test data"):
             small_config(test_data=blob_dataset(seed=2, n_per_class=4, classes=3))
 
+    def test_test_data_must_match_the_training_width(self):
+        with pytest.raises(ValueError, match="^train/test input_dim mismatch$"):
+            small_config(test_data=blob_dataset(seed=2, n_per_class=4, dim=5))
+
     def test_max_steps_default_is_two_hundred_epochs(self):
         cfg = small_config(max_steps=None)
         # N = 16, B = 4: 4 steps per epoch

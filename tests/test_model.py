@@ -20,11 +20,24 @@ from noise_forge.model import (
 
 
 @pytest.fixture(autouse=True)
-def own_kept_buffers(monkeypatch):
-    # the kernel makes one work set per net shape, sized by _chunk_rows when
-    # first used, and keeps it: a set made under a test's lowered _MAX_ROWS or
-    # _PASS_BYTES must not outlive that test
-    monkeypatch.setattr(model, "_BUFFERS", {})
+def own_kept_buffers():
+    # the kernel makes one work set per net shape, sized when first used, and
+    # keeps it: a set made under a test's lowered _MAX_ROWS or _PASS_BYTES
+    # must not outlive that test
+    model._work_set.cache_clear()
+    yield
+    model._work_set.cache_clear()
+
+
+def set_max_rows(monkeypatch, rows):
+    # a kept set fixes its shape's chunk size when it is made: drop the old sets
+    monkeypatch.setattr(model, "_MAX_ROWS", rows)
+    model._work_set.cache_clear()
+
+
+def kept_rows(dims):
+    """Rows per chunk for ``dims``: the height of its kept work set."""
+    return model._work_set(dims)[0][0].shape[0]
 
 
 def blob_dataset(seed=0, n_per_class=4, classes=3, dim=4, noise=0.3):
@@ -70,6 +83,15 @@ class TestParamVector:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="entries"):
             ParamVector(np.zeros(25), (3, 4, 2))
+
+    def test_values_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="^values must be 1-D$"):
+            ParamVector(np.zeros((2, 13)), (3, 4, 2))
+
+    @pytest.mark.parametrize("dims", [(), (5,)])
+    def test_param_count_needs_two_widths(self, dims):
+        with pytest.raises(ValueError, match="^dims needs >= 2 entries$"):
+            param_count(dims)
 
     def test_copy_is_independent(self):
         pv = ParamVector.zeros((2, 2))
@@ -169,9 +191,9 @@ class TestLoss:
     def test_chunked_evaluation_matches_unchunked(self, monkeypatch):
         ds = blob_dataset(n_per_class=9)
         w = glorot_init(MlpSpec(4, (5,), 3, seed=7))
-        monkeypatch.setattr(model, "_MAX_ROWS", 10_000)
+        set_max_rows(monkeypatch, 10_000)
         whole = mean_loss(w, ds)
-        monkeypatch.setattr(model, "_MAX_ROWS", 4)
+        set_max_rows(monkeypatch, 4)
         assert mean_loss(w, ds) == pytest.approx(whole, rel=1e-14)
 
     def test_full_loss_equals_mean_over_equal_partition(self):
@@ -269,7 +291,7 @@ class TestWeightedLossAndGrad:
         weights = self.weights if weighted else None
         whole_loss, whole = loss_and_grad(self.w, self.ds, self.idx, weights)
         for rows in (1, 3):
-            monkeypatch.setattr(model, "_MAX_ROWS", rows)
+            set_max_rows(monkeypatch, rows)
             loss, grad = loss_and_grad(self.w, self.ds, self.idx, weights)
             assert loss == pytest.approx(whole_loss, rel=1e-14)
             np.testing.assert_allclose(grad.values, whole.values, rtol=0, atol=1e-15)
@@ -282,7 +304,7 @@ class TestWeightedLossAndGrad:
 
     def test_results_survive_later_calls(self, monkeypatch):
         # the kernel reuses its buffers: nothing an entry point returns may share them
-        monkeypatch.setattr(model, "_MAX_ROWS", 4)
+        set_max_rows(monkeypatch, 4)
         loss, grad = loss_and_grad(self.w, self.ds, self.idx, self.weights)
         sq, total = per_sample_grad_norms(self.w, self.ds, self.idx)
         mat = per_sample_grad_matrix(self.w, self.ds, self.idx)
@@ -311,31 +333,31 @@ class TestWeightedLossAndGrad:
             lambda: per_sample_grad_matrix(self.w, self.ds),
         ]
         for max_rows in (model._MAX_ROWS, 7):
-            monkeypatch.setattr(model, "_MAX_ROWS", max_rows)
-            want = model._chunk_rows(dims)
             for run in passes:
-                monkeypatch.setattr(model, "_BUFFERS", {})
+                set_max_rows(monkeypatch, max_rows)
                 run()
-                kept = model._BUFFERS[dims]
-                assert kept[0][0].shape[0] == want
+                kept = model._work_set(dims)
+                assert kept[0][0].shape[0] == max_rows
                 loss_and_grad(self.w, self.ds, self.idx)
                 mean_loss(self.w, self.ds, self.idx[:3])
-                assert model._BUFFERS[dims] is kept
+                assert model._work_set(dims) is kept
+                assert model._work_set.cache_info().misses == 1
 
     @pytest.mark.parametrize("max_rows", [1024, 6])
     def test_kept_set_is_one_chunk_made_once(self, monkeypatch, max_rows):
         # training passes over B ∪ B' vary in size from step to step; none of
         # them, nor a full-data pass, remakes or resizes the set
-        monkeypatch.setattr(model, "_MAX_ROWS", max_rows)
+        set_max_rows(monkeypatch, max_rows)
         dims = self.w.dims
         loss_and_grad(self.w, self.ds, np.arange(2))
-        kept = model._BUFFERS[dims]
-        assert kept[0][0].shape[0] == model._chunk_rows(dims) == min(max_rows, 1024)
+        kept = model._work_set(dims)
+        assert kept[0][0].shape[0] == min(max_rows, 1024)
         for rows in (3, 17, 5):
             loss_and_grad(self.w, self.ds, np.arange(rows))
         per_sample_grad_norms(self.w, self.ds)
         mean_loss(self.w, self.ds)
-        assert model._BUFFERS[dims] is kept and kept[0][0].shape[0] == model._chunk_rows(dims)
+        assert model._work_set(dims) is kept and kept[0][0].shape[0] == min(max_rows, 1024)
+        assert model._work_set.cache_info().currsize == 1
 
 
 class TestPassBudget:
@@ -345,13 +367,13 @@ class TestPassBudget:
         # the desk net, the real-data check-8 net and the full-scale shape
         # (35,100 bytes a row, so 1,433 rows would fit the budget)
         for dims in ((16, 128, 128, 4), (784, 100, 100, 10), (784, *(500,) * 7, 10)):
-            assert model._chunk_rows(dims) == model._MAX_ROWS == 1024
+            assert kept_rows(dims) == model._MAX_ROWS == 1024
 
     def test_wide_nets_get_the_budget_row_count(self):
         dims = (784, *(2000,) * 7, 10)
         row_bytes = 8 * (784 + 7 * 2000 + 10 + 10 + 10 + 1 + 10) + 2000  # 120,600
-        assert model._chunk_rows(dims) == model._PASS_BYTES // row_bytes == 417
-        assert model._chunk_rows((10**7, 10)) == 1
+        assert kept_rows(dims) == model._PASS_BYTES // row_bytes == 417
+        assert kept_rows((10**7, 10)) == 1
 
     def test_small_budget_bounds_the_kept_set_and_keeps_the_results(self, monkeypatch):
         ds = blob_dataset(seed=4, n_per_class=20, classes=3, dim=4)  # N = 60
@@ -369,12 +391,12 @@ class TestPassBudget:
             )
 
         whole_scalars, whole_arrays = outputs()
-        assert model._BUFFERS[w.dims][0][0].shape[0] >= ds.n_samples  # every pass in one chunk
+        assert kept_rows(w.dims) >= ds.n_samples  # every pass in one chunk
         budget = 5 * (8 * (4 + 6 + 5 + 3 + 3 + 3 + 1 + 3) + 6)  # five rows
         monkeypatch.setattr(model, "_PASS_BYTES", budget)
-        monkeypatch.setattr(model, "_BUFFERS", {})
+        model._work_set.cache_clear()
         scalars, arrays = outputs()
-        fwd, bwd = model._BUFFERS[w.dims]
+        fwd, bwd = model._work_set(w.dims)
         assert fwd[0].shape[0] == 5
         assert sum(a.nbytes for a in (*fwd, *bwd)) <= budget
         np.testing.assert_allclose(scalars, whole_scalars, rtol=1e-15, atol=1e-15)
@@ -399,24 +421,23 @@ class TestPerSampleGradients:
         np.testing.assert_allclose(mat.mean(axis=0), full.values, atol=1e-12)
 
     def test_chunking_does_not_change_rows(self, monkeypatch):
-        monkeypatch.setattr(model, "_MAX_ROWS", 4)
+        set_max_rows(monkeypatch, 4)
         a = per_sample_grad_matrix(self.w, self.ds)
-        monkeypatch.setattr(model, "_MAX_ROWS", 64)
-        monkeypatch.setattr(model, "_BUFFERS", {})  # the kept set has the 4-row chunks
+        set_max_rows(monkeypatch, 64)
         b = per_sample_grad_matrix(self.w, self.ds)
         np.testing.assert_array_equal(a, b)
 
     def test_norms_total_is_the_batched_gradient_times_b(self, monkeypatch):
         idx = np.array([3, 0, 14, 7, 7, 9])
         _, grad = loss_and_grad(self.w, self.ds, idx)
-        monkeypatch.setattr(model, "_MAX_ROWS", len(idx))
+        set_max_rows(monkeypatch, len(idx))
         _, total = per_sample_grad_norms(self.w, self.ds, idx)
         np.testing.assert_array_equal(grad.values, total.values / len(idx))
 
     def test_norms_do_not_depend_on_chunk_size(self, monkeypatch):
         sq, total = per_sample_grad_norms(self.w, self.ds)
         for chunk_size in (1, 4, 7):
-            monkeypatch.setattr(model, "_MAX_ROWS", chunk_size)
+            set_max_rows(monkeypatch, chunk_size)
             sq_c, total_c = per_sample_grad_norms(self.w, self.ds)
             np.testing.assert_allclose(sq_c, sq, rtol=1e-12)
             np.testing.assert_allclose(total_c.values, total.values, rtol=1e-12)
@@ -510,7 +531,7 @@ class TestOneActivationSetSweep:
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("chunk", [4096, 3])
     def test_loss_and_grad(self, monkeypatch, weighted, chunk):
-        monkeypatch.setattr(model, "_MAX_ROWS", chunk)
+        set_max_rows(monkeypatch, chunk)
         weights = self.weights if weighted else None
         loss, grad = loss_and_grad(self.w, self.ds, self.idx, weights)
         want_loss, want_grad = two_set_loss_and_grad(self.w, self.ds, self.idx, chunk, weights)
@@ -519,7 +540,7 @@ class TestOneActivationSetSweep:
 
     @pytest.mark.parametrize("chunk", [model._MAX_ROWS, 5])
     def test_per_sample_grad_norms(self, monkeypatch, chunk):
-        monkeypatch.setattr(model, "_MAX_ROWS", chunk)
+        set_max_rows(monkeypatch, chunk)
         sq, total = per_sample_grad_norms(self.w, self.ds, self.idx)
         want_sq, want_total = two_set_norms(self.w, self.ds, self.idx, chunk)
         assert np.array_equal(sq, want_sq)
@@ -597,8 +618,8 @@ class TestKernelMemory:
 
     def test_kept_backward_set_has_no_hidden_width_floats(self):
         loss_and_grad(self.w, self.ds, self.idx)
-        _, backward = model._BUFFERS[self.w.dims]
-        rows = model._chunk_rows(self.w.dims)
+        forward, backward = model._work_set(self.w.dims)
+        rows = forward[0].shape[0]
         floats = [a for a in backward if a.dtype.kind == "f"]
         assert floats and all(a.shape == (rows, self.w.dims[-1]) for a in floats)
         assert sum(a.nbytes for a in backward if a.dtype.kind != "f") <= rows * 1024
@@ -621,6 +642,6 @@ class TestAccuracy:
         ds = blob_dataset(n_per_class=11)
         w = glorot_init(MlpSpec(4, (5,), 3, seed=1))
         whole = evaluate_accuracy(w, ds)
-        monkeypatch.setattr(model, "_MAX_ROWS", 3)
+        set_max_rows(monkeypatch, 3)
         assert evaluate_accuracy(w, ds) == whole
 

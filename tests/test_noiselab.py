@@ -306,6 +306,12 @@ class TestNoiseSamplers:
         xi = sample_ne_noise(self.w, self.ds, self.ds.n_samples, 1.0, 5, seed=1)
         np.testing.assert_allclose(xi, np.zeros_like(xi), atol=1e-15)
 
+    def test_per_sample_matrix_budget_enforced(self, monkeypatch):
+        # the (N, P) matrix alone over the cap: refused before any draw
+        monkeypatch.setattr(noiselab, "MAX_SAMPLE_ENTRIES", self.ds.n_samples * len(self.w) - 1)
+        with pytest.raises(CapabilityError, match="^per-sample gradient matrix would hold"):
+            sample_ne_noise(self.w, self.ds, 3, 1.0, 1, seed=0)
+
     def test_sample_budget_enforced(self):
         with pytest.raises(CapabilityError):
             sample_ne_noise(self.w, self.ds, 3, 1.0, 30_000_000, seed=0)

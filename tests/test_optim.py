@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -202,6 +203,14 @@ def reference_adam(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return w
 
 
+@pytest.mark.parametrize("step", [sgd_step, adam_step])
+def test_steps_reject_a_gradient_of_another_shape(step):
+    state = OptimizerState(learning_rate=0.1)
+    with pytest.raises(ValueError, match="^parameter/gradient shapes disagree$"):
+        step(ParamVector.zeros((2, 3)), ParamVector.zeros((3, 2)), state)
+    assert state.step_count == 0 and state.adam_m is None
+
+
 class TestAdamStep:
     def test_five_step_scalar_recurrence(self):
         grads = [0.3, -0.1, 0.05, 0.2, -0.4]
@@ -259,7 +268,8 @@ class TestAdamStep:
             assert not np.array_equal(w.values, before)
         assert state.step_count == 200
 
-    def test_warm_step_allocates_only_its_result(self):
+    def test_state_keeps_only_the_moments(self):
+        # a step's scratch vector lives for that step alone
         dims = (100, 100)  # P = 10,100
         gen = np.random.default_rng(3)
         w = ParamVector(gen.standard_normal(10_100), dims)
@@ -268,7 +278,7 @@ class TestAdamStep:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            w = adam_step(w, g, state)  # cold: m, v and one work vector stay
+            w = adam_step(w, g, state)  # cold: m and v stay, next to the result
             kept = tracemalloc.get_traced_memory()[0] - base
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
@@ -282,10 +292,12 @@ class TestAdamStep:
             check_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # no P-sized float or boolean temporary (a boolean one is 10,100 bytes)
-        assert peak <= w.values.nbytes + 4096, f"warm peak {peak} bytes"
-        assert kept <= 4 * w.values.nbytes + 4096, f"cold step kept {kept} bytes"
+        # the warm step holds its scratch vector and its result, and no other
+        # P-sized float or boolean temporary (a boolean one is 10,100 bytes)
+        assert peak <= 2 * w.values.nbytes + 4096, f"warm peak {peak} bytes"
+        assert kept <= 3 * w.values.nbytes + 4096, f"cold step kept {kept} bytes"
         assert check_peak <= 4096, f"finiteness check peak {check_peak} bytes"
+        assert [f.name for f in dataclasses.fields(state)] == ["learning_rate", "step_count", "adam_m", "adam_v"]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("step", [adam_step, sgd_step])
@@ -543,6 +555,21 @@ class TestTrainingStep:
         expected = w.values - 0.05 * (2.0 * g_b.values - g_bp.values)
         w2, _ = training_step(w, ds, cfg, state, streams)
         np.testing.assert_allclose(w2.values, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("n_samples, batch_size", [(10, 4), (20, 4), (10, 8)])
+    def test_streams_must_match_the_config_and_data(self, n_samples, batch_size):
+        # streams drawing 4 of rows 0-9 would train a B = 8 config on half a
+        # 20-row dataset, with 6-7 rows a step
+        ds = tiny_dataset(seed=2, n_per_class=10, classes=2, dim=3)  # N = 20
+        w = glorot_init(MlpSpec(3, (4,), 2, seed=9))
+        cfg = NEConfig(alpha=2.0, batch_size=8)
+        state = OptimizerState(learning_rate=0.05)
+        streams = BatchStreams.from_seed(n_samples, batch_size, 0)
+        message = f"^streams draw {batch_size} of {n_samples} rows, config and data need 8 of 20$"
+        with pytest.raises(ValueError, match=message):
+            training_step(w, ds, cfg, state, streams)
+        assert state.step_count == 0 and state.adam_m is None
+        assert streams.cursor == 0
 
     def test_divergent_parameters_raise(self):
         ds, w, cfg, state, streams = self.make_parts(2.0)
