@@ -31,8 +31,9 @@ class Dataset:
     """Immutable classification dataset.
 
     ``inputs`` is (n_samples, input_dim) float64 with every entry finite and
-    in [0, 1]; ``labels`` is (n_samples,) int64 with values in
-    [0, num_classes). Arrays a caller passes in are copied, so changing
+    in [0, 1]; ``labels`` is (n_samples,) int64 after the row-index rule
+    (``check_rows``) with bound num_classes, so float and bool labels are
+    rejected, not truncated. Arrays a caller passes in are copied, so changing
     them later does not reach the dataset. Arrays that this module has just
     built and holds no other reference to (the synthetic cloud, the rows
     ``take`` gathers, the scaled IDX images) are adopted without a copy
@@ -46,23 +47,20 @@ class Dataset:
     def __post_init__(self) -> None:
         self._own(
             np.array(self.inputs, dtype=np.float64, copy=True),
-            np.array(self.labels, dtype=np.int64, copy=True),
+            np.array(self.labels, copy=True),
         )
 
     def _own(self, inputs: np.ndarray, labels: np.ndarray) -> None:
         """Validate the arrays, make them read-only and store them."""
         if inputs.ndim != 2:
             raise ValueError("inputs must be 2-D (n_samples, input_dim)")
-        if labels.ndim != 1:
-            raise ValueError("labels must be 1-D")
+        num_classes = check_count("num_classes", self.num_classes, 1)
+        labels = check_rows(labels, num_classes, "labels")
         if inputs.shape[0] != labels.shape[0]:
             raise ValueError(
                 f"inputs and labels disagree on n_samples: "
                 f"{inputs.shape[0]} vs {labels.shape[0]}"
             )
-        if inputs.shape[0] < 1:
-            raise ValueError("dataset must contain at least one sample")
-        num_classes = check_count("num_classes", self.num_classes, 1)
         if inputs.size:
             # min and max propagate NaN, so no n x d boolean array is needed
             lo, hi = inputs.min(), inputs.max()
@@ -70,8 +68,6 @@ class Dataset:
                 raise ValueError("inputs contain non-finite entries")
             if lo < 0.0 or hi > 1.0:
                 raise ValueError("inputs must lie in [0, 1]")
-        if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-            raise ValueError("labels out of range for num_classes")
         inputs.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "inputs", inputs)
@@ -97,19 +93,19 @@ class Dataset:
         return _adopt(self.inputs[idx], self.labels[idx], self.num_classes)
 
 
-def check_rows(indices, n: int) -> np.ndarray:
-    """``indices`` as int64 after the row-index rule: a non-empty 1-D integer
-    array inside [0, n), else ValueError (empty, 2-D, float, bool, out of range)."""
+def check_rows(indices, n: int, name: str = "row indices") -> np.ndarray:
+    """``indices`` as int64 after the row-index rule, the one integer-array rule: a non-empty 1-D
+    integer array inside [0, n), else ValueError naming it (empty, 2-D, float, bool, out of range)."""
     idx = np.asarray(indices)
     if idx.ndim != 1 or idx.shape[0] == 0 or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n:
-        raise ValueError(f"row indices must be a non-empty 1-D array of integers in the range [0, {n})")
+        raise ValueError(f"{name} must be a non-empty 1-D array of integers in the range [0, {n})")
     return idx.astype(np.int64, copy=False)
 
 
 def _adopt(inputs: np.ndarray, labels: np.ndarray, num_classes: int) -> Dataset:
-    """Dataset over float64 ``inputs`` and int64 ``labels`` that the caller
+    """Dataset over float64 ``inputs`` and integer ``labels`` that the caller
     has just built and no one else holds: validated and made read-only like
-    any other, but not copied."""
+    any other, but not copied (labels of another width are widened to int64)."""
     ds = object.__new__(Dataset)
     object.__setattr__(ds, "num_classes", num_classes)
     ds._own(inputs, labels)
@@ -168,7 +164,7 @@ def load_idx_pair(image_path: str | Path, label_path: str | Path) -> Dataset:
         )
     inputs = img_data.reshape(n_images, rows * cols).astype(np.float64)
     inputs /= 255.0
-    return _adopt(inputs, lbl_data.astype(np.int64), 10)
+    return _adopt(inputs, lbl_data, 10)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataio import Dataset
 from .model import ParamVector, loss_and_grad
-from .rng import is_integer, is_number, named_stream, uniform_batch
+from .rng import check_count, is_integer, is_number, named_stream, uniform_batch
 
 
 class DivergenceError(FloatingPointError):
@@ -118,6 +118,7 @@ class BatchStreams:
     epoch: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
+        self.n_samples = check_count("n_samples", self.n_samples, 1)
         self.batch_size = check_batch_size(self.batch_size, self.n_samples)
         self.order = self.primary_rng.permutation(self.n_samples)
 

@@ -70,7 +70,8 @@ def write_results(out: str | Path, plan: SweepPlan) -> float | None:
     steps_seed<N>.csv when its config logs steps; a probed config's
     probe.csv from its first run; and, for a sweep, sweep.json, plus
     scatter.csv along alpha. Each cell's B, alpha and config_hash come from
-    its own config.
+    its own config. An earlier plan's files in ``out`` are removed first, so
+    the directory holds this plan's results alone.
 
     Returns a sweep's best value (see best_row), or None for a single
     config or a sweep with no finite cell. An un-run plan raises ValueError.
@@ -78,6 +79,8 @@ def write_results(out: str | Path, plan: SweepPlan) -> float | None:
     if not plan.cells:
         raise ValueError("the plan has not run: it holds no cells to write")
     out = Path(out)
+    for stale in (*out.glob("steps_seed*.csv"), out / "probe.csv", out / "sweep.json", out / "scatter.csv"):
+        stale.unlink(missing_ok=True)
     cells = list(zip(plan.configs, plan.cells))
     runs = []
     for cfg, agg in cells:
@@ -251,8 +254,11 @@ def tradeoff_rows(series: str, rows: tuple[dict, ...]) -> list[tuple[str, float,
     return [(series, row["mean_steps"], row["mean_acc"]) for row in rows]
 
 
+TRADEOFF_COLUMNS = ("series", "convergence_steps", "accuracy")
+
+
 def write_tradeoff_csv(path: Path, scatter: list[tuple[str, float, float]]) -> None:
-    _write_csv(path, ["series", "convergence_steps", "accuracy"], scatter)
+    _write_csv(path, TRADEOFF_COLUMNS, scatter)
 
 
 def _flag_text(value: bool | None) -> str:
@@ -306,7 +312,9 @@ def render_comparison(batch_unit: ResultsUnit, alpha_unit: ResultsUnit) -> tuple
 
 
 def emit_report(results_dir: str | Path, out_dir: str | Path | None = None) -> Path:
-    """Render report.md and figure CSVs for every results unit under results_dir."""
+    """Render report.md and figure CSVs for every results unit under results_dir.
+    Two results directories whose figures map to one file name raise ValueError
+    naming both, before any output."""
     results_dir = Path(results_dir)
     if not results_dir.is_dir():
         raise FileNotFoundError(f"results directory {results_dir} does not exist")
@@ -317,10 +325,8 @@ def emit_report(results_dir: str | Path, out_dir: str | Path | None = None) -> P
     if not unit_dirs:
         raise ValueError(f"no aggregate.csv found under {results_dir}")
     units = [load_unit(d, results_dir) for d in unit_dirs]  # a malformed file stops the report before any output
-    out_dir = Path(out_dir) if out_dir is not None else results_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     sections = ["# Training results", ""]
-    fig_dir = out_dir / "figures"
+    figures = []  # (file name, results directory under results_dir, header, rows)
     groups: dict[str, dict[str, ResultsUnit]] = {}  # per directory, its first sweep along each axis
     for unit in units:
         sections.append(render_unit(unit))
@@ -330,14 +336,23 @@ def emit_report(results_dir: str | Path, out_dir: str | Path | None = None) -> P
             stem = "root" if unit.name == "." else unit.name.replace("/", "_")
             for kind, mean, std in (("accuracy", "mean_acc", "std_acc"), ("time", "mean_steps", "std_steps")):
                 rows = [(row[key], row[mean], row[std]) for row in sorted(unit.rows, key=lambda r: r[key])]
-                _write_csv(fig_dir / f"fig_{stem}_{kind}.csv", [key, mean, std], rows)
+                figures.append((f"fig_{stem}_{kind}.csv", unit.name, (key, mean, std), rows))
     for group, pair in sorted(groups.items()):
         if len(pair) == 2:
             section, scatter = render_comparison(pair["batch_size"], pair["alpha"])
             sections.append(section)
             if scatter:
                 stem = "" if group == "." else group.replace("/", "_") + "_"
-                write_tradeoff_csv(fig_dir / f"fig_{stem}tradeoff_scatter.csv", scatter)
+                figures.append((f"fig_{stem}tradeoff_scatter.csv", group, TRADEOFF_COLUMNS, scatter))
+    owners: dict[str, str] = {}
+    for name, directory, _, _ in figures:
+        if owners.setdefault(name, directory) != directory:
+            first, second = results_dir / owners[name], results_dir / directory
+            raise ValueError(f"results directories {first} and {second} both map to figure {name}")
+    out_dir = Path(out_dir) if out_dir is not None else results_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, _, header, rows in figures:
+        _write_csv(out_dir / "figures" / name, header, rows)
     report_path = out_dir / "report.md"
     report_path.write_text("\n".join(sections), encoding="utf-8")
     return report_path

@@ -18,6 +18,7 @@ from noise_forge.dataio import (
     subset,
 )
 
+LABEL_RULE = r"^labels must be a non-empty 1-D array of integers in the range \[0, {C}\)$"
 IMAGE_MAGIC = 0x00000803  # 2051
 LABEL_MAGIC = 0x00000801  # 2049
 
@@ -159,8 +160,20 @@ class TestDataset:
     def test_array_ranks_rejected(self):
         with pytest.raises(ValueError, match="^inputs must be 2-D"):
             Dataset(np.zeros(3), np.zeros(3, dtype=int), 1)
-        with pytest.raises(ValueError, match="^labels must be 1-D$"):
+        with pytest.raises(ValueError, match=LABEL_RULE.format(C=1)):
             Dataset(np.zeros((3, 2)), np.zeros((3, 1), dtype=int), 1)
+
+    # both used to pass through an int64 cast: [0.0, 1.7, 0.2] read [0, 1, 0], True read 1
+    @pytest.mark.parametrize("labels", [[0.0, 1.7, 0.2], [0.0, 1.0, 0.0], [True, False, True]])
+    def test_float_and_bool_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match=LABEL_RULE.format(C=2)):
+            Dataset(np.zeros((3, 2)), np.array(labels), 2)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.int64])
+    def test_integer_labels_of_any_width_are_stored_as_int64(self, dtype):
+        ds = Dataset(np.zeros((3, 2)), np.array([2, 0, 1], dtype=dtype), 3)
+        assert ds.labels.dtype == np.int64 and not ds.labels.flags.writeable
+        np.testing.assert_array_equal(ds.labels, [2, 0, 1])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -81,6 +81,17 @@ class TestEpochState:
         with pytest.raises(ValueError, match="batch"):
             BatchStreams.from_seed(4, 5, 0)
 
+    # 10.5 and 10.0 used to fail with numpy's AxisError, and True was stored as n_samples
+    @pytest.mark.parametrize("n", [10.5, np.float64(10.0), True, 0])
+    def test_row_count_takes_the_count_rule(self, n):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'n_samples must be an integer >= 1, got {n!r}')}$"):
+            BatchStreams.from_seed(n, 1, 0)
+
+    def test_numpy_row_count_is_stored_as_int(self):
+        streams = BatchStreams.from_seed(np.int64(10), 3, 1)
+        assert type(streams.n_samples) is int
+        assert streams.order.tolist() == BatchStreams.from_seed(10, 3, 1).order.tolist()
+
 
 class TestMinibatchPair:
     def test_pair_shapes_and_validity(self):
@@ -392,7 +403,7 @@ COUNT_ENTRIES = {
         "root_seed", 0, None, lambda v: make_synthetic(SyntheticSpec(np.eye(2), 3, 0.1, v)), None
     ),
     "Dataset-num_classes": (
-        "num_classes", 1, None, lambda v: Dataset(np.zeros((2, 1)), np.zeros(2), v), lambda ds: ds.num_classes
+        "num_classes", 1, None, lambda v: Dataset(np.zeros((2, 1)), np.array([0, 0]), v), lambda ds: ds.num_classes
     ),
     "SyntheticSpec-n_per_class": (
         "n_per_class", 1, None, lambda v: SyntheticSpec(np.eye(2), v, 0.1, 0), lambda spec: spec.n_per_class

@@ -167,7 +167,7 @@ def test_a_run_takes_only_its_config_and_seed():
 # Each input rule of alpha * grad(B) + (1 - alpha) * grad(B'): its message,
 # and the one function that raises it.
 INPUT_RULES = {
-    "row indices must be a non-empty 1-D array of integers": ("dataio.py", "check_rows"),
+    "must be a non-empty 1-D array of integers": ("dataio.py", "check_rows"),
     "batch_size must lie in [1, n_samples]": ("optim.py", "check_batch_size"),
     "alpha must be finite": ("optim.py", "check_alpha"),
     "must be an integer": ("rng.py", "check_count"),

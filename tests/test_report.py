@@ -1,4 +1,5 @@
 import math
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -215,6 +216,22 @@ class TestWriteResults:
         else:
             assert best == best_row(unit.rows, plan.column)[plan.column]
 
+    def test_a_reused_directory_holds_only_the_last_plan(self, tmp_path):
+        # a train run after an alpha sweep used to keep sweep.json and
+        # scatter.csv, so report rendered the one train cell as an alpha sweep
+        out = tmp_path / "unit"
+        write_results(out, run_plan(SweepPlan(replace(small_config(seeds=(0, 3)), log_steps=True))))
+        (out / "probe.csv").write_text("step\n0\n")
+        (out / "resolved_config.json").write_text("{}\n")
+        assert (out / "steps_seed3.csv").exists()
+        write_results(out, run_plan(SweepPlan(small_config(seeds=(0, 3)), "alpha", (1.0, 1.5))))
+        assert sorted(p.name for p in out.iterdir()) == [
+            "aggregate.csv", "resolved_config.json", "runs.csv", "scatter.csv", "sweep.json"
+        ]
+        write_results(out, run_plan(SweepPlan(small_config(seeds=(1,)))))
+        assert sorted(p.name for p in out.iterdir()) == ["aggregate.csv", "resolved_config.json", "runs.csv"]
+        assert load_unit(out, tmp_path).axis == "single"
+
 
 class TestRenderUnit:
     def test_nan_rows_render_as_na(self):
@@ -394,6 +411,30 @@ class TestEmitReport:
         path = emit_report(root, out)
         assert path == out / "report.md"
         assert (out / "figures" / "fig_sweep-b_accuracy.csv").is_file()
+
+    @pytest.mark.parametrize("first, second", [("a/b", "a_b"), (".", "root")])
+    def test_colliding_figure_names_raise_before_any_output(self, first, second, tmp_path):
+        # a_b's figures used to replace a/b's, and the root directory's the root unit's
+        tree = write_results_tree(tmp_path / "tree")
+        root = tmp_path / "results"
+        for name in (first, second):
+            shutil.copytree(tree / "sweep-alpha", root / name, dirs_exist_ok=True)
+        out = tmp_path / "rendered"
+        with pytest.raises(ValueError, match=f"^results directories {re.escape(str(root / first))} and "
+                           f"{re.escape(str(root / second))} both map to figure fig_"):
+            emit_report(root, out)
+        assert not out.exists()
+
+    def test_colliding_comparison_groups_raise(self, tmp_path):
+        tree = write_results_tree(tmp_path / "tree")
+        root = tmp_path / "results"
+        for group, prefix in (("a/b", "x-"), ("a_b", "y-")):  # the units' own figures differ
+            for name in ("sweep-b", "sweep-alpha"):
+                shutil.copytree(tree / name, root / group / (prefix + name))
+        with pytest.raises(ValueError, match=f"^results directories {re.escape(str(root / 'a/b'))} and "
+                           f"{re.escape(str(root / 'a_b'))} both map to figure fig_a_b_tradeoff_scatter.csv$"):
+            emit_report(root)
+        assert not (root / "report.md").exists() and not (root / "figures").exists()
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
