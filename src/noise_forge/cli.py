@@ -173,17 +173,11 @@ def _build_datasets(cfg: dict) -> tuple[dataio.Dataset, dataio.Dataset]:
 
 
 def build_train_config(cfg: dict) -> harness.TrainConfig:
-    train, test = _build_datasets(cfg)
-    model = MlpSpec(
-        input_dim=train.input_dim,
-        hidden=tuple(cfg["model.hidden"]),
-        num_classes=train.num_classes,
-    )
-    ne = NEConfig(alpha=cfg["ne.alpha"], batch_size=cfg["ne.batch_size"], base=cfg["optim.base"])
     try:
+        train, test = _build_datasets(cfg)
         return harness.TrainConfig(
-            model=model,
-            ne=ne,
+            model=MlpSpec(input_dim=train.input_dim, hidden=tuple(cfg["model.hidden"]), num_classes=train.num_classes),
+            ne=NEConfig(alpha=cfg["ne.alpha"], batch_size=cfg["ne.batch_size"], base=cfg["optim.base"]),
             train_data=train,
             test_data=test,
             learning_rate=cfg["optim.learning_rate"],

@@ -15,7 +15,6 @@ writes it to disk.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import multiprocessing
@@ -92,7 +91,7 @@ class TrainConfig:
         """max_steps, defaulting to 200 epochs worth of steps."""
         if self.max_steps is not None:
             return self.max_steps
-        return 200 * max(1, self.train_data.n_samples // self.ne.batch_size)
+        return 200 * (self.train_data.n_samples // self.ne.batch_size)
 
 
 def config_hash(cfg: TrainConfig) -> str:
@@ -206,7 +205,6 @@ def train_run(cfg: TrainConfig, seed: int) -> RunRecord:
                     state.learning_rate *= 0.5
                     halved_at = step
             if step >= max_steps:
-                status = STATUS_DID_NOT_CONVERGE
                 break
             try:
                 w, log = training_step(w, cfg.train_data, cfg.ne, state, streams, log=cfg.log_steps)
@@ -261,30 +259,11 @@ class AggregateResult:
     n_converged = property(lambda self: len(self._convergences))
 
 
-def _set_blas_threads(n: int) -> None:
-    """Set the loaded OpenBLAS's thread count to ``n``; do nothing when no
-    OpenBLAS setter is found."""
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
-    except OSError:
-        return
-    for lib in sorted(libs):
-        handle = ctypes.CDLL(lib)
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            fn = getattr(handle, symbol, None)
-            if fn is not None:
-                fn.argtypes = [ctypes.c_int]
-                fn(n)
-                return
-
-
 _worker_configs: tuple[TrainConfig, ...] = ()  # set by _init_worker, in pool workers only
 
 
-def _init_worker(threads: int, configs: tuple[TrainConfig, ...]) -> None:
+def _init_worker(configs: tuple[TrainConfig, ...]) -> None:
     global _worker_configs
-    _set_blas_threads(threads)
     _worker_configs = configs
 
 
@@ -296,16 +275,24 @@ def _dispatch(configs: tuple[TrainConfig, ...], jobs: int) -> list[AggregateResu
     """One aggregate per config over its seeds. The (cell, seed) tasks run in
     this process, or in one pool of ``min(jobs, tasks)`` > 1 spawned workers
     that each get ``configs`` once (cells sharing a Dataset pickle it once)
-    and a share of the CPUs for BLAS threads (each taking all, two workers ran
-    a 4-seed desk train 3x slower than one process on 2 CPUs). Each record
-    comes back with its probes and step log, which the parent writes."""
+    and start with OPENBLAS_NUM_THREADS = max(1, cpus // workers), set for the
+    pool's lifetime (each taking all CPUs, two workers ran a 4-seed desk
+    train 3x slower than one process on 2 CPUs). Each record comes back with
+    its probes and step log, which the parent writes."""
     tasks = [(cell, seed) for cell, cfg in enumerate(configs) for seed in cfg.seeds]
     workers = min(jobs, len(tasks))
     if workers > 1:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        spawn, initargs = multiprocessing.get_context("spawn"), (max(1, cpus // workers), configs)
-        with ProcessPoolExecutor(workers, mp_context=spawn, initializer=_init_worker, initargs=initargs) as pool:
-            records = iter(list(pool.map(_worker_task, tasks)))
+        spawn, before = multiprocessing.get_context("spawn"), os.environ.get("OPENBLAS_NUM_THREADS")
+        os.environ["OPENBLAS_NUM_THREADS"] = str(max(1, cpus // workers))
+        try:
+            with ProcessPoolExecutor(workers, mp_context=spawn, initializer=_init_worker, initargs=(configs,)) as pool:
+                records = iter(list(pool.map(_worker_task, tasks)))
+        finally:
+            if before is None:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+            else:
+                os.environ["OPENBLAS_NUM_THREADS"] = before
     else:
         records = (train_run(configs[cell], seed) for cell, seed in tasks)
     return [AggregateResult([next(records) for _ in cfg.seeds]) for cfg in configs]

@@ -18,7 +18,7 @@ from noise_forge.cli import (
 )
 from test_acceptance import DESK_SCALE_SETS
 from test_dataio import image_bytes, label_bytes
-from test_harness import openblas_threads
+from test_harness import openblas_threads, set_openblas_threads
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -159,9 +159,20 @@ class TestBuildTrainConfig:
         with pytest.raises(ConfigError, match=DATA_DIR_ENV):
             build_train_config(resolve_config(None, ["data.source=idx"]))
 
-    def test_invalid_batch_is_a_config_error(self, tmp_path):
-        cfg = resolve_config(write_config(tmp_path, {"ne.batch_size": 1000}), [])
-        with pytest.raises(ConfigError, match="batch"):
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("ne.batch_size", 1000, "batch_size"),
+            ("ne.batch_size", 0, "batch_size"),
+            ("ne.alpha", 0.5, "alpha"),
+            ("model.hidden", [0], "hidden"),
+            ("optim.base", "rmsprop", "rmsprop"),
+            ("synthetic.n_per_class", 0, "n_per_class"),
+        ],
+    )
+    def test_every_config_rule_is_a_config_error(self, tmp_path, key, value, message):
+        cfg = resolve_config(write_config(tmp_path, {key: value}), [])
+        with pytest.raises(ConfigError, match=message):
             build_train_config(cfg)
 
 
@@ -456,7 +467,7 @@ class TestBlasThreads:
         outputs = []
         try:
             for threads in (1, 2):
-                harness._set_blas_threads(threads)
+                set_openblas_threads(threads)
                 out = tmp_path / str(threads)
                 assert parse_and_dispatch(["train", "--out", str(out / "train"), *sets]) == 0
                 assert parse_and_dispatch(["probe", "--out", str(out / "probe"), *sets]) == 0
@@ -466,7 +477,7 @@ class TestBlasThreads:
                 )
                 outputs.append([(out / name).read_bytes() for name in names])
         finally:
-            harness._set_blas_threads(before)
+            set_openblas_threads(before)
         assert len(outputs[0][4].splitlines()) == 3  # header and steps 0 and 200
         assert outputs[0] == outputs[1]
         # probing never moves the trajectory: the probed run logs the same steps as train

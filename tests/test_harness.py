@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import json
 import math
@@ -474,24 +475,40 @@ class TestRepeatRuns:
             )
 
 
-def openblas_threads():
-    """Thread count the loaded OpenBLAS reports, or None without a getter."""
+def openblas_function(name):
+    """The loaded OpenBLAS's ``name`` function (``get_num_threads`` or
+    ``set_num_threads``), or None without one. A maps line's pathname is its
+    sixth field, taken whole since a path may hold spaces."""
     with open("/proc/self/maps") as fh:
-        libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
+        paths = {f[5].rstrip("\n") for f in (line.split(maxsplit=5) for line in fh) if len(f) == 6}
+    libs = {p for p in paths if "openblas" in p.lower() and ".so" in p and not p.endswith(" (deleted)")}
     for lib in sorted(libs):
         handle = ctypes.CDLL(lib)
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
             fn = getattr(handle, symbol, None)
             if fn is not None:
-                fn.restype = ctypes.c_int
-                return int(fn())
+                return fn
     return None
+
+
+def openblas_threads():
+    """Thread count the loaded OpenBLAS reports, or None without a getter."""
+    fn = openblas_function("get_num_threads")
+    return None if fn is None else int(fn())
+
+
+def set_openblas_threads(n):
+    """Set the loaded OpenBLAS's thread count (the caller checked it has one)."""
+    fn = openblas_function("set_num_threads")
+    fn.argtypes = [ctypes.c_int]
+    fn(n)
 
 
 def stub_pools(monkeypatch):
     """Replace the process pool with an in-process stub on an 8-CPU
     affinity; returns the list each pool's (max_workers, start method, BLAS
-    threads) is appended to. The stub hands the initializer's configs to the
+    threads) is appended to, the threads read from the OPENBLAS_NUM_THREADS
+    the stub is built under. The stub hands the initializer's configs to the
     workers' task function, checks that every task it maps pickles to under
     1 KB, and starts no process."""
     pools = []
@@ -499,7 +516,8 @@ def stub_pools(monkeypatch):
     class StubPool:
         def __init__(self, max_workers, mp_context, initializer, initargs):
             assert initializer is harness._init_worker
-            threads, configs = initargs
+            (configs,) = initargs
+            threads = int(os.environ["OPENBLAS_NUM_THREADS"])
             pools.append((max_workers, mp_context.get_start_method(), threads))
             monkeypatch.setattr(harness, "_worker_configs", configs)
 
@@ -519,34 +537,56 @@ def stub_pools(monkeypatch):
     return pools
 
 
-def worker_view():
-    """What a pool worker holds: its BLAS thread count and its configs' count."""
-    return openblas_threads(), len(harness._worker_configs)
+def observe_worker(views_dir, configs):
+    """Pool initializer for tests: record what a starting worker holds (its
+    OPENBLAS_NUM_THREADS, the thread count its OpenBLAS reports and its
+    configs' count) in a file named by its pid, then initialize it as the
+    dispatcher would."""
+    view = [os.environ.get("OPENBLAS_NUM_THREADS"), openblas_threads(), len(configs)]
+    (views_dir / f"{os.getpid()}.json").write_text(json.dumps(view))
+    harness._init_worker(configs)
 
 
 class TestWorkerPool:
-    def test_workers_share_the_cpus_between_their_blas_threads(self, monkeypatch):
-        # a real pool: the dispatcher's own arguments, observed from a worker
-        if openblas_threads() is None:
-            pytest.skip("numpy is not linked against an OpenBLAS with a thread getter")
-        views = []
-
+    def test_workers_share_the_cpus_between_their_blas_threads(self, monkeypatch, tmp_path):
+        # a real spawn pool at jobs=2, each worker observed as it starts
         class ObservedPool(ProcessPoolExecutor):
-            def __init__(self, max_workers, mp_context, **kwargs):
-                super().__init__(max_workers, mp_context=mp_context, **kwargs)
-                self.start_method = mp_context.get_start_method()
-
-            def map(self, fn, items):
-                views.append((self.start_method, self.submit(worker_view).result()))
-                return super().map(fn, items)
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                assert initializer is harness._init_worker and mp_context.get_start_method() == "spawn"
+                super().__init__(max_workers, mp_context=mp_context, initializer=observe_worker,
+                                 initargs=(tmp_path, *initargs))
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", ObservedPool)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         cfg = small_config(max_steps=20, eval_interval=10, seeds=(0, 1))
         plan = SweepPlan(cfg, "alpha", [1.0, 2.0])
         assert len(plan.run(jobs=2).cells) == 2
         want = max(1, len(os.sched_getaffinity(0)) // 2)
-        assert views == [("spawn", (want, 2))]
+        reported = want if openblas_threads() is not None else None  # None: no OpenBLAS getter here
+        views = [json.loads(path.read_text()) for path in tmp_path.glob("*.json")]
+        assert views == [[str(want), reported, 2]] * 2
+        assert "OPENBLAS_NUM_THREADS" not in os.environ  # the parent's environment is as it was
         assert harness._worker_configs == ()  # nothing is set in this process
+
+    @pytest.mark.parametrize("preset", [None, "3"])
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_the_thread_count_is_set_for_the_pools_lifetime_only(self, monkeypatch, preset, fails):
+        pools = stub_pools(monkeypatch)
+
+        def run(cfg, seed):
+            if fails:
+                raise RuntimeError("worker failed")
+            return rec(seed)
+
+        monkeypatch.setattr(harness, "train_run", run)
+        if preset is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+        with pytest.raises(RuntimeError, match="worker failed") if fails else contextlib.nullcontext():
+            SweepPlan(small_config(seeds=(0, 1))).run(jobs=2)
+        assert pools == [(2, "spawn", 4)]
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == preset
 
     def test_one_pool_runs_every_cell_and_seed(self, monkeypatch):
         pools = stub_pools(monkeypatch)

@@ -12,6 +12,9 @@ One module owns the results directory: ``report`` writes its files and reads
 them back. A run hands everything it produced back on its RunRecord, so the
 run functions take no writer and no output path.
 
+The package loads no native code itself and reads nothing under ``/proc``:
+pool workers get their BLAS thread count through their environment.
+
 Each input rule of the update (the rows a batch picks, the minibatch size and
 a finite alpha) is checked by one function with one message.
 """
@@ -158,6 +161,21 @@ def test_only_report_writes_the_results_directory():
                 continue
             offenders.append(f"{path.name}:{call.lineno}: {ast.unparse(call.func)}")
     assert not offenders, f"files written outside report.write_results: {offenders}"
+
+
+def test_no_module_loads_native_code_or_reads_proc():
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            if any(m.split(".")[0] == "ctypes" for m in modules):
+                offenders.append(f"{path.name}:{node.lineno}: imports ctypes")
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "/proc" in node.value:
+                offenders.append(f"{path.name}:{node.lineno}: names {node.value!r}")
+    assert not offenders, f"native-code or /proc use in the package: {offenders}"
 
 
 def test_a_run_takes_only_its_config_and_seed():
